@@ -1,0 +1,172 @@
+"""Frozen CLI outputs over a fixed corpus.
+
+Every `build` recipe that writes a structure, then `check` and `states` on
+what was built, in text and json, plus `check magma`.  Each run is recorded
+as its exit code and the SHA-256 of its stdout bytes followed by the bytes
+of its --out file.  Paths are relative to a fresh working directory, so
+report subjects do not depend on where the suite runs.  A refactor that
+keeps reports byte-identical must pass this test without touching GOLDEN.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+from simpeff import cli, palg
+from simpeff import nerve as nv
+
+# S3 (sorted permutations, identity first) acting on {0, 1, 2} from the right
+S3_ACTION = {"z_size": 3, "table": [[0, 1, 2], [0, 2, 1], [1, 0, 2],
+                                    [2, 0, 1], [1, 2, 0], [2, 1, 0]]}
+
+
+def _inputs():
+    q8, d4 = nv.quaternion_group(), nv.dihedral_group(4)
+    return {
+        "q8.json": q8.to_json_dict(),
+        "d4.json": d4.to_json_dict(),
+        "z4.json": nv.cyclic_group(4).to_json_dict(),
+        "s3.json": nv.symmetric_group(3).to_json_dict(),
+        "s3-on-3.json": S3_ACTION,
+        "bool2.json": palg.boolean_effect_algebra(2).to_json_dict(),
+        "q8-magma.json": nv.commuting_magma(q8).to_json_dict(),
+        "d4-t2-magma.json": nv.commuting_magma(d4, 2).to_json_dict(),
+        "chain-magma.json": nv.chain_magma(2).to_json_dict(),
+    }
+
+
+BUILDS = {
+    "cn-q8.json": ("comm-nerve", "--group", "q8.json", "--levels", "4"),
+    "cn-d4-t2.json": ("comm-nerve", "--group", "d4.json", "--torsion", "2", "--levels", "4"),
+    "cn-q8-t4.json": ("comm-nerve", "--group", "q8.json", "--torsion", "4", "--levels", "3"),
+    "ly-z4.json": ("action-pg", "--group", "z4.json", "--y", "0,1,2", "--levels", "4"),
+    "ly-s3.json": ("action-pg", "--group", "s3.json", "--action", "s3-on-3.json",
+                   "--y", "0,1", "--levels", "4"),
+    "en-l2.json": ("effect-nerve", "--family", "l2", "--levels", "4"),
+    "en-bool2.json": ("effect-nerve", "--effect-algebra", "bool2.json", "--levels", "3"),
+    "s1.json": ("s1", "--levels", "3"),
+}
+# the three largest outputs are checked at level 3 to keep the corpus fast;
+# their level-4 tables are still covered by the build digests
+SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
+         ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",))
+CYCLICS = ("en-l2.json", "en-bool2.json")
+MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
+
+
+def _commands():
+    for out, argv in BUILDS.items():
+        yield ("build",) + argv + ("--out", out), out
+    yield ("build", "s1", "--levels", "4"), None
+    for path, *levels in SSETS:
+        yield ("check", "sset", "--in", path, *levels), None
+    for path in CYCLICS:
+        yield ("check", "cyclic", "--in", path, "--states", "--hc1"), None
+        yield ("states", "--cyclic", path, "--hc1"), None
+    for path in MAGMAS:
+        yield ("check", "magma", "--in", path), None
+
+
+def run_corpus(workdir):
+    """label -> (exit code, sha256 of stdout + --out bytes), run in workdir."""
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, body in _inputs().items():
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(body, fh)
+        record = {}
+        for argv, out in _commands():
+            variants = [argv] if argv[0] == "build" else [argv, argv + ("--json",)]
+            for av in variants:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = cli.main(list(av))
+                data = buf.getvalue().encode("utf-8")
+                if out is not None:
+                    with open(out, "rb") as fh:
+                        data += fh.read()
+                record[" ".join(av)] = (code, hashlib.sha256(data).hexdigest())
+        return record
+    finally:
+        os.chdir(here)
+
+
+GOLDEN = {
+    'build comm-nerve --group q8.json --levels 4 --out cn-q8.json':
+        (0, "b39eb569afd37aa5cf3b08b4d0599149ff0f40ccb428b1856c411062e3111fcf"),
+    'build comm-nerve --group d4.json --torsion 2 --levels 4 --out cn-d4-t2.json':
+        (0, "9f5f5610bc1a903b82416ee53900eae0412e3d4288afe2a1eed1e8da8df6f59c"),
+    'build comm-nerve --group q8.json --torsion 4 --levels 3 --out cn-q8-t4.json':
+        (0, "bd75a4cdcccfb6e4c74f837678745d9f76f091571d34cb9ef7880afa7018092b"),
+    'build action-pg --group z4.json --y 0,1,2 --levels 4 --out ly-z4.json':
+        (0, "ba2e839628355b46e3a946462ae8778b50bf3eae87db8e19f6ea240bde129d90"),
+    'build action-pg --group s3.json --action s3-on-3.json --y 0,1 --levels 4 --out ly-s3.json':
+        (0, "b3c84b26b4772e9112ea4172ab964914a24f9079d78338dc50819be8bedd59d4"),
+    'build effect-nerve --family l2 --levels 4 --out en-l2.json':
+        (0, "c458240056f41a56c7ad2b72606c43b1dad388e02b5536f77c4a999b0d15d99a"),
+    'build effect-nerve --effect-algebra bool2.json --levels 3 --out en-bool2.json':
+        (0, "5ea220d8fc1b557777f3b60f40dff4e4c61debfdfb4716d30ce774e20a16db15"),
+    'build s1 --levels 3 --out s1.json':
+        (0, "49c8d0ef74e6f07e9ab142b829a63ce8d4ad3196507f93a98d006995e7457fb7"),
+    'build s1 --levels 4':
+        (0, "651e4f1624471e6e5c832d81aee0284c990b9bb897a47abcc9bc10e74d665eac"),
+    'check sset --in cn-q8.json --levels 3':
+        (1, "c386b94c5d32631141a05912aafae376a53ffcc229412564665c849809927be4"),
+    'check sset --in cn-q8.json --levels 3 --json':
+        (1, "0273807de531ce2e898524f9f214adcf7d752e1c83e322e84bf885b239f38295"),
+    'check sset --in cn-d4-t2.json --levels 3':
+        (1, "d285711a824d7b7b6693771ed8503a33129a5acd6897b8c9ab5ef66b6a4fe803"),
+    'check sset --in cn-d4-t2.json --levels 3 --json':
+        (1, "2dc4354e09dfed012e522c6bc23e89810167cf760c821e246914e613c7b4e159"),
+    'check sset --in cn-q8-t4.json':
+        (1, "ba27bcfdb3aefc9f91adceb921b17661ab34e20647ebcc314f253f2ffe6e350e"),
+    'check sset --in cn-q8-t4.json --json':
+        (1, "6be40002a897054b1f07ad0cfd5d531102df789e434426559ee4dd97a3630bc7"),
+    'check sset --in ly-z4.json':
+        (1, "74d47aec84ded1e3db4c5912584211d089758dc73de21dfc1654830f20040635"),
+    'check sset --in ly-z4.json --json':
+        (1, "723c82080fe39582957d4bf37f69665b84a68f744f27fb7ea96656c5ee04b17c"),
+    'check sset --in ly-s3.json --levels 3':
+        (1, "c0437c698e43fd814d4a3c27db8f555f7838f7921e1f360d506d8277e8c2b90b"),
+    'check sset --in ly-s3.json --levels 3 --json':
+        (1, "8ccf39f7a693b315553b895c75a9c6a157bd393d7aad29c56447ab38d1f0d64d"),
+    'check sset --in s1.json':
+        (0, "9a4e3e394fade8ebfc605eff6f5d2cac883bf330b12011fe291dc119bc017251"),
+    'check sset --in s1.json --json':
+        (0, "43d9efb9ff183cca3033b290d9e9f0f755b8101efba3c4624545a0a2f963f46d"),
+    'check cyclic --in en-l2.json --states --hc1':
+        (0, "3117393af17d2461193a9d87e245fb74779f6206f8871355e9b52b611021ff4b"),
+    'check cyclic --in en-l2.json --states --hc1 --json':
+        (0, "4b9bff9c0f65ec2a808155c985dda976b450b147f4f60ec79b9185645c01abea"),
+    'states --cyclic en-l2.json --hc1':
+        (0, "5d124028eee7e69f63308a02ae815b76b8605cf2d557df68dc7e0048b6702381"),
+    'states --cyclic en-l2.json --hc1 --json':
+        (0, "c228992d018a916a8c962f9251921eae74b7b1ee15bd8d53b48e33ad0d1438c4"),
+    'check cyclic --in en-bool2.json --states --hc1':
+        (0, "dca9753a3bef4c9e2be80a4a9db8f27ed3b6ee8169ea1c41b34bcba842652fb9"),
+    'check cyclic --in en-bool2.json --states --hc1 --json':
+        (0, "533e5ba1d00d876dc6cfea4a75c2cca143a287739c6f41d3a7508dbb464b1ecd"),
+    'states --cyclic en-bool2.json --hc1':
+        (0, "983c802547bb4dda8aede13f5bf64c68437178737decec96b17ca9ebd5115428"),
+    'states --cyclic en-bool2.json --hc1 --json':
+        (0, "d807e8d5292633662f9b727d8856ea59b9d325c7335420fd47225eb7be0e6df4"),
+    'check magma --in q8-magma.json':
+        (1, "a23462ffa2655c28a202df9e3f987c73be19cc1ec1e1055d0ea7cc5408aa2b40"),
+    'check magma --in q8-magma.json --json':
+        (1, "ee64a4cf4f9ef727b5d1128e6f837fffd37b698be452794a48ee55fdd268f439"),
+    'check magma --in d4-t2-magma.json':
+        (1, "4733b60ee11b61df9bb2faf35f8e05eb593acd87c91279d503bf3bc4e216c007"),
+    'check magma --in d4-t2-magma.json --json':
+        (1, "73a1190c9fb975408f947b4f7d8280e2e80e608cfda7e6365f51d85e421c0cf6"),
+    'check magma --in chain-magma.json':
+        (1, "b1ef17bbb349a52eb5efd82df53cfa58b6ba8598c7b61ae2bc9a7218123e4bfe"),
+    'check magma --in chain-magma.json --json':
+        (1, "259e2acf28ed3ae1bc7a23736b91ff1962b59dc1d04accf66df56dd99ae0ab33"),
+}
+
+
+def test_golden_corpus(tmp_path):
+    assert run_corpus(tmp_path) == GOLDEN
