@@ -12,6 +12,7 @@ spine-canonical on the nose.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from . import palg
 from .palg import (AssociativityDatum, FiniteEffectAlgebra, PartialUnitalMagma,
                    ea_sum, max_associativity_datum, multiset_multiplicable)
-from .sset import TruncatedSSet, is_reduced, is_spiny, spine
+from .sset import TruncatedSSet, from_levels, is_reduced, is_spiny, spine
 from .util import InputError, StructureError
 
 
@@ -157,18 +158,22 @@ def magma_of_group(g: FiniteGroup) -> PartialUnitalMagma:
     return PartialUnitalMagma(g.order, product)
 
 
+def torsion_carrier(g: FiniteGroup, torsion):
+    """The elements with g^torsion = 1 in id order; all of g when torsion is None."""
+    if torsion is None:
+        return list(range(g.order))
+    if torsion < 2:
+        raise InputError("torsion must be >= 2")
+    return [a for a in range(g.order) if g.power(a, torsion) == 0]
+
+
 def commuting_magma(g: FiniteGroup, torsion=None) -> PartialUnitalMagma:
     """Carrier = (d-torsion) elements, product defined exactly on commuting pairs.
 
     The carrier keeps the group's ids when no torsion filter is applied;
     otherwise it is relabeled densely with 0 first.
     """
-    if torsion is None:
-        carrier = list(range(g.order))
-    else:
-        if torsion < 2:
-            raise InputError("torsion must be >= 2")
-        carrier = [a for a in range(g.order) if g.power(a, torsion) == 0]
+    carrier = torsion_carrier(g, torsion)
     idx = {a: i for i, a in enumerate(carrier)}
     product = {}
     for a in carrier:
@@ -186,15 +191,33 @@ def commuting_magma(g: FiniteGroup, torsion=None) -> PartialUnitalMagma:
 # nerve and reconstruction
 
 
-def _sset_from_level_tuples(K, carrier_size, levels):
-    """Common builder: levels[n] (n >= 2) is a sorted list of id tuples over
-    the carrier; level 1 is the carrier, level 0 a point.  Faces multiply
-    adjacent entries through `levels`' membership, degeneracies insert 0."""
-    lev = {0: [()], 1: [(x,) for x in range(carrier_size)]}
-    for n in range(2, K + 1):
-        lev[n] = sorted(levels[n])
-    ids = {n: {t: i for i, t in enumerate(lev[n])} for n in lev}
-    return lev, ids
+def tuple_face(mul, n, i, t):
+    """d_i of the nerve n-tuple t: drop an end, or multiply the adjacent pair
+    at positions i-1, i through the square table mul[a][b]."""
+    if i == 0:
+        return t[1:]
+    if i == n:
+        return t[:-1]
+    return t[:i - 1] + (mul[t[i - 1]][t[i]],) + t[i + 1:]
+
+
+def insert_unit(n, i, t):
+    """s_i of the nerve n-tuple t: the unit 0 inserted at position i."""
+    return t[:i] + (0,) + t[i:]
+
+
+def tuple_nerve(levels, mul) -> TruncatedSSet:
+    """The sub-simplicial set of a nerve given by its levels of tuples.
+
+    levels[n] lists the level-n tuples in id order for n = 0..K, with
+    levels[0] = [()].  They must be closed under the nerve's faces (see
+    tuple_face) and degeneracies (insert_unit).  Level 1 is labelled by the
+    bare elements, level 0 by "*".
+    """
+    x = from_levels(levels, functools.partial(tuple_face, mul), insert_unit)
+    x.labels[0] = ["*"]
+    x.labels[1] = [t[0] for t in levels[1]]
+    return x
 
 
 def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet:
@@ -211,28 +234,10 @@ def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet
     bad = [c for c in palg.validate_datum(m, a, require_face_closure=True) if not c.ok]
     if bad:
         raise InputError(f"invalid datum: {bad[0].name} witness {bad[0].witness}")
-    lev, ids = _sset_from_level_tuples(K, m.size, {n: a.level(n) for n in range(2, K + 1)})
-
-    def face_tuple(t, i):
-        n = len(t)
-        if i == 0:
-            return t[1:]
-        if i == n:
-            return t[:-1]
-        return t[:i - 1] + (m.product[(t[i - 1], t[i])],) + t[i + 1:]
-
-    face = {}
-    deg = {}
-    for n in range(1, K + 1):
-        for i in range(n + 1):
-            face[(n, i)] = [ids[n - 1][face_tuple(t, i)] for t in lev[n]]
-    for n in range(K):
-        for i in range(n + 1):
-            deg[(n, i)] = [ids[n + 1][t[:i] + (0,) + t[i:]] for t in lev[n]]
-    labels = {n: list(lev[n]) for n in lev}
-    labels[0] = ["*"]
-    labels[1] = list(range(m.size))
-    return TruncatedSSet(K, [len(lev[n]) for n in range(K + 1)], face, deg, labels)
+    levels = [[()], [(x,) for x in m.elements()]]
+    levels += [sorted(a.level(n)) for n in range(2, K + 1)]
+    mul = [[m.mul(x, y) for y in m.elements()] for x in m.elements()]
+    return tuple_nerve(levels, mul)
 
 
 def magma_from_sset(x: TruncatedSSet):
@@ -270,6 +275,27 @@ def magma_from_sset(x: TruncatedSSet):
 # commutative nerves and action partial groups
 
 
+def _grow_levels(K, elements, start, step):
+    """Tuple levels 0..K grown one element at a time.
+
+    Every tuple carries a state: the empty tuple has start, and t + (b,) has
+    step(state of t, b), or is dropped when that is None.  Elements listed
+    in increasing order give lexicographically sorted levels.
+    """
+    levels, states = [[()]], [start]
+    for _ in range(K):
+        tuples, nxt = [], []
+        for t, state in zip(levels[-1], states):
+            for b in elements:
+                new = step(state, b)
+                if new is not None:
+                    tuples.append(t + (b,))
+                    nxt.append(new)
+        levels.append(tuples)
+        states = nxt
+    return levels
+
+
 def comm_nerve(g: FiniteGroup, torsion=None, K: int = 4) -> TruncatedSSet:
     """Commutative nerve: level n is the pairwise commuting n-tuples (with
     g_i^d = 1 when a torsion d is given), inside the group nerve.
@@ -277,44 +303,14 @@ def comm_nerve(g: FiniteGroup, torsion=None, K: int = 4) -> TruncatedSSet:
     Labels keep the original group element ids, so cyclic structures can be
     put on the result directly.
     """
-    if torsion is None:
-        carrier = list(range(g.order))
-    else:
-        if torsion < 2:
-            raise InputError("torsion must be >= 2")
-        carrier = [a for a in range(g.order) if g.power(a, torsion) == 0]
-    lev = {0: [()], 1: [(a,) for a in carrier]}
-    prev = lev[1]
-    for n in range(2, K + 1):
-        cur = []
-        for t in prev:
-            for b in carrier:
-                if all(g.commute(a, b) for a in t):
-                    cur.append(t + (b,))
-        lev[n] = sorted(cur)
-        prev = lev[n]
-    ids = {n: {t: i for i, t in enumerate(lev[n])} for n in lev}
+    carrier = torsion_carrier(g, torsion)
+    # a tuple's state is the bitmask of carrier elements commuting with all of it
+    commuting = [sum(1 << b for b in carrier if g.commute(a, b)) for a in range(g.order)]
 
-    def face_tuple(t, i):
-        n = len(t)
-        if i == 0:
-            return t[1:]
-        if i == n:
-            return t[:-1]
-        return t[:i - 1] + (g.mul[t[i - 1]][t[i]],) + t[i + 1:]
+    def step(mask, b):
+        return mask & commuting[b] if mask >> b & 1 else None
 
-    face = {}
-    deg = {}
-    for n in range(1, K + 1):
-        for i in range(n + 1):
-            face[(n, i)] = [ids[n - 1][face_tuple(t, i)] for t in lev[n]]
-    for n in range(K):
-        for i in range(n + 1):
-            deg[(n, i)] = [ids[n + 1][t[:i] + (0,) + t[i:]] for t in lev[n]]
-    labels = {n: list(lev[n]) for n in lev}
-    labels[0] = ["*"]
-    labels[1] = [t[0] for t in lev[1]]
-    return TruncatedSSet(K, [len(lev[n]) for n in range(K + 1)], face, deg, labels)
+    return tuple_nerve(_grow_levels(K, carrier, commuting[0], step), g.mul)
 
 
 def _validate_action(g: FiniteGroup, z_size: int, action):
@@ -347,46 +343,17 @@ def action_partial_group(g: FiniteGroup, z_size: int, action, y_subset, K: int =
     yset = sorted(set(y_subset))
     if any(not 0 <= y < z_size for y in yset):
         raise InputError("Y must be a subset of the acted-on set")
+    # a tuple's state is the bitmask of the chain ends y_n it admits
+    ymask = sum(1 << y for y in yset)
 
-    def has_chain(t):
-        live = set(yset)
-        for a in t:
-            live = {action[a][y] for y in live} & set(yset)
-            if not live:
-                return False
-        return True
+    def step(live, a):
+        ends = 0
+        for y in yset:
+            if live >> y & 1:
+                ends |= 1 << action[a][y]
+        return ends & ymask or None
 
-    levels = {}
-    prev = [(a,) for a in range(g.order) if has_chain((a,))]
-    for n in range(2, K + 1):
-        cur = [t + (b,) for t in prev for b in range(g.order) if has_chain(t + (b,))]
-        levels[n] = cur
-        prev = cur
-    lev, ids = _sset_from_level_tuples(K, g.order, levels)
-    # level 1 of this space is only the chain-admitting elements
-    lev[1] = [(a,) for a in range(g.order) if has_chain((a,))]
-    ids[1] = {t: i for i, t in enumerate(lev[1])}
-
-    def face_tuple(t, i):
-        n = len(t)
-        if i == 0:
-            return t[1:]
-        if i == n:
-            return t[:-1]
-        return t[:i - 1] + (g.mul[t[i - 1]][t[i]],) + t[i + 1:]
-
-    face = {}
-    deg = {}
-    for n in range(1, K + 1):
-        for i in range(n + 1):
-            face[(n, i)] = [ids[n - 1][face_tuple(t, i)] for t in lev[n]]
-    for n in range(K):
-        for i in range(n + 1):
-            deg[(n, i)] = [ids[n + 1][t[:i] + (0,) + t[i:]] for t in lev[n]]
-    labels = {n: list(lev[n]) for n in lev}
-    labels[0] = ["*"]
-    labels[1] = [t[0] for t in lev[1]]
-    return TruncatedSSet(K, [len(lev[n]) for n in range(K + 1)], face, deg, labels)
+    return tuple_nerve(_grow_levels(K, range(g.order), ymask, step), g.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +385,9 @@ def effect_functor(e: FiniteEffectAlgebra, x: TruncatedSSet) -> TruncatedSSet:
 
         rec(0, 0, [])
         levels.append(sorted(found))
-    ids = [{t: i for i, t in enumerate(lev)} for lev in levels]
 
-    def push(n_from, n_to, mapping, t):
-        out = [[] for _ in range(x.counts[n_to])]
+    def push(mapping, size, t):
+        out = [[] for _ in range(size)]
         for src, v in enumerate(t):
             out[mapping[src]].append(v)
         summed = tuple(ea_sum(e, vs) for vs in out)
@@ -429,18 +395,9 @@ def effect_functor(e: FiniteEffectAlgebra, x: TruncatedSSet) -> TruncatedSSet:
             raise StructureError("fibre sum undefined; input is not an effect algebra")
         return summed
 
-    face = {}
-    deg = {}
-    for n in range(1, x.K + 1):
-        for i in range(n + 1):
-            mapping = x.face[(n, i)]
-            face[(n, i)] = [ids[n - 1][push(n, n - 1, mapping, t)] for t in levels[n]]
-    for n in range(x.K):
-        for i in range(n + 1):
-            mapping = x.deg[(n, i)]
-            deg[(n, i)] = [ids[n + 1][push(n, n + 1, mapping, t)] for t in levels[n]]
-    return TruncatedSSet(x.K, [len(l) for l in levels], face, deg,
-                         {n: levels[n] for n in range(x.K + 1)})
+    return from_levels(levels,
+                       lambda n, i, t: push(x.face[(n, i)], x.counts[n - 1], t),
+                       lambda n, i, t: push(x.deg[(n, i)], x.counts[n + 1], t))
 
 
 def simplicial_circle(K: int) -> TruncatedSSet:
@@ -449,26 +406,19 @@ def simplicial_circle(K: int) -> TruncatedSSet:
         raise InputError("simplicial circle needs K >= 1")
 
     def d(n, j, i):
-        # face d_j of theta^i at level n
+        # face d_j of theta^i at level n, where theta^0 is the basepoint
         if j < i and 1 < i:
             return i - 1
         if i <= j and i < n:
             return i
         return 0
 
-    def s(j, i):
+    def s(n, j, i):
         return i + 1 if j < i else i
 
-    face = {}
-    deg = {}
-    for n in range(1, K + 1):
-        for j in range(n + 1):
-            face[(n, j)] = [0] + [d(n, j, i) for i in range(1, n + 1)]
-    for n in range(K):
-        for j in range(n + 1):
-            deg[(n, j)] = [0] + [s(j, i) for i in range(1, n + 1)]
-    labels = {n: ["*"] + [f"theta^{i}" for i in range(1, n + 1)] for n in range(K + 1)}
-    return TruncatedSSet(K, [n + 1 for n in range(K + 1)], face, deg, labels)
+    x = from_levels([list(range(n + 1)) for n in range(K + 1)], d, s)
+    x.labels = {n: ["*"] + [f"theta^{i}" for i in range(1, n + 1)] for n in range(K + 1)}
+    return x
 
 
 def chain_magma(n: int) -> PartialUnitalMagma:

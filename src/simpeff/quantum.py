@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nerve import insert_unit, tuple_face
 from .util import InputError
 
 TOL_EQ = 1e-9        # operator equality, Frobenius norm
@@ -24,6 +25,8 @@ NONCOMM_MARGIN = 0.1  # asserted lower bound for genuine non-commutation
 D = 3
 DIM = 9
 OMEGA = np.exp(2j * np.pi / 3)
+# outcome labels add in Z/3, so face maps multiply through this table
+_Z3_ADD = tuple(tuple((a + b) % D for b in range(D)) for a in range(D))
 
 
 def frob(a) -> float:
@@ -99,22 +102,13 @@ class ProjectiveMeasurement:
                 and max(frob(self.ops[t] - other.ops[t]) for t in self.ops) < tol)
 
 
-def _nerve_face(t, i):
-    n = len(t)
-    if i == 0:
-        return t[1:]
-    if i == n:
-        return t[:-1]
-    return t[:i - 1] + ((t[i - 1] + t[i]) % D,) + t[i + 1:]
-
-
 def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """Fibre-sum face map: (d_i m)^c = sum of m^t over t with d_i(t) = c."""
     n = m.arity
     ops = {c: np.zeros((m.dim, m.dim), dtype=complex)
            for c in itertools.product(range(D), repeat=n - 1)}
     for t, p in m.ops.items():
-        c = _nerve_face(t, i)
+        c = tuple_face(_Z3_ADD, n, i, t)
         ops[c] = ops[c] + p
     return ProjectiveMeasurement(n - 1, ops)
 
@@ -122,12 +116,10 @@ def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
 def degeneracy(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """(s_i m)^t = m^{t minus position i} when t[i] = 0, else the zero block."""
     n = m.arity
-    ops = {}
-    for t in itertools.product(range(D), repeat=n + 1):
-        if t[i] == 0:
-            ops[t] = m.ops[t[:i] + t[i + 1:]].copy()
-        else:
-            ops[t] = np.zeros((m.dim, m.dim), dtype=complex)
+    ops = {t: np.zeros((m.dim, m.dim), dtype=complex)
+           for t in itertools.product(range(D), repeat=n + 1)}
+    for c, p in m.ops.items():
+        ops[insert_unit(n, i, c)] = p.copy()
     return ProjectiveMeasurement(n + 1, ops)
 
 

@@ -110,6 +110,22 @@ def sset_from_json(text: str) -> TruncatedSSet:
     return TruncatedSSet.from_json_dict(json.loads(text))
 
 
+def from_levels(levels, face_key, deg_key) -> TruncatedSSet:
+    """The simplicial set whose level-n simplices are the keys levels[n], n = 0..K.
+
+    Ids follow list order.  face_key(n, i, key) and deg_key(n, i, key) give
+    the key of d_i and s_i of a level-n simplex; every key they return must
+    be listed one level down or up.  Levels double as labels.
+    """
+    K = len(levels) - 1
+    ids = [{key: i for i, key in enumerate(lev)} for lev in levels]
+    face = {(n, i): [ids[n - 1][face_key(n, i, key)] for key in levels[n]]
+            for n in range(1, K + 1) for i in range(n + 1)}
+    deg = {(n, i): [ids[n + 1][deg_key(n, i, key)] for key in levels[n]]
+           for n in range(K) for i in range(n + 1)}
+    return TruncatedSSet(K, [len(lev) for lev in levels], face, deg, dict(enumerate(levels)))
+
+
 def sset_equal(x: TruncatedSSet, y: TruncatedSSet) -> bool:
     return (x.K == y.K and x.counts == y.counts
             and x.face == y.face and x.deg == y.deg)
@@ -492,30 +508,28 @@ def cosk2_extend(x2: TruncatedSSet, target: int) -> TruncatedSSet:
         raise InputError("cosk2_extend expects a 2-truncation")
     if target < 3:
         raise InputError("target must exceed 2")
-    counts = list(x2.counts)
-    face = dict(x2.face)
-    deg = dict(x2.deg)
     cur = x2
     for n in range(3, target + 1):
-        tuples = boundary_membranes(cur, n)
-        ids = {t: k for k, t in enumerate(tuples)}
-        counts.append(len(tuples))
-        for i in range(n + 1):
-            face[(n, i)] = [t[i] for t in tuples]
-        for i in range(n):
-            tab = []
-            for y in cur.simplices(n - 1):
-                zs = []
-                for j in range(n + 1):
-                    if j == i or j == i + 1:
-                        zs.append(y)
-                    elif j < i:
-                        zs.append(cur.deg[(n - 2, i - 1)][cur.face[(n - 1, j)][y]])
-                    else:
-                        zs.append(cur.deg[(n - 2, i)][cur.face[(n - 1, j - 1)][y]])
-                tab.append(ids[tuple(zs)])
-            deg[(n - 1, i)] = tab
-        cur = TruncatedSSet(n, counts, face, deg)
+        # levels below n keep their ids; level n is keyed by boundary tuples
+        levels = [list(cur.simplices(k)) for k in range(n)] + [boundary_membranes(cur, n)]
+
+        def face_key(k, i, s):
+            return s[i] if k == n else cur.face[(k, i)][s]
+
+        def deg_key(k, i, y):
+            if k < n - 1:
+                return cur.deg[(k, i)][y]
+            zs = []
+            for j in range(n + 1):
+                if j == i or j == i + 1:
+                    zs.append(y)
+                elif j < i:
+                    zs.append(cur.deg[(n - 2, i - 1)][cur.face[(n - 1, j)][y]])
+                else:
+                    zs.append(cur.deg[(n - 2, i)][cur.face[(n - 1, j - 1)][y]])
+            return tuple(zs)
+
+        cur = from_levels(levels, face_key, deg_key)
     return cur
 
 
@@ -541,28 +555,11 @@ def canonicalize_spiny(x: TruncatedSSet) -> TruncatedSSet:
     ok, wit = is_spiny(x)
     if not ok:
         raise InputError(f"canonicalize_spiny needs a spiny set, collision {wit}")
-    old2new = {0: list(range(x.counts[0])), 1: list(range(x.counts[1]))}
-    order = {}
-    for n in range(2, x.K + 1):
-        perm = sorted(x.simplices(n), key=lambda s: spine(x, n, s))
-        order[n] = perm
-        o2n = [0] * x.counts[n]
-        for new, old in enumerate(perm):
-            o2n[old] = new
-        old2new[n] = o2n
-    face = {}
-    deg = {}
-    for (n, i), tab in x.face.items():
-        src = order.get(n, list(range(x.counts[n])))
-        face[(n, i)] = [old2new[n - 1][tab[s]] for s in src]
-    for (n, i), tab in x.deg.items():
-        src = order.get(n, list(range(x.counts[n])))
-        deg[(n, i)] = [old2new[n + 1][tab[s]] for s in src]
-    labels = {}
-    for n, lab in x.labels.items():
-        src = order.get(n, list(range(x.counts[n])))
-        labels[n] = [lab[s] for s in src]
-    return TruncatedSSet(x.K, x.counts, face, deg, labels)
+    # spines order level n >= 2 and leave levels 0 and 1 as they are
+    levels = [sorted(x.simplices(n), key=lambda s: spine(x, n, s)) for n in range(x.K + 1)]
+    y = from_levels(levels, lambda n, i, s: x.face[(n, i)][s], lambda n, i, s: x.deg[(n, i)][s])
+    y.labels = {n: [lab[s] for s in levels[n]] for n, lab in x.labels.items()}
+    return y
 
 
 def sset_isomorphic(x: TruncatedSSet, y: TruncatedSSet):
@@ -648,17 +645,8 @@ def standard_simplex(n: int, K: int) -> TruncatedSSet:
     levels = []
     for k in range(K + 1):
         levels.append(sorted(itertools.combinations_with_replacement(range(n + 1), k + 1)))
-    ids = [{t: i for i, t in enumerate(lev)} for lev in levels]
-    face = {}
-    deg = {}
-    for k in range(1, K + 1):
-        for i in range(k + 1):
-            face[(k, i)] = [ids[k - 1][t[:i] + t[i + 1:]] for t in levels[k]]
-    for k in range(K):
-        for i in range(k + 1):
-            deg[(k, i)] = [ids[k + 1][t[: i + 1] + t[i:]] for t in levels[k]]
-    return TruncatedSSet(K, [len(l) for l in levels], face, deg,
-                         {k: levels[k] for k in range(K + 1)})
+    return from_levels(levels, lambda k, i, t: t[:i] + t[i + 1:],
+                       lambda k, i, t: t[: i + 1] + t[i:])
 
 
 def _surjections(k, d):
@@ -712,7 +700,6 @@ def from_nondegenerate(K: int, generators) -> TruncatedSSet:
     rank = {name: i for i, name in enumerate(order)}
 
     levels = []
-    ids = []
     for k in range(K + 1):
         lev = []
         for name in order:
@@ -720,12 +707,12 @@ def from_nondegenerate(K: int, generators) -> TruncatedSSet:
                 lev.append((name, alpha))
         lev.sort(key=lambda p: (rank[p[0]], p[1]))
         levels.append(lev)
-        ids.append({p: i for i, p in enumerate(lev)})
 
     def compose(gamma, beta):
         return tuple(gamma[b] for b in beta)
 
-    def face_of(name, alpha, i):
+    def face_of(k, i, simplex):
+        name, alpha = simplex
         beta = alpha[:i] + alpha[i + 1:]
         d = dims[name]
         if len(set(beta)) == d + 1:
@@ -735,17 +722,11 @@ def from_nondegenerate(K: int, generators) -> TruncatedSSet:
         g2, gamma = gen_faces[name][j]
         return (g2, compose(gamma, beta1))
 
-    face = {}
-    deg = {}
-    for k in range(1, K + 1):
-        for i in range(k + 1):
-            face[(k, i)] = [ids[k - 1][face_of(name, alpha, i)] for name, alpha in levels[k]]
-    for k in range(K):
-        for i in range(k + 1):
-            deg[(k, i)] = [ids[k + 1][(name, alpha[: i + 1] + alpha[i:])]
-                           for name, alpha in levels[k]]
-    return TruncatedSSet(K, [len(l) for l in levels], face, deg,
-                         {k: levels[k] for k in range(K + 1)})
+    def degeneracy_of(k, i, simplex):
+        name, alpha = simplex
+        return (name, alpha[: i + 1] + alpha[i:])
+
+    return from_levels(levels, face_of, degeneracy_of)
 
 
 def point(K: int) -> TruncatedSSet:

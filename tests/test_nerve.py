@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -150,8 +151,54 @@ def test_comm_nerve_battery():
         assert sset.is_weakly_two_segal(x)[0]
 
 
+GROUPS = {"q8": nv.quaternion_group(), "d4": nv.dihedral_group(4),
+          "s3": nv.symmetric_group(3), "s4": nv.symmetric_group(4)}
+
+
+def _level(x, n):
+    """Level n of a tuple nerve as tuples (level 1 is labelled by elements)."""
+    return [(v,) for v in x.labels[1]] if n == 1 else list(x.labels[n])
+
+
+@pytest.mark.parametrize("name, torsion", [("q8", None), ("q8", 2), ("d4", None), ("d4", 2)])
+def test_comm_nerve_levels_match_brute_force(name, torsion):
+    """Oracle: every tuple over the torsion carrier, kept when pairwise commuting."""
+    g = GROUPS[name]
+    carrier = [a for a in range(g.order) if torsion is None or g.power(a, torsion) == 0]
+    x = nv.comm_nerve(g, torsion, 4)
+    for n in range(1, 5):
+        want = [t for t in itertools.product(carrier, repeat=n)
+                if all(g.commute(a, b) for a, b in itertools.combinations(t, 2))]
+        assert _level(x, n) == want
+
+
 # ---------------------------------------------------------------------------
 # action partial groups
+
+
+def _has_chain(action, yset, t):
+    """Reference predicate: some chain y_0 -> .. -> y_n with y_i = y_{i-1}.g_i stays in Y."""
+    live = set(yset)
+    for a in t:
+        live = {action[a][y] for y in live} & set(yset)
+        if not live:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name, K, seed", [("s3", 4, 0), ("s3", 4, 1), ("s3", 4, 2),
+                                           ("s4", 3, 0), ("s4", 3, 1)])
+def test_action_partial_group_levels_match_brute_force(name, K, seed):
+    """Oracle: every tuple of group elements, kept when it admits a chain in Y."""
+    g = GROUPS[name]
+    rng = random.Random(seed)
+    y = rng.sample(range(g.order), rng.randrange(1, g.order + 1))
+    action = nv.translation_action(g)
+    x = nv.action_partial_group(g, g.order, action, y, K)
+    for n in range(1, K + 1):
+        want = [t for t in itertools.product(range(g.order), repeat=n)
+                if _has_chain(action, y, t)]
+        assert _level(x, n) == want
 
 
 def test_action_partial_group_ly():
