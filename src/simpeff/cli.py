@@ -348,6 +348,14 @@ def cmd_quantum_demo(args):
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="simpeff",
                                 description="checkers and builders for finite "
@@ -357,7 +365,6 @@ def _parser():
     def common(sp):
         sp.add_argument("--levels", type=int, default=4,
                         help="truncation bound for quantified checks (default 4)")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--out", default=None)
 
@@ -392,7 +399,8 @@ def _parser():
     s.set_defaults(func=cmd_states)
 
     q = sub.add_parser("quantum-demo", help="key-example witness and sampled checks")
-    q.add_argument("--trials", type=int, default=20)
+    q.add_argument("--trials", type=positive_int, default=20)
+    q.add_argument("--seed", type=int, default=0)
     common(q)
     q.set_defaults(func=cmd_quantum_demo)
     return p

@@ -72,6 +72,8 @@ class PartialUnitalMagma:
                 product[(int(a), int(b))] = int(c)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad magma json: {exc}") from exc
+        if size < 1:
+            raise InputError(f"magma size must be >= 1, got {size}")
         m = PartialUnitalMagma(size, product)
         m.validate()
         return m
@@ -565,6 +567,8 @@ class FiniteEffectAlgebra:
             raise InputError(f"bad effect algebra json: {exc}") from exc
         if len(perp) != magma.size:
             raise InputError("orthocomplement table has wrong length")
+        if any(not 0 <= p < magma.size for p in perp):
+            raise InputError(f"orthocomplement values must lie in 0..{magma.size - 1}")
         return FiniteEffectAlgebra(magma, perp)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from simpeff import cli
+from simpeff import cli, palg
 from simpeff import nerve as nv
 
 
@@ -131,3 +131,33 @@ def test_check_levels_cap(q8_file, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "levels bound: 2" in captured
     assert "2-segal: skipped" in captured
+
+
+L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocomplement=[7, 1, 0])
+
+
+@pytest.mark.parametrize("argv", [
+    ("quantum-demo", "--trials", "0"),
+    ("quantum-demo", "--trials", "-1"),
+    ("check", "magma", "--in", "negative-size.json"),
+    ("check", "effect-algebra", "--in", "bad-perp.json"),
+    ("build", "effect-nerve", "--effect-algebra", "bad-perp.json"),
+    ("check", "sset", "--in", "s1.json", "--seed", "1"),
+    ("build", "s1", "--seed", "1"),
+    ("states", "--cyclic", "l2.json", "--seed", "1"),
+])
+def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "negative-size.json").write_text(
+        json.dumps({"size": -1, "unit": 0, "products": []}))
+    (tmp_path / "bad-perp.json").write_text(json.dumps(L2_BAD_PERP))
+    assert run("build", "s1", "--levels", "3", "--out", "s1.json") == 0
+    assert run("build", "effect-nerve", "--family", "l2", "--out", "l2.json") == 0
+    try:
+        code = run(*argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
