@@ -44,14 +44,17 @@ BUILDS = {
     "ly-z4.json": ("action-pg", "--group", "z4.json", "--y", "0,1,2", "--levels", "4"),
     "ly-s3.json": ("action-pg", "--group", "s3.json", "--action", "s3-on-3.json",
                    "--y", "0,1", "--levels", "4"),
+    "cn-z4.json": ("comm-nerve", "--group", "z4.json", "--levels", "4"),
     "en-l2.json": ("effect-nerve", "--family", "l2", "--levels", "4"),
     "en-bool2.json": ("effect-nerve", "--effect-algebra", "bool2.json", "--levels", "3"),
     "s1.json": ("s1", "--levels", "3"),
 }
-# the three largest outputs are checked at level 3 to keep the corpus fast;
-# their level-4 tables are still covered by the build digests
+# the three largest outputs are checked at levels 3 and 4; cn-z4 passes
+# 2-Segal at level 4
 SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
-         ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",))
+         ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",),
+         ("cn-q8.json", "--levels", "4"), ("cn-d4-t2.json", "--levels", "4"),
+         ("ly-s3.json", "--levels", "4"), ("cn-z4.json",))
 CYCLICS = ("en-l2.json", "en-bool2.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
 
@@ -105,6 +108,8 @@ GOLDEN = {
         (0, "ba2e839628355b46e3a946462ae8778b50bf3eae87db8e19f6ea240bde129d90"),
     'build action-pg --group s3.json --action s3-on-3.json --y 0,1 --levels 4 --out ly-s3.json':
         (0, "b3c84b26b4772e9112ea4172ab964914a24f9079d78338dc50819be8bedd59d4"),
+    'build comm-nerve --group z4.json --levels 4 --out cn-z4.json':
+        (0, "a199a581214817887b36074ecff231764d3928cfa906fb3e709bde8941b9f3e6"),
     'build effect-nerve --family l2 --levels 4 --out en-l2.json':
         (0, "c458240056f41a56c7ad2b72606c43b1dad388e02b5536f77c4a999b0d15d99a"),
     'build effect-nerve --effect-algebra bool2.json --levels 3 --out en-bool2.json':
@@ -137,6 +142,22 @@ GOLDEN = {
         (0, "9a4e3e394fade8ebfc605eff6f5d2cac883bf330b12011fe291dc119bc017251"),
     'check sset --in s1.json --json':
         (0, "43d9efb9ff183cca3033b290d9e9f0f755b8101efba3c4624545a0a2f963f46d"),
+    'check sset --in cn-q8.json --levels 4':
+        (1, "d38487e9ff16d9dc9a1877188bffeebdce8dd870b3ce9a8c856305adf2bff18f"),
+    'check sset --in cn-q8.json --levels 4 --json':
+        (1, "39f54ba4ad436bd8c07f59b1738ddac64edaa3b642709297fe87128a9239eb67"),
+    'check sset --in cn-d4-t2.json --levels 4':
+        (1, "b41d05c7e86b78593120d0d64c12a518c377eddde5e1e5dbd460d0647d403c67"),
+    'check sset --in cn-d4-t2.json --levels 4 --json':
+        (1, "1e655fe13290f69f66a9f485d2ae47ec0aa5ff74e476f81c6939f0f4bfcba135"),
+    'check sset --in ly-s3.json --levels 4':
+        (1, "ba8bf64751f8604ad0554afe91058f6fe1aad3ec4123df04816aa1e855efa19b"),
+    'check sset --in ly-s3.json --levels 4 --json':
+        (1, "71a536147c3e14ae1ea5bd25a862125dbd7edd7bc131b5f74c99d1df3b37e3d1"),
+    'check sset --in cn-z4.json':
+        (1, "e96cc5e98a1b6b3edce8f7f21e81dabe5fb8397f082709b6a169c9e5757c6340"),
+    'check sset --in cn-z4.json --json':
+        (1, "2814c67ba2318f3ca81098106f618042433a2a3e6d1e8819d4689154a7dca689"),
     'check cyclic --in en-l2.json --states --hc1':
         (0, "3117393af17d2461193a9d87e245fb74779f6206f8871355e9b52b611021ff4b"),
     'check cyclic --in en-l2.json --states --hc1 --json':
