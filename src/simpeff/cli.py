@@ -363,7 +363,7 @@ def _parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--levels", type=int, default=4,
+        sp.add_argument("--levels", type=positive_int, default=4,
                         help="truncation bound for quantified checks (default 4)")
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--out", default=None)

@@ -37,6 +37,8 @@ class FiniteGroup:
 
     def validate(self):
         n = self.order
+        if n < 1:
+            raise InputError(f"group order must be at least 1, got {n}")
         if len(self.mul) != n or any(len(r) != n for r in self.mul):
             raise InputError("multiplication table must be order x order")
         for a in range(n):

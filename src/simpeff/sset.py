@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .util import InputError, StructureError
@@ -280,14 +281,6 @@ def triangulations(n: int):
 # membranes
 
 
-def _closure(cells):
-    out = set()
-    for c in cells:
-        for r in range(1, len(c) + 1):
-            out.update(itertools.combinations(c, r))
-    return out
-
-
 def _top_cells(n, subset):
     if subset == SPINE:
         return [tuple(range(n + 1))] if n == 0 else [(i, i + 1) for i in range(n)]
@@ -374,41 +367,122 @@ def membrane_set(x: TruncatedSSet, n: int, subset):
     return out
 
 
-def membrane_key(m):
-    return tuple(sorted(m.items()))
+def subface_tables(x: TruncatedSSet, n: int):
+    """Vertex subset c of [n] (a sorted tuple of at least two vertices) ->
+    the list of subface(x, n, s, c) over every n-simplex s.
+
+    Each table composes one face table onto the table of its parent c + {m},
+    m the smallest vertex missing from c.  subface removes missing vertices
+    in descending order, so m is the one it removes last.
+    """
+    full = tuple(range(n + 1))
+    tables = {full: list(x.simplices(n))}
+    for r in range(n, 1, -1):
+        for c in itertools.combinations(full, r):
+            m = next(v for v in full if v not in c)
+            face = x.face[(r, m)]
+            tables[c] = [face[t] for t in tables[tuple(sorted(c + (m,)))]]
+    return tables
 
 
-def restrict(x: TruncatedSSet, n: int, s: int, subset):
-    """The membrane obtained by restricting the n-simplex s to the subcomplex."""
-    cells = _closure(_top_cells(n, subset))
-    return MembraneAssignment(subset, {c: subface(x, n, s, c) for c in cells})
+def membrane_counts(x: TruncatedSSet, n: int, tri: Triangulation):
+    """spine -> number of membranes of the triangulation tri with that spine.
+
+    Interval DP over the dual tree of tri.  The count of the sub-polygon
+    (i, j) maps (long edge on (i, j), spine edges i..j) to a count: an edge
+    (i, i+1) counts 1 for every 1-simplex, and the triangle (i, k, j) joins
+    the counts of (i, k) and (k, j) through every 2-simplex whose d_2 and d_0
+    are their long edges, keyed by its d_1.  Summing over the long edge of
+    (0, n) gives the count per spine; a non-spiny set can have several long
+    edges over one spine.  The sum of all counts is |MS(tri)|.  Membranes
+    are glued along edges only, so the simplicial identities must hold.
+    """
+    apex = {}
+    for t in tri.triangles:
+        a, b, c = sorted(t)
+        apex[(a, c)] = b
+    by_d2 = {}
+    for sig in x.simplices(2):
+        by_d2.setdefault(x.face[(2, 2)][sig], []).append(
+            (x.face[(2, 0)][sig], x.face[(2, 1)][sig]))
+    edge = {(e, (e,)): 1 for e in x.simplices(1)}
+
+    def count(i, j):
+        if j == i + 1:
+            return edge
+        k = apex[(i, j)]
+        right = {}
+        for (b, sp), c in count(k, j).items():
+            right.setdefault(b, []).append((sp, c))
+        out = {}
+        for (a, sp_a), c_a in count(i, k).items():
+            for b, long in by_d2.get(a, ()):
+                for sp_b, c_b in right.get(b, ()):
+                    key = (long, sp_a + sp_b)
+                    out[key] = out.get(key, 0) + c_a * c_b
+        return out
+
+    per_spine = {}
+    for (_, sp), c in count(0, n).items():
+        per_spine[sp] = per_spine.get(sp, 0) + c
+    return per_spine
 
 
-def _spine_key(mem, n):
-    cells = _closure(_top_cells(n, SPINE))
-    return tuple(sorted((c, mem[c]) for c in cells))
+def _require_valid(x: TruncatedSSet):
+    bad = validate(x)
+    if bad:
+        raise StructureError(f"simplicial identities fail at {bad[0]}; "
+                             "the Segal checks need a simplicial set")
+
+
+def _first_collision(keys):
+    """(s1, s2) for the first s2 whose key an earlier s1 had, else None."""
+    seen = {}
+    for s, key in enumerate(keys):
+        if key in seen:
+            return seen[key], s
+        seen[key] = s
+    return None
+
+
+def _spine_order(x: TruncatedSSet, sp):
+    """Sort key of a spine: its vertices and edges interleaved,
+    (v_0, e_0, v_1, e_1, .., e_{n-1}, v_n)."""
+    key = [x.face[(1, 1)][sp[0]]]
+    for e in sp:
+        key += (e, x.face[(1, 0)][e])
+    return tuple(key)
 
 
 def is_two_segal(x: TruncatedSSet):
     """Every triangulation membrane map X_n -> MS(T, x) bijective, 3 <= n <= K.
 
+    A simplex restricts to T as the tuple of its 2-faces on T's triangles,
+    read off the subface table of level n.  Injectivity hashes these tuples
+    in simplex order; surjectivity compares |MS(T)| from membrane_counts
+    with |X_n|.  Only when |MS(T)| is larger does membrane_set enumerate
+    the membranes of T, to find the first in sorted order that no simplex
+    hits.  Triangulations go in triangulations(n) order, and collisions are
+    looked for before unfilled membranes.  Raises StructureError unless the
+    simplicial identities hold.
+
     Witness: ("unfilled", n, T, spine-of-membrane) for a membrane with no
     simplex, ("collision", n, T, s1, s2) for a doubly hit one.
     """
+    _require_valid(x)
     for n in range(3, x.K + 1):
+        sub = subface_tables(x, n)
         for tri in triangulations(n):
-            mems = {membrane_key(m): None for m in membrane_set(x, n, tri)}
-            for s in x.simplices(n):
-                key = membrane_key(restrict(x, n, s, tri))
-                if key not in mems:
-                    raise StructureError("restriction not a membrane; corrupt tables")
-                if mems[key] is not None:
-                    return False, ("collision", n, tri, mems[key], s)
-                mems[key] = s
-            for key, s in mems.items():
-                if s is None:
-                    sp = tuple(v for c, v in key if len(c) == 2 and c[1] == c[0] + 1)
-                    return False, ("unfilled", n, tri, sp)
+            restrictions = list(zip(*(sub[t] for t in tri.triangles)))
+            pair = _first_collision(restrictions)
+            if pair is not None:
+                return False, ("collision", n, tri) + pair
+            if sum(membrane_counts(x, n, tri).values()) > x.counts[n]:
+                hit = set(restrictions)
+                for m in membrane_set(x, n, tri):
+                    if tuple(m[t] for t in tri.triangles) not in hit:
+                        return False, ("unfilled", n, tri,
+                                       tuple(m[(i, i + 1)] for i in range(n)))
     return True, None
 
 
@@ -417,38 +491,35 @@ def is_weakly_two_segal(x: TruncatedSSet):
 
     The limit is over the poset containing the spine and every triangulation
     subcomplex, so a family is one membrane per triangulation, all agreeing
-    on the spine.  Witness mirrors is_two_segal with the family's spine.
+    on the spine.  Every vertex triple of the polygon lies in some
+    triangulation, so a simplex's image in the limit is the tuple of all its
+    2-faces; injectivity hashes these in simplex order.  A spine sp carries
+    prod_T membrane_counts(T)[sp] families, and the map is onto iff these
+    sum to |X_n|.  Otherwise the witness is the least spine, with vertices
+    and edges interleaved as in _spine_order, that has more families than
+    simplices.  Raises StructureError unless the simplicial identities hold.
+
+    Witness: ("collision", n, s1, s2) or ("unfilled", n, spine edges).
     """
     if x.K < 3:
         raise InputError("weak 2-Segal check needs K >= 3")
+    _require_valid(x)
     for n in range(3, x.K + 1):
-        tris = triangulations(n)
-        groups = []
-        for tri in tris:
-            g = {}
-            for m in membrane_set(x, n, tri):
-                g.setdefault(_spine_key(m, n), []).append(membrane_key(m))
-            groups.append(g)
-        common = set(groups[0])
-        for g in groups[1:]:
-            common &= set(g)
-        families = {}
-        for sp in common:
-            for combo in itertools.product(*(g[sp] for g in groups)):
-                families[(sp, combo)] = None
-        for s in x.simplices(n):
-            sp = _spine_key(restrict(x, n, s, SPINE), n)
-            combo = tuple(membrane_key(restrict(x, n, s, tri)) for tri in tris)
-            key = (sp, combo)
-            if key not in families:
-                raise StructureError("simplex restriction missing from limit; corrupt tables")
-            if families[key] is not None:
-                return False, ("collision", n, families[key], s)
-            families[key] = s
-        for (sp, _combo), s in sorted(families.items()):
-            if s is None:
-                edge_vals = tuple(v for c, v in sp if len(c) == 2)
-                return False, ("unfilled", n, edge_vals)
+        sub = subface_tables(x, n)
+        triples = itertools.combinations(range(n + 1), 3)
+        pair = _first_collision(zip(*(sub[t] for t in triples)))
+        if pair is not None:
+            return False, ("collision", n) + pair
+        families = None
+        for tri in triangulations(n):
+            counts = membrane_counts(x, n, tri)
+            families = counts if families is None else {
+                sp: f * counts[sp] for sp, f in families.items() if sp in counts}
+        if sum(families.values()) > x.counts[n]:
+            hits = Counter(zip(*(sub[(i, i + 1)] for i in range(n))))
+            sp = min((sp for sp, f in families.items() if f > hits[sp]),
+                     key=lambda sp: _spine_order(x, sp))
+            return False, ("unfilled", n, sp)
     return True, None
 
 

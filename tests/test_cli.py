@@ -145,14 +145,25 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("check", "sset", "--in", "s1.json", "--seed", "1"),
     ("build", "s1", "--seed", "1"),
     ("states", "--cyclic", "l2.json", "--seed", "1"),
+    ("build", "comm-nerve", "--group", "z2.json", "--levels", "0"),
+    ("build", "action-pg", "--group", "z2.json", "--y", "0", "--levels", "-1"),
+    ("build", "comm-nerve", "--group", "order-0.json"),
+    ("check", "cyclic", "--in", "corrupt-l2.json"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "negative-size.json").write_text(
         json.dumps({"size": -1, "unit": 0, "products": []}))
     (tmp_path / "bad-perp.json").write_text(json.dumps(L2_BAD_PERP))
+    (tmp_path / "z2.json").write_text(json.dumps(nv.cyclic_group(2).to_json_dict()))
+    (tmp_path / "order-0.json").write_text(json.dumps({"order": 0, "mul": []}))
     assert run("build", "s1", "--levels", "3", "--out", "s1.json") == 0
     assert run("build", "effect-nerve", "--family", "l2", "--out", "l2.json") == 0
+    # one level-2 face entry of the L2 effect nerve moved to another edge
+    corrupt = json.loads((tmp_path / "l2.json").read_text())
+    faces = corrupt["faces"]["2,1"]
+    faces[-1] = (faces[-1] + 1) % corrupt["counts"][1]
+    (tmp_path / "corrupt-l2.json").write_text(json.dumps(corrupt))
     try:
         code = run(*argv)
     except SystemExit as exc:  # argparse rejects the arguments

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from simpeff import nerve as nv
 from simpeff import palg, sset
-from simpeff.util import InputError
+from simpeff.util import InputError, StructureError
 
 from conftest import random_magma
 
@@ -211,6 +212,152 @@ def test_two_segal_implies_weakly(q8_nerve):
     # converse separation: Q8 nerve is weakly 2-Segal but not 2-Segal
     assert sset.is_weakly_two_segal(q8_nerve)[0]
     assert not sset.is_two_segal(q8_nerve)[0]
+
+
+# ---------------------------------------------------------------------------
+# counting against enumeration
+#
+# The oracle is the enumeration the counting replaced: every membrane of every
+# triangulation from membrane_set, every simplex restricted cell by cell.
+
+
+def _restrict(x, n, s, tops):
+    cells = {sub for c in tops for r in range(1, len(c) + 1)
+             for sub in itertools.combinations(c, r)}
+    return {c: sset.subface(x, n, s, c) for c in cells}
+
+
+def _key(mem):
+    return tuple(sorted(mem.items()))
+
+
+def _spine_key(mem, n):
+    return tuple(sorted((c, v) for c, v in mem.items()
+                        if len(c) == 1 or (len(c) == 2 and c[1] == c[0] + 1)))
+
+
+def _spine_cells(n):
+    return [(i, i + 1) for i in range(n)]
+
+
+def oracle_two_segal(x):
+    for n in range(3, x.K + 1):
+        for tri in sset.triangulations(n):
+            mems = {_key(m): None for m in sset.membrane_set(x, n, tri)}
+            for s in x.simplices(n):
+                key = _key(_restrict(x, n, s, tri.triangles))
+                assert key in mems
+                if mems[key] is not None:
+                    return False, ("collision", n, tri, mems[key], s)
+                mems[key] = s
+            for key, s in mems.items():
+                if s is None:
+                    sp = tuple(v for c, v in key if len(c) == 2 and c[1] == c[0] + 1)
+                    return False, ("unfilled", n, tri, sp)
+    return True, None
+
+
+def oracle_weakly_two_segal(x):
+    for n in range(3, x.K + 1):
+        tris = sset.triangulations(n)
+        groups = []
+        for tri in tris:
+            g = {}
+            for m in sset.membrane_set(x, n, tri):
+                g.setdefault(_spine_key(m, n), []).append(_key(m))
+            groups.append(g)
+        common = set.intersection(*(set(g) for g in groups))
+        families = {(sp, combo): None for sp in common
+                    for combo in itertools.product(*(g[sp] for g in groups))}
+        for s in x.simplices(n):
+            sp = _spine_key(_restrict(x, n, s, _spine_cells(n)), n)
+            key = (sp, tuple(_key(_restrict(x, n, s, tri.triangles)) for tri in tris))
+            assert key in families
+            if families[key] is not None:
+                return False, ("collision", n, families[key], s)
+            families[key] = s
+        for (sp, _combo), s in sorted(families.items()):
+            if s is None:
+                return False, ("unfilled", n, tuple(v for c, v in sp if len(c) == 2))
+    return True, None
+
+
+_I1, _I2 = (0, 1), (0, 1, 2)
+
+
+def two_tetrahedra(split):
+    """Two 3-simplices A, B on one square's vertices.  Both share 012 and 023;
+    with split, B has its own copies of 013 and 123, else B is a twin of A."""
+    gens = [(f"v{i}", 0, []) for i in range(4)]
+    gens += [(f"e{a}{b}", 1, [(f"v{b}", (0,)), (f"v{a}", (0,))])
+             for a, b in itertools.combinations(range(4), 2)]
+    for name, (a, b, c) in (("t012", (0, 1, 2)), ("t013", (0, 1, 3)), ("t023", (0, 2, 3)),
+                            ("t123", (1, 2, 3)), ("t013b", (0, 1, 3)), ("t123b", (1, 2, 3))):
+        gens.append((name, 2, [(f"e{b}{c}", _I1), (f"e{a}{c}", _I1), (f"e{a}{b}", _I1)]))
+    b = "b" if split else ""
+    gens.append(("A", 3, [("t123", _I2), ("t023", _I2), ("t013", _I2), ("t012", _I2)]))
+    gens.append(("B", 3, [(f"t123{b}", _I2), ("t023", _I2), (f"t013{b}", _I2), ("t012", _I2)]))
+    return sset.from_nondegenerate(3, gens)
+
+
+def _oracle_instances():
+    rng = random.Random(11)
+    for k in range(16):
+        m = random_magma(rng, rng.randrange(1, 5), density=rng.uniform(0.2, 0.9))
+        yield f"magma{k}", nerve_of(m, 3 + k % 2)
+    for g, K in ((nv.cyclic_group(4), 4), (nv.symmetric_group(3), 3),
+                 (nv.quaternion_group(), 3)):
+        for _ in range(3):
+            y = sorted(rng.sample(range(g.order), rng.randrange(1, g.order + 1)))
+            yield f"ly{g.order}-{y}", nv.action_partial_group(
+                g, g.order, nv.translation_action(g), y, K)
+    for K in (3, 4):
+        # neither spiny nor reduced
+        yield f"cosk-ttss{K}", sset.cosk2_extend(sset.two_triangles_shared_spine(2), K)
+        yield f"simplex{K}", sset.standard_simplex(3, K)
+    yield "delta_w3", sset.delta_w3()
+    yield "twin", two_tetrahedra(False)
+    yield "split", two_tetrahedra(True)
+
+
+def test_segal_counting_matches_enumeration():
+    verdicts = set()
+    for name, x in _oracle_instances():
+        assert sset.validate(x) == [], name
+        two, weak = sset.is_two_segal(x), sset.is_weakly_two_segal(x)
+        assert two == oracle_two_segal(x), name
+        assert weak == oracle_weakly_two_segal(x), name
+        verdicts.update({("2", two[0] or two[1][0]), ("w", weak[0] or weak[1][0])})
+        for n in range(2, x.K + 1):
+            for tri in sset.triangulations(n):
+                mems = sset.membrane_set(x, n, tri)
+                counts = sset.membrane_counts(x, n, tri)
+                assert sum(counts.values()) == len(mems), (name, tri)
+                spines = {}
+                for m in mems:
+                    sp = tuple(m[c] for c in _spine_cells(n))
+                    spines[sp] = spines.get(sp, 0) + 1
+                assert counts == spines, (name, tri)
+    # the instances reach every verdict of both checks
+    assert verdicts == {(c, v) for c in "2w" for v in (True, "collision", "unfilled")}
+
+
+def test_subface_tables_match_subface():
+    for x in (sset.cosk2_extend(sset.two_triangles_shared_spine(2), 4), sset.delta_w3()):
+        for n in range(2, x.K + 1):
+            tables = sset.subface_tables(x, n)
+            assert len(tables) == 2 ** (n + 1) - n - 2
+            for c, tab in tables.items():
+                assert tab == [sset.subface(x, n, s, c) for s in x.simplices(n)]
+
+
+def test_segal_checks_need_simplicial_identities():
+    x = nv.comm_nerve(nv.quaternion_group(), None, 3)
+    x.face[(2, 1)][x.counts[2] - 1] = x.face[(2, 1)][0]
+    assert sset.validate(x)
+    for check in (sset.is_two_segal, sset.is_weakly_two_segal):
+        with pytest.raises(StructureError):
+            check(x)
 
 
 # ---------------------------------------------------------------------------
