@@ -1,11 +1,12 @@
 """Frozen CLI outputs over a fixed corpus.
 
 Every `build` recipe that writes a structure, then `check` and `states` on
-what was built, in text and json, plus `check magma`.  Each run is recorded
-as its exit code and the SHA-256 of its stdout bytes followed by the bytes
-of its --out file.  Paths are relative to a fresh working directory, so
-report subjects do not depend on where the suite runs.  A refactor that
-keeps reports byte-identical must pass this test without touching GOLDEN.
+what was built and on a cyclic set with no states, in text and json, plus
+`check magma`.  Each run is recorded as its exit code and the SHA-256 of its
+stdout bytes followed by the bytes of its --out file.  Paths are relative to
+a fresh working directory, so report subjects do not depend on where the
+suite runs.  A refactor that keeps reports byte-identical must pass this test
+without touching GOLDEN.
 """
 
 import contextlib
@@ -14,7 +15,8 @@ import io
 import json
 import os
 
-from simpeff import cli, palg
+from simpeff import cli, palg, sset
+from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 
 # S3 (sorted permutations, identity first) acting on {0, 1, 2} from the right
@@ -34,6 +36,8 @@ def _inputs():
         "q8-magma.json": nv.commuting_magma(q8).to_json_dict(),
         "d4-t2-magma.json": nv.commuting_magma(d4, 2).to_json_dict(),
         "chain-magma.json": nv.chain_magma(2).to_json_dict(),
+        # a cyclic set with an empty state polytope
+        "pt-cyclic.json": cyc.CyclicSSet(sset.point(3), {n: [0] for n in (1, 2, 3)}).to_json_dict(),
     }
 
 
@@ -47,6 +51,7 @@ BUILDS = {
     "cn-z4.json": ("comm-nerve", "--group", "z4.json", "--levels", "4"),
     "en-l2.json": ("effect-nerve", "--family", "l2", "--levels", "4"),
     "en-bool2.json": ("effect-nerve", "--effect-algebra", "bool2.json", "--levels", "3"),
+    "en-l4.json": ("effect-nerve", "--family", "l4", "--levels", "3"),
     "s1.json": ("s1", "--levels", "3"),
 }
 # the three largest outputs are checked at levels 3 and 4; cn-z4 passes
@@ -55,7 +60,7 @@ SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",),
          ("cn-q8.json", "--levels", "4"), ("cn-d4-t2.json", "--levels", "4"),
          ("ly-s3.json", "--levels", "4"), ("cn-z4.json",))
-CYCLICS = ("en-l2.json", "en-bool2.json")
+CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
 
 
@@ -114,6 +119,8 @@ GOLDEN = {
         (0, "c458240056f41a56c7ad2b72606c43b1dad388e02b5536f77c4a999b0d15d99a"),
     'build effect-nerve --effect-algebra bool2.json --levels 3 --out en-bool2.json':
         (0, "5ea220d8fc1b557777f3b60f40dff4e4c61debfdfb4716d30ce774e20a16db15"),
+    'build effect-nerve --family l4 --levels 3 --out en-l4.json':
+        (0, "d25fff292dee87ff9fe8a248a27d392af0280d803d370cc3cea954de2847f3b8"),
     'build s1 --levels 3 --out s1.json':
         (0, "49c8d0ef74e6f07e9ab142b829a63ce8d4ad3196507f93a98d006995e7457fb7"),
     'build s1 --levels 4':
@@ -174,6 +181,22 @@ GOLDEN = {
         (0, "983c802547bb4dda8aede13f5bf64c68437178737decec96b17ca9ebd5115428"),
     'states --cyclic en-bool2.json --hc1 --json':
         (0, "d807e8d5292633662f9b727d8856ea59b9d325c7335420fd47225eb7be0e6df4"),
+    'check cyclic --in en-l4.json --states --hc1':
+        (0, "f870e5fb336c734ad200f2cb04a020ea63b374522551b42b88511153ecc9ecec"),
+    'check cyclic --in en-l4.json --states --hc1 --json':
+        (0, "e71e8f0bc3646edd7f18f71bccf72b5daf689c1e5129ff356a7c6be1341d69c1"),
+    'states --cyclic en-l4.json --hc1':
+        (0, "4a4f0e3bbcf960c19b24d9ca64b17a523e0b70ac83b809106dfb7b686b51e5fb"),
+    'states --cyclic en-l4.json --hc1 --json':
+        (0, "a5fc48dfb194bd03815199b4d5114aa87eecc690a87712d8160e42e5cb19f9dd"),
+    'check cyclic --in pt-cyclic.json --states --hc1':
+        (0, "d1529a5aa327819c7c6923cbd628dc3709e158a76f057ae1311eb7a9d2d31c79"),
+    'check cyclic --in pt-cyclic.json --states --hc1 --json':
+        (0, "6b9504663cfd668e1e0677a7736a161b89347f10584ef301d886dbe6c98472f3"),
+    'states --cyclic pt-cyclic.json --hc1':
+        (0, "db87c37ccd58f1cee05c50517a80496af688a8c76482f2c6e60d258675a628a6"),
+    'states --cyclic pt-cyclic.json --hc1 --json':
+        (0, "bac2acdf0de2756b480654d43522b008fc8d1cfbae918d14e9f6eee0f347f946"),
     'check magma --in q8-magma.json':
         (1, "a23462ffa2655c28a202df9e3f987c73be19cc1ec1e1055d0ea7cc5408aa2b40"),
     'check magma --in q8-magma.json --json':
