@@ -46,7 +46,7 @@ class CyclicSSet:
         base = TruncatedSSet.from_json_dict(d)
         try:
             tau = {int(n): [int(v) for v in t] for n, t in d["tau"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad cyclic json: {exc}") from exc
         c = CyclicSSet(base, tau)
         c.check_shape()

@@ -284,6 +284,8 @@ def _grow_levels(K, elements, start, step):
     step(state of t, b), or is dropped when that is None.  Elements listed
     in increasing order give lexicographically sorted levels.
     """
+    if K < 2:
+        raise InputError("nerve needs K >= 2")
     levels, states = [[()]], [start]
     for _ in range(K):
         tuples, nxt = [], []
@@ -319,6 +321,8 @@ def _validate_action(g: FiniteGroup, z_size: int, action):
     """action[a][y] composing left-to-right: y.(ab) = (y.a).b."""
     if len(action) != g.order or any(len(r) != z_size for r in action):
         raise InputError("action table must be order x z_size")
+    if any(not 0 <= v < z_size for row in action for v in row):
+        raise InputError(f"action table values must lie in 0..{z_size - 1}")
     for y in range(z_size):
         if action[0][y] != y:
             raise InputError("unit must act trivially")
@@ -404,8 +408,8 @@ def effect_functor(e: FiniteEffectAlgebra, x: TruncatedSSet) -> TruncatedSSet:
 
 def simplicial_circle(K: int) -> TruncatedSSet:
     """S^1 with level n = {star, theta^1..theta^n}; id 0 is the basepoint."""
-    if K < 1:
-        raise InputError("simplicial circle needs K >= 1")
+    if K < 2:
+        raise InputError("simplicial circle needs K >= 2")
 
     def d(n, j, i):
         # face d_j of theta^i at level n, where theta^0 is the basepoint

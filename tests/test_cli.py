@@ -149,6 +149,13 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("build", "action-pg", "--group", "z2.json", "--y", "0", "--levels", "-1"),
     ("build", "comm-nerve", "--group", "order-0.json"),
     ("check", "cyclic", "--in", "corrupt-l2.json"),
+    ("build", "comm-nerve", "--group", "z2.json", "--levels", "1"),
+    ("build", "action-pg", "--group", "z2.json", "--y", "0", "--levels", "1"),
+    ("build", "s1", "--levels", "1"),
+    ("check", "cyclic", "--in", "tau-list.json"),
+    ("states", "--cyclic", "tau-int.json"),
+    ("check", "cyclic", "--in", "tau-null.json"),
+    ("build", "action-pg", "--group", "z3.json", "--action", "bad-action.json", "--y", "0"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -164,6 +171,12 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     faces = corrupt["faces"]["2,1"]
     faces[-1] = (faces[-1] + 1) % corrupt["counts"][1]
     (tmp_path / "corrupt-l2.json").write_text(json.dumps(corrupt))
+    l2 = json.loads((tmp_path / "l2.json").read_text())
+    for name, tau in (("list", [[0]]), ("int", 3), ("null", None)):
+        (tmp_path / f"tau-{name}.json").write_text(json.dumps(dict(l2, tau=tau)))
+    (tmp_path / "z3.json").write_text(json.dumps(nv.cyclic_group(3).to_json_dict()))
+    (tmp_path / "bad-action.json").write_text(
+        json.dumps({"z_size": 3, "table": [[0, 1, 2], [1, 7, 0], [2, 0, 1]]}))
     try:
         code = run(*argv)
     except SystemExit as exc:  # argparse rejects the arguments
