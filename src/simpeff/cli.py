@@ -139,9 +139,8 @@ def _check_cyclic(path, args):
         rep.extend(cyc.orthocomplement_laws(c))
     if args.states:
         found = states.find_state(c)
-        dim = states.state_polytope_dim(c) if found.feasible else None
         rep.add(Check("states", True,
-                      "EMPTY" if not found.feasible else f"polytope dim {dim}"))
+                      "EMPTY" if not found.feasible else f"polytope dim {found.dim}"))
     if args.hc1:
         dim, _ = states.hc1(c)
         rep.add(Check("hc1", True, f"dimension {dim}"))
@@ -265,10 +264,9 @@ def cmd_states(args):
         lines.append("states: EMPTY (exact rational infeasibility certificate verified)")
         body["states"] = "EMPTY"
     else:
-        dim = states.state_polytope_dim(c)
-        lines.append(f"state polytope dimension: {dim}")
+        lines.append(f"state polytope dimension: {found.dim}")
         lines.append("sample state: " + " ".join(_frac(v) for v in found.state))
-        body["states"] = {"dim": dim, "sample": [_frac(v) for v in found.state]}
+        body["states"] = {"dim": found.dim, "sample": [_frac(v) for v in found.state]}
     if args.hc1:
         dim, basis = states.hc1(c)
         lines.append(f"hc1 dimension: {dim}")

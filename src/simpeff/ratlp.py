@@ -11,7 +11,6 @@ from fractions import Fraction
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -77,30 +76,54 @@ class BoxLP:
 
     Internally: standard form over x (n vars) and upper-bound slacks s
     (n vars) with rows [A 0; I I], then a two-phase tableau simplex with
-    Bland's rule.  Artificial columns are kept during phase 1 so the final
-    tableau holds B^-1 and duals (Farkas certificates) fall out.
+    Bland's rule, whose last row holds the reduced costs.  Phase 1 runs once,
+    in the constructor; its artificial columns end up holding B^-1, so the
+    duals (a Farkas certificate) fall out.  Each solve runs phase 2 from a
+    copy of the feasible basis phase 1 leaves.
     """
 
     def __init__(self, A, b):
-        self.n = len(A[0]) if A else 0
-        self.m = len(A)
-        self.A = [[Fraction(v) for v in row] for row in A]
-        self.b = [Fraction(v) for v in b]
+        n = self.n = len(A[0]) if A else 0
+        self._rows = [[Fraction(v) for v in row] + [_ZERO] * n for row in A]
+        self._rows += [[_ONE if k in (j, n + j) else _ZERO for k in range(2 * n)]
+                       for j in range(n)]
+        self._b = [Fraction(v) for v in b] + [_ONE] * n
+        nrows, width = len(self._rows), 2 * n
+        signs = [-1 if v < 0 else 1 for v in self._b]
+        tab = [[sg * v for v in row] + [_ONE if k == i else _ZERO for k in range(nrows)]
+               for i, (row, sg) in enumerate(zip(self._rows, signs))]
+        rhs = [abs(v) for v in self._b]
+        basis = list(range(width, width + nrows))
+        self._price(tab, rhs, basis, [_ZERO] * width + [Fraction(-1)] * nrows)
+        self._simplex(tab, rhs, basis)
+        reduced, infeasibility = tab.pop(), rhs.pop()
+        self._farkas = None
+        if infeasibility > 0:
+            # the duals y sit under the artificial columns as -1 - y; the
+            # signs undo the flips that made rhs nonnegative
+            self._farkas = [(1 + d) * sg for d, sg in zip(reduced[width:], signs)]
+            return
+        # drive leftover artificials out of the basis
+        for r in range(nrows):
+            if basis[r] >= width and rhs[r] == 0:
+                c = next((j for j in range(width) if tab[r][j] != 0), None)
+                if c is not None:
+                    self._pivot(tab, rhs, basis, r, c)
+        live = [r for r in range(nrows) if basis[r] < width]
+        self._tab = [tab[r][:width] for r in live]
+        self._rhs = [rhs[r] for r in live]
+        self._basis = [basis[r] for r in live]
 
-    def _standard(self):
-        n, m = self.n, self.m
-        rows = []
-        rhs = []
-        for i in range(m):
-            rows.append(self.A[i] + [_ZERO] * n)
-            rhs.append(self.b[i])
-        for j in range(n):
-            row = [_ZERO] * (2 * n)
-            row[j] = _ONE
-            row[n + j] = _ONE
-            rows.append(row)
-            rhs.append(_ONE)
-        return rows, rhs
+    @staticmethod
+    def _price(tab, rhs, basis, cost):
+        """Append the reduced costs c - c_B B^-1 A, with -c_B x_B as rhs."""
+        reduced, neg_value = list(cost), _ZERO
+        for i, bvar in enumerate(basis):
+            if cost[bvar] != 0:
+                reduced = [d - cost[bvar] * v for d, v in zip(reduced, tab[i])]
+                neg_value -= cost[bvar] * rhs[i]
+        tab.append(reduced)
+        rhs.append(neg_value)
 
     @staticmethod
     def _pivot(tab, rhs, basis, r, c):
@@ -115,27 +138,19 @@ class BoxLP:
         basis[r] = c
 
     @staticmethod
-    def _simplex(tab, rhs, basis, cost, allowed):
-        """Maximize cost over the current tableau; Bland's rule; in place."""
-        nrows = len(tab)
+    def _simplex(tab, rhs, basis):
+        """Maximize over a priced tableau; Bland's rule; in place.  Both
+        phases are bounded, so an entering column always has a leaving row."""
         while True:
-            y = [sum(cost[basis[i]] * tab[i][j] for i in range(nrows)) for j in allowed]
-            enter = None
-            for idx, j in enumerate(allowed):
-                if j not in basis and cost[j] - y[idx] > 0:
-                    enter = j
-                    break
+            enter = next((j for j, d in enumerate(tab[-1]) if d > 0), None)
             if enter is None:
-                return OPTIMAL
-            leave = None
-            best = None
-            for i in range(nrows):
+                return
+            leave, best = None, None
+            for i in range(len(basis)):
                 if tab[i][enter] > 0:
                     ratio = rhs[i] / tab[i][enter]
                     if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                         best, leave = ratio, i
-            if leave is None:
-                return UNBOUNDED
             BoxLP._pivot(tab, rhs, basis, leave, enter)
 
     def solve(self, objective=None, maximize=True):
@@ -146,65 +161,28 @@ class BoxLP:
         status INFEASIBLE: farkas is a row-multiplier vector y over the
         m + n equations with y.A_std <= 0 componentwise and y.b_std > 0.
         """
-        rows, rhs = self._standard()
-        nrows = len(rows)
-        width = 2 * self.n
-        tab = []
-        for i in range(nrows):
-            if rhs[i] < 0:
-                rows[i] = [-v for v in rows[i]]
-                rhs[i] = -rhs[i]
-            art = [_ONE if k == i else _ZERO for k in range(nrows)]
-            tab.append(rows[i] + art)
-        rhs = list(rhs)
-        basis = [width + i for i in range(nrows)]
-        cost1 = [_ZERO] * width + [Fraction(-1)] * nrows
-        allowed = list(range(width + nrows))
-        self._simplex(tab, rhs, basis, cost1, allowed)
-        value1 = sum(cost1[basis[i]] * rhs[i] for i in range(nrows))
-        if value1 < 0:
-            y = [sum(cost1[basis[r]] * tab[r][width + i] for r in range(nrows))
-                 for i in range(nrows)]
-            # undo the sign flips applied to make rhs nonnegative
-            signs = []
-            srows, srhs = self._standard()
-            for i in range(nrows):
-                signs.append(-1 if srhs[i] < 0 else 1)
-            farkas = [-y[i] * signs[i] for i in range(nrows)]
-            return INFEASIBLE, None, None, farkas
-        # drive leftover artificials out of the basis
-        for r in range(nrows):
-            if basis[r] >= width and rhs[r] == 0:
-                c = next((j for j in range(width) if tab[r][j] != 0), None)
-                if c is not None:
-                    self._pivot(tab, rhs, basis, r, c)
-        live = [r for r in range(nrows) if basis[r] < width]
-        tab = [tab[r][:width] for r in live]
-        rhs = [rhs[r] for r in live]
-        basis = [basis[r] for r in live]
-        if objective is None:
-            cost2 = [_ZERO] * width
-        else:
-            sign = _ONE if maximize else Fraction(-1)
-            cost2 = [sign * Fraction(v) for v in objective] + [_ZERO] * self.n
-        status = self._simplex(tab, rhs, basis, cost2, list(range(width)))
-        if status == UNBOUNDED:
-            return UNBOUNDED, None, None, None
+        if self._farkas is not None:
+            return INFEASIBLE, None, None, self._farkas
+        sign = _ONE if maximize else Fraction(-1)
+        cost = [_ZERO] * (2 * self.n)
+        if objective is not None:
+            cost[:self.n] = [sign * Fraction(v) for v in objective]
+        tab = [list(row) for row in self._tab]
+        rhs = list(self._rhs)
+        basis = list(self._basis)
+        self._price(tab, rhs, basis, cost)
+        self._simplex(tab, rhs, basis)
         x = [_ZERO] * self.n
         for r, bvar in enumerate(basis):
             if bvar < self.n:
                 x[bvar] = rhs[r]
-        value = sum((objective[j] if objective else _ZERO) * x[j] for j in range(self.n))
-        if objective is not None and not maximize:
-            value = sum(Fraction(objective[j]) * x[j] for j in range(self.n))
-        return OPTIMAL, x, value, None
+        return OPTIMAL, x, -sign * rhs[-1], None
 
     def verify_farkas(self, farkas) -> bool:
         """Independent exact check that the certificate proves emptiness."""
-        rows, rhs = self._standard()
         comb = [_ZERO] * (2 * self.n)
         total = _ZERO
-        for y, row, r in zip(farkas, rows, rhs):
+        for y, row, r in zip(farkas, self._rows, self._b):
             for j in range(2 * self.n):
                 comb[j] += y * row[j]
             total += y * r

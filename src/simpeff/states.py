@@ -19,121 +19,97 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
-@dataclass
-class RationalLinearSystem:
-    """Equality rows over variables indexed by the 1-simplices.
-
-    rows: list of (coefficient list, rhs).  boxed means every variable is
-    additionally constrained to [0, 1] (states); cocycle systems are not.
-    """
-
-    nvars: int
-    rows: list
-    boxed: bool
-
-    def residuals(self, x):
-        out = []
-        for coeffs, rhs in self.rows:
-            out.append(sum(c * v for c, v in zip(coeffs, x)) - rhs)
-        return out
-
-
-def _edge_rows(c: CyclicSSet, tau_sign: int, rhs_tau):
+def state_system(c: CyclicSSet):
+    """(A, b) over variables indexed by the 1-simplices: one row per edge
+    (phi(tau x) + phi(x) = 1) and per 2-simplex (additivity); redundant
+    rows are kept."""
     x = c.base
     n = x.counts[1]
-    rows = []
+    A, b = [], []
     t1 = c.tau[1]
     for e in x.simplices(1):
-        coeffs = [_ZERO] * n
-        coeffs[t1[e]] += _ONE
-        coeffs[e] += Fraction(-tau_sign)
-        rows.append((coeffs, rhs_tau))
+        row = [_ZERO] * n
+        row[t1[e]] += _ONE
+        row[e] += _ONE
+        A.append(row)
+        b.append(_ONE)
     for sig in x.simplices(2):
-        coeffs = [_ZERO] * n
-        coeffs[x.face[(2, 1)][sig]] += _ONE
-        coeffs[x.face[(2, 2)][sig]] -= _ONE
-        coeffs[x.face[(2, 0)][sig]] -= _ONE
-        rows.append((coeffs, _ZERO))
-    return rows
+        row = [_ZERO] * n
+        row[x.face[(2, 1)][sig]] += _ONE
+        row[x.face[(2, 2)][sig]] -= _ONE
+        row[x.face[(2, 0)][sig]] -= _ONE
+        A.append(row)
+        b.append(_ZERO)
+    return A, b
 
 
-def state_system(c: CyclicSSet) -> RationalLinearSystem:
-    """One row per edge (phi(tau x) = 1 - phi(x)) and per 2-simplex
-    (additivity); redundant rows are kept."""
-    return RationalLinearSystem(c.base.counts[1], _edge_rows(c, -1, _ONE), True)
-
-
-def hc1_system(c: CyclicSSet) -> RationalLinearSystem:
-    """Homogeneous system for degree-one cyclic cochains: f(tau x) = -f(x)."""
-    return RationalLinearSystem(c.base.counts[1], _edge_rows(c, -1, _ZERO), False)
+def _solves(A, b, x) -> bool:
+    return all(sum(a * v for a, v in zip(row, x)) == r for row, r in zip(A, b))
 
 
 @dataclass
 class StateSearch:
+    """A state and its polytope's analysis, or the emptiness certificate.
+
+    dim is the affine dimension of the state polytope; vertices are its
+    2n probe vertices (max, then min, of each coordinate in turn).
+    """
+
     feasible: bool
     state: list | None
     farkas: list | None
+    dim: int | None = None
+    vertices: list | None = None
 
 
 def find_state(c: CyclicSSet) -> StateSearch:
-    """Exact feasibility of the state system over the [0,1] box.
+    """The state polytope over the [0,1] box, from one LP.
 
-    A returned state re-substitutes to exact zero residuals; an infeasible
-    answer carries an independently verified Farkas certificate.
+    Returns a state that re-substitutes to exact zero residuals, with the
+    polytope's affine dimension and 2n probe vertices; or, when there is no
+    state, an independently verified Farkas certificate.  The affine hull
+    is the equality system plus every box bound that is tight on the whole
+    polytope, found by exact min and max of each variable.
     """
-    sysm = state_system(c)
-    lp = ratlp.BoxLP([r for r, _ in sysm.rows], [b for _, b in sysm.rows])
+    A, b = state_system(c)
+    lp = ratlp.BoxLP(A, b)
     status, x, _, farkas = lp.solve()
     if status == ratlp.INFEASIBLE:
         if not lp.verify_farkas(farkas):
             raise StructureError("infeasibility certificate failed verification")
         return StateSearch(False, None, farkas)
-    if any(r != 0 for r in sysm.residuals(x)) or any(v < 0 or v > 1 for v in x):
+    if not _solves(A, b, x) or any(v < 0 or v > 1 for v in x):
         raise StructureError("simplex returned a non-solution")
-    return StateSearch(True, x, None)
-
-
-def _polytope_analysis(c: CyclicSSet):
-    """(affine dimension, vertex list) of a nonempty state polytope.
-
-    The affine hull is the equality system plus every box bound that is
-    tight on the whole polytope (found by exact min/max per variable).
-    """
-    sysm = state_system(c)
-    A = [r for r, _ in sysm.rows]
-    lp = ratlp.BoxLP(A, [b for _, b in sysm.rows])
-    n = sysm.nvars
-    forced = []
-    vertices = []
+    n = lp.n
+    forced, vertices = [], []
     for j in range(n):
         obj = [_ZERO] * n
         obj[j] = _ONE
         _, xmax, vmax, _ = lp.solve(obj, maximize=True)
         _, xmin, vmin, _ = lp.solve(obj, maximize=False)
         vertices.extend([xmax, xmin])
-        row = [_ZERO] * n
-        row[j] = _ONE
-        if vmax == 0:
-            forced.append(row)
-        if vmin == 1:
-            forced.append(row)
-    dim = n - ratlp.rank([list(r) for r in A] + forced)
-    return dim, vertices
+        if vmax == 0 or vmin == 1:
+            forced.append(obj)
+    return StateSearch(True, x, None, n - ratlp.rank(A + forced), vertices)
 
 
 def state_polytope_dim(c: CyclicSSet):
     """Affine dimension of the state polytope; None when it is empty."""
-    if not find_state(c).feasible:
-        return None
-    return _polytope_analysis(c)[0]
+    return find_state(c).dim
 
 
 def hc1(c: CyclicSSet):
-    """Dimension and rational basis of the degree-one cyclic cocycles."""
-    sysm = hc1_system(c)
-    basis = ratlp.nullspace([r for r, _ in sysm.rows], sysm.nvars)
+    """Dimension and rational basis of the degree-one cyclic cocycles.
+
+    They are the kernel of the state system's A, whose rows are the
+    homogeneous state equations.  So the difference of two states lies in
+    HC^1 by construction, and the state polytope's dimension is at most
+    HC^1's.
+    """
+    A, _ = state_system(c)
+    basis = ratlp.nullspace(A, c.base.counts[1])
     for vec in basis:
-        if any(r != 0 for r in sysm.residuals(vec)):
+        if not _solves(A, [_ZERO] * len(A), vec):
             raise StructureError("kernel vector fails exact re-substitution")
     return len(basis), basis
 
@@ -147,11 +123,6 @@ def shifted_states_in_hc1(c: CyclicSSet) -> bool:
     search = find_state(c)
     if not search.feasible:
         return True
-    _, vertices = _polytope_analysis(c)
     _, basis = hc1(c)
-    base = search.state
-    for v in vertices:
-        diff = [a - b for a, b in zip(v, base)]
-        if not ratlp.in_span(basis, diff):
-            return False
-    return True
+    return all(ratlp.in_span(basis, [a - b for a, b in zip(v, search.state)])
+               for v in search.vertices)

@@ -175,8 +175,8 @@ def test_criterion_6_states_and_hc1():
     for c in instances:
         assert states.shifted_states_in_hc1(c)
         got = states.find_state(c)
-        sysm = states.state_system(c)
-        assert all(r == 0 for r in sysm.residuals(got.state))
+        A, b = states.state_system(c)
+        assert all(sum(a * v for a, v in zip(row, got.state)) == r for row, r in zip(A, b))
     report(6, "St(N L2) = {k/2} dim 0, HC1 = 0; Z/2 z=1 exactly empty; "
               "bool2 dims 1/1; shifts land in HC1")
 

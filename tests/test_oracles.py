@@ -7,8 +7,9 @@ from math import comb
 
 from scipy.optimize import linprog
 
+from simpeff import cyclic as cyc
 from simpeff import nerve as nv
-from simpeff import palg, ratlp, sset
+from simpeff import palg, ratlp, sset, states
 
 
 def test_weak_two_segal_limit_matches_group_commutator_oracle():
@@ -65,13 +66,91 @@ def test_effect_circle_structure_maps_match_tuple_formulas():
                     assert img == a[:j] + (0,) + a[j:]
 
 
-def test_box_lp_against_floating_point_solver():
-    rng = random.Random(97)
-    for _ in range(40):
+def _from_scratch_box_lp(A, b, objective=None, maximize=True):
+    """The box LP solved with both phases on every call: the reference for
+    BoxLP, which runs phase 1 once and carries its reduced-cost row.
+
+    Same standard form, Bland's rule and exact arithmetic, but every reduced
+    cost is recomputed as a full column sum at each pivot.
+    """
+    n, m = (len(A[0]) if A else 0), len(A)
+    rows = [[Fraction(v) for v in A[i]] + [Fraction(0)] * n for i in range(m)]
+    rhs = [Fraction(v) for v in b]
+    for j in range(n):
+        rows.append([Fraction(int(k in (j, n + j))) for k in range(2 * n)])
+        rhs.append(Fraction(1))
+    nrows, width = len(rows), 2 * n
+    signs = [-1 if v < 0 else 1 for v in rhs]
+    tab = [[sg * v for v in row] + [Fraction(int(k == i)) for k in range(nrows)]
+           for i, (row, sg) in enumerate(zip(rows, signs))]
+    rhs = [sg * v for v, sg in zip(rhs, signs)]
+    basis = [width + i for i in range(nrows)]
+
+    def pivot(r, c):
+        pv = tab[r][c]
+        tab[r] = [v / pv for v in tab[r]]
+        rhs[r] /= pv
+        for i in range(len(tab)):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+                rhs[i] -= f * rhs[r]
+        basis[r] = c
+
+    def simplex(cost, allowed):
+        while True:
+            enter = next((j for j in allowed if j not in basis and cost[j] - sum(
+                cost[basis[i]] * tab[i][j] for i in range(len(tab))) > 0), None)
+            if enter is None:
+                return
+            leave, best = None, None
+            for i in range(len(tab)):
+                if tab[i][enter] > 0:
+                    ratio = rhs[i] / tab[i][enter]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+            pivot(leave, enter)
+
+    cost1 = [Fraction(0)] * width + [Fraction(-1)] * nrows
+    simplex(cost1, range(width + nrows))
+    if sum(cost1[basis[i]] * rhs[i] for i in range(nrows)) < 0:
+        y = [sum(cost1[basis[r]] * tab[r][width + i] for r in range(nrows)) for i in range(nrows)]
+        return ratlp.INFEASIBLE, None, None, [-y[i] * signs[i] for i in range(nrows)]
+    for r in range(nrows):
+        if basis[r] >= width and rhs[r] == 0:
+            c = next((j for j in range(width) if tab[r][j] != 0), None)
+            if c is not None:
+                pivot(r, c)
+    live = [r for r in range(nrows) if basis[r] < width]
+    tab[:] = [tab[r][:width] for r in live]
+    rhs[:] = [rhs[r] for r in live]
+    basis[:] = [basis[r] for r in live]
+    sign = 1 if maximize else -1
+    cost2 = [sign * Fraction(v) for v in objective or [0] * n] + [Fraction(0)] * n
+    simplex(cost2, range(width))
+    x = [Fraction(0)] * n
+    for r, bvar in enumerate(basis):
+        if bvar < n:
+            x[bvar] = rhs[r]
+    return ratlp.OPTIMAL, x, sum(Fraction(v) * xj for v, xj in zip(objective or [0] * n, x)), None
+
+
+def _random_box_lps(count=40, seed=97):
+    """(A, b, objectives) with small integer data; objectives come from a
+    second stream, so the systems do not depend on how many are drawn."""
+    rng, orng = random.Random(seed), random.Random(seed + 1)
+    for _ in range(count):
         n = rng.randrange(1, 5)
         m = rng.randrange(1, 4)
         A = [[Fraction(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(m)]
         b = [Fraction(rng.randrange(-2, 5), rng.choice([1, 2])) for _ in range(m)]
+        objectives = [[Fraction(orng.randrange(-2, 3)) for _ in range(n)] for _ in range(3)]
+        yield A, b, objectives
+
+
+def test_box_lp_against_floating_point_solver():
+    for A, b, objectives in _random_box_lps():
+        n = len(A[0])
         lp = ratlp.BoxLP(A, b)
         status, _, _, farkas = lp.solve()
         ref = linprog(c=[0.0] * n, A_eq=[[float(v) for v in r] for r in A],
@@ -80,14 +159,38 @@ def test_box_lp_against_floating_point_solver():
         assert (status == ratlp.OPTIMAL) == (ref.status == 0)
         if status == ratlp.INFEASIBLE:
             assert lp.verify_farkas(farkas)
-        else:
-            obj = [Fraction(rng.randrange(-2, 3)) for _ in range(n)]
-            _, _, vmax, _ = lp.solve(obj, maximize=True)
-            ref2 = linprog(c=[-float(v) for v in obj],
-                           A_eq=[[float(v) for v in r] for r in A],
-                           b_eq=[float(v) for v in b], bounds=[(0, 1)] * n,
-                           method="highs")
-            assert abs(float(vmax) + ref2.fun) < 1e-7
+            continue
+        for obj in objectives:
+            for maximize in (True, False):
+                _, _, value, _ = lp.solve(obj, maximize=maximize)
+                sign = -1.0 if maximize else 1.0
+                ref2 = linprog(c=[sign * float(v) for v in obj],
+                               A_eq=[[float(v) for v in r] for r in A],
+                               b_eq=[float(v) for v in b], bounds=[(0, 1)] * n,
+                               method="highs")
+                assert abs(float(value) - sign * ref2.fun) < 1e-7
+
+
+def test_box_lp_matches_from_scratch_solver():
+    # random systems, then the state systems of the L2, L3 and bool2 effect
+    # nerves with every coordinate as objective; a state system only reads
+    # levels 1 and 2
+    cases = list(_random_box_lps())
+    for e in (palg.interval_effect_algebra(2), palg.interval_effect_algebra(3),
+              palg.boolean_effect_algebra(2)):
+        c = cyc.effect_nerve_cyclic(e, nv.nerve(e.magma, palg.max_associativity_datum(e.magma, 2), 2))
+        A, b = states.state_system(c)
+        n = len(A[0])
+        cases.append((A, b, [[Fraction(int(k == j)) for k in range(n)] for j in range(n)]))
+    infeasible = 0
+    for A, b, objectives in cases:
+        lp = ratlp.BoxLP(A, b)
+        for obj in [None] + objectives:
+            for maximize in (True, False):
+                got = lp.solve(obj, maximize=maximize)
+                assert got == _from_scratch_box_lp(A, b, obj, maximize)
+        infeasible += got[0] == ratlp.INFEASIBLE
+    assert 0 < infeasible < len(cases)
 
 
 def test_surjection_enumeration_counts():

@@ -76,10 +76,9 @@ def test_boxlp_inconsistent_equalities():
 
 
 def test_state_system_shape(l2_cyclic):
-    sysm = states.state_system(l2_cyclic)
-    assert sysm.nvars == 3
-    assert len(sysm.rows) == 3 + 6  # tau rows + 2-simplex rows
-    assert sysm.boxed
+    A, b = states.state_system(l2_cyclic)
+    assert all(len(row) == 3 for row in A)
+    assert len(A) == len(b) == 3 + 6  # tau rows + 2-simplex rows
 
 
 def test_l2_unique_state(l2_cyclic):
@@ -127,8 +126,8 @@ def test_bool2_dims(bool2_cyclic):
 def test_exact_residuals(l2_cyclic, bool2_cyclic):
     for c in (l2_cyclic, bool2_cyclic):
         found = states.find_state(c)
-        sysm = states.state_system(c)
-        assert all(r == 0 for r in sysm.residuals(found.state))
+        A, b = states.state_system(c)
+        assert all(sum(a * v for a, v in zip(row, found.state)) == r for row, r in zip(A, b))
 
 
 def test_shifted_states_in_hc1():
