@@ -178,8 +178,8 @@ def test_box_lp_matches_from_scratch_solver():
     cases = list(_random_box_lps())
     for e in (palg.interval_effect_algebra(2), palg.interval_effect_algebra(3),
               palg.boolean_effect_algebra(2)):
-        c = cyc.effect_nerve_cyclic(e, nv.nerve(e.magma, palg.max_associativity_datum(e.magma, 2), 2))
-        A, b = states.state_system(c)
+        x = nv.nerve(e.magma, palg.max_associativity_datum(e.magma, 2), 2)
+        A, b = states.state_system(cyc.effect_nerve_cyclic(e, x))
         n = len(A[0])
         cases.append((A, b, [[Fraction(int(k == j)) for k in range(n)] for j in range(n)]))
     infeasible = 0
