@@ -2,7 +2,8 @@
 
 Every `build` recipe that writes a structure, then `check` and `states` on
 what was built and on a cyclic set with no states, in text and json, plus
-`check magma`.  Each run is recorded as its exit code and the SHA-256 of its
+`check magma`, failing sset and cyclic batteries, the two narrowed cyclic
+suites and `check effect-algebra`.  Each run is recorded as its exit code and the SHA-256 of its
 stdout bytes followed by the bytes of its --out file.  Paths are relative to
 a fresh working directory, so report subjects do not depend on where the
 suite runs.  A refactor that keeps reports byte-identical must pass this test
@@ -26,10 +27,16 @@ S3_ACTION = {"z_size": 3, "table": [[0, 1, 2], [0, 2, 1], [1, 0, 2],
 
 def _inputs():
     q8, d4 = nv.quaternion_group(), nv.dihedral_group(4)
+    z2, z4 = nv.cyclic_group(2), nv.cyclic_group(4)
+    l2 = palg.interval_effect_algebra(2)
+    bad_tau = cyc.effect_nerve_cyclic(
+        l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 3), 3)).to_json_dict()
+    tau2 = bad_tau["tau"]["2"]
+    tau2[0], tau2[1] = tau2[1], tau2[0]
     return {
         "q8.json": q8.to_json_dict(),
         "d4.json": d4.to_json_dict(),
-        "z4.json": nv.cyclic_group(4).to_json_dict(),
+        "z4.json": z4.to_json_dict(),
         "s3.json": nv.symmetric_group(3).to_json_dict(),
         "s3-on-3.json": S3_ACTION,
         "bool2.json": palg.boolean_effect_algebra(2).to_json_dict(),
@@ -38,6 +45,16 @@ def _inputs():
         "chain-magma.json": nv.chain_magma(2).to_json_dict(),
         # a cyclic set with an empty state polytope
         "pt-cyclic.json": cyc.CyclicSSet(sset.point(3), {n: [0] for n in (1, 2, 3)}).to_json_dict(),
+        # fails inverseless and (Z)
+        "z2-cyclic.json": cyc.group_nerve_cyclic(z2, 1, nv.comm_nerve(z2, None, 4)).to_json_dict(),
+        # fails 2-Segal with a triangulation witness, and weak 2-Segal
+        "ly-z4-cyclic.json": cyc.group_nerve_cyclic(z4, 0, nv.action_partial_group(
+            z4, 4, nv.translation_action(z4), [0, 1, 2], 4)).to_json_dict(),
+        # fails the cyclic relations and ortho-1
+        "bad-tau-cyclic.json": bad_tau,
+        # fails spiny with a collision witness
+        "split-spine.json": sset.cosk2_extend(sset.two_triangles_shared_spine(2), 3).to_json_dict(),
+        "l2-perp-not-involution.json": dict(l2.to_json_dict(), orthocomplement=[2, 0, 1]),
     }
 
 
@@ -62,6 +79,13 @@ SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("ly-s3.json", "--levels", "4"), ("cn-z4.json",))
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
+# failing batteries, the two narrowed cyclic suites and the effect-algebra axioms
+CHECKS = (("cyclic", "z2-cyclic.json"), ("cyclic", "ly-z4-cyclic.json"),
+          ("cyclic", "bad-tau-cyclic.json"),
+          ("cyclic", "z2-cyclic.json", "--simplicial-effect"),
+          ("cyclic", "ly-z4-cyclic.json", "--effect-algebroid"),
+          ("sset", "split-spine.json"),
+          ("effect-algebra", "bool2.json"), ("effect-algebra", "l2-perp-not-involution.json"))
 
 
 def _commands():
@@ -75,6 +99,8 @@ def _commands():
         yield ("states", "--cyclic", path, "--hc1"), None
     for path in MAGMAS:
         yield ("check", "magma", "--in", path), None
+    for kind, path, *flags in CHECKS:
+        yield ("check", kind, "--in", path, *flags), None
 
 
 def run_corpus(workdir):
@@ -209,6 +235,38 @@ GOLDEN = {
         (1, "b1ef17bbb349a52eb5efd82df53cfa58b6ba8598c7b61ae2bc9a7218123e4bfe"),
     'check magma --in chain-magma.json --json':
         (1, "259e2acf28ed3ae1bc7a23736b91ff1962b59dc1d04accf66df56dd99ae0ab33"),
+    'check cyclic --in z2-cyclic.json':
+        (1, "41567f2792fbeb0a344412200d9669cdb4862835df2fbb67365fee9be6f6cdbb"),
+    'check cyclic --in z2-cyclic.json --json':
+        (1, "03cf95a365519b17fff8e8c066edcb1124209bb3b12a2075f387bd0c3977fbaf"),
+    'check cyclic --in ly-z4-cyclic.json':
+        (1, "623c5b3662db4d2b2a56285e749cb061e0b8b4028321f3a7085fc6e0a035acf6"),
+    'check cyclic --in ly-z4-cyclic.json --json':
+        (1, "4313c4c05fe23e15d192b2e39c0cd4166fea472df21c97e017b6d9ffae7e4467"),
+    'check cyclic --in bad-tau-cyclic.json':
+        (1, "ffc673eb1ddadabc2ea23f24b60faacf7c667625d9ceadb453c7e8c19119fc07"),
+    'check cyclic --in bad-tau-cyclic.json --json':
+        (1, "d9238541cf479c6db81561e6494d7898f84b24c82be9ae6b7466615c5231afa9"),
+    'check cyclic --in z2-cyclic.json --simplicial-effect':
+        (1, "c72e8120e20b47f26e962a6bdcb88c4f63b27efa910ae6d3a92319b3ef418f7e"),
+    'check cyclic --in z2-cyclic.json --simplicial-effect --json':
+        (1, "20b6368991518b7abddd2dd7ca756b8f48b2998784067a55693566bf0929acf0"),
+    'check cyclic --in ly-z4-cyclic.json --effect-algebroid':
+        (1, "7e1528287cd2c97c1cdf76491c50f842ad408ad568e70e5470d149322fdd65f2"),
+    'check cyclic --in ly-z4-cyclic.json --effect-algebroid --json':
+        (1, "8ed4657b40d7a79dddebddeb861dde78a7f242890016c7dbc6af2ff0e6477359"),
+    'check sset --in split-spine.json':
+        (1, "801a1ea15a7ceea0ca89daeacffb64ced685f601929bcda9ab51e7f36a995c13"),
+    'check sset --in split-spine.json --json':
+        (1, "88a529a2d5e01ae84a93558175df53733b83ac44a72bb49475cd474a3448e29f"),
+    'check effect-algebra --in bool2.json':
+        (0, "dab368b7ba634e5947d3483a5797bad72f10359f58f81e939b9a507d76993fe7"),
+    'check effect-algebra --in bool2.json --json':
+        (0, "30e75cf34a465fec98f283807b0698a3f729399fedeb843c72e67b1b6a49790d"),
+    'check effect-algebra --in l2-perp-not-involution.json':
+        (1, "a865b94a6c3d6db1bec277e81a3777f8e27f81f5212a1beb3cc30eb83ae35db4"),
+    'check effect-algebra --in l2-perp-not-involution.json --json':
+        (1, "8cd6c2fb2b2cacd79fa69045be4a4bfcd396f946bb8887e83be24f07c011d13d"),
 }
 
 
