@@ -74,9 +74,9 @@ def _sset_battery(x, rep):
         ok, wit = sset.is_coskeletal_2(x)
         rep.add(Check("2-coskeletal", ok, None if ok else wit))
         ok, wit = sset.is_two_segal(x)
-        rep.add(Check("2-segal", ok, None if ok else _witness_with_labels(x, wit)))
+        rep.add(Check("2-segal", ok, None if ok else _segal_witness(wit)))
         ok, wit = sset.is_weakly_two_segal(x)
-        rep.add(Check("weakly-2-segal", ok, None if ok else _witness_with_labels(x, wit)))
+        rep.add(Check("weakly-2-segal", ok, None if ok else _segal_witness(wit)))
     else:
         for name in ("2-coskeletal", "2-segal", "weakly-2-segal"):
             rep.add(Check(name, True, "truncation below 3", skipped=True))
@@ -84,14 +84,9 @@ def _sset_battery(x, rep):
     rep.add(Check("inverseless", ok, None if ok else wit))
 
 
-def _witness_with_labels(x, wit):
-    if wit and wit[0] == "unfilled":
-        spine_ids = wit[-1]
-        try:
-            labeled = tuple(x.label(1, e) for e in spine_ids)
-            return f"unfilled spine {labeled} at level {wit[1]}"
-        except (KeyError, IndexError, TypeError):
-            return wit
+def _segal_witness(wit):
+    if wit[0] == "unfilled":
+        return f"unfilled spine {wit[-1]} at level {wit[1]}"
     return wit
 
 
@@ -360,12 +355,6 @@ def _parser():
                                             "simplicial effects")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--levels", type=positive_int, default=4,
-                        help="truncation bound for quantified checks (default 4)")
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--out", default=None)
-
     c = sub.add_parser("check", help="run a checker battery on a structure file")
     c.add_argument("kind", choices=["magma", "sset", "cyclic", "effect-algebra"])
     c.add_argument("--in", dest="infile", required=True)
@@ -375,7 +364,6 @@ def _parser():
                    help="restrict the cyclic battery to the effect-algebroid suite")
     c.add_argument("--states", action="store_true")
     c.add_argument("--hc1", action="store_true")
-    common(c)
     c.set_defaults(func=cmd_check)
 
     b = sub.add_parser("build", help="construct a structure and write its json")
@@ -387,20 +375,24 @@ def _parser():
     b.add_argument("--y", default=None)
     b.add_argument("--effect-algebra", default=None)
     b.add_argument("--family", default=None)
-    common(b)
     b.set_defaults(func=cmd_build)
 
     s = sub.add_parser("states", help="exact states and HC^1 of a cyclic set")
     s.add_argument("--cyclic", required=True)
     s.add_argument("--hc1", action="store_true")
-    common(s)
     s.set_defaults(func=cmd_states)
 
     q = sub.add_parser("quantum-demo", help="key-example witness and sampled checks")
     q.add_argument("--trials", type=positive_int, default=20)
     q.add_argument("--seed", type=int, default=0)
-    common(q)
     q.set_defaults(func=cmd_quantum_demo)
+    for sp in (c, b):
+        sp.add_argument("--levels", type=positive_int, default=4,
+                        help="truncation bound for quantified checks (default 4)")
+    for sp in (c, s, q):
+        sp.add_argument("--json", action="store_true")
+    for sp in (c, b, s, q):
+        sp.add_argument("--out", default=None)
     return p
 
 

@@ -8,13 +8,11 @@ laws, and the simplicial-effect / effect-algebroid condition batteries.
 
 from __future__ import annotations
 
-import json
-
 from .palg import FiniteEffectAlgebra, ea_sum
 from .nerve import FiniteGroup
 from .sset import (TruncatedSSet, is_inverseless_sset, is_spiny, is_two_segal,
                    is_weakly_two_segal, validate)
-from .util import Check, InputError
+from .util import Check, InputError, first_collision, first_failure
 
 
 class CyclicSSet:
@@ -53,10 +51,6 @@ class CyclicSSet:
         return c
 
 
-def cyclic_from_json(text: str) -> CyclicSSet:
-    return CyclicSSet.from_json_dict(json.loads(text))
-
-
 def validate_cyclic(c: CyclicSSet):
     """The dualized generator relations plus tau_n^{n+1} = id, with witnesses.
 
@@ -70,50 +64,26 @@ def validate_cyclic(c: CyclicSSet):
     checks = []
     for n in range(1, x.K + 1):
         t = c.tau[n]
-        ok, wit = True, None
-        for s in x.simplices(n):
-            cur = s
-            for _ in range(n + 1):
-                cur = t[cur]
-            if cur != s:
-                ok, wit = False, s
-                break
-        checks.append(Check(f"tau^{n + 1}=id@{n}", ok, wit))
-        ok, wit = True, None
-        for s in x.simplices(n):
-            if x.face[(n, 0)][t[s]] != x.face[(n, n)][s]:
-                ok, wit = False, s
-                break
-        checks.append(Check(f"d0.tau=dn@{n}", ok, wit))
+        power = list(x.simplices(n))
+        for _ in range(n + 1):
+            power = [t[s] for s in power]
+        checks.append(first_failure(f"tau^{n + 1}=id@{n}", (
+            s for s in x.simplices(n) if power[s] != s)))
+        checks.append(first_failure(f"d0.tau=dn@{n}", (
+            s for s in x.simplices(n) if x.face[(n, 0)][t[s]] != x.face[(n, n)][s])))
         for i in range(1, n + 1):
-            ok, wit = True, None
-            for s in x.simplices(n):
-                lhs = x.face[(n, i)][t[s]]
-                prev = x.face[(n, i - 1)][s]
-                rhs = c.t(n - 1, prev)
-                if lhs != rhs:
-                    ok, wit = False, s
-                    break
-            checks.append(Check(f"d{i}.tau=tau.d{i - 1}@{n}", ok, wit))
+            checks.append(first_failure(f"d{i}.tau=tau.d{i - 1}@{n}", (
+                s for s in x.simplices(n)
+                if x.face[(n, i)][t[s]] != c.t(n - 1, x.face[(n, i - 1)][s]))))
     for n in range(x.K):
         tn1 = c.tau[n + 1]
-        ok, wit = True, None
-        for s in x.simplices(n):
-            lhs = x.deg[(n, 0)][c.t(n, s)]
-            rhs = tn1[tn1[x.deg[(n, n)][s]]]
-            if lhs != rhs:
-                ok, wit = False, s
-                break
-        checks.append(Check(f"s0.tau=tau^2.sn@{n}", ok, wit))
+        checks.append(first_failure(f"s0.tau=tau^2.sn@{n}", (
+            s for s in x.simplices(n)
+            if x.deg[(n, 0)][c.t(n, s)] != tn1[tn1[x.deg[(n, n)][s]]])))
         for i in range(1, n + 1):
-            ok, wit = True, None
-            for s in x.simplices(n):
-                lhs = x.deg[(n, i)][c.t(n, s)]
-                rhs = tn1[x.deg[(n, i - 1)][s]]
-                if lhs != rhs:
-                    ok, wit = False, s
-                    break
-            checks.append(Check(f"s{i}.tau=tau.s{i - 1}@{n}", ok, wit))
+            checks.append(first_failure(f"s{i}.tau=tau.s{i - 1}@{n}", (
+                s for s in x.simplices(n)
+                if x.deg[(n, i)][c.t(n, s)] != tn1[x.deg[(n, i - 1)][s]])))
     return checks
 
 
@@ -179,36 +149,20 @@ def orthocomplement_laws(c: CyclicSSet):
     f = g-perp.
     """
     x = c.base
-    ok1, wit1 = True, None
-    t2 = c.tau[2]
-    t1 = c.tau[1]
-    for sig in x.simplices(2):
-        rot = t2[sig]
-        if (x.face[(2, 0)][rot] != x.face[(2, 2)][sig]
-                or x.face[(2, 2)][rot] != t1[x.face[(2, 1)][sig]]
-                or x.face[(2, 1)][rot] != t1[x.face[(2, 0)][sig]]):
-            ok1, wit1 = False, sig
-            break
-    ok2 = all(t1[t1[e]] == e for e in x.simplices(1))
-    wit2 = None if ok2 else next(e for e in x.simplices(1) if t1[t1[e]] != e)
-    ok3, wit3 = True, None
-    for v in x.simplices(0):
-        zero = x.deg[(0, 0)][v]
-        if t1[t1[zero]] != zero:
-            ok3, wit3 = False, v
-            break
-    ones = {t1[x.deg[(0, 0)][v]] for v in x.simplices(0)}
-    ok4, wit4 = True, None
-    for sig in x.simplices(2):
-        if x.face[(2, 1)][sig] in ones:
-            if x.face[(2, 0)][sig] != t1[x.face[(2, 2)][sig]]:
-                ok4, wit4 = False, sig
-                break
+    t1, t2 = c.tau[1], c.tau[2]
+    d0, d1, d2 = (x.face[(2, i)] for i in range(3))
+    s0 = x.deg[(0, 0)]
+    ones = {t1[s0[v]] for v in x.simplices(0)}
     return [
-        Check("ortho-1-rotation", ok1, wit1),
-        Check("ortho-2-involution", ok2, wit2),
-        Check("ortho-3-one-perp-is-zero", ok3, wit3),
-        Check("ortho-4-composite-one-forces-perp", ok4, wit4),
+        first_failure("ortho-1-rotation", (
+            sig for sig in x.simplices(2)
+            if (d0[t2[sig]] != d2[sig] or d2[t2[sig]] != t1[d1[sig]]
+                or d1[t2[sig]] != t1[d0[sig]]))),
+        first_failure("ortho-2-involution", (e for e in x.simplices(1) if t1[t1[e]] != e)),
+        first_failure("ortho-3-one-perp-is-zero", (
+            v for v in x.simplices(0) if t1[t1[s0[v]]] != s0[v])),
+        first_failure("ortho-4-composite-one-forces-perp", (
+            sig for sig in x.simplices(2) if d1[sig] in ones and d0[sig] != t1[d2[sig]])),
     ]
 
 
@@ -241,14 +195,8 @@ def effect_algebroid_conditions(c: CyclicSSet):
     """
     x = c.base
     two, two_wit = is_two_segal(x)
-    seen = {}
-    u_ok, u_wit = True, None
-    for sig in x.simplices(2):
-        key = (x.face[(2, 2)][sig], x.face[(2, 0)][sig])
-        if key in seen:
-            u_ok, u_wit = False, (seen[key], sig)
-            break
-        seen[key] = sig
+    u_wit = first_collision(zip(x.face[(2, 2)], x.face[(2, 0)]))
+    u_ok = u_wit is None
     z_ok, z_wit = is_inverseless_sset(x)
     rel_ok = not [r for r in validate_cyclic(c) if not r.ok]
     return {

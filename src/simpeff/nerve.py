@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 from . import palg
@@ -84,10 +83,6 @@ class FiniteGroup:
         return g
 
 
-def group_from_json(text: str) -> FiniteGroup:
-    return FiniteGroup.from_json_dict(json.loads(text))
-
-
 def group_from_table(elements, mul):
     """Build a FiniteGroup from abstract elements and a multiplication map,
     relabeling so the identity is 0."""
@@ -107,28 +102,17 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """Q8 with element order 1, -1, i, -i, j, -j, k, -k."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    """Q8 with element order 1, -1, i, -i, j, -j, k, -k, as integer unit
+    quaternions (a, b, c, d) = a + bi + cj + dk under the Hamilton product."""
+    elems = [tuple(sign * (axis == v) for v in range(4)) for axis in range(4) for sign in (1, -1)]
 
     def mul(x, y):
-        sx, sy = x.startswith("-"), y.startswith("-")
-        bx, by = x.lstrip("-"), y.lstrip("-")
-        table = {
-            ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-            ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
-            ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-            ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-            ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-        }
-        res = table[(bx, by)]
-        neg = sx ^ sy ^ res.startswith("-")
-        base = res.lstrip("-")
-        if base == "1":
-            return "-1" if neg else "1"
-        return ("-" + base) if neg else base
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
-    g, elems = group_from_table(names, mul)
-    assert elems == names
+    g, _ = group_from_table(elems, mul)
     return g
 
 

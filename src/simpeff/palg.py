@@ -11,10 +11,9 @@ variant, inverses, and finite effect algebras.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
-from .util import Check, InputError, StructureError
+from .util import Check, InputError, StructureError, first_failure
 
 MAGMA = "magma"
 WEAK_PARTIAL_MONOID = "weak-partial-monoid"
@@ -77,10 +76,6 @@ class PartialUnitalMagma:
         m = PartialUnitalMagma(size, product)
         m.validate()
         return m
-
-
-def magma_from_json(text: str) -> PartialUnitalMagma:
-    return PartialUnitalMagma.from_json_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +441,15 @@ def validate_pas(p: PasStructure):
     return checks
 
 
-def validate_partial_group(p: PasStructure, inv, word_bound=None):
+def validate_partial_group(p: PasStructure, inv):
     """Chermak conditions (1)-(5): the PAS conditions plus inversion.
 
     inv is a total involution on the carrier.  Condition (5) doubles word
-    lengths, so it is checked for words with 2*len <= word_bound (default:
-    the longest stored word) and the bound is recorded in the check name.
+    lengths, so it is checked for words with 2*len at most the longest
+    stored word, and the bound is recorded in the check name.
     """
     checks = list(validate_pas(p))
-    maxlen = p.max_word_length if word_bound is None else word_bound
+    maxlen = p.max_word_length
     inv_ok = all(0 <= inv[x] < p.size and inv[inv[x]] == x for x in range(p.size))
     checks.append(Check("inversion-is-involution", inv_ok))
     c5, w5 = True, None
@@ -584,15 +579,7 @@ def ea_sum(e: FiniteEffectAlgebra, values):
 
 def multiplicable_recursive(e: FiniteEffectAlgebra, tup) -> bool:
     """Recursive n-multiplicability: prefix multiplicable and (prefix-sum, last) defined."""
-    if len(tup) == 0:
-        return True
-    acc = tup[0]
-    for v in tup[1:]:
-        nxt = e.magma.mul(acc, v)
-        if nxt is None:
-            return False
-        acc = nxt
-    return True
+    return ea_sum(e, tup) is not None
 
 
 _ORDER_CHECK_LIMIT = 4
@@ -618,32 +605,23 @@ def multiset_multiplicable(e: FiniteEffectAlgebra, values) -> bool:
 
 def validate_effect_algebra(e: FiniteEffectAlgebra):
     """Axiom battery; each failure carries a witness."""
-    checks = []
     m = e.magma
     m.validate()
     perp = e.orthocomplement
-    inv_ok = all(perp[perp[a]] == a for a in m.elements())
-    checks.append(Check("orthocomplement-involution", inv_ok,
-                        None if inv_ok else next(a for a in m.elements() if perp[perp[a]] != a)))
-    comm_ok, comm_wit = True, None
-    for (a, b), c in sorted(m.product.items()):
-        if m.product.get((b, a)) != c:
-            comm_ok, comm_wit = False, (a, b)
-            break
-    checks.append(Check("commutativity", comm_ok, comm_wit))
     one = e.top
-    oc_ok, oc_wit = True, None
-    for a in m.elements():
-        partners = [b for b in m.elements() if m.product.get((a, b)) == one]
-        if partners != [perp[a]]:
-            oc_ok, oc_wit = False, (a, sorted(partners))
-            break
-    checks.append(Check("orthocomplement-existence-uniqueness", oc_ok, oc_wit))
-    zio_wit = next((a for a in m.elements() if (a, one) in m.product and a != 0), None)
-    checks.append(Check("zero-in-one", zio_wit is None, zio_wit))
     cls, cls_wit = classify_with_witness(m)
-    checks.append(Check("associativity-partial-monoid", cls == PARTIAL_MONOID, cls_wit))
-    return checks
+    return [
+        first_failure("orthocomplement-involution", (
+            a for a in m.elements() if perp[perp[a]] != a)),
+        first_failure("commutativity", (
+            (a, b) for (a, b), c in sorted(m.product.items()) if m.product.get((b, a)) != c)),
+        first_failure("orthocomplement-existence-uniqueness", (
+            (a, partners) for a in m.elements()
+            if (partners := [b for b in m.elements() if m.product.get((a, b)) == one])
+            != [perp[a]])),
+        first_failure("zero-in-one", (a for a in m.elements() if (a, one) in m.product and a != 0)),
+        Check("associativity-partial-monoid", cls == PARTIAL_MONOID, cls_wit),
+    ]
 
 
 def interval_effect_algebra(n: int) -> FiniteEffectAlgebra:

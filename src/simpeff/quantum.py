@@ -10,6 +10,7 @@ infinite is materialized; every claim is pointwise or sampled.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,31 +38,30 @@ def dagger(a):
     return a.conj().T
 
 
-def is_unitary(u, tol=TOL_PROJ) -> bool:
-    return frob(u @ dagger(u) - np.eye(u.shape[0])) < tol
+def is_unitary(u) -> bool:
+    return frob(u @ dagger(u) - np.eye(u.shape[0])) < TOL_PROJ
 
 
 def commutator_norm(a, b) -> float:
     return frob(a @ b - b @ a)
 
 
-def eigenprojectors(u, d=D):
-    """Spectral projectors of a d-torsion unitary via the finite Fourier sum
-    P_a = (1/d) sum_k omega^{-ak} u^k; reconstruction sum_a omega^a P_a = u."""
+def eigenprojectors(u):
+    """Spectral projectors of a D-torsion unitary via the finite Fourier sum
+    P_a = (1/D) sum_k omega^{-ak} u^k; reconstruction sum_a omega^a P_a = u."""
     dim = u.shape[0]
     if not is_unitary(u):
         raise InputError("input is not unitary within tolerance")
     powers = [np.eye(dim, dtype=complex)]
-    for _ in range(d):
+    for _ in range(D):
         powers.append(powers[-1] @ u)
-    if frob(powers[d] - np.eye(dim)) > TOL_PROJ:
-        raise InputError(f"input is not {d}-torsion within tolerance")
-    omega = np.exp(2j * np.pi / d)
+    if frob(powers[D] - np.eye(dim)) > TOL_PROJ:
+        raise InputError(f"input is not {D}-torsion within tolerance")
     projs = []
-    for a in range(d):
-        p = sum(omega ** (-a * k) * powers[k] for k in range(d)) / d
+    for a in range(D):
+        p = sum(OMEGA ** (-a * k) * powers[k] for k in range(D)) / D
         projs.append(p)
-    recon = sum(omega ** a * p for a, p in enumerate(projs))
+    recon = sum(OMEGA ** a * p for a, p in enumerate(projs))
     if frob(recon - u) > TOL_EQ:
         raise InputError("spectral reconstruction failed")
     return projs
@@ -97,16 +97,26 @@ class ProjectiveMeasurement:
         if frob(total - np.eye(self.dim)) > TOL_EQ:
             raise InputError("entries do not sum to the identity")
 
-    def close_to(self, other, tol=TOL_EQ) -> bool:
+    def close_to(self, other) -> bool:
         return (self.arity == other.arity
-                and max(frob(self.ops[t] - other.ops[t]) for t in self.ops) < tol)
+                and max(frob(self.ops[t] - other.ops[t]) for t in self.ops) < TOL_EQ)
+
+
+def _zero_ops(arity, dim):
+    """Outcome tuple -> zero block, for every tuple in (Z/3)^arity in order."""
+    return {t: np.zeros((dim, dim), dtype=complex)
+            for t in itertools.product(range(D), repeat=arity)}
+
+
+def _ordered_product(ms):
+    """ms[0] @ ms[1] @ .., multiplied left to right onto the identity."""
+    return functools.reduce(np.matmul, ms, np.eye(ms[0].shape[0], dtype=complex))
 
 
 def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """Fibre-sum face map: (d_i m)^c = sum of m^t over t with d_i(t) = c."""
     n = m.arity
-    ops = {c: np.zeros((m.dim, m.dim), dtype=complex)
-           for c in itertools.product(range(D), repeat=n - 1)}
+    ops = _zero_ops(n - 1, m.dim)
     for t, p in m.ops.items():
         c = tuple_face(_Z3_ADD, n, i, t)
         ops[c] = ops[c] + p
@@ -116,8 +126,7 @@ def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
 def degeneracy(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """(s_i m)^t = m^{t minus position i} when t[i] = 0, else the zero block."""
     n = m.arity
-    ops = {t: np.zeros((m.dim, m.dim), dtype=complex)
-           for t in itertools.product(range(D), repeat=n + 1)}
+    ops = _zero_ops(n + 1, m.dim)
     for c, p in m.ops.items():
         ops[insert_unit(n, i, c)] = p.copy()
     return ProjectiveMeasurement(n + 1, ops)
@@ -134,12 +143,8 @@ def measurement_from_unitaries(us) -> ProjectiveMeasurement:
         if nc > TOL_PROJ:
             raise InputError(f"unitaries {i}, {j} do not commute: |[u_i,u_j]|_F = {nc:.6g}")
     projs = [eigenprojectors(u) for u in us]
-    ops = {}
-    for t in itertools.product(range(D), repeat=len(us)):
-        p = np.eye(us[0].shape[0], dtype=complex)
-        for k, a in enumerate(t):
-            p = p @ projs[k][a]
-        ops[t] = p
+    ops = {t: _ordered_product([projs[k][a] for k, a in enumerate(t)])
+           for t in itertools.product(range(D), repeat=len(us))}
     m = ProjectiveMeasurement(len(us), ops)
     m.validate()
     return m
@@ -184,13 +189,8 @@ def in_key_example_tuple(us):
     if n == 2:
         return in_key_example(measurement_from_unitaries(us))
     for i, j, k in itertools.combinations(range(n + 1), 3):
-        a = np.eye(DIM, dtype=complex)
-        for t in range(i, j):
-            a = a @ us[t]
-        b = np.eye(DIM, dtype=complex)
-        for t in range(j, k):
-            b = b @ us[t]
-        ok, wit = in_key_example(measurement_from_unitaries([a, b]))
+        ab = [_ordered_product(us[i:j]), _ordered_product(us[j:k])]
+        ok, wit = in_key_example(measurement_from_unitaries(ab))
         if not ok:
             return False, ((i, j, k), wit)
     return True, None
@@ -206,10 +206,6 @@ def _gamma(a, b):
     return p
 
 
-def _unitary_of(m1: dict):
-    return sum(OMEGA ** c[0] * p for c, p in m1.items())
-
-
 def build_witness():
     """The explicit pair of 2-simplices exhibiting the 2-Segal failure.
 
@@ -220,15 +216,9 @@ def build_witness():
     """
     basis = {(a, b): _gamma(a, b) for a in range(3) for b in range(3)}
     pi01 = basis[(0, 1)] + basis[(1, 1)] + basis[(2, 1)] + basis[(1, 2)]
-    zero = np.zeros((DIM, DIM), dtype=complex)
-    pi_ops = {}
-    for t in itertools.product(range(3), repeat=2):
-        if t in _FORBIDDEN:
-            pi_ops[t] = zero.copy()
-        elif t == (0, 1):
-            pi_ops[t] = pi01.copy()
-        else:
-            pi_ops[t] = basis[t].copy()
+    pi_ops = _zero_ops(2, DIM)
+    pi_ops.update({t: basis[t].copy() for t in _ALLOWED})
+    pi_ops[(0, 1)] = pi01
     pi = ProjectiveMeasurement(2, pi_ops)
     pi.validate()
 
@@ -241,7 +231,7 @@ def build_witness():
     gp = np.outer(plus, plus.conj())
     gm = np.outer(minus, minus.conj())
 
-    psi_ops = {t: zero.copy() for t in itertools.product(range(3), repeat=2)}
+    psi_ops = _zero_ops(2, DIM)
     psi_ops[(2, 0)] = gp
     psi_ops[(1, 0)] = pi01 + basis[(1, 0)] + basis[(2, 2)]
     psi_ops[(0, 1)] = basis[(0, 0)].copy()
@@ -249,21 +239,25 @@ def build_witness():
     psi = ProjectiveMeasurement(2, psi_ops)
     psi.validate()
 
-    a_mat = _unitary_of(face(pi, 2).ops)
-    b_mat = _unitary_of(face(pi, 0).ops)
-    c_mat = _unitary_of(face(psi, 0).ops)
-
-    glue = max(frob(face(psi, 2).ops[c] - face(pi, 1).ops[c]) for c in face(pi, 1).ops)
+    [a_mat] = unitaries_from_measurement(face(pi, 2))
+    [b_mat] = unitaries_from_measurement(face(pi, 0))
+    [c_mat] = unitaries_from_measurement(face(psi, 0))
     checks = {
         "pi_in_key_example": in_key_example(pi)[0],
         "psi_in_key_example": in_key_example(psi)[0],
         "pi01_rank": int(round(np.trace(pi01).real)),
-        "d2psi_eq_d1pi_residual": glue,
+        "d2psi_eq_d1pi_residual": _glue_residual(pi, psi),
         "AB_commutator": commutator_norm(a_mat, b_mat),
         "BC_commutator": commutator_norm(b_mat, c_mat),
         "AC_commutator": commutator_norm(a_mat, c_mat),
     }
     return {"Pi": pi, "Psi": psi, "A": a_mat, "B": b_mat, "C": c_mat, "checks": checks}
+
+
+def _glue_residual(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement) -> float:
+    """Largest Frobenius distance between d_2(psi) and d_1(pi), outcome by outcome."""
+    d2, d1 = face(psi, 2), face(pi, 1)
+    return max(frob(d2.ops[c] - d1.ops[c]) for c in d1.ops)
 
 
 def membrane_filler_check(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement):
@@ -274,8 +268,7 @@ def membrane_filler_check(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement)
     the faces force u1, u2 from pi and u3 from psi, so the only obstruction
     data are the remaining commutators and the 2-face membership.
     """
-    glue = max(frob(face(psi, 2).ops[c] - face(pi, 1).ops[c]) for c in face(pi, 1).ops)
-    if glue > TOL_EQ:
+    if _glue_residual(pi, psi) > TOL_EQ:
         raise InputError("pi and psi do not share the gluing edge")
     u1, u2 = unitaries_from_measurement(pi)
     u3 = unitaries_from_measurement(psi)[1]
@@ -300,26 +293,40 @@ def haar_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_density(rng, dim=DIM):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_density(rng):
+    g = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 
 
-def validate_density(rho, tol=TOL_PROJ):
+def validate_density(rho):
     """Positive semidefinite and trace one, within tolerance."""
-    if frob(dagger(rho) - rho) > tol:
+    if frob(dagger(rho) - rho) > TOL_PROJ:
         raise InputError("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1) > tol:
+    if abs(np.trace(rho).real - 1) > TOL_PROJ:
         raise InputError("density operator does not have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -TOL_PROJ:
         raise InputError("density operator is not positive semidefinite")
     return True
 
 
+def _haar_blocks(rng, ranks):
+    """u P u^dagger for consecutive diagonal blocks P of the given ranks,
+    with one Haar-random u drawn from rng."""
+    u = haar_unitary(rng, DIM)
+    out = []
+    start = 0
+    for r in ranks:
+        block = np.zeros((DIM, DIM), dtype=complex)
+        for k in range(start, start + int(r)):
+            block[k, k] = 1.0
+        out.append(u @ block @ dagger(u))
+        start += int(r)
+    return out
+
+
 def degenerate_two_simplex():
-    ops = {t: np.zeros((DIM, DIM), dtype=complex)
-           for t in itertools.product(range(3), repeat=2)}
+    ops = _zero_ops(2, DIM)
     ops[(0, 0)] = np.eye(DIM, dtype=complex)
     return ProjectiveMeasurement(2, ops)
 
@@ -331,20 +338,9 @@ def sample_z_two_simplex(rng, ranks=None) -> ProjectiveMeasurement:
     uniformly from the compositions when omitted.
     """
     if ranks is None:
-        labels = list(_ALLOWED)
-        weights = rng.multinomial(DIM, [1 / len(labels)] * len(labels))
-        ranks = dict(zip(labels, weights))
-    u = haar_unitary(rng, DIM)
-    ops = {t: np.zeros((DIM, DIM), dtype=complex)
-           for t in itertools.product(range(3), repeat=2)}
-    start = 0
-    for t in _ALLOWED:
-        r = int(ranks.get(t, 0))
-        block = np.zeros((DIM, DIM), dtype=complex)
-        for k in range(start, start + r):
-            block[k, k] = 1.0
-        ops[t] = u @ block @ dagger(u)
-        start += r
+        ranks = dict(zip(_ALLOWED, rng.multinomial(DIM, [1 / len(_ALLOWED)] * len(_ALLOWED))))
+    ops = _zero_ops(2, DIM)
+    ops.update(zip(_ALLOWED, _haar_blocks(rng, [ranks.get(t, 0) for t in _ALLOWED])))
     m = ProjectiveMeasurement(2, ops)
     m.validate()
     return m
@@ -361,9 +357,7 @@ def inverseless_sample_check(trials: int, seed: int):
     results = []
     ss = np.random.SeedSequence(seed)
     target = degenerate_two_simplex()
-    deg_edge = {(0,): np.eye(DIM, dtype=complex),
-                (1,): np.zeros((DIM, DIM), dtype=complex),
-                (2,): np.zeros((DIM, DIM), dtype=complex)}
+    deg_edge = face(target, 1).ops
     for child in ss.spawn(trials):
         rng = np.random.default_rng(child)
         sample = sample_z_two_simplex(rng, ranks={(0, 0): DIM})
@@ -414,20 +408,6 @@ def phi_state(rho, edge_ops):
     return float(np.trace(rho @ op).real)
 
 
-def _random_spectral_family(rng):
-    weights = rng.multinomial(DIM, [1 / 3] * 3)
-    u = haar_unitary(rng, DIM)
-    fam = []
-    start = 0
-    for r in weights:
-        block = np.zeros((DIM, DIM), dtype=complex)
-        for k in range(start, start + int(r)):
-            block[k, k] = 1.0
-        fam.append(u @ block @ dagger(u))
-        start += int(r)
-    return fam
-
-
 def _random_subprojector(rng, p):
     r = int(round(np.trace(p).real))
     if r == 0:
@@ -462,7 +442,7 @@ def key_example_state_check(rho, trials: int, seed: int):
     results = []
     for child in ss.spawn(trials):
         rng = np.random.default_rng(child)
-        p0, p1, p2 = _random_spectral_family(rng)
+        p0, p1, p2 = _haar_blocks(rng, rng.multinomial(DIM, [1 / 3] * 3))
         q = _random_subprojector(rng, p0)
         qbar = eye - q
         partial_additive = abs(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .util import Check
+from .util import Check, all_ok
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -28,7 +28,7 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks if not c.skipped)
+        return all_ok(self.checks)
 
     def exit_code(self) -> int:
         return EXIT_OK if self.ok else EXIT_FAILED

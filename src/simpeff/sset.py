@@ -9,11 +9,11 @@ checked up to the truncation bound and reports state that bound.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .util import InputError, StructureError
+from .palg import LEAF, bracketings, leaf_count
+from .util import InputError, StructureError, first_collision, first_failure
 
 SPINE = "spine"
 BOUNDARY = "boundary"
@@ -107,10 +107,6 @@ class TruncatedSSet:
         return x
 
 
-def sset_from_json(text: str) -> TruncatedSSet:
-    return TruncatedSSet.from_json_dict(json.loads(text))
-
-
 def from_levels(levels, face_key, deg_key) -> TruncatedSSet:
     """The simplicial set whose level-n simplices are the keys levels[n], n = 0..K.
 
@@ -195,10 +191,6 @@ def subface(x: TruncatedSSet, n: int, s: int, vertices):
 
 def spine(x: TruncatedSSet, n: int, s: int):
     """The edge readout (s restricted to (i, i+1) for each i)."""
-    if n == 0:
-        return ()
-    if n == 1:
-        return (s,)
     return tuple(subface(x, n, s, (i, i + 1)) for i in range(n))
 
 
@@ -214,23 +206,19 @@ def is_reduced(x: TruncatedSSet) -> bool:
 def is_spiny(x: TruncatedSSet):
     """Injectivity of every 1-Segal map; witness is a colliding pair."""
     for n in range(2, x.K + 1):
-        seen = {}
-        for s in x.simplices(n):
-            key = spine(x, n, s)
-            if key in seen:
-                return False, (n, seen[key], s)
-            seen[key] = s
+        pair = first_collision(spine(x, n, s) for s in x.simplices(n))
+        if pair is not None:
+            return False, (n,) + pair
     return True, None
 
 
 def is_inverseless_sset(x: TruncatedSSet):
     """The degenerate-long-edge square is a pullback; witness otherwise."""
-    dedges = degenerate_edges(x)
-    for sig in x.simplices(2):
-        v = dedges.get(x.face[(2, 1)][sig])
-        if v is not None and sig != x.deg[(1, 0)][x.deg[(0, 0)][v]]:
-            return False, sig
-    return True, None
+    # a degenerate edge s_0 v -> the only 2-simplex allowed over it, s_0 s_0 v
+    filler = {e: x.deg[(1, 0)][e] for e in degenerate_edges(x)}
+    check = first_failure("inverseless", (
+        sig for sig in x.simplices(2) if filler.get(x.face[(2, 1)][sig], sig) != sig))
+    return check.ok, check.witness
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +240,22 @@ class Triangulation:
 def triangulations(n: int):
     """All Catalan(n-1) triangulations of the polygon on vertices 0..n.
 
-    n = 2 returns the single full triangle (degenerate base case, not a
-    polygon with diagonals).
+    The image of palg.bracketings(n): a node whose leaves are the edges
+    (i, i+1) .. (j-1, j), split after leaf k-1, is the triangle (i, k, j).
+    n = 2 gives the single full triangle.  Sorted by triangle tuple.
     """
     if n < 2:
         raise InputError("triangulations need n >= 2")
-    if n == 2:
-        return [Triangulation(2, ((0, 1, 2),))]
-
-    def rec(vs):
-        if len(vs) == 2:
-            yield ()
-            return
-        if len(vs) == 3:
-            yield (tuple(vs),)
-            return
-        for k in range(1, len(vs) - 1):
-            for left in rec(vs[: k + 1]):
-                for right in rec(vs[k:]):
-                    yield tuple(sorted(left + ((vs[0], vs[k], vs[-1]),) + right))
-
-    out = [Triangulation(n, tri) for tri in rec(list(range(n + 1)))]
+    out = []
+    for tree in bracketings(n):
+        tri, stack = [], [(tree, 0, n)]
+        while stack:
+            node, i, j = stack.pop()
+            if node != LEAF:
+                k = i + leaf_count(node[0])
+                tri.append((i, k, j))
+                stack += [(node[0], i, k), (node[1], k, j)]
+        out.append(Triangulation(n, tuple(sorted(tri))))
     out.sort(key=lambda t: t.triangles)
     return out
 
@@ -435,16 +418,6 @@ def _require_valid(x: TruncatedSSet):
                              "the Segal checks need a simplicial set")
 
 
-def _first_collision(keys):
-    """(s1, s2) for the first s2 whose key an earlier s1 had, else None."""
-    seen = {}
-    for s, key in enumerate(keys):
-        if key in seen:
-            return seen[key], s
-        seen[key] = s
-    return None
-
-
 def _spine_order(x: TruncatedSSet, sp):
     """Sort key of a spine: its vertices and edges interleaved,
     (v_0, e_0, v_1, e_1, .., e_{n-1}, v_n)."""
@@ -474,7 +447,7 @@ def is_two_segal(x: TruncatedSSet):
         sub = subface_tables(x, n)
         for tri in triangulations(n):
             restrictions = list(zip(*(sub[t] for t in tri.triangles)))
-            pair = _first_collision(restrictions)
+            pair = first_collision(restrictions)
             if pair is not None:
                 return False, ("collision", n, tri) + pair
             if sum(membrane_counts(x, n, tri).values()) > x.counts[n]:
@@ -507,7 +480,7 @@ def is_weakly_two_segal(x: TruncatedSSet):
     for n in range(3, x.K + 1):
         sub = subface_tables(x, n)
         triples = itertools.combinations(range(n + 1), 3)
-        pair = _first_collision(zip(*(sub[t] for t in triples)))
+        pair = first_collision(zip(*(sub[t] for t in triples)))
         if pair is not None:
             return False, ("collision", n) + pair
         families = None
@@ -556,13 +529,20 @@ def boundary_membranes(x: TruncatedSSet, n: int):
 
 
 def is_coskeletal_2(x: TruncatedSSet):
-    """Unique boundary fillers at every level 3..K; witness the bad boundary."""
+    """Unique boundary fillers at every level 3..K; witness the bad boundary.
+
+    Raises StructureError when the faces of a simplex are not a compatible
+    boundary, which happens only if the simplicial identities fail.
+    """
     if x.K < 3:
         raise InputError("coskeletality check needs K >= 3")
     for n in range(3, x.K + 1):
         fillers = {b: [] for b in boundary_membranes(x, n)}
         for s in x.simplices(n):
             b = tuple(x.face[(n, i)][s] for i in range(n + 1))
+            if b not in fillers:
+                raise StructureError(f"faces {b} of {n}-simplex {s} are not a compatible "
+                                     "boundary; the simplicial identities fail")
             fillers[b].append(s)
         for b, ss in sorted(fillers.items()):
             if len(ss) != 1:

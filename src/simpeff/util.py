@@ -37,3 +37,19 @@ class Check:
 
 def all_ok(checks) -> bool:
     return all(c.ok for c in checks if not c.skipped)
+
+
+def first_failure(name, counterexamples) -> Check:
+    """A check that fails with the first counterexample, or passes if none."""
+    wit = next(iter(counterexamples), None)
+    return Check(name, wit is None, wit)
+
+
+def first_collision(keys):
+    """(s1, s2) for the first s2 whose key an earlier s1 had, else None."""
+    seen = {}
+    for s, key in enumerate(keys):
+        if key in seen:
+            return seen[key], s
+        seen[key] = s
+    return None

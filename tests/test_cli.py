@@ -156,6 +156,9 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("states", "--cyclic", "tau-int.json"),
     ("check", "cyclic", "--in", "tau-null.json"),
     ("build", "action-pg", "--group", "z3.json", "--action", "bad-action.json", "--y", "0"),
+    ("states", "--cyclic", "l2.json", "--levels", "3"),
+    ("quantum-demo", "--levels", "3"),
+    ("build", "s1", "--json"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

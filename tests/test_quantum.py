@@ -112,6 +112,15 @@ def test_measurement_faces_are_fiber_sums(witness):
     assert q.frob(d0.ops[(1,)] - sum(pi.ops[(a, 1)] for a in range(3))) < q.TOL_EQ
 
 
+def test_degeneracies_are_sections_of_faces(witness):
+    # d_i s_i = d_{i+1} s_i = id on the witness 2-simplex
+    pi = witness["Pi"]
+    for i in range(3):
+        s = q.degeneracy(pi, i)
+        s.validate()
+        assert q.face(s, i).close_to(pi) and q.face(s, i + 1).close_to(pi)
+
+
 # ---------------------------------------------------------------------------
 # key-example membership
 

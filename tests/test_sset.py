@@ -355,7 +355,7 @@ def test_segal_checks_need_simplicial_identities():
     x = nv.comm_nerve(nv.quaternion_group(), None, 3)
     x.face[(2, 1)][x.counts[2] - 1] = x.face[(2, 1)][0]
     assert sset.validate(x)
-    for check in (sset.is_two_segal, sset.is_weakly_two_segal):
+    for check in (sset.is_two_segal, sset.is_weakly_two_segal, sset.is_coskeletal_2):
         with pytest.raises(StructureError):
             check(x)
 
