@@ -14,15 +14,13 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _names(node):
-    """Every identifier the node reads: bare names, attributes, imported names."""
+    """Every identifier the node reads, as a bare name or an attribute."""
     out = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.append(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.append(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            out.extend(a.name for a in sub.names)
     return out
 
 
