@@ -38,6 +38,7 @@ def _inputs():
         "d4.json": d4.to_json_dict(),
         "z4.json": z4.to_json_dict(),
         "s3.json": nv.symmetric_group(3).to_json_dict(),
+        "s4.json": nv.symmetric_group(4).to_json_dict(),
         "s3-on-3.json": S3_ACTION,
         "bool2.json": palg.boolean_effect_algebra(2).to_json_dict(),
         "q8-magma.json": nv.commuting_magma(q8).to_json_dict(),
@@ -57,6 +58,8 @@ def _inputs():
         "l2-perp-not-involution.json": dict(l2.to_json_dict(), orthocomplement=[2, 0, 1]),
     }
 
+Y_S4 = ",".join(map(str, range(12)))
+
 
 BUILDS = {
     "cn-q8.json": ("comm-nerve", "--group", "q8.json", "--levels", "4"),
@@ -70,6 +73,10 @@ BUILDS = {
     "en-bool2.json": ("effect-nerve", "--effect-algebra", "bool2.json", "--levels", "3"),
     "en-l4.json": ("effect-nerve", "--family", "l4", "--levels", "3"),
     "s1.json": ("s1", "--levels", "3"),
+    # the largest builds: S4 at K=5, and L_Y(S4) at K=4 for the permutations
+    # p with p(0) in {0, 1}
+    "cn-s4.json": ("comm-nerve", "--group", "s4.json", "--levels", "5"),
+    "ly-s4.json": ("action-pg", "--group", "s4.json", "--y", Y_S4, "--levels", "4"),
 }
 # the three largest outputs are checked at levels 3 and 4; cn-z4 passes
 # 2-Segal at level 4
@@ -149,6 +156,10 @@ GOLDEN = {
         (0, "d25fff292dee87ff9fe8a248a27d392af0280d803d370cc3cea954de2847f3b8"),
     'build s1 --levels 3 --out s1.json':
         (0, "49c8d0ef74e6f07e9ab142b829a63ce8d4ad3196507f93a98d006995e7457fb7"),
+    'build comm-nerve --group s4.json --levels 5 --out cn-s4.json':
+        (0, "5e63bfb5e42b58d01393063ac324ec53f2a027a9f4da034d08e78da9227e66bb"),
+    'build action-pg --group s4.json --y 0,1,2,3,4,5,6,7,8,9,10,11 --levels 4 --out ly-s4.json':
+        (0, "bfcc063412da165a3e0baafa1c4d117c8fd1f34dd1907e5ba1f49a7902ddf5b1"),
     'build s1 --levels 4':
         (0, "651e4f1624471e6e5c832d81aee0284c990b9bb897a47abcc9bc10e74d665eac"),
     'check sset --in cn-q8.json --levels 3':
