@@ -1,7 +1,8 @@
 """Batch front-end: load structures, run checker suites, emit reports.
 
 Subcommands: check, build, states, quantum-demo.  Exit codes: 0 all
-requested checks pass, 1 some check failed, 2 input or usage error.
+requested checks pass, 1 some check failed, 2 input or usage error, 3
+internal error (a bug: one "internal error:" line on stderr).
 Reports are byte-identical across runs for fixed inputs and seeds.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import cyclic as cyc
 from . import nerve as nv
 from . import palg, quantum, sset, states
-from .report import EXIT_FAILED, EXIT_OK, EXIT_USAGE, CheckReport
+from .report import EXIT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, CheckReport
 from .util import Check, InputError, StructureError
 
 
@@ -132,12 +133,12 @@ def _check_cyclic(path, args):
                       None if conds["member"] else f"failed: {failed}"))
     if not narrowed:
         rep.extend(cyc.orthocomplement_laws(c))
-    if args.states:
-        found = states.find_state(c)
+    found = states.find_state(c) if args.states else None
+    if found is not None:
         rep.add(Check("states", True,
                       "EMPTY" if not found.feasible else f"polytope dim {found.dim}"))
     if args.hc1:
-        dim, _ = states.hc1(c)
+        dim, _ = states.hc1(c, found.A if found else None)
         rep.add(Check("hc1", True, f"dimension {dim}"))
     return rep
 
@@ -217,11 +218,29 @@ def cmd_build(args):
     elif recipe == "s1":
         body = nv.simplicial_circle(K).to_json_dict()
     elif recipe == "key-example-witness":
-        body = _witness_bundle_json()
+        _emit(json.dumps(_witness_bundle_json(), sort_keys=True, indent=2), args.out)
+        return EXIT_OK
     else:
         raise InputError(f"unknown recipe {recipe}")
-    _emit(json.dumps(body, sort_keys=True, indent=2), args.out)
+    _emit(_int_json(body), args.out)
     return EXIT_OK
+
+
+def _int_json(value, pad="\n"):
+    """json.dumps(value, sort_keys=True, indent=2) for an int, a list of ints
+    or a str-keyed dict of such values, without the pure-Python encoder that
+    indent forces."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items, brackets = [f"{json.dumps(k)}: {_int_json(v, inner)}"
+                           for k, v in sorted(value.items())], "{}"
+    elif isinstance(value, list):
+        items, brackets = list(map(str, value)), "[]"
+    else:
+        return str(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def _mat_json(m):
@@ -263,7 +282,7 @@ def cmd_states(args):
         lines.append("sample state: " + " ".join(_frac(v) for v in found.state))
         body["states"] = {"dim": found.dim, "sample": [_frac(v) for v in found.state]}
     if args.hc1:
-        dim, basis = states.hc1(c)
+        dim, basis = states.hc1(c, found.A)
         lines.append(f"hc1 dimension: {dim}")
         for vec in basis:
             lines.append("hc1 basis: " + " ".join(_frac(v) for v in vec))
@@ -403,6 +422,9 @@ def main(argv=None) -> int:
     except (InputError, StructureError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:  # any other exception is a bug
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

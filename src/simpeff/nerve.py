@@ -12,7 +12,6 @@ spine-canonical on the nose.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -197,13 +196,58 @@ def tuple_nerve(levels, mul) -> TruncatedSSet:
 
     levels[n] lists the level-n tuples in id order for n = 0..K, with
     levels[0] = [()].  They must be closed under the nerve's faces (see
-    tuple_face) and degeneracies (insert_unit).  Level 1 is labelled by the
-    bare elements, level 0 by "*".
+    tuple_face) and degeneracies (insert_unit), or StructureError is raised.
+    Level 1 is labelled by the bare elements, level 0 by "*".
+
+    Tables are computed on ids.  Writing t = p + (b,) with parent p, d_n t
+    is p, d_{n-1} t is parent(p) + (p[-1] * b,), and d_i t (i < n-1) and
+    s_i t (i < n) are d_i p + (b,) and s_i p + (b,); s_n t is t + (0,).
+    child[n][p * order + b] is the level-n id of p + (b,), or -1.
     """
-    x = from_levels(levels, functools.partial(tuple_face, mul), insert_unit)
-    x.labels[0] = ["*"]
-    x.labels[1] = [t[0] for t in levels[1]]
-    return x
+    K, order = len(levels) - 1, len(mul)
+    parent, last, child = [None], [None], [None]
+    for n in range(1, K + 1):
+        ids = {t: i for i, t in enumerate(levels[n - 1])}
+        try:
+            parent.append([ids[t[:-1]] for t in levels[n]])
+        except KeyError as exc:
+            raise StructureError(f"levels are not closed under d_{n} at level {n}: "
+                                 f"{exc} is missing") from None
+        last.append([t[-1] for t in levels[n]])
+        table = [-1] * (len(levels[n - 1]) * order)
+        for i, (p, b) in enumerate(zip(parent[n], last[n])):
+            table[p * order + b] = i
+        child.append(table)
+
+    def lift(kind, n, i, heads, tails, up):
+        """kind_i of the level-n simplices, as the ids of head + (tail,)."""
+        try:
+            tab = [up[h * order + b] for h, b in zip(heads, tails)]
+        except TypeError:  # a tail is an undefined product
+            tab = [-1]
+        if -1 in tab:
+            raise StructureError(f"levels are not closed under {kind}_{i} at level {n}")
+        return tab
+
+    def of_parent(index, n):
+        return map(index.__getitem__, parent[n])
+
+    face, deg = {(1, 0): [0] * len(levels[1]), (1, 1): parent[1]}, {}
+    for n in range(2, K + 1):
+        for i in range(n - 1):
+            face[(n, i)] = lift("d", n, i, of_parent(face[(n - 1, i)], n), last[n], child[n - 1])
+        products = [mul[a][b] for a, b in zip(of_parent(last[n - 1], n), last[n])]
+        face[(n, n - 1)] = lift("d", n, n - 1, of_parent(parent[n - 1], n), products,
+                                child[n - 1])
+        face[(n, n)] = parent[n]
+    for n in range(K):
+        for i in range(n):
+            deg[(n, i)] = lift("s", n, i, of_parent(deg[(n - 1, i)], n), last[n], child[n + 1])
+        deg[(n, n)] = lift("s", n, n, range(len(levels[n])), itertools.repeat(0), child[n + 1])
+    labels = dict(enumerate(levels))
+    labels[0] = ["*"]
+    labels[1] = [t[0] for t in levels[1]]
+    return TruncatedSSet(K, [len(lev) for lev in levels], face, deg, labels)
 
 
 def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet:
@@ -270,15 +314,17 @@ def _grow_levels(K, elements, start, step):
     """
     if K < 2:
         raise InputError("nerve needs K >= 2")
-    levels, states = [[()]], [start]
+    levels, states, rows = [[()]], [start], {}
     for _ in range(K):
         tuples, nxt = [], []
         for t, state in zip(levels[-1], states):
-            for b in elements:
-                new = step(state, b)
-                if new is not None:
-                    tuples.append(t + (b,))
-                    nxt.append(new)
+            row = rows.get(state)
+            if row is None:  # few states occur, so step runs once per (state, b)
+                row = rows[state] = [(b, new) for b in elements
+                                     if (new := step(state, b)) is not None]
+            for b, new in row:
+                tuples.append(t + (b,))
+                nxt.append(new)
         levels.append(tuples)
         states = nxt
     return levels
@@ -331,6 +377,8 @@ def action_partial_group(g: FiniteGroup, z_size: int, action, y_subset, K: int =
     """
     _validate_action(g, z_size, action)
     yset = sorted(set(y_subset))
+    if not yset:
+        raise InputError("Y must not be empty")
     if any(not 0 <= y < z_size for y in yset):
         raise InputError("Y must be a subset of the acted-on set")
     # a tuple's state is the bitmask of the chain ends y_n it admits

@@ -10,6 +10,7 @@ from .util import Check, all_ok
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass

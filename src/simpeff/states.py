@@ -52,12 +52,14 @@ class StateSearch:
     """A state and its polytope's analysis, or the emptiness certificate.
 
     dim is the affine dimension of the state polytope; vertices are its
-    2n probe vertices (max, then min, of each coordinate in turn).
+    2n probe vertices (max, then min, of each coordinate in turn).  A is
+    the state system's matrix, which hc1 reuses.
     """
 
     feasible: bool
     state: list | None
     farkas: list | None
+    A: list
     dim: int | None = None
     vertices: list | None = None
 
@@ -77,7 +79,7 @@ def find_state(c: CyclicSSet) -> StateSearch:
     if status == ratlp.INFEASIBLE:
         if not lp.verify_farkas(farkas):
             raise StructureError("infeasibility certificate failed verification")
-        return StateSearch(False, None, farkas)
+        return StateSearch(False, None, farkas, A)
     if not _solves(A, b, x) or any(v < 0 or v > 1 for v in x):
         raise StructureError("simplex returned a non-solution")
     n = lp.n
@@ -90,7 +92,7 @@ def find_state(c: CyclicSSet) -> StateSearch:
         vertices.extend([xmax, xmin])
         if vmax == 0 or vmin == 1:
             forced.append(obj)
-    return StateSearch(True, x, None, n - ratlp.rank(A + forced), vertices)
+    return StateSearch(True, x, None, A, n - ratlp.rank(A + forced), vertices)
 
 
 def state_polytope_dim(c: CyclicSSet):
@@ -98,15 +100,16 @@ def state_polytope_dim(c: CyclicSSet):
     return find_state(c).dim
 
 
-def hc1(c: CyclicSSet):
+def hc1(c: CyclicSSet, A=None):
     """Dimension and rational basis of the degree-one cyclic cocycles.
 
     They are the kernel of the state system's A, whose rows are the
     homogeneous state equations.  So the difference of two states lies in
     HC^1 by construction, and the state polytope's dimension is at most
-    HC^1's.
+    HC^1's.  A is built here unless the caller already has it.
     """
-    A, _ = state_system(c)
+    if A is None:
+        A, _ = state_system(c)
     basis = ratlp.nullspace(A, c.base.counts[1])
     for vec in basis:
         if not _solves(A, [_ZERO] * len(A), vec):
@@ -123,6 +126,6 @@ def shifted_states_in_hc1(c: CyclicSSet) -> bool:
     search = find_state(c)
     if not search.feasible:
         return True
-    _, basis = hc1(c)
+    _, basis = hc1(c, search.A)
     return all(ratlp.in_span(basis, [a - b for a, b in zip(v, search.state)])
                for v in search.vertices)

@@ -4,6 +4,7 @@ import pytest
 
 from simpeff import cli, palg
 from simpeff import nerve as nv
+from simpeff.report import EXIT_INTERNAL
 
 
 @pytest.fixture()
@@ -156,6 +157,7 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("states", "--cyclic", "tau-int.json"),
     ("check", "cyclic", "--in", "tau-null.json"),
     ("build", "action-pg", "--group", "z3.json", "--action", "bad-action.json", "--y", "0"),
+    ("build", "action-pg", "--group", "z2.json", "--y", ""),
     ("states", "--cyclic", "l2.json", "--levels", "3"),
     ("quantum-demo", "--levels", "3"),
     ("build", "s1", "--json"),
@@ -188,3 +190,40 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def crash(args):
+        raise KeyError((0,))
+
+    monkeypatch.setattr(cli, "cmd_build", crash)
+    assert run("build", "s1") == EXIT_INTERNAL == 3
+    assert capsys.readouterr().err == "internal error: KeyError((0,))\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("comm-nerve", "--group", "q8.json", "--torsion", "4", "--levels", "3"),
+    ("comm-nerve", "--group", "s3.json", "--levels", "5"),
+    ("action-pg", "--group", "s3.json", "--y", "0,2,5", "--levels", "4"),
+    ("action-pg", "--group", "s3.json", "--action", "s3-on-3.json", "--y", "0,1"),
+    ("effect-nerve", "--family", "l2", "--levels", "4"),
+    ("effect-nerve", "--effect-algebra", "bool2.json", "--levels", "3"),
+    ("s1", "--levels", "2"),
+])
+def test_build_writer_matches_json_dumps(argv, tmp_path, monkeypatch):
+    """The direct writer prints what json.dumps(sort_keys, indent=2) prints."""
+    monkeypatch.chdir(tmp_path)
+    for name, body in (("q8.json", nv.quaternion_group().to_json_dict()),
+                       ("s3.json", nv.symmetric_group(3).to_json_dict()),
+                       ("bool2.json", palg.boolean_effect_algebra(2).to_json_dict()),
+                       ("s3-on-3.json", {"z_size": 3, "table": [
+                           [0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]]})):
+        (tmp_path / name).write_text(json.dumps(body))
+    assert run("build", *argv, "--out", "out.json") == 0
+    text = (tmp_path / "out.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_int_json_edge_cases():
+    for value in (7, [], {}, [3], {"b": [], "a": {"10,0": [1, 2], "2,0": {}}, "c": 0}):
+        assert cli._int_json(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from simpeff import nerve as nv
 from simpeff import palg, sset
-from simpeff.util import InputError
+from simpeff.util import InputError, StructureError
 
 from conftest import random_magma
 
@@ -232,6 +233,83 @@ def test_action_invalid_table():
     bad[1][0] = 2  # breaks the action law
     with pytest.raises(InputError):
         nv.action_partial_group(z4, 4, bad, [0, 1], 3)
+
+
+# ---------------------------------------------------------------------------
+# tuple_nerve tables against the key-based builder
+
+
+def _key_based_nerve(levels, mul):
+    """Oracle: the builder tuple_nerve replaced, which hashes the tuple of
+    every face and degeneracy."""
+    x = sset.from_levels(levels, functools.partial(nv.tuple_face, mul), nv.insert_unit)
+    x.labels[0] = ["*"]
+    x.labels[1] = [t[0] for t in levels[1]]
+    return x
+
+
+def _magma_table(m):
+    return [[m.mul(a, b) for b in m.elements()] for a in m.elements()]
+
+
+def _seeded_y(size, seed):
+    rng = random.Random(seed)
+    return rng.sample(range(size), rng.randrange(1, size + 1))
+
+
+S3_ON_3 = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]]
+S3, S4 = GROUPS["s3"], GROUPS["s4"]
+TUPLE_NERVES = {
+    "comm q8 t4": lambda: (nv.comm_nerve(GROUPS["q8"], 4, 4), GROUPS["q8"].mul),
+    "comm d4 t2": lambda: (nv.comm_nerve(GROUPS["d4"], 2, 4), GROUPS["d4"].mul),
+    "comm s4 K5": lambda: (nv.comm_nerve(S4, None, 5), S4.mul),
+    **{f"action s3 seed {seed}": functools.partial(
+        lambda seed: (nv.action_partial_group(S3, 6, nv.translation_action(S3),
+                                              _seeded_y(6, seed), 4), S3.mul), seed)
+       for seed in range(3)},
+    **{f"action s3 on 3 seed {seed}": functools.partial(
+        lambda seed: (nv.action_partial_group(S3, 3, S3_ON_3, _seeded_y(3, seed), 4),
+                      S3.mul), seed)
+       for seed in range(3)},
+    "action s4 seed 0": lambda: (nv.action_partial_group(
+        S4, 24, nv.translation_action(S4), _seeded_y(24, 0), 3), S4.mul),
+    **{name: functools.partial(lambda m: (nerve_of(m, 4), _magma_table(m)), m)
+       for name, m in (("bool3", palg.boolean_effect_algebra(3).magma),
+                       ("l4", palg.interval_effect_algebra(4).magma),
+                       ("chain 3", nv.chain_magma(3)))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_NERVES))
+def test_tuple_nerve_matches_key_based_builder(name):
+    x, mul = TUPLE_NERVES[name]()
+    want = _key_based_nerve([[()]] + [_level(x, n) for n in range(1, x.K + 1)], mul)
+    assert x.counts == want.counts
+    assert x.face == want.face
+    assert x.deg == want.deg
+    assert x.labels == want.labels
+
+
+@pytest.mark.parametrize("missing, op", [("parent", "d_3"), ("inner face", "d_0"),
+                                         ("degeneracy", "s_2")])
+def test_tuple_nerve_rejects_levels_not_closed(missing, op):
+    """Z/3 nerve levels to K=3 with (1, 2) or (1, 2, 0) left out."""
+    levels = [list(itertools.product(range(3), repeat=n)) for n in range(4)]
+    if missing == "degeneracy":
+        levels[3].remove((1, 2, 0))  # s_2 (1, 2)
+    else:
+        levels[2].remove((1, 2))  # d_3 (1, 2, c), and d_0 (a, 1, 2)
+        if missing == "inner face":
+            levels[3] = [t for t in levels[3] if t[:2] != (1, 2)]
+    with pytest.raises(StructureError, match=f"not closed under {op} "):
+        nv.tuple_nerve(levels, nv.cyclic_group(3).mul)
+
+
+def test_tuple_nerve_rejects_undefined_product():
+    l2 = palg.interval_effect_algebra(2).magma
+    levels = [[()], [(0,), (1,), (2,)], [(a, b) for a in range(3) for b in range(3)]]
+    with pytest.raises(StructureError):
+        nv.tuple_nerve(levels, _magma_table(l2))
 
 
 # ---------------------------------------------------------------------------
