@@ -257,23 +257,25 @@ def _seeded_y(size, seed):
     return rng.sample(range(size), rng.randrange(1, size + 1))
 
 
+def _translation_pg(g, seed, K):
+    return nv.action_partial_group(g, g.order, nv.translation_action(g),
+                                   _seeded_y(g.order, seed), K)
+
+
 S3_ON_3 = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]]
-S3, S4 = GROUPS["s3"], GROUPS["s4"]
+Q8, D4, S3, S4 = (GROUPS[name] for name in ("q8", "d4", "s3", "s4"))
+# name -> () -> (tuple nerve, its multiplication table)
 TUPLE_NERVES = {
-    "comm q8 t4": lambda: (nv.comm_nerve(GROUPS["q8"], 4, 4), GROUPS["q8"].mul),
-    "comm d4 t2": lambda: (nv.comm_nerve(GROUPS["d4"], 2, 4), GROUPS["d4"].mul),
+    "comm q8 t4": lambda: (nv.comm_nerve(Q8, 4, 4), Q8.mul),
+    "comm d4 t2": lambda: (nv.comm_nerve(D4, 2, 4), D4.mul),
     "comm s4 K5": lambda: (nv.comm_nerve(S4, None, 5), S4.mul),
-    **{f"action s3 seed {seed}": functools.partial(
-        lambda seed: (nv.action_partial_group(S3, 6, nv.translation_action(S3),
-                                              _seeded_y(6, seed), 4), S3.mul), seed)
+    "action s4 seed 0": lambda: (_translation_pg(S4, 0, 3), S4.mul),
+    **{f"action s3 seed {seed}": lambda seed=seed: (_translation_pg(S3, seed, 4), S3.mul)
        for seed in range(3)},
-    **{f"action s3 on 3 seed {seed}": functools.partial(
-        lambda seed: (nv.action_partial_group(S3, 3, S3_ON_3, _seeded_y(3, seed), 4),
-                      S3.mul), seed)
+    **{f"action s3 on 3 seed {seed}": lambda seed=seed: (
+        nv.action_partial_group(S3, 3, S3_ON_3, _seeded_y(3, seed), 4), S3.mul)
        for seed in range(3)},
-    "action s4 seed 0": lambda: (nv.action_partial_group(
-        S4, 24, nv.translation_action(S4), _seeded_y(24, 0), 3), S4.mul),
-    **{name: functools.partial(lambda m: (nerve_of(m, 4), _magma_table(m)), m)
+    **{name: lambda m=m: (nerve_of(m, 4), _magma_table(m))
        for name, m in (("bool3", palg.boolean_effect_algebra(3).magma),
                        ("l4", palg.interval_effect_algebra(4).magma),
                        ("chain 3", nv.chain_magma(3)))},
