@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -340,6 +341,36 @@ def test_segal_counting_matches_enumeration():
                 assert counts == spines, (name, tri)
     # the instances reach every verdict of both checks
     assert verdicts == {(c, v) for c in "2w" for v in (True, "collision", "unfilled")}
+
+
+def _three_element_magmas():
+    """All 256 partial unital magmas on {0, 1, 2}: each of the four products
+    of non-units is undefined or one of the three elements."""
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    unit = {p: p[0] + p[1] for p in itertools.product(range(3), repeat=2) if 0 in p}
+    for values in itertools.product((None, 0, 1, 2), repeat=len(pairs)):
+        product = dict(unit)
+        product.update({p: v for p, v in zip(pairs, values) if v is not None})
+        yield palg.PartialUnitalMagma(3, product)
+
+
+def test_hierarchy_census_three_elements():
+    """The algebraic hierarchy against its geometric counterparts on every
+    partial unital magma of size 3: magmas are not weakly 2-Segal, weak
+    partial monoids are weakly 2-Segal but not 2-Segal, partial monoids are
+    2-Segal, and every nerve is 2-coskeletal.  The 2-Segal verdicts and
+    witnesses also match the enumeration oracle."""
+    tally = Counter()
+    for m in _three_element_magmas():
+        x = nerve_of(m, 4)
+        two = sset.is_two_segal(x)
+        weak, _ = sset.is_weakly_two_segal(x)
+        tally[(palg.classify(m), weak, two[0], sset.is_coskeletal_2(x)[0])] += 1
+        assert sset.is_inverseless_sset(x)[0] == palg.is_inverseless(m), m.product
+        assert two == oracle_two_segal(x), m.product
+    assert tally == {(palg.MAGMA, False, False, True): 160,
+                     (palg.WEAK_PARTIAL_MONOID, True, False, True): 71,
+                     (palg.PARTIAL_MONOID, True, True, True): 25}
 
 
 def test_subface_tables_match_subface():
