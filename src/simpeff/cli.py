@@ -51,13 +51,14 @@ def _emit(text, out):
 
 def _check_magma(path, args):
     m = palg.PartialUnitalMagma.from_json_dict(_load_json(path))
-    rep = CheckReport(subject=f"magma {path}", bound=args.levels)
+    bound = min(args.levels, 3)
+    rep = CheckReport(subject=f"magma {path}", bound=bound)
     cls, wit = palg.classify_with_witness(m)
     rep.add(Check("classification", True, cls if wit is None else f"{cls} (witness {wit})"))
     rep.add(Check("inverseless", palg.is_inverseless(m)))
-    wapg, wit = palg.is_weakly_associative_partial_group(m, min(args.levels, 3)) \
+    wapg, wit = palg.is_weakly_associative_partial_group(m, bound) \
         if cls != palg.MAGMA else (False, ("not-weakly-associative",))
-    rep.add(Check(f"weakly-associative-partial-group(arity<={min(args.levels, 3)})", wapg,
+    rep.add(Check(f"weakly-associative-partial-group(arity<={bound})", wapg,
                   None if wapg else wit))
     return rep
 

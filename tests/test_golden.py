@@ -235,17 +235,17 @@ GOLDEN = {
     'states --cyclic pt-cyclic.json --hc1 --json':
         (0, "bac2acdf0de2756b480654d43522b008fc8d1cfbae918d14e9f6eee0f347f946"),
     'check magma --in q8-magma.json':
-        (1, "a23462ffa2655c28a202df9e3f987c73be19cc1ec1e1055d0ea7cc5408aa2b40"),
+        (1, "ba69eb5a7acbba0a9e0ba0c79943fda43722b2cd52b4998daa13bb911f7fc549"),
     'check magma --in q8-magma.json --json':
-        (1, "ee64a4cf4f9ef727b5d1128e6f837fffd37b698be452794a48ee55fdd268f439"),
+        (1, "750ffb9678b290a929b1c0300f02ee469ca4aec17049d06c8f5484650113661f"),
     'check magma --in d4-t2-magma.json':
-        (1, "4733b60ee11b61df9bb2faf35f8e05eb593acd87c91279d503bf3bc4e216c007"),
+        (1, "632541e8b877b89847db50deff920f6aa48b7762dfc598405d9666b7f5e38478"),
     'check magma --in d4-t2-magma.json --json':
-        (1, "73a1190c9fb975408f947b4f7d8280e2e80e608cfda7e6365f51d85e421c0cf6"),
+        (1, "72bc431e247bf6a46d260cc174a7dfc556f089bc00ada35d0e56ab6b0f52cf01"),
     'check magma --in chain-magma.json':
-        (1, "b1ef17bbb349a52eb5efd82df53cfa58b6ba8598c7b61ae2bc9a7218123e4bfe"),
+        (1, "f8b84d45466900dd186fcc9ba02ec4e958b4ff058ff9e1015003d9931fdfc0f7"),
     'check magma --in chain-magma.json --json':
-        (1, "259e2acf28ed3ae1bc7a23736b91ff1962b59dc1d04accf66df56dd99ae0ab33"),
+        (1, "9f24ac5f2cc48008e12157acd124d324d11e12efc0f5c3dac036aa4e58e13715"),
     'check cyclic --in z2-cyclic.json':
         (1, "41567f2792fbeb0a344412200d9669cdb4862835df2fbb67365fee9be6f6cdbb"),
     'check cyclic --in z2-cyclic.json --json':
