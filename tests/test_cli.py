@@ -1,6 +1,14 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import os
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from simpeff import cli, palg
 from simpeff import nerve as nv
@@ -227,3 +235,85 @@ def test_build_writer_matches_json_dumps(argv, tmp_path, monkeypatch):
 def test_int_json_edge_cases():
     for value in (7, [], {}, [3], {"b": [], "a": {"10,0": [1, 2], "2,0": {}}, "c": 0}):
         assert cli._int_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the structure readers
+#
+# Small golden inputs, each mutated in one place, go through the three
+# commands that read sset and cyclic JSON.  Whatever the mutation, the CLI
+# must answer with a report or a one-line usage error, never a crash.
+
+FUZZ_INPUTS = ("z2-cyclic.json", "pt-cyclic.json", "split-spine.json")
+FUZZ_COMMANDS = (("check", "sset", "--in"), ("check", "cyclic", "--in"),
+                 ("states", "--hc1", "--cyclic"))
+JUNK = st.one_of(st.none(), st.integers(-3, 40), st.text(max_size=3),
+                 st.lists(st.integers(-1, 3), max_size=2), st.dictionaries(
+                     st.sampled_from(["1", "0,0", "x"]), st.integers(0, 2), max_size=1))
+
+
+@functools.cache
+def _fuzz_inputs():
+    from test_golden import _inputs
+
+    return {name: body for name, body in _inputs().items() if name in FUZZ_INPUTS}
+
+
+@st.composite
+def mutated_bodies(draw):
+    body = copy.deepcopy(_fuzz_inputs()[draw(st.sampled_from(FUZZ_INPUTS))])
+    field = draw(st.sampled_from(["truncation", "faces", "tau", "counts", "keys"]))
+    if field == "truncation":
+        body["truncation"] = draw(st.one_of(st.integers(-1, body["truncation"] + 2), JUNK))
+    elif field == "counts":
+        counts = body["counts"]
+        n = draw(st.integers(0, len(counts) - 1))
+        action = draw(st.sampled_from(["shift", "drop", "junk"]))
+        if action == "shift":
+            counts[n] += draw(st.integers(-2, 2))
+        elif action == "drop":
+            del counts[n]
+        else:
+            counts[n] = draw(JUNK)
+    elif field in ("faces", "tau"):
+        tables = body.get(field) or body["degeneracies"]
+        key = draw(st.sampled_from(sorted(tables)))
+        tab = tables[key]
+        action = draw(st.sampled_from(["entry", "shorten", "delete", "junk"]))
+        if action == "entry" and tab:
+            tab[draw(st.integers(0, len(tab) - 1))] = draw(st.integers(-2, max(tab) + 2))
+        elif action == "shorten":
+            del tab[draw(st.integers(0, len(tab))):]
+        elif action == "delete":
+            del tables[key]
+        else:
+            tables[key] = draw(JUNK)
+    else:
+        key = draw(st.sampled_from(sorted(body)))
+        action = draw(st.sampled_from(["delete", "junk", "rename-table"]))
+        if action == "delete":
+            del body[key]
+        elif action == "junk":
+            body[key] = draw(JUNK)
+        else:
+            tables = body["faces"]
+            old = draw(st.sampled_from(sorted(tables)))
+            tables[draw(st.sampled_from(["9,9", "1", "a,b", "1,0,0", "-1,0"]))] = tables.pop(old)
+    return body
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_bodies(), st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_structures_get_a_report_or_a_usage_error(body, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(body, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(*command, path)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "internal error:" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue().rstrip("\n").endswith("result: fail")
