@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from .palg import LEAF, bracketings, leaf_count
 from .util import InputError, StructureError, first_collision, first_failure
 
-SPINE = "spine"
-BOUNDARY = "boundary"
-
-
 class TruncatedSSet:
     """Level-by-level simplicial set, truncated at level K >= 2.
 
@@ -264,92 +260,6 @@ def triangulations(n: int):
 # membranes
 
 
-def _top_cells(n, subset):
-    if subset == SPINE:
-        return [tuple(range(n + 1))] if n == 0 else [(i, i + 1) for i in range(n)]
-    if subset == BOUNDARY:
-        return [tuple(v for v in range(n + 1) if v != i) for i in range(n + 1)]
-    if isinstance(subset, Triangulation):
-        if subset.n != n:
-            raise InputError("triangulation size does not match level")
-        return sorted(subset.triangles, key=lambda t: (t[0], t))
-    raise InputError(f"unknown subset {subset!r}")
-
-
-class MembraneAssignment(dict):
-    """A simplicial map from a subcomplex of the n-simplex into x, stored as
-    cell (vertex tuple) -> simplex id over every cell of the subcomplex."""
-
-    def __init__(self, subset, data):
-        super().__init__(data)
-        self.subset = subset
-
-    @property
-    def data(self):
-        return dict(self)
-
-
-def membrane_set(x: TruncatedSSet, n: int, subset):
-    """All simplicial maps from the given subcomplex of the n-simplex into x.
-
-    Backtracking over the maximal cells ordered by smallest vertex; a cell's
-    candidates are filtered through a face-table index on its first already
-    forced codimension-one subcell, then every forced subcell is checked.
-    """
-    if n > x.K + (1 if subset == BOUNDARY else 0) or n < 1:
-        raise InputError(f"membrane level {n} exceeds truncation {x.K}")
-    tops = _top_cells(n, subset)
-    if any(len(c) - 1 > x.K for c in tops):
-        raise InputError("subset has cells above the truncation")
-    tops = sorted(tops, key=lambda c: (c[0], c))
-    out = []
-
-    def forced_cells(cell, value, assign):
-        """Values on all subcells of cell, from its assigned value."""
-        d = len(cell) - 1
-        new = {}
-        for r in range(1, len(cell)):
-            for sub in itertools.combinations(range(len(cell)), r):
-                subcell = tuple(cell[i] for i in sub)
-                v = subface(x, d, value, sub)
-                old = assign.get(subcell, new.get(subcell))
-                if old is not None and old != v:
-                    return None
-                new[subcell] = v
-        return new
-
-    # backtracking mutates one shared dict; forced_cells reports conflicts
-    def rec_safe(k, assign):
-        if k == len(tops):
-            out.append(MembraneAssignment(subset, assign))
-            return
-        cell = tops[k]
-        d = len(cell) - 1
-        cand = None
-        for i in range(len(cell)):
-            subcell = cell[:i] + cell[i + 1:]
-            if d >= 1 and subcell in assign:
-                cand = x.face_index(d, i).get(assign[subcell], [])
-                break
-        if cand is None:
-            cand = x.simplices(d)
-        for value in cand:
-            new = forced_cells(cell, value, assign)
-            if new is None:
-                continue
-            added = [c for c in new if c not in assign]
-            assign.update({c: new[c] for c in added})
-            assign[cell] = value
-            rec_safe(k + 1, assign)
-            del assign[cell]
-            for c in added:
-                del assign[c]
-
-    rec_safe(0, {})
-    out.sort(key=lambda m: tuple(sorted(m.items())))
-    return out
-
-
 def subface_tables(x: TruncatedSSet, n: int):
     """Vertex subset c of [n] (a sorted tuple of at least two vertices) ->
     the list of subface(x, n, s, c) over every n-simplex s.
@@ -368,47 +278,81 @@ def subface_tables(x: TruncatedSSet, n: int):
     return tables
 
 
-def membrane_counts(x: TruncatedSSet, n: int, tri: Triangulation):
-    """spine -> number of membranes of the triangulation tri with that spine.
+def _membrane_join(x: TruncatedSSet, n: int, tri: Triangulation, edge, mid):
+    """Interval DP over the dual tree of tri, the one membrane algorithm.
 
-    Interval DP over the dual tree of tri.  The count of the sub-polygon
-    (i, j) maps (long edge on (i, j), spine edges i..j) to a count: an edge
-    (i, i+1) counts 1 for every 1-simplex, and the triangle (i, k, j) joins
-    the counts of (i, k) and (k, j) through every 2-simplex whose d_2 and d_0
-    are their long edges, keyed by its d_1.  Summing over the long edge of
-    (0, n) gives the count per spine; a non-spiny set can have several long
-    edges over one spine.  The sum of all counts is |MS(tri)|.  Membranes
-    are glued along edges only, so the simplicial identities must hold.
+    The map of the sub-polygon (i, j) sends (long edge on (i, j), label) to a
+    count of membranes of tri restricted to (i, j).  Edges (i, i+1) map
+    through edge; the triangle (i, k, j) joins the maps of (i, k) and (k, j)
+    through every 2-simplex sig whose d_2 and d_0 are their long edges, keyed
+    by d_1 sig and the label left + mid[sig] + right, and multiplies the
+    counts.  Membranes are glued along edges only, so the simplicial
+    identities must hold.
     """
     apex = {}
     for t in tri.triangles:
         a, b, c = sorted(t)
         apex[(a, c)] = b
-    by_d2 = {}
-    for sig in x.simplices(2):
-        by_d2.setdefault(x.face[(2, 2)][sig], []).append(
-            (x.face[(2, 0)][sig], x.face[(2, 1)][sig]))
-    edge = {(e, (e,)): 1 for e in x.simplices(1)}
+    d0, d1 = x.face[(2, 0)], x.face[(2, 1)]
+    by_d2 = x.face_index(2, 2)
 
-    def count(i, j):
+    def join(i, j):
         if j == i + 1:
             return edge
         k = apex[(i, j)]
         right = {}
-        for (b, sp), c in count(k, j).items():
-            right.setdefault(b, []).append((sp, c))
+        for (b, lab), c in join(k, j).items():
+            right.setdefault(b, []).append((lab, c))
         out = {}
-        for (a, sp_a), c_a in count(i, k).items():
-            for b, long in by_d2.get(a, ()):
-                for sp_b, c_b in right.get(b, ()):
-                    key = (long, sp_a + sp_b)
+        for (a, lab_a), c_a in join(i, k).items():
+            for sig in by_d2.get(a, ()):
+                long, head = d1[sig], lab_a + mid[sig]
+                for lab_b, c_b in right.get(d0[sig], ()):
+                    key = (long, head + lab_b)
                     out[key] = out.get(key, 0) + c_a * c_b
         return out
 
+    return join(0, n)
+
+
+def membrane_counts(x: TruncatedSSet, n: int, tri: Triangulation):
+    """spine -> number of membranes of the triangulation tri with that spine.
+
+    _membrane_join labelled by spine edges: an edge (i, i+1) counts 1 for
+    every 1-simplex, and a join concatenates the spines of its two sides.
+    Summing over the long edge of (0, n) gives the count per spine; a
+    non-spiny set can have several long edges over one spine.  The sum of
+    all counts is |MS(tri)|.
+    """
     per_spine = {}
-    for (_, sp), c in count(0, n).items():
+    for (_, sp), c in _membrane_join(x, n, tri, {(e, (e,)): 1 for e in x.simplices(1)},
+                                     [()] * x.counts[2]).items():
         per_spine[sp] = per_spine.get(sp, 0) + c
     return per_spine
+
+
+def _least_unfilled(x: TruncatedSSet, n: int, tri: Triangulation, sub):
+    """Spine edges of the least membrane of tri that no n-simplex restricts
+    to, given the subface tables sub of level n.
+
+    _membrane_join labelled by the 2-simplices on the triangles lists every
+    membrane once, its triangles in the dual tree's in-order, which is apex
+    order.  Membranes compare by their values on all cells of tri (every
+    nonempty vertex subset of a triangle) in sorted-cell order.
+    """
+    tris = sorted(tri.triangles, key=lambda t: t[1])
+    hit = set(zip(*(sub[t] for t in tris)))
+    cells = {}
+    for ti, t in enumerate(tris):
+        for r in range(1, 4):
+            for pos in itertools.combinations(range(3), r):
+                cells.setdefault(tuple(t[p] for p in pos), (ti, pos))
+    order = sorted(cells)
+    mems = _membrane_join(x, n, tri, {(e, ()): 1 for e in x.simplices(1)},
+                          [(sig,) for sig in x.simplices(2)])
+    least = min(tuple(subface(x, 2, m[cells[c][0]], cells[c][1]) for c in order)
+                for _, m in mems if m not in hit)
+    return tuple(least[order.index((i, i + 1))] for i in range(n))
 
 
 def _require_valid(x: TruncatedSSet):
@@ -433,11 +377,11 @@ def is_two_segal(x: TruncatedSSet):
     A simplex restricts to T as the tuple of its 2-faces on T's triangles,
     read off the subface table of level n.  Injectivity hashes these tuples
     in simplex order; surjectivity compares |MS(T)| from membrane_counts
-    with |X_n|.  Only when |MS(T)| is larger does membrane_set enumerate
-    the membranes of T, to find the first in sorted order that no simplex
-    hits.  Triangulations go in triangulations(n) order, and collisions are
-    looked for before unfilled membranes.  Raises StructureError unless the
-    simplicial identities hold.
+    with |X_n|.  Only when |MS(T)| is larger does _least_unfilled enumerate
+    the membranes of T, through the same join that counts them, to find the
+    least that no simplex hits.  Triangulations go in triangulations(n)
+    order, and collisions are looked for before unfilled membranes.  Raises
+    StructureError unless the simplicial identities hold.
 
     Witness: ("unfilled", n, T, spine-of-membrane) for a membrane with no
     simplex, ("collision", n, T, s1, s2) for a doubly hit one.
@@ -446,16 +390,11 @@ def is_two_segal(x: TruncatedSSet):
     for n in range(3, x.K + 1):
         sub = subface_tables(x, n)
         for tri in triangulations(n):
-            restrictions = list(zip(*(sub[t] for t in tri.triangles)))
-            pair = first_collision(restrictions)
+            pair = first_collision(zip(*(sub[t] for t in tri.triangles)))
             if pair is not None:
                 return False, ("collision", n, tri) + pair
             if sum(membrane_counts(x, n, tri).values()) > x.counts[n]:
-                hit = set(restrictions)
-                for m in membrane_set(x, n, tri):
-                    if tuple(m[t] for t in tri.triangles) not in hit:
-                        return False, ("unfilled", n, tri,
-                                       tuple(m[(i, i + 1)] for i in range(n)))
+                return False, ("unfilled", n, tri, _least_unfilled(x, n, tri, sub))
     return True, None
 
 
@@ -594,7 +533,7 @@ def truncate(x: TruncatedSSet, K: int) -> TruncatedSSet:
 
 
 # ---------------------------------------------------------------------------
-# canonical form and isomorphism
+# canonical form
 
 
 def canonicalize_spiny(x: TruncatedSSet) -> TruncatedSSet:
@@ -611,79 +550,6 @@ def canonicalize_spiny(x: TruncatedSSet) -> TruncatedSSet:
     y = from_levels(levels, lambda n, i, s: x.face[(n, i)][s], lambda n, i, s: x.deg[(n, i)][s])
     y.labels = {n: [lab[s] for s in levels[n]] for n, lab in x.labels.items()}
     return y
-
-
-def sset_isomorphic(x: TruncatedSSet, y: TruncatedSSet):
-    """Search for a levelwise isomorphism; returns the level maps or None.
-
-    Seeded at level 1 by backtracking; levels >= 2 are forced through spines,
-    so y must be spiny (all uses here are).
-    """
-    if x.counts != y.counts or x.K != y.K:
-        return None
-    ok, _ = is_spiny(y)
-    if not ok:
-        raise InputError("isomorphism search requires a spiny target")
-    yspine = {}
-    for n in range(2, y.K + 1):
-        yspine[n] = {spine(y, n, s): s for s in y.simplices(n)}
-
-    def complete(phi0, phi1):
-        phi = {0: phi0, 1: phi1}
-        for n in range(2, x.K + 1):
-            tab = []
-            for s in x.simplices(n):
-                sp = tuple(phi1[e] for e in spine(x, n, s))
-                t = yspine[n].get(sp)
-                if t is None:
-                    return None
-                tab.append(t)
-            if len(set(tab)) != len(tab):
-                return None
-            phi[n] = tab
-        for (n, i), ftab in x.face.items():
-            for s in x.simplices(n):
-                if y.face[(n, i)][phi[n][s]] != phi[n - 1][ftab[s]]:
-                    return None
-        for (n, i), stab in x.deg.items():
-            for s in x.simplices(n):
-                if y.deg[(n, i)][phi[n][s]] != phi[n + 1][stab[s]]:
-                    return None
-        return phi
-
-    for phi0 in itertools.permutations(range(x.counts[0])):
-        xdeg = {x.deg[(0, 0)][v]: v for v in x.simplices(0)}
-        ydeg = {y.deg[(0, 0)][v]: v for v in y.simplices(0)}
-
-        def ends(z, e):
-            return (z.face[(1, 1)][e], z.face[(1, 0)][e])
-
-        slots = list(x.simplices(1))
-
-        def bt(k, phi1, used):
-            if k == len(slots):
-                return complete(list(phi0), phi1)
-            e = slots[k]
-            tgt_ends = tuple(phi0[v] for v in ends(x, e))
-            for f in y.simplices(1):
-                if f in used or ends(y, f) != tgt_ends:
-                    continue
-                if (e in xdeg) != (f in ydeg):
-                    continue
-                if e in xdeg and phi0[xdeg[e]] != ydeg[f]:
-                    continue
-                phi1[e] = f
-                used.add(f)
-                res = bt(k + 1, phi1, used)
-                if res is not None:
-                    return res
-                used.remove(f)
-            return None
-
-        res = bt(0, [None] * x.counts[1], set())
-        if res is not None:
-            return res
-    return None
 
 
 # ---------------------------------------------------------------------------

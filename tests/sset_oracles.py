@@ -1,0 +1,163 @@
+"""Exact enumeration oracles for the sset checkers.
+
+membrane_set is a generic backtracker over the simplicial maps from a
+subcomplex of the n-simplex (the spine, the boundary or a triangulation) into
+a truncated simplicial set; the Segal checks count and enumerate membranes
+with an interval DP instead, and the tests compare the two.  sset_isomorphic
+searches for a levelwise isomorphism.
+"""
+
+import itertools
+
+from simpeff import sset
+from simpeff.util import InputError
+
+SPINE = "spine"
+BOUNDARY = "boundary"
+
+
+def _top_cells(n, subset):
+    if subset == SPINE:
+        return [tuple(range(n + 1))] if n == 0 else [(i, i + 1) for i in range(n)]
+    if subset == BOUNDARY:
+        return [tuple(v for v in range(n + 1) if v != i) for i in range(n + 1)]
+    if isinstance(subset, sset.Triangulation):
+        if subset.n != n:
+            raise InputError("triangulation size does not match level")
+        return sorted(subset.triangles, key=lambda t: (t[0], t))
+    raise InputError(f"unknown subset {subset!r}")
+
+
+def membrane_set(x, n: int, subset):
+    """All simplicial maps from the given subcomplex of the n-simplex into x,
+    each a dict cell (vertex tuple) -> simplex id over every cell.
+
+    Backtracking over the maximal cells ordered by smallest vertex; a cell's
+    candidates are filtered through a face-table index on its first already
+    forced codimension-one subcell, then every forced subcell is checked.
+    """
+    if n > x.K + (1 if subset == BOUNDARY else 0) or n < 1:
+        raise InputError(f"membrane level {n} exceeds truncation {x.K}")
+    tops = _top_cells(n, subset)
+    if any(len(c) - 1 > x.K for c in tops):
+        raise InputError("subset has cells above the truncation")
+    tops = sorted(tops, key=lambda c: (c[0], c))
+    out = []
+
+    def forced_cells(cell, value, assign):
+        """Values on all subcells of cell, from its assigned value."""
+        d = len(cell) - 1
+        new = {}
+        for r in range(1, len(cell)):
+            for sub in itertools.combinations(range(len(cell)), r):
+                subcell = tuple(cell[i] for i in sub)
+                v = sset.subface(x, d, value, sub)
+                old = assign.get(subcell, new.get(subcell))
+                if old is not None and old != v:
+                    return None
+                new[subcell] = v
+        return new
+
+    # backtracking mutates one shared dict; forced_cells reports conflicts
+    def rec_safe(k, assign):
+        if k == len(tops):
+            out.append(dict(assign))
+            return
+        cell = tops[k]
+        d = len(cell) - 1
+        cand = None
+        for i in range(len(cell)):
+            subcell = cell[:i] + cell[i + 1:]
+            if d >= 1 and subcell in assign:
+                cand = x.face_index(d, i).get(assign[subcell], [])
+                break
+        if cand is None:
+            cand = x.simplices(d)
+        for value in cand:
+            new = forced_cells(cell, value, assign)
+            if new is None:
+                continue
+            added = [c for c in new if c not in assign]
+            assign.update({c: new[c] for c in added})
+            assign[cell] = value
+            rec_safe(k + 1, assign)
+            del assign[cell]
+            for c in added:
+                del assign[c]
+
+    rec_safe(0, {})
+    out.sort(key=lambda m: tuple(sorted(m.items())))
+    return out
+
+
+def sset_isomorphic(x, y):
+    """Search for a levelwise isomorphism; returns the level maps or None.
+
+    Seeded at level 1 by backtracking; levels >= 2 are forced through spines,
+    so y must be spiny (all uses here are).
+    """
+    if x.counts != y.counts or x.K != y.K:
+        return None
+    ok, _ = sset.is_spiny(y)
+    if not ok:
+        raise InputError("isomorphism search requires a spiny target")
+    yspine = {}
+    for n in range(2, y.K + 1):
+        yspine[n] = {sset.spine(y, n, s): s for s in y.simplices(n)}
+
+    def complete(phi0, phi1):
+        phi = {0: phi0, 1: phi1}
+        for n in range(2, x.K + 1):
+            tab = []
+            for s in x.simplices(n):
+                sp = tuple(phi1[e] for e in sset.spine(x, n, s))
+                t = yspine[n].get(sp)
+                if t is None:
+                    return None
+                tab.append(t)
+            if len(set(tab)) != len(tab):
+                return None
+            phi[n] = tab
+        for (n, i), ftab in x.face.items():
+            for s in x.simplices(n):
+                if y.face[(n, i)][phi[n][s]] != phi[n - 1][ftab[s]]:
+                    return None
+        for (n, i), stab in x.deg.items():
+            for s in x.simplices(n):
+                if y.deg[(n, i)][phi[n][s]] != phi[n + 1][stab[s]]:
+                    return None
+        return phi
+
+    for phi0 in itertools.permutations(range(x.counts[0])):
+        xdeg = {x.deg[(0, 0)][v]: v for v in x.simplices(0)}
+        ydeg = {y.deg[(0, 0)][v]: v for v in y.simplices(0)}
+
+        def ends(z, e):
+            return (z.face[(1, 1)][e], z.face[(1, 0)][e])
+
+        slots = list(x.simplices(1))
+
+        def bt(k, phi1, used):
+            if k == len(slots):
+                return complete(list(phi0), phi1)
+            e = slots[k]
+            tgt_ends = tuple(phi0[v] for v in ends(x, e))
+            for f in y.simplices(1):
+                if f in used or ends(y, f) != tgt_ends:
+                    continue
+                if (e in xdeg) != (f in ydeg):
+                    continue
+                if e in xdeg and phi0[xdeg[e]] != ydeg[f]:
+                    continue
+                phi1[e] = f
+                used.add(f)
+                res = bt(k + 1, phi1, used)
+                if res is not None:
+                    return res
+                used.remove(f)
+            return None
+
+        res = bt(0, [None] * x.counts[1], set())
+        if res is not None:
+            return res
+    return None

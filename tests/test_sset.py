@@ -9,6 +9,7 @@ from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
 from conftest import random_magma
+from sset_oracles import BOUNDARY, SPINE, membrane_set, sset_isomorphic
 
 I, J = 2, 4  # Q8 ids for i and j
 
@@ -58,7 +59,7 @@ def test_from_nondegenerate_matches_standard_simplex():
     built = sset.from_nondegenerate(3, gens)
     assert sset.validate(built) == []
     assert built.counts == sset.standard_simplex(2, 3).counts
-    assert sset.sset_isomorphic(built, sset.standard_simplex(2, 3)) is not None
+    assert sset_isomorphic(built, sset.standard_simplex(2, 3)) is not None
 
 
 def test_from_nondegenerate_circle_matches_formulas():
@@ -67,7 +68,7 @@ def test_from_nondegenerate_circle_matches_formulas():
     circle = nv.simplicial_circle(4)
     assert sset.validate(built) == []
     assert built.counts == circle.counts
-    assert sset.sset_isomorphic(built, circle) is not None
+    assert sset_isomorphic(built, circle) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +120,26 @@ def test_triangulations_counts():
 
 
 def test_membrane_spine_count(z2_nerve):
-    mems = sset.membrane_set(z2_nerve, 2, sset.SPINE)
+    mems = membrane_set(z2_nerve, 2, SPINE)
     assert len(mems) == 4  # |X_1|^2 with a single vertex
 
 
 def test_membrane_spine_cardinality_reduced():
     x = nv.comm_nerve(nv.symmetric_group(3), None, 3)
     for n in (2, 3):
-        assert len(sset.membrane_set(x, n, sset.SPINE)) == x.counts[1] ** n
+        assert len(membrane_set(x, n, SPINE)) == x.counts[1] ** n
 
 
 def test_membrane_triangulation_q8(q8_nerve):
     tri = sset.Triangulation(3, ((0, 1, 3), (1, 2, 3)))
-    mems = sset.membrane_set(q8_nerve, 3, tri)
+    mems = membrane_set(q8_nerve, 3, tri)
     spines = {tuple(m[(i, i + 1)] for i in range(3)) for m in mems}
     assert (J, I, I) in spines
 
 
 def test_membrane_boundary_delta3():
     x = sset.standard_simplex(3, 3)
-    mems = sset.membrane_set(x, 3, sset.BOUNDARY)
+    mems = membrane_set(x, 3, BOUNDARY)
     assert len(mems) == x.counts[3]
     top = [m for m in mems if all(
         m[tuple(v for v in range(4) if v != i)] == x.face[(3, i)][x.counts[3] - 1]
@@ -148,7 +149,7 @@ def test_membrane_boundary_delta3():
 
 def test_membrane_boundary_matches_tuple_enumeration(q8_nerve):
     tuples = sset.boundary_membranes(q8_nerve, 3)
-    mems = sset.membrane_set(q8_nerve, 3, sset.BOUNDARY)
+    mems = membrane_set(q8_nerve, 3, BOUNDARY)
     keys = {tuple(m[tuple(v for v in range(4) if v != i)] for i in range(4)) for m in mems}
     assert keys == set(tuples)
 
@@ -175,7 +176,7 @@ def test_two_segal_fails_q8_with_jii_witness():
     tri = sset.Triangulation(3, ((0, 1, 3), (1, 2, 3)))
     spines3 = {tuple(lbl) for lbl in x.labels[3]}
     mem_spines = {tuple(m[(i, i + 1)] for i in range(3))
-                  for m in sset.membrane_set(x, 3, tri)}
+                  for m in membrane_set(x, 3, tri)}
     assert (J, I, I) in mem_spines and (J, I, I) not in spines3
 
 
@@ -244,7 +245,7 @@ def _spine_cells(n):
 def oracle_two_segal(x):
     for n in range(3, x.K + 1):
         for tri in sset.triangulations(n):
-            mems = {_key(m): None for m in sset.membrane_set(x, n, tri)}
+            mems = {_key(m): None for m in membrane_set(x, n, tri)}
             for s in x.simplices(n):
                 key = _key(_restrict(x, n, s, tri.triangles))
                 assert key in mems
@@ -264,7 +265,7 @@ def oracle_weakly_two_segal(x):
         groups = []
         for tri in tris:
             g = {}
-            for m in sset.membrane_set(x, n, tri):
+            for m in membrane_set(x, n, tri):
                 g.setdefault(_spine_key(m, n), []).append(_key(m))
             groups.append(g)
         common = set.intersection(*(set(g) for g in groups))
@@ -331,7 +332,7 @@ def test_segal_counting_matches_enumeration():
         verdicts.update({("2", two[0] or two[1][0]), ("w", weak[0] or weak[1][0])})
         for n in range(2, x.K + 1):
             for tri in sset.triangulations(n):
-                mems = sset.membrane_set(x, n, tri)
+                mems = membrane_set(x, n, tri)
                 counts = sset.membrane_counts(x, n, tri)
                 assert sum(counts.values()) == len(mems), (name, tri)
                 spines = {}
@@ -470,7 +471,7 @@ def test_isomorphic_rejects_different():
     a = nerve_of(nv.magma_of_group(nv.cyclic_group(2)), 3)
     l2 = palg.interval_effect_algebra(2)
     b = nerve_of(l2.magma, 3)
-    assert sset.sset_isomorphic(a, b) is None
+    assert sset_isomorphic(a, b) is None
 
 
 def test_sset_json_roundtrip(q8_nerve):
@@ -481,14 +482,8 @@ def test_sset_json_roundtrip(q8_nerve):
 def test_membrane_boundary_above_truncation(q8_nerve):
     # boundary membranes are available one level above the truncation
     x = sset.truncate(q8_nerve, 3)
-    mems = sset.membrane_set(x, 4, sset.BOUNDARY)
+    mems = membrane_set(x, 4, BOUNDARY)
     assert len(mems) == q8_nerve.counts[4]
     with pytest.raises(InputError):
-        sset.membrane_set(x, 4, sset.SPINE)
+        membrane_set(x, 4, SPINE)
 
-
-def test_membrane_assignment_carries_subset(q8_nerve):
-    tri = sset.triangulations(3)[0]
-    mems = sset.membrane_set(q8_nerve, 3, tri)
-    assert mems and mems[0].subset == tri
-    assert isinstance(mems[0].data, dict)
