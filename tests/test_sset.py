@@ -486,4 +486,3 @@ def test_membrane_boundary_above_truncation(q8_nerve):
     assert len(mems) == q8_nerve.counts[4]
     with pytest.raises(InputError):
         membrane_set(x, 4, SPINE)
-
