@@ -14,6 +14,8 @@ from simpeff import cli, palg
 from simpeff import nerve as nv
 from simpeff.report import EXIT_INTERNAL
 
+from test_golden import _inputs
+
 
 @pytest.fixture()
 def q8_file(tmp_path):
@@ -254,8 +256,6 @@ JUNK = st.one_of(st.none(), st.integers(-3, 40), st.text(max_size=3),
 
 @functools.cache
 def _fuzz_inputs():
-    from test_golden import _inputs
-
     return {name: body for name, body in _inputs().items() if name in FUZZ_INPUTS}
 
 
