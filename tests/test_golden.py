@@ -33,6 +33,10 @@ def _inputs():
         l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 3), 3)).to_json_dict()
     tau2 = bad_tau["tau"]["2"]
     tau2[0], tau2[1] = tau2[1], tau2[0]
+    corrupt = cyc.effect_nerve_cyclic(
+        l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 4), 4)).to_json_dict()
+    faces = corrupt["faces"]["2,1"]
+    faces[-1] = (faces[-1] + 1) % corrupt["counts"][1]
     return {
         "q8.json": q8.to_json_dict(),
         "d4.json": d4.to_json_dict(),
@@ -53,6 +57,9 @@ def _inputs():
             z4, 4, nv.translation_action(z4), [0, 1, 2], 4)).to_json_dict(),
         # fails the cyclic relations and ortho-1
         "bad-tau-cyclic.json": bad_tau,
+        # the L2 effect nerve with one level-2 face moved to another edge:
+        # fails the simplicial identities
+        "corrupt-l2.json": corrupt,
         # fails spiny with a collision witness
         "split-spine.json": sset.cosk2_extend(sset.two_triangles_shared_spine(2), 3).to_json_dict(),
         "l2-perp-not-involution.json": dict(l2.to_json_dict(), orthocomplement=[2, 0, 1]),
@@ -86,11 +93,19 @@ SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("ly-s3.json", "--levels", "4"), ("cn-z4.json",))
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
-# failing batteries, the two narrowed cyclic suites and the effect-algebra axioms
+# failing batteries, the two narrowed cyclic suites (also below level 3 and
+# on a set that breaks the simplicial identities) and the effect-algebra axioms
 CHECKS = (("cyclic", "z2-cyclic.json"), ("cyclic", "ly-z4-cyclic.json"),
           ("cyclic", "bad-tau-cyclic.json"),
           ("cyclic", "z2-cyclic.json", "--simplicial-effect"),
           ("cyclic", "ly-z4-cyclic.json", "--effect-algebroid"),
+          ("cyclic", "ly-z4-cyclic.json", "--simplicial-effect"),
+          ("cyclic", "en-l2.json", "--levels", "2"),
+          ("cyclic", "en-l2.json", "--levels", "2", "--simplicial-effect"),
+          ("cyclic", "en-l2.json", "--levels", "2", "--effect-algebroid"),
+          ("cyclic", "corrupt-l2.json"),
+          ("cyclic", "corrupt-l2.json", "--levels", "2"),
+          ("cyclic", "corrupt-l2.json", "--levels", "2", "--simplicial-effect"),
           ("sset", "split-spine.json"),
           ("effect-algebra", "bool2.json"), ("effect-algebra", "l2-perp-not-involution.json"))
 
@@ -266,6 +281,34 @@ GOLDEN = {
         (1, "7e1528287cd2c97c1cdf76491c50f842ad408ad568e70e5470d149322fdd65f2"),
     'check cyclic --in ly-z4-cyclic.json --effect-algebroid --json':
         (1, "8ed4657b40d7a79dddebddeb861dde78a7f242890016c7dbc6af2ff0e6477359"),
+    'check cyclic --in ly-z4-cyclic.json --simplicial-effect':
+        (1, "6238afd64547947e1c0f7ebd3e3542ed5d1cfff85050ec4abdb20b2d0d878882"),
+    'check cyclic --in ly-z4-cyclic.json --simplicial-effect --json':
+        (1, "7224707b112397117e97d25ef408fa99689d7c263c7079c5e3dc61189f92cf18"),
+    'check cyclic --in en-l2.json --levels 2':
+        (0, "7a3f7f9bfc32d81ea2b3ed9d5f68babf830172a060f7fff504539b0d6f09ce06"),
+    'check cyclic --in en-l2.json --levels 2 --json':
+        (0, "ec652f06b36d72d9f38afeab1109053a548a9b24c5171cd79d7bb8016782b586"),
+    'check cyclic --in en-l2.json --levels 2 --simplicial-effect':
+        (0, "40dfb1a464556f4e5a2d186d5c025e3c8adf501071fc8e39b6b4294ed44be5eb"),
+    'check cyclic --in en-l2.json --levels 2 --simplicial-effect --json':
+        (0, "1e74a0a4480e3c34710583bcc0dfbb8924bdb48f40939ac29614040156349db5"),
+    'check cyclic --in en-l2.json --levels 2 --effect-algebroid':
+        (0, "69a67c1838041bb463bffd7859d905aee06251c951723bc007f0a1a3edfdfb59"),
+    'check cyclic --in en-l2.json --levels 2 --effect-algebroid --json':
+        (0, "1bd58ceea75c2b2f2a002f2b57907ecb13ba311107aac873c341e2eeb67c44da"),
+    'check cyclic --in corrupt-l2.json':
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'check cyclic --in corrupt-l2.json --json':
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'check cyclic --in corrupt-l2.json --levels 2':
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'check cyclic --in corrupt-l2.json --levels 2 --json':
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'check cyclic --in corrupt-l2.json --levels 2 --simplicial-effect':
+        (1, "cb78c41ad2559bdaa20bd210f64a9792e7f98d2e11d23ddb66ee38f3f33aa326"),
+    'check cyclic --in corrupt-l2.json --levels 2 --simplicial-effect --json':
+        (1, "119435bc836c471ed7084fc05e220a9a4ca9f096d378dd0da8c03fd2385c60f7"),
     'check sset --in split-spine.json':
         (1, "801a1ea15a7ceea0ca89daeacffb64ced685f601929bcda9ab51e7f36a995c13"),
     'check sset --in split-spine.json --json':
