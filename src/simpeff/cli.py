@@ -75,10 +75,8 @@ def _sset_battery(x, rep):
     if x.K >= 3:
         ok, wit = sset.is_coskeletal_2(x)
         rep.add(Check("2-coskeletal", ok, None if ok else wit))
-        ok, wit = sset.is_two_segal(x)
-        rep.add(Check("2-segal", ok, None if ok else _segal_witness(wit)))
-        ok, wit = sset.is_weakly_two_segal(x)
-        rep.add(Check("weakly-2-segal", ok, None if ok else _segal_witness(wit)))
+        for name, (ok, wit) in zip(("2-segal", "weakly-2-segal"), sset.segal(x)):
+            rep.add(Check(name, ok, None if ok else _segal_witness(wit)))
     else:
         for name in ("2-coskeletal", "2-segal", "weakly-2-segal"):
             rep.add(Check(name, True, "truncation below 3", skipped=True))
@@ -112,26 +110,8 @@ def _check_cyclic(path, args):
         c = _truncate_cyclic(c, args.levels)
     rep = CheckReport(subject=f"cyclic {path}", bound=c.base.K)
     narrowed = args.simplicial_effect or args.effect_algebroid
-    rel = cyc.validate_cyclic(c)
-    badrel = [r for r in rel if not r.ok]
-    rep.add(Check("cyclic-relations", not badrel,
-                  f"{badrel[0].name} witness {badrel[0].witness}" if badrel else None))
-    if args.simplicial_effect or not narrowed:
-        ok, checks = cyc.is_simplicial_effect(c)
-        for ch in checks:
-            if ch.name != "cyclic-relations":
-                rep.add(Check(f"simplicial-effect/{ch.name}", ch.ok, ch.witness,
-                              skipped=ch.skipped))
-        failed = [ch.name for ch in checks if not ch.ok and not ch.skipped]
-        rep.add(Check("simplicial-effect", ok, None if ok else f"failed: {failed}"))
-    if args.effect_algebroid or not narrowed:
-        conds = cyc.effect_algebroid_conditions(c)
-        for key in ("two_segal", "U", "Z"):
-            rep.add(Check(f"effect-algebroid/{key}", conds[key],
-                          None if conds[key] else conds[f"{key}_witness"]))
-        failed = [k for k in ("two_segal", "U", "Z", "cyclic_valid") if not conds[k]]
-        rep.add(Check("effect-algebroid", conds["member"],
-                      None if conds["member"] else f"failed: {failed}"))
+    rep.extend(cyc.battery(c, effect=args.simplicial_effect or not narrowed,
+                           algebroid=args.effect_algebroid or not narrowed))
     if not narrowed:
         rep.extend(cyc.orthocomplement_laws(c))
     found = states.find_state(c) if args.states else None

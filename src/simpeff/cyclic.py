@@ -3,15 +3,15 @@
 A cyclic structure is a per-level permutation tau_n satisfying the dualized
 cyclic-category relations; tau_1 plays the role of the orthocomplement.
 Includes the group-nerve and effect-nerve constructions, the orthocomplement
-laws, and the simplicial-effect / effect-algebroid condition batteries.
+laws, and one battery for the simplicial-effect suite and the
+effect-algebroid conditions.
 """
 
 from __future__ import annotations
 
 from .palg import FiniteEffectAlgebra, ea_sum
 from .nerve import FiniteGroup
-from .sset import (TruncatedSSet, is_inverseless_sset, is_spiny, is_two_segal,
-                   is_weakly_two_segal, validate)
+from .sset import TruncatedSSet, is_inverseless_sset, is_spiny, segal, validate
 from .util import Check, InputError, first_collision, first_failure
 
 
@@ -27,6 +27,9 @@ class CyclicSSet:
 
     def check_shape(self):
         self.base.check_shape()
+        extra = sorted(set(self.tau) - set(range(1, self.base.K + 1)))
+        if extra:
+            raise InputError(f"tau at level {extra[0]} outside truncation {self.base.K}")
         for n in range(1, self.base.K + 1):
             t = self.tau.get(n)
             if t is None or len(t) != self.base.counts[n]:
@@ -166,46 +169,44 @@ def orthocomplement_laws(c: CyclicSSet):
     ]
 
 
-def is_simplicial_effect(c: CyclicSSet):
-    """Spiny, inverseless, weakly 2-Segal, valid cyclic relations."""
-    x = c.base
-    checks = []
-    checks.append(Check("simplicial-identities", not validate(x)))
-    rel = validate_cyclic(c)
-    bad = [r for r in rel if not r.ok]
-    checks.append(Check("cyclic-relations", not bad, bad[0].name if bad else None))
-    ok, wit = is_spiny(x)
-    checks.append(Check("spiny", ok, wit if not ok else None))
-    ok, wit = is_inverseless_sset(x)
-    checks.append(Check("inverseless", ok,
-                        x.label(2, wit) if not ok else None))
-    if x.K >= 3:
-        ok, wit = is_weakly_two_segal(x)
-        checks.append(Check("weakly-2-segal", ok, wit if not ok else None))
-    else:
-        checks.append(Check("weakly-2-segal", True, "truncation below 3", skipped=True))
-    return all(ch.ok for ch in checks if not ch.skipped), checks
+def battery(c: CyclicSSet, effect=True, algebroid=True):
+    """The cyclic relations, then the simplicial-effect suite and the
+    effect-algebroid conditions, as report checks, each fact computed once.
 
-
-def effect_algebroid_conditions(c: CyclicSSet):
-    """Roumen's characterization: 2-Segal, (U) sub-pullback, (Z) pullback.
-
-    (U) is injectivity of (d_2, d_0) on 2-simplices into composable pairs of
-    edges.  Membership additionally requires the cyclic relations.
+    The simplicial-effect suite asks for the simplicial identities, spiny,
+    inverseless and weakly 2-Segal sub-checks and valid cyclic relations.
+    The effect-algebroid conditions are Roumen's characterization: 2-Segal,
+    (U) injectivity of (d_2, d_0) on 2-simplices into composable pairs of
+    edges, (Z) the inverseless pullback, and valid cyclic relations.  effect
+    and algebroid pick the suites; the Segal pass runs for the algebroid
+    suite at any truncation, which raises StructureError unless the
+    simplicial identities hold, and for the effect suite from level 3 up.
     """
     x = c.base
-    two, two_wit = is_two_segal(x)
-    u_wit = first_collision(zip(x.face[(2, 2)], x.face[(2, 0)]))
-    u_ok = u_wit is None
-    z_ok, z_wit = is_inverseless_sset(x)
-    rel_ok = not [r for r in validate_cyclic(c) if not r.ok]
-    return {
-        "two_segal": two,
-        "two_segal_witness": two_wit,
-        "U": u_ok,
-        "U_witness": u_wit,
-        "Z": z_ok,
-        "Z_witness": z_wit,
-        "cyclic_valid": rel_ok,
-        "member": two and u_ok and z_ok and rel_ok,
-    }
+    badrel = [r for r in validate_cyclic(c) if not r.ok]
+    checks = [Check("cyclic-relations", not badrel,
+                    f"{badrel[0].name} witness {badrel[0].witness}" if badrel else None)]
+    inv_ok, inv_wit = is_inverseless_sset(x)
+    if algebroid or (effect and x.K >= 3):
+        two, weak = segal(x)
+    if effect:
+        suite = [Check("simplicial-identities", not validate(x)),
+                 Check("cyclic-relations", not badrel),
+                 Check("spiny", *is_spiny(x)),
+                 Check("inverseless", inv_ok, None if inv_ok else x.label(2, inv_wit)),
+                 Check("weakly-2-segal", *weak) if x.K >= 3 else
+                 Check("weakly-2-segal", True, "truncation below 3", skipped=True)]
+        checks += [Check(f"simplicial-effect/{ch.name}", ch.ok, ch.witness, ch.skipped)
+                   for ch in suite if ch.name != "cyclic-relations"]
+        failed = [ch.name for ch in suite if not ch.ok]
+        checks.append(Check("simplicial-effect", not failed,
+                            f"failed: {failed}" if failed else None))
+    if algebroid:
+        u_wit = first_collision(zip(x.face[(2, 2)], x.face[(2, 0)]))
+        conds = [Check("two_segal", *two), Check("U", u_wit is None, u_wit),
+                 Check("Z", inv_ok, inv_wit), Check("cyclic_valid", not badrel)]
+        checks += [Check(f"effect-algebroid/{ch.name}", ch.ok, ch.witness) for ch in conds[:3]]
+        failed = [ch.name for ch in conds if not ch.ok]
+        checks.append(Check("effect-algebroid", not failed,
+                            f"failed: {failed}" if failed else None))
+    return checks

@@ -20,6 +20,7 @@ class TruncatedSSet:
 
     face[(n, i)] : X_n -> X_{n-1} for 1 <= n <= K, 0 <= i <= n
     deg[(n, i)]  : X_n -> X_{n+1} for 0 <= n < K, 0 <= i <= n
+    and no other keys (check_shape rejects any outside the truncation).
     labels is optional per-level metadata for readable witnesses; it is
     ignored by equality and serialization.
     """
@@ -60,20 +61,19 @@ class TruncatedSSet:
     def check_shape(self):
         if self.K < 2 or len(self.counts) != self.K + 1:
             raise InputError("counts must list levels 0..K with K >= 2")
-        for n in range(1, self.K + 1):
-            for i in range(n + 1):
-                tab = self.face.get((n, i))
+        # faces map level n down, degeneracies up; exactly these keys may occur
+        for kind, tables, levels, step in (("face", self.face, range(1, self.K + 1), -1),
+                                           ("degeneracy", self.deg, range(self.K), 1)):
+            keys = [(n, i) for n in levels for i in range(n + 1)]
+            extra = sorted(set(tables) - set(keys))
+            if extra:
+                raise InputError(f"{kind} table {extra[0]} outside truncation {self.K}")
+            for n, i in keys:
+                tab = tables.get((n, i))
                 if tab is None or len(tab) != self.counts[n]:
-                    raise InputError(f"missing or missized face table {(n, i)}")
-                if any(not (0 <= v < self.counts[n - 1]) for v in tab):
-                    raise InputError(f"face table {(n, i)} value out of range")
-        for n in range(self.K):
-            for i in range(n + 1):
-                tab = self.deg.get((n, i))
-                if tab is None or len(tab) != self.counts[n]:
-                    raise InputError(f"missing or missized degeneracy table {(n, i)}")
-                if any(not (0 <= v < self.counts[n + 1]) for v in tab):
-                    raise InputError(f"degeneracy table {(n, i)} value out of range")
+                    raise InputError(f"missing or missized {kind} table {(n, i)}")
+                if any(not (0 <= v < self.counts[n + step]) for v in tab):
+                    raise InputError(f"{kind} table {(n, i)} value out of range")
 
     def to_json_dict(self):
         return {
@@ -355,13 +355,6 @@ def _least_unfilled(x: TruncatedSSet, n: int, tri: Triangulation, sub):
     return tuple(least[order.index((i, i + 1))] for i in range(n))
 
 
-def _require_valid(x: TruncatedSSet):
-    bad = validate(x)
-    if bad:
-        raise StructureError(f"simplicial identities fail at {bad[0]}; "
-                             "the Segal checks need a simplicial set")
-
-
 def _spine_order(x: TruncatedSSet, sp):
     """Sort key of a spine: its vertices and edges interleaved,
     (v_0, e_0, v_1, e_1, .., e_{n-1}, v_n)."""
@@ -371,68 +364,70 @@ def _spine_order(x: TruncatedSSet, sp):
     return tuple(key)
 
 
-def is_two_segal(x: TruncatedSSet):
-    """Every triangulation membrane map X_n -> MS(T, x) bijective, 3 <= n <= K.
+def segal(x: TruncatedSSet):
+    """2-Segal and weak 2-Segal in one pass: (two, weak), each (ok, witness).
 
-    A simplex restricts to T as the tuple of its 2-faces on T's triangles,
-    read off the subface table of level n.  Injectivity hashes these tuples
-    in simplex order; surjectivity compares |MS(T)| from membrane_counts
-    with |X_n|.  Only when |MS(T)| is larger does _least_unfilled enumerate
-    the membranes of T, through the same join that counts them, to find the
-    least that no simplex hits.  Triangulations go in triangulations(n)
-    order, and collisions are looked for before unfilled membranes.  Raises
-    StructureError unless the simplicial identities hold.
+    2-Segal: every triangulation membrane map X_n -> MS(T, x) is bijective,
+    3 <= n <= K.  A simplex restricts to T as the tuple of its 2-faces on
+    T's triangles, read off the subface table of level n.  Injectivity
+    hashes these tuples in simplex order; surjectivity compares |MS(T)| from
+    membrane_counts with |X_n|.  Only when |MS(T)| is larger does
+    _least_unfilled enumerate the membranes of T, through the same join that
+    counts them, to find the least that no simplex hits.  Triangulations go
+    in triangulations(n) order, and collisions are looked for before
+    unfilled membranes.
 
-    Witness: ("unfilled", n, T, spine-of-membrane) for a membrane with no
-    simplex, ("collision", n, T, s1, s2) for a doubly hit one.
-    """
-    _require_valid(x)
-    for n in range(3, x.K + 1):
-        sub = subface_tables(x, n)
-        for tri in triangulations(n):
-            pair = first_collision(zip(*(sub[t] for t in tri.triangles)))
-            if pair is not None:
-                return False, ("collision", n, tri) + pair
-            if sum(membrane_counts(x, n, tri).values()) > x.counts[n]:
-                return False, ("unfilled", n, tri, _least_unfilled(x, n, tri, sub))
-    return True, None
-
-
-def is_weakly_two_segal(x: TruncatedSSet):
-    """X_n must biject onto spine-compatible families of triangulation membranes.
-
-    The limit is over the poset containing the spine and every triangulation
-    subcomplex, so a family is one membrane per triangulation, all agreeing
+    Weak 2-Segal: X_n bijects onto spine-compatible families of
+    triangulation membranes, one membrane per triangulation, all agreeing
     on the spine.  Every vertex triple of the polygon lies in some
-    triangulation, so a simplex's image in the limit is the tuple of all its
-    2-faces; injectivity hashes these in simplex order.  A spine sp carries
+    triangulation, so a simplex's image is the tuple of all its 2-faces;
+    injectivity hashes these in simplex order.  A spine sp carries
     prod_T membrane_counts(T)[sp] families, and the map is onto iff these
-    sum to |X_n|.  Otherwise the witness is the least spine, with vertices
-    and edges interleaved as in _spine_order, that has more families than
-    simplices.  Raises StructureError unless the simplicial identities hold.
+    sum to |X_n|.  Otherwise the witness is the least spine, in
+    _spine_order, that has more families than simplices.
 
-    Witness: ("collision", n, s1, s2) or ("unfilled", n, spine edges).
+    Each level builds its subface tables once, and each triangulation's
+    membrane counts serve both verdicts; the pass stops once both have
+    failed.  Below level 3 both hold vacuously.  Raises StructureError
+    unless the simplicial identities hold.
+
+    Witnesses: 2-Segal ("collision", n, T, s1, s2) or ("unfilled", n, T,
+    spine-of-membrane); weak ("collision", n, s1, s2) or ("unfilled", n,
+    spine edges).
     """
-    if x.K < 3:
-        raise InputError("weak 2-Segal check needs K >= 3")
-    _require_valid(x)
+    bad = validate(x)
+    if bad:
+        raise StructureError(f"simplicial identities fail at {bad[0]}; "
+                             "the Segal checks need a simplicial set")
+    two = weak = (True, None)
     for n in range(3, x.K + 1):
+        if not (two[0] or weak[0]):
+            break
         sub = subface_tables(x, n)
-        triples = itertools.combinations(range(n + 1), 3)
-        pair = first_collision(zip(*(sub[t] for t in triples)))
-        if pair is not None:
-            return False, ("collision", n) + pair
+        if weak[0]:
+            pair = first_collision(zip(*(sub[t] for t in itertools.combinations(range(n + 1), 3))))
+            if pair is not None:
+                weak = False, ("collision", n) + pair
         families = None
         for tri in triangulations(n):
+            if two[0]:
+                pair = first_collision(zip(*(sub[t] for t in tri.triangles)))
+                if pair is not None:
+                    two = False, ("collision", n, tri) + pair
+            if not (two[0] or weak[0]):
+                break
             counts = membrane_counts(x, n, tri)
-            families = counts if families is None else {
-                sp: f * counts[sp] for sp, f in families.items() if sp in counts}
-        if sum(families.values()) > x.counts[n]:
+            if two[0] and sum(counts.values()) > x.counts[n]:
+                two = False, ("unfilled", n, tri, _least_unfilled(x, n, tri, sub))
+            if weak[0]:
+                families = counts if families is None else {
+                    sp: f * counts[sp] for sp, f in families.items() if sp in counts}
+        if weak[0] and sum(families.values()) > x.counts[n]:
             hits = Counter(zip(*(sub[(i, i + 1)] for i in range(n))))
             sp = min((sp for sp, f in families.items() if f > hits[sp]),
                      key=lambda sp: _spine_order(x, sp))
-            return False, ("unfilled", n, sp)
-    return True, None
+            weak = False, ("unfilled", n, sp)
+    return two, weak
 
 
 def boundary_membranes(x: TruncatedSSet, n: int):

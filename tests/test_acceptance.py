@@ -35,7 +35,7 @@ def test_criterion_1_action_partial_group():
     pairs = set(ly.labels[2])
     assert {(1, 1), (2, 1), (1, 2)} <= pairs
     assert (1, 1, 1) not in set(ly.labels[3])
-    ok, wit = sset.is_weakly_two_segal(ly)
+    _, (ok, wit) = sset.segal(ly)
     assert not ok and wit[0] == "unfilled" and wit[1] == 3
     assert tuple(wit[2]) == (1, 1, 1)
     # Chermak partial-group validity on the word domain, inversion included
@@ -66,10 +66,10 @@ def test_criterion_2_commutative_nerves():
         assert sset.is_spiny(x)[0], name
         assert sset.is_reduced(x), name
         assert sset.is_coskeletal_2(x)[0], name
-        assert sset.is_weakly_two_segal(x)[0], name
+        (two, wit), weak = sset.segal(x)
+        assert weak[0], name
         ok, _ = palg.is_weakly_associative_partial_group(nv.commuting_magma(g), 3)
         assert ok, name
-        two, wit = sset.is_two_segal(x)
         assert not two and wit[0] == "unfilled", name
     # the Q8 witness family contains the spine (j, i, i); oracle is plain
     # brute force over commuting tuples in the group
@@ -132,16 +132,15 @@ def test_criterion_5_simplicial_effect_suite():
         e = palg.interval_effect_algebra(n)
         c = cyc.effect_nerve_cyclic(e, nerve_of(e.magma, 4))
         generated.append(c)
-        ok, _ = cyc.is_simplicial_effect(c)
-        assert ok, f"L{n}"
-        conds = cyc.effect_algebroid_conditions(c)
-        assert conds["member"], f"L{n}"
+        checks = {ch.name: ch for ch in cyc.battery(c)}
+        assert checks["simplicial-effect"].ok, f"L{n}"
+        assert checks["effect-algebroid"].ok, f"L{n}"
     z2 = nv.cyclic_group(2)
     cz = cyc.group_nerve_cyclic(z2, 1, nerve_of(nv.magma_of_group(z2), 4))
     generated.append(cz)
-    ok, checks = cyc.is_simplicial_effect(cz)
-    assert not ok
-    inv = next(ch for ch in checks if ch.name == "inverseless")
+    checks = {ch.name: ch for ch in cyc.battery(cz, algebroid=False)}
+    assert not checks["simplicial-effect"].ok
+    inv = checks["simplicial-effect/inverseless"]
     assert not inv.ok and inv.witness == (1, 1)
     for c in generated:
         assert all(ch.ok for ch in cyc.orthocomplement_laws(c))

@@ -4,13 +4,16 @@ import functools
 import io
 import json
 import os
+import sys
 import tempfile
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from simpeff import cli, palg
+from simpeff import cli, palg, sset
+from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff.report import EXIT_INTERNAL
 
@@ -171,6 +174,9 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("quantum-demo", "--levels", "3"),
     ("build", "s1", "--json"),
     ("build", "action-pg", "--group", "z2.json", "--y", ""),
+    ("check", "sset", "--in", "face-2-7.json"),
+    ("check", "cyclic", "--in", "deg-9-0.json"),
+    ("states", "--cyclic", "tau-7.json"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -189,6 +195,13 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     l2 = json.loads((tmp_path / "l2.json").read_text())
     for name, tau in (("list", [[0]]), ("int", 3), ("null", None)):
         (tmp_path / f"tau-{name}.json").write_text(json.dumps(dict(l2, tau=tau)))
+    # one table more, keyed outside the truncation K = 4
+    for name, field, key, copied in (("face-2-7", "faces", "2,7", "2,0"),
+                                     ("deg-9-0", "degeneracies", "9,0", "0,0"),
+                                     ("tau-7", "tau", "7", "1")):
+        extra = copy.deepcopy(l2)
+        extra[field][key] = extra[field][copied]
+        (tmp_path / f"{name}.json").write_text(json.dumps(extra))
     (tmp_path / "z3.json").write_text(json.dumps(nv.cyclic_group(3).to_json_dict()))
     (tmp_path / "bad-action.json").write_text(
         json.dumps({"z_size": 3, "table": [[0, 1, 2], [1, 7, 0], [2, 0, 1]]}))
@@ -200,6 +213,46 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys):
+    """check sset and check cyclic --states --hc1 validate the structure at
+    most twice (the report and the Segal guard), the cyclic relations and
+    inverselessness once, build each level's subface tables once and count
+    each triangulation's membranes once."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            key = args[1:] if name in ("subface_tables", "membrane_counts") else ()
+            calls[(name,) + key] += 1
+            return fn(*args)
+        return wrapper
+
+    originals = {fn.__name__: fn for fn in (sset.validate, cyc.validate_cyclic,
+                                            sset.is_inverseless_sset, sset.subface_tables,
+                                            sset.membrane_counts)}
+    for module in [m for name, m in sys.modules.items() if name.startswith("simpeff")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in originals.values()):
+                monkeypatch.setattr(module, attr, counting(value.__name__, value))
+    cz4, l2 = tmp_path / "cn-z4.json", tmp_path / "en-l2.json"
+    assert run("build", "comm-nerve", "--group", z4_file, "--out", str(cz4)) == 0
+    assert run("build", "effect-nerve", "--family", "l2", "--out", str(l2)) == 0
+    per_level = {("subface_tables", n) for n in (3, 4)}
+    per_triangulation = {("membrane_counts", n, tri)
+                         for n in (3, 4) for tri in sset.triangulations(n)}
+    # both sets are 2-Segal, so every triangulation is visited
+    for argv, two_segal in ((("check", "sset", "--in", str(cz4)), "  2-segal: pass"),
+                            (("check", "cyclic", "--in", str(l2), "--states", "--hc1"),
+                             "effect-algebroid/two_segal: pass")):
+        calls.clear()
+        run(*argv)
+        assert two_segal in capsys.readouterr().out, argv
+        assert {k: c for k, c in calls.items() if len(k) > 1} == dict.fromkeys(
+            per_level | per_triangulation, 1), argv
+        assert calls[("validate",)] <= 2, argv
+    assert calls[("validate_cyclic",)] == calls[("is_inverseless_sset",)] == 1
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

@@ -137,16 +137,20 @@ def test_ortho_laws_pass_on_all_generated_instances(z2_cyclic_z1):
 # simplicial effects and effect algebroids
 
 
+def battery(c, **suites):
+    """The checks of the cyclic battery by name."""
+    return {ch.name: ch for ch in cyc.battery(c, **suites)}
+
+
 def test_simplicial_effect_l2(l2_cyclic):
-    ok, _ = cyc.is_simplicial_effect(l2_cyclic[2])
-    assert ok
+    assert battery(l2_cyclic[2], algebroid=False)["simplicial-effect"].ok
 
 
 def test_simplicial_effect_fails_z2(z2_cyclic_z1):
     _, x, c = z2_cyclic_z1
-    ok, checks = cyc.is_simplicial_effect(c)
-    assert not ok
-    inv = next(ch for ch in checks if ch.name == "inverseless")
+    checks = battery(c, algebroid=False)
+    assert not checks["simplicial-effect"].ok
+    inv = checks["simplicial-effect/inverseless"]
     assert not inv.ok and inv.witness == (1, 1)
 
 
@@ -154,21 +158,22 @@ def test_simplicial_effect_fails_q8_torsion():
     q8 = nv.quaternion_group()
     x = nv.comm_nerve(q8, 2, 4)
     c = cyc.group_nerve_cyclic(q8, 1, x)
-    ok, checks = cyc.is_simplicial_effect(c)
-    assert not ok
-    assert not next(ch for ch in checks if ch.name == "inverseless").ok
+    checks = battery(c, algebroid=False)
+    assert not checks["simplicial-effect"].ok
+    assert not checks["simplicial-effect/inverseless"].ok
 
 
 def test_effect_algebroid_conditions_l2(l2_cyclic):
-    conds = cyc.effect_algebroid_conditions(l2_cyclic[2])
-    assert conds["two_segal"] and conds["U"] and conds["Z"] and conds["member"]
+    conds = battery(l2_cyclic[2], effect=False)
+    assert all(conds[f"effect-algebroid/{k}"].ok for k in ("two_segal", "U", "Z"))
+    assert conds["effect-algebroid"].ok
 
 
 def test_effect_algebroid_conditions_z2(z2_cyclic_z1):
     z2, x, _ = z2_cyclic_z1
     c0 = cyc.group_nerve_cyclic(z2, 0, x)
-    conds = cyc.effect_algebroid_conditions(c0)
-    assert not conds["Z"] and not conds["member"]
+    conds = battery(c0, effect=False)
+    assert not conds["effect-algebroid/Z"].ok and not conds["effect-algebroid"].ok
 
 
 def test_effect_algebroid_conditions_ly():
@@ -176,8 +181,8 @@ def test_effect_algebroid_conditions_ly():
     ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 4)
     c = cyc.group_nerve_cyclic(z4, 0, ly)  # the one z that stays inside
     assert all_ok(cyc.validate_cyclic(c))
-    conds = cyc.effect_algebroid_conditions(c)
-    assert not conds["two_segal"] and not conds["member"]
+    conds = battery(c, effect=False)
+    assert not conds["effect-algebroid/two_segal"].ok and not conds["effect-algebroid"].ok
 
 
 def test_algebroid_implies_simplicial_effect():
@@ -188,8 +193,9 @@ def test_algebroid_implies_simplicial_effect():
     ] + [cyc.effect_nerve_cyclic(palg.boolean_effect_algebra(2),
                                  nerve_of(palg.boolean_effect_algebra(2).magma, 4))]
     for c in instances:
-        if cyc.effect_algebroid_conditions(c)["member"]:
-            assert cyc.is_simplicial_effect(c)[0]
+        checks = battery(c)
+        if checks["effect-algebroid"].ok:
+            assert checks["simplicial-effect"].ok
 
 
 def test_z3_tau2_orbits():

@@ -160,12 +160,12 @@ def test_membrane_boundary_matches_tuple_enumeration(q8_nerve):
 
 def test_two_segal_abelian_nerve():
     x = nerve_of(nv.magma_of_group(nv.cyclic_group(4)), 4)
-    assert sset.is_two_segal(x)[0]
+    assert sset.segal(x)[0][0]
 
 
 def test_two_segal_fails_q8_with_jii_witness():
     x = nv.comm_nerve(nv.quaternion_group(), None, 3)
-    ok, wit = sset.is_two_segal(x)
+    (ok, wit), _ = sset.segal(x)
     assert not ok and wit[0] == "unfilled"
     # independent brute-force oracle: the (j, i, i) membrane exists under the
     # 1-3 diagonal (both triangles commute elementwise) but j and i do not
@@ -182,17 +182,17 @@ def test_two_segal_fails_q8_with_jii_witness():
 
 def test_two_segal_l2_nerve():
     l2 = palg.interval_effect_algebra(2)
-    assert sset.is_two_segal(nerve_of(l2.magma, 4))[0]
+    assert sset.segal(nerve_of(l2.magma, 4))[0][0]
 
 
 def test_weakly_two_segal(q8_nerve):
-    assert sset.is_weakly_two_segal(q8_nerve)[0]
+    assert sset.segal(q8_nerve)[1][0]
 
 
 def test_weakly_two_segal_ly_fails():
     z4 = nv.cyclic_group(4)
     ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 3)
-    ok, wit = sset.is_weakly_two_segal(ly)
+    _, (ok, wit) = sset.segal(ly)
     assert not ok
     assert wit[0] == "unfilled" and wit[1] == 3 and tuple(wit[2]) == (1, 1, 1)
 
@@ -200,7 +200,7 @@ def test_weakly_two_segal_ly_fails():
 def test_weakly_two_segal_delta_w3_fails():
     w3 = sset.delta_w3()
     assert sset.validate(w3) == []
-    ok, wit = sset.is_weakly_two_segal(w3)
+    _, (ok, wit) = sset.segal(w3)
     assert not ok and wit[0] == "unfilled"
 
 
@@ -209,11 +209,13 @@ def test_two_segal_implies_weakly(q8_nerve):
     instances = [nerve_of(nv.magma_of_group(nv.cyclic_group(3)), 4),
                  nerve_of(l2.magma, 4)]
     for x in instances:
-        assert sset.is_two_segal(x)[0]
-        assert sset.is_weakly_two_segal(x)[0]
+        two, weak = sset.segal(x)
+        assert two[0]
+        assert weak[0]
     # converse separation: Q8 nerve is weakly 2-Segal but not 2-Segal
-    assert sset.is_weakly_two_segal(q8_nerve)[0]
-    assert not sset.is_two_segal(q8_nerve)[0]
+    two, weak = sset.segal(q8_nerve)
+    assert weak[0]
+    assert not two[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +328,7 @@ def test_segal_counting_matches_enumeration():
     verdicts = set()
     for name, x in _oracle_instances():
         assert sset.validate(x) == [], name
-        two, weak = sset.is_two_segal(x), sset.is_weakly_two_segal(x)
+        two, weak = sset.segal(x)
         assert two == oracle_two_segal(x), name
         assert weak == oracle_weakly_two_segal(x), name
         verdicts.update({("2", two[0] or two[1][0]), ("w", weak[0] or weak[1][0])})
@@ -364,8 +366,7 @@ def test_hierarchy_census_three_elements():
     tally = Counter()
     for m in _three_element_magmas():
         x = nerve_of(m, 4)
-        two = sset.is_two_segal(x)
-        weak, _ = sset.is_weakly_two_segal(x)
+        two, (weak, _) = sset.segal(x)
         tally[(palg.classify(m), weak, two[0], sset.is_coskeletal_2(x)[0])] += 1
         assert sset.is_inverseless_sset(x)[0] == palg.is_inverseless(m), m.product
         assert two == oracle_two_segal(x), m.product
@@ -387,7 +388,7 @@ def test_segal_checks_need_simplicial_identities():
     x = nv.comm_nerve(nv.quaternion_group(), None, 3)
     x.face[(2, 1)][x.counts[2] - 1] = x.face[(2, 1)][0]
     assert sset.validate(x)
-    for check in (sset.is_two_segal, sset.is_weakly_two_segal, sset.is_coskeletal_2):
+    for check in (sset.segal, sset.is_coskeletal_2):
         with pytest.raises(StructureError):
             check(x)
 
@@ -425,7 +426,7 @@ def test_spiny_weakly_two_segal_implies_coskeletal(q8_nerve):
               nerve_of(palg.interval_effect_algebra(2).magma, 4),
               nv.comm_nerve(nv.dihedral_group(4), None, 4)):
         assert sset.is_spiny(x)[0]
-        assert sset.is_weakly_two_segal(x)[0]
+        assert sset.segal(x)[1][0]
         assert sset.is_coskeletal_2(x)[0]
 
 
