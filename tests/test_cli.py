@@ -229,12 +229,11 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
             return fn(*args)
         return wrapper
 
-    originals = {fn.__name__: fn for fn in (sset.validate, cyc.validate_cyclic,
-                                            sset.is_inverseless_sset, sset.subface_tables,
-                                            sset.membrane_counts)}
+    counted = (sset.validate, cyc.validate_cyclic, sset.is_inverseless_sset,
+               sset.subface_tables, sset.membrane_counts)
     for module in [m for name, m in sys.modules.items() if name.startswith("simpeff")]:
         for attr, value in list(vars(module).items()):
-            if any(value is fn for fn in originals.values()):
+            if any(value is fn for fn in counted):
                 monkeypatch.setattr(module, attr, counting(value.__name__, value))
     cz4, l2 = tmp_path / "cn-z4.json", tmp_path / "en-l2.json"
     assert run("build", "comm-nerve", "--group", z4_file, "--out", str(cz4)) == 0
