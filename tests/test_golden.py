@@ -13,6 +13,7 @@ without touching GOLDEN.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 
@@ -23,6 +24,17 @@ from simpeff import nerve as nv
 # S3 (sorted permutations, identity first) acting on {0, 1, 2} from the right
 S3_ACTION = {"z_size": 3, "table": [[0, 1, 2], [0, 2, 1], [1, 0, 2],
                                     [2, 0, 1], [1, 2, 0], [2, 1, 0]]}
+
+
+def _twin_tetra():
+    """Two 3-simplices on the boundary of one tetrahedron: not 2-coskeletal."""
+    def bd(s):
+        return [(s[:i] + s[i + 1:], tuple(range(len(s) - 1))) for i in range(len(s))]
+
+    cells = ["".join(c) for r in (1, 2, 3) for c in itertools.combinations("0123", r)]
+    gens = [(c, len(c) - 1, bd(c) if len(c) > 1 else []) for c in cells]
+    gens += [("0123" + tag, 3, bd("0123")) for tag in "ab"]
+    return sset.from_nondegenerate(3, gens)
 
 
 def _inputs():
@@ -62,6 +74,8 @@ def _inputs():
         "corrupt-l2.json": corrupt,
         # fails spiny with a collision witness
         "split-spine.json": sset.cosk2_extend(sset.two_triangles_shared_spine(2), 3).to_json_dict(),
+        # fails 2-coskeletality with a "multiple" witness
+        "twin-tetra.json": _twin_tetra().to_json_dict(),
         "l2-perp-not-involution.json": dict(l2.to_json_dict(), orthocomplement=[2, 0, 1]),
     }
 
@@ -90,7 +104,7 @@ BUILDS = {
 SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",),
          ("cn-q8.json", "--levels", "4"), ("cn-d4-t2.json", "--levels", "4"),
-         ("ly-s3.json", "--levels", "4"), ("cn-z4.json",))
+         ("ly-s3.json", "--levels", "4"), ("cn-z4.json",), ("twin-tetra.json",))
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
 # failing batteries, the two narrowed cyclic suites (also below level 3 and
@@ -106,6 +120,7 @@ CHECKS = (("cyclic", "z2-cyclic.json"), ("cyclic", "ly-z4-cyclic.json"),
           ("cyclic", "corrupt-l2.json"),
           ("cyclic", "corrupt-l2.json", "--levels", "2"),
           ("cyclic", "corrupt-l2.json", "--levels", "2", "--simplicial-effect"),
+          ("cyclic", "corrupt-l2.json", "--levels", "2", "--effect-algebroid"),
           ("sset", "split-spine.json"),
           ("effect-algebra", "bool2.json"), ("effect-algebra", "l2-perp-not-involution.json"))
 
@@ -217,6 +232,10 @@ GOLDEN = {
         (1, "e96cc5e98a1b6b3edce8f7f21e81dabe5fb8397f082709b6a169c9e5757c6340"),
     'check sset --in cn-z4.json --json':
         (1, "2814c67ba2318f3ca81098106f618042433a2a3e6d1e8819d4689154a7dca689"),
+    'check sset --in twin-tetra.json':
+        (1, "7898573a4aadecf1dfbf74807c0d8d0f7862f274e1fafc92194e486cc73d97d2"),
+    'check sset --in twin-tetra.json --json':
+        (1, "396854ea29cb75b42d3a82523a0cef4bef4118f686dfd3a0622f1cc365f4c0cb"),
     'check cyclic --in en-l2.json --states --hc1':
         (0, "3117393af17d2461193a9d87e245fb74779f6206f8871355e9b52b611021ff4b"),
     'check cyclic --in en-l2.json --states --hc1 --json':
@@ -309,6 +328,10 @@ GOLDEN = {
         (1, "cb78c41ad2559bdaa20bd210f64a9792e7f98d2e11d23ddb66ee38f3f33aa326"),
     'check cyclic --in corrupt-l2.json --levels 2 --simplicial-effect --json':
         (1, "119435bc836c471ed7084fc05e220a9a4ca9f096d378dd0da8c03fd2385c60f7"),
+    'check cyclic --in corrupt-l2.json --levels 2 --effect-algebroid':
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    'check cyclic --in corrupt-l2.json --levels 2 --effect-algebroid --json':
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     'check sset --in split-spine.json':
         (1, "801a1ea15a7ceea0ca89daeacffb64ced685f601929bcda9ab51e7f36a995c13"),
     'check sset --in split-spine.json --json':
