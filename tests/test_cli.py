@@ -219,18 +219,20 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
     """check sset and check cyclic --states --hc1 validate the structure at
     most twice (the report and the Segal guard), the cyclic relations and
     inverselessness once, build each level's subface tables once and count
-    each triangulation's membranes once."""
+    each triangulation's membranes once; check sset lists each level's
+    boundary tuples once, for the 2-coskeletal check."""
     calls = Counter()
 
     def counting(name, fn):
         def wrapper(*args):
-            key = args[1:] if name in ("subface_tables", "membrane_counts") else ()
+            key = args[1:] if name in ("subface_tables", "membrane_counts",
+                                       "boundary_membranes") else ()
             calls[(name,) + key] += 1
             return fn(*args)
         return wrapper
 
     counted = (sset.validate, cyc.validate_cyclic, sset.is_inverseless_sset,
-               sset.subface_tables, sset.membrane_counts)
+               sset.subface_tables, sset.membrane_counts, sset.boundary_membranes)
     for module in [m for name, m in sys.modules.items() if name.startswith("simpeff")]:
         for attr, value in list(vars(module).items()):
             if any(value is fn for fn in counted):
@@ -241,15 +243,17 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
     per_level = {("subface_tables", n) for n in (3, 4)}
     per_triangulation = {("membrane_counts", n, tri)
                          for n in (3, 4) for tri in sset.triangulations(n)}
+    boundaries = {("boundary_membranes", n) for n in (3, 4)}
     # both sets are 2-Segal, so every triangulation is visited
-    for argv, two_segal in ((("check", "sset", "--in", str(cz4)), "  2-segal: pass"),
-                            (("check", "cyclic", "--in", str(l2), "--states", "--hc1"),
-                             "effect-algebroid/two_segal: pass")):
+    for argv, two_segal, listed in (
+            (("check", "sset", "--in", str(cz4)), "  2-segal: pass", boundaries),
+            (("check", "cyclic", "--in", str(l2), "--states", "--hc1"),
+             "effect-algebroid/two_segal: pass", set())):
         calls.clear()
         run(*argv)
         assert two_segal in capsys.readouterr().out, argv
         assert {k: c for k, c in calls.items() if len(k) > 1} == dict.fromkeys(
-            per_level | per_triangulation, 1), argv
+            per_level | per_triangulation | listed, 1), argv
         assert calls[("validate",)] <= 2, argv
     assert calls[("validate_cyclic",)] == calls[("is_inverseless_sset",)] == 1
 

@@ -194,6 +194,10 @@ def test_box_lp_matches_from_scratch_solver():
 
 
 def test_surjection_enumeration_counts():
+    """C(k, d) surjections, listed in the order of a brute-force filter."""
     for k in range(7):
         for d in range(k + 1):
-            assert len(sset._surjections(k, d)) == comb(k, d)
+            surj = sset._surjections(k, d)
+            assert len(surj) == comb(k, d)
+            assert surj == [t for t in itertools.product(range(d + 1), repeat=k + 1)
+                            if list(t) == sorted(t) and len(set(t)) == d + 1]

@@ -10,6 +10,7 @@ from simpeff.util import InputError, StructureError
 
 from conftest import random_magma
 from sset_oracles import BOUNDARY, SPINE, membrane_set, sset_isomorphic
+from test_golden import _twin_tetra
 
 I, J = 2, 4  # Q8 ids for i and j
 
@@ -148,10 +149,16 @@ def test_membrane_boundary_delta3():
 
 
 def test_membrane_boundary_matches_tuple_enumeration(q8_nerve):
-    tuples = sset.boundary_membranes(q8_nerve, 3)
-    mems = membrane_set(q8_nerve, 3, BOUNDARY)
-    keys = {tuple(m[tuple(v for v in range(4) if v != i)] for i in range(4)) for m in mems}
-    assert keys == set(tuples)
+    """boundary_membranes lists the boundary membranes of the oracle, as
+    face tuples in lexicographic order, at every level it accepts."""
+    z4 = nv.cyclic_group(4)
+    for x in (q8_nerve, nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 4),
+              _twin_tetra(), sset.delta_w3(4),
+              sset.cosk2_extend(sset.two_triangles_shared_spine(2), 4)):
+        for n in range(2, x.K + 2):
+            keys = sorted(tuple(m[tuple(v for v in range(n + 1) if v != i)] for i in range(n + 1))
+                          for m in membrane_set(x, n, BOUNDARY))
+            assert sset.boundary_membranes(x, n) == keys, (x.counts, n)
 
 
 # ---------------------------------------------------------------------------
