@@ -179,18 +179,22 @@ def battery(c: CyclicSSet, effect=True, algebroid=True):
     (U) injectivity of (d_2, d_0) on 2-simplices into composable pairs of
     edges, (Z) the inverseless pullback, and valid cyclic relations.  effect
     and algebroid pick the suites; the Segal pass runs for the algebroid
-    suite at any truncation, which raises StructureError unless the
-    simplicial identities hold, and for the effect suite from level 3 up.
+    suite at any truncation and for the effect suite from level 3 up.  The
+    Segal checks need a simplicial set, so where the simplicial identities
+    fail both Segal verdicts fail instead.
     """
     x = c.base
     badrel = [r for r in validate_cyclic(c) if not r.ok]
     checks = [Check("cyclic-relations", not badrel,
                     f"{badrel[0].name} witness {badrel[0].witness}" if badrel else None)]
     inv_ok, inv_wit = is_inverseless_sset(x)
-    if algebroid or (effect and x.K >= 3):
+    bad = validate(x)
+    if bad:
+        two = weak = (False, "simplicial identities fail")
+    elif algebroid or (effect and x.K >= 3):
         two, weak = segal(x)
     if effect:
-        suite = [Check("simplicial-identities", not validate(x)),
+        suite = [Check("simplicial-identities", not bad),
                  Check("cyclic-relations", not badrel),
                  Check("spiny", *is_spiny(x)),
                  Check("inverseless", inv_ok, None if inv_ok else x.label(2, inv_wit)),

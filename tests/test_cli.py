@@ -72,6 +72,22 @@ def test_check_cyclic_simplicial_effect(tmp_path, capsys):
     assert run("check", "cyclic", "--in", str(out), "--effect-algebroid") == 0
 
 
+def test_check_cyclic_broken_identities_exits_1(tmp_path, capsys):
+    """A cyclic set that breaks the simplicial identities gets a report: the
+    Segal checks cannot run, so their verdicts fail."""
+    l2 = tmp_path / "l2.json"
+    assert run("build", "effect-nerve", "--family", "l2", "--out", str(l2)) == 0
+    # one level-2 face entry of the L2 effect nerve moved to another edge
+    corrupt = json.loads(l2.read_text())
+    faces = corrupt["faces"]["2,1"]
+    faces[-1] = (faces[-1] + 1) % corrupt["counts"][1]
+    l2.write_text(json.dumps(corrupt))
+    assert run("check", "cyclic", "--in", str(l2)) == 1
+    out = capsys.readouterr().out
+    assert "simplicial-effect/simplicial-identities: FAIL" in out
+    assert "effect-algebroid/two_segal: FAIL  [simplicial identities fail]" in out
+
+
 def test_check_magma_corrupt_exits_2(tmp_path, capsys):
     bad = tmp_path / "corrupt.json"
     bad.write_text("{not json")
@@ -162,7 +178,6 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("build", "comm-nerve", "--group", "z2.json", "--levels", "0"),
     ("build", "action-pg", "--group", "z2.json", "--y", "0", "--levels", "-1"),
     ("build", "comm-nerve", "--group", "order-0.json"),
-    ("check", "cyclic", "--in", "corrupt-l2.json"),
     ("build", "comm-nerve", "--group", "z2.json", "--levels", "1"),
     ("build", "action-pg", "--group", "z2.json", "--y", "0", "--levels", "1"),
     ("build", "s1", "--levels", "1"),
@@ -187,11 +202,6 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "order-0.json").write_text(json.dumps({"order": 0, "mul": []}))
     assert run("build", "s1", "--levels", "3", "--out", "s1.json") == 0
     assert run("build", "effect-nerve", "--family", "l2", "--out", "l2.json") == 0
-    # one level-2 face entry of the L2 effect nerve moved to another edge
-    corrupt = json.loads((tmp_path / "l2.json").read_text())
-    faces = corrupt["faces"]["2,1"]
-    faces[-1] = (faces[-1] + 1) % corrupt["counts"][1]
-    (tmp_path / "corrupt-l2.json").write_text(json.dumps(corrupt))
     l2 = json.loads((tmp_path / "l2.json").read_text())
     for name, tau in (("list", [[0]]), ("int", 3), ("null", None)):
         (tmp_path / f"tau-{name}.json").write_text(json.dumps(dict(l2, tau=tau)))

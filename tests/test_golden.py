@@ -317,21 +317,21 @@ GOLDEN = {
     'check cyclic --in en-l2.json --levels 2 --effect-algebroid --json':
         (0, "1bd58ceea75c2b2f2a002f2b57907ecb13ba311107aac873c341e2eeb67c44da"),
     'check cyclic --in corrupt-l2.json':
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e8260b32b89e6851be86937b8b8574b554c522cf20b127c247ddfe4973b7eb3d"),
     'check cyclic --in corrupt-l2.json --json':
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "20c0cc94b31fd9a9752fa38dfeb33ac21c0dc480c8b4c50a58bab456250f4eb4"),
     'check cyclic --in corrupt-l2.json --levels 2':
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "ee014762a4d752173aee9d6fef163ab56435bd8f154a4fe2e0a3ea18a9138d98"),
     'check cyclic --in corrupt-l2.json --levels 2 --json':
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "c9a642bf7bc9cbf4aded53c74df21a1bb883e74b587ea77e5fc2ed41780ed510"),
     'check cyclic --in corrupt-l2.json --levels 2 --simplicial-effect':
         (1, "cb78c41ad2559bdaa20bd210f64a9792e7f98d2e11d23ddb66ee38f3f33aa326"),
     'check cyclic --in corrupt-l2.json --levels 2 --simplicial-effect --json':
         (1, "119435bc836c471ed7084fc05e220a9a4ca9f096d378dd0da8c03fd2385c60f7"),
     'check cyclic --in corrupt-l2.json --levels 2 --effect-algebroid':
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "c8170424c96c4efb3c6263415c35262828eafdb8a4d0b66d497fc3f6656708d2"),
     'check cyclic --in corrupt-l2.json --levels 2 --effect-algebroid --json':
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "9cf249c9abcfc60541936d522066838e071cffb38e8e4c7756bf95cef80fabdf"),
     'check sset --in split-spine.json':
         (1, "801a1ea15a7ceea0ca89daeacffb64ced685f601929bcda9ab51e7f36a995c13"),
     'check sset --in split-spine.json --json':
