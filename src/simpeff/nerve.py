@@ -401,28 +401,18 @@ def action_partial_group(g: FiniteGroup, z_size: int, action, y_subset, K: int =
 def effect_functor(e: FiniteEffectAlgebra, x: TruncatedSSet) -> TruncatedSSet:
     """E(X): level n is the E-valued functions on X_n with multiplicable
     values summing to the top element; structure maps sum over fibres."""
-    top = e.top
     levels = []
     for n in range(x.K + 1):
-        cnt = x.counts[n]
-        found = []
-
-        def rec(pos, acc, vals):
-            if acc is None:
-                return
-            if pos == cnt:
-                if acc == top:
-                    if not multiset_multiplicable(e, vals):
-                        raise StructureError("prefix-summable but not multiplicable")
-                    found.append(tuple(vals))
-                return
-            for v in range(e.size):
-                vals.append(v)
-                rec(pos + 1, e.magma.mul(acc, v), vals)
-                vals.pop()
-
-        rec(0, 0, [])
-        levels.append(sorted(found))
+        # (values so far, their sum), grown one simplex at a time in
+        # lexicographic order; prefixes without a sum are dropped
+        grown = [((), 0)]
+        for _ in range(x.counts[n]):
+            grown = [(vals + (v,), acc) for vals, total in grown for v in range(e.size)
+                     if (acc := e.magma.mul(total, v)) is not None]
+        level = [vals for vals, total in grown if total == e.top]
+        if not all(multiset_multiplicable(e, vals) for vals in level):
+            raise StructureError("prefix-summable but not multiplicable")
+        levels.append(level)
 
     def push(mapping, size, t):
         out = [[] for _ in range(size)]

@@ -431,39 +431,29 @@ def segal(x: TruncatedSSet):
 
 
 def boundary_membranes(x: TruncatedSSet, n: int):
-    """Compatible (n+1)-tuples (y_0..y_n) of (n-1)-simplices, d_i y_j = d_{j-1} y_i."""
+    """Compatible (n+1)-tuples (y_0..y_n) of (n-1)-simplices, d_i y_j = d_{j-1} y_i,
+    in lexicographic order.
+
+    Tuples grow one column at a time: y_j is any simplex whose first j faces
+    are (d_{j-1} y_0, .., d_{j-1} y_{j-1}), looked up in an index of the
+    (n-1)-simplices by their first j faces.  Each index lists simplices in
+    id order, so the tuples come out sorted.
+    """
     if n - 1 > x.K or n < 2:
         raise InputError(f"boundary level {n} out of range for truncation {x.K}")
-    out = []
     m = n - 1
-
-    def rec(j, ys):
-        if j == n + 1:
-            out.append(tuple(ys))
-            return
-        if j == 0:
-            cand = x.simplices(m)
-        else:
-            want = x.face[(m, j - 1)][ys[0]]
-            cand = x.face_index(m, 0).get(want, [])
-        for y in cand:
-            ok = True
-            for i in range(j):
-                if x.face[(m, i)][y] != x.face[(m, j - 1)][ys[i]]:
-                    ok = False
-                    break
-            if ok:
-                ys.append(y)
-                rec(j + 1, ys)
-                ys.pop()
-
-    rec(0, [])
-    out.sort()
+    out = [(y,) for y in x.simplices(m)]
+    for j in range(1, n + 1):
+        index = {}
+        for y, prefix in enumerate(zip(*(x.face[(m, i)] for i in range(j)))):
+            index.setdefault(prefix, []).append(y)
+        dj = x.face[(m, j - 1)]
+        out = [ys + (y,) for ys in out for y in index.get(tuple(dj[v] for v in ys), ())]
     return out
 
 
 def is_coskeletal_2(x: TruncatedSSet):
-    """Unique boundary fillers at every level 3..K; witness the bad boundary.
+    """Unique boundary fillers at every level 3..K; witness the least bad boundary.
 
     Raises StructureError when the faces of a simplex are not a compatible
     boundary, which happens only if the simplicial identities fail.
@@ -471,17 +461,15 @@ def is_coskeletal_2(x: TruncatedSSet):
     if x.K < 3:
         raise InputError("coskeletality check needs K >= 3")
     for n in range(3, x.K + 1):
-        fillers = {b: [] for b in boundary_membranes(x, n)}
-        for s in x.simplices(n):
-            b = tuple(x.face[(n, i)][s] for i in range(n + 1))
+        fillers = dict.fromkeys(boundary_membranes(x, n), 0)
+        for s, b in enumerate(zip(*(x.face[(n, i)] for i in range(n + 1)))):
             if b not in fillers:
                 raise StructureError(f"faces {b} of {n}-simplex {s} are not a compatible "
                                      "boundary; the simplicial identities fail")
-            fillers[b].append(s)
-        for b, ss in sorted(fillers.items()):
-            if len(ss) != 1:
-                kind = "unfilled" if not ss else "multiple"
-                return False, (kind, n, b)
+            fillers[b] += 1
+        for b, count in fillers.items():
+            if count != 1:
+                return False, ("unfilled" if not count else "multiple", n, b)
     return True, None
 
 
@@ -562,28 +550,9 @@ def standard_simplex(n: int, K: int) -> TruncatedSSet:
 
 
 def _surjections(k, d):
-    """Nondecreasing surjective value tuples [k] ->> [d]."""
-    out = []
-
-    def rec(pos, val, acc):
-        if pos == k + 1:
-            if val == d:
-                out.append(tuple(acc))
-            return
-        # stay on val or advance by one; must still be able to reach d
-        if d - val <= k - pos:
-            acc.append(val)
-            rec(pos + 1, val, acc)
-            acc.pop()
-        if val < d:
-            acc.append(val + 1)
-            rec(pos + 1, val + 1, acc)
-            acc.pop()
-
-    if d > k:
-        return out
-    rec(1, 0, [0])
-    return out
+    """Nondecreasing surjective value tuples [k] ->> [d], in lexicographic order."""
+    return [alpha for alpha in itertools.combinations_with_replacement(range(d + 1), k + 1)
+            if len(set(alpha)) == d + 1]
 
 
 def from_nondegenerate(K: int, generators) -> TruncatedSSet:
