@@ -75,14 +75,9 @@ def test_check_cyclic_simplicial_effect(tmp_path, capsys):
 def test_check_cyclic_broken_identities_exits_1(tmp_path, capsys):
     """A cyclic set that breaks the simplicial identities gets a report: the
     Segal checks cannot run, so their verdicts fail."""
-    l2 = tmp_path / "l2.json"
-    assert run("build", "effect-nerve", "--family", "l2", "--out", str(l2)) == 0
-    # one level-2 face entry of the L2 effect nerve moved to another edge
-    corrupt = json.loads(l2.read_text())
-    faces = corrupt["faces"]["2,1"]
-    faces[-1] = (faces[-1] + 1) % corrupt["counts"][1]
-    l2.write_text(json.dumps(corrupt))
-    assert run("check", "cyclic", "--in", str(l2)) == 1
+    path = tmp_path / "corrupt-l2.json"
+    path.write_text(json.dumps(_inputs()["corrupt-l2.json"]))
+    assert run("check", "cyclic", "--in", str(path)) == 1
     out = capsys.readouterr().out
     assert "simplicial-effect/simplicial-identities: FAIL" in out
     assert "effect-algebroid/two_segal: FAIL  [simplicial identities fail]" in out
