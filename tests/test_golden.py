@@ -45,10 +45,14 @@ def _inputs():
         l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 3), 3)).to_json_dict()
     tau2 = bad_tau["tau"]["2"]
     tau2[0], tau2[1] = tau2[1], tau2[0]
-    corrupt = cyc.effect_nerve_cyclic(
-        l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 4), 4)).to_json_dict()
+    l2_nerve = cyc.effect_nerve_cyclic(
+        l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 4), 4))
+    corrupt = l2_nerve.to_json_dict()
     faces = corrupt["faces"]["2,1"]
     faces[-1] = (faces[-1] + 1) % corrupt["counts"][1]
+    clash = l2_nerve.to_json_dict()
+    for key in ("2,0", "2,2"):
+        clash["faces"][key][1] = clash["faces"][key][2]
     return {
         "q8.json": q8.to_json_dict(),
         "d4.json": d4.to_json_dict(),
@@ -72,6 +76,9 @@ def _inputs():
         # the L2 effect nerve with one level-2 face moved to another edge:
         # fails the simplicial identities
         "corrupt-l2.json": corrupt,
+        # the L2 effect nerve with 2-simplex 1 given the spine of 2-simplex 2:
+        # fails the simplicial identities and spiny
+        "spine-clash-l2.json": clash,
         # fails spiny with a collision witness
         "split-spine.json": sset.cosk2_extend(sset.two_triangles_shared_spine(2), 3).to_json_dict(),
         # fails 2-coskeletality with a "multiple" witness
@@ -108,7 +115,8 @@ SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
 # failing batteries, the two narrowed cyclic suites (also below level 3 and
-# on a set that breaks the simplicial identities) and the effect-algebra axioms
+# on sets that break the simplicial identities, one of them not spiny either)
+# and the effect-algebra axioms
 CHECKS = (("cyclic", "z2-cyclic.json"), ("cyclic", "ly-z4-cyclic.json"),
           ("cyclic", "bad-tau-cyclic.json"),
           ("cyclic", "z2-cyclic.json", "--simplicial-effect"),
@@ -122,6 +130,10 @@ CHECKS = (("cyclic", "z2-cyclic.json"), ("cyclic", "ly-z4-cyclic.json"),
           ("cyclic", "corrupt-l2.json", "--levels", "2", "--simplicial-effect"),
           ("cyclic", "corrupt-l2.json", "--levels", "2", "--effect-algebroid"),
           ("sset", "split-spine.json"),
+          ("sset", "corrupt-l2.json"),
+          ("cyclic", "corrupt-l2.json", "--simplicial-effect"),
+          ("cyclic", "spine-clash-l2.json"),
+          ("cyclic", "spine-clash-l2.json", "--simplicial-effect"),
           ("effect-algebra", "bool2.json"), ("effect-algebra", "l2-perp-not-involution.json"))
 
 
@@ -336,6 +348,22 @@ GOLDEN = {
         (1, "801a1ea15a7ceea0ca89daeacffb64ced685f601929bcda9ab51e7f36a995c13"),
     'check sset --in split-spine.json --json':
         (1, "88a529a2d5e01ae84a93558175df53733b83ac44a72bb49475cd474a3448e29f"),
+    'check sset --in corrupt-l2.json':
+        (1, "563ad59bc9bcc40505994a3a158e10ae3b844ddad964a9cb45b78950f4f8d15d"),
+    'check sset --in corrupt-l2.json --json':
+        (1, "733cbee5127ae9b81ac1825699bf80629130c8f42302b5fc60d151bbf4bc0211"),
+    'check cyclic --in corrupt-l2.json --simplicial-effect':
+        (1, "c30ec9d267fc250beacdc13ce6e7aa646749fe5175bc4f7c92274f2399b6dd71"),
+    'check cyclic --in corrupt-l2.json --simplicial-effect --json':
+        (1, "0fd4cc5c0fb5cc8391377355bdce92d29352df3334c0ec07e74bd7c8dcdf612a"),
+    'check cyclic --in spine-clash-l2.json':
+        (1, "8fa68bf94545dca080648e1b51eae10e7412d1b7a26e1bbf7e6b7277227387d0"),
+    'check cyclic --in spine-clash-l2.json --json':
+        (1, "7d098e35f20011668adeaf7f511db0d350872820886c877aecd57c34b59407f6"),
+    'check cyclic --in spine-clash-l2.json --simplicial-effect':
+        (1, "12b842b9982f1a1e048bcd3bfda6d97beb59ec2dbb37ac0efb0b74c6c6ab96c3"),
+    'check cyclic --in spine-clash-l2.json --simplicial-effect --json':
+        (1, "e67ff0ab7d016516f9f7d2f271c7010bf67210250d851b4ef9684fca57a31324"),
     'check effect-algebra --in bool2.json':
         (0, "dab368b7ba634e5947d3483a5797bad72f10359f58f81e939b9a507d76993fe7"),
     'check effect-algebra --in bool2.json --json':
