@@ -64,18 +64,17 @@ def _check_magma(path, args):
 
 
 def _sset_battery(x, rep):
-    bad = sset.validate(x)
+    bad, (ok, wit), two, weak = sset.segal(x)
     rep.add(Check("simplicial-identities", not bad, bad[0] if bad else None))
     if bad:
         return
-    ok, wit = sset.is_spiny(x)
     rep.add(Check("spiny", ok, None if ok else wit))
     reduced = sset.is_reduced(x)
     rep.add(Check("reduced", reduced, None if reduced else f"{x.counts[0]} vertices"))
     if x.K >= 3:
         ok, wit = sset.is_coskeletal_2(x)
         rep.add(Check("2-coskeletal", ok, None if ok else wit))
-        for name, (ok, wit) in zip(("2-segal", "weakly-2-segal"), sset.segal(x)):
+        for name, (ok, wit) in (("2-segal", two), ("weakly-2-segal", weak)):
             rep.add(Check(name, ok, None if ok else _segal_witness(wit)))
     else:
         for name in ("2-coskeletal", "2-segal", "weakly-2-segal"):

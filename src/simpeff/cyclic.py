@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .palg import FiniteEffectAlgebra, ea_sum
 from .nerve import FiniteGroup
-from .sset import TruncatedSSet, is_inverseless_sset, is_spiny, segal, validate
+from .sset import TruncatedSSet, is_inverseless_sset, segal
 from .util import Check, InputError, first_collision, first_failure
 
 
@@ -178,25 +178,19 @@ def battery(c: CyclicSSet, effect=True, algebroid=True):
     The effect-algebroid conditions are Roumen's characterization: 2-Segal,
     (U) injectivity of (d_2, d_0) on 2-simplices into composable pairs of
     edges, (Z) the inverseless pullback, and valid cyclic relations.  effect
-    and algebroid pick the suites; the Segal pass runs for the algebroid
-    suite at any truncation and for the effect suite from level 3 up.  The
-    Segal checks need a simplicial set, so where the simplicial identities
-    fail both Segal verdicts fail instead.
+    and algebroid pick the suites.  One Segal pass decides the simplicial
+    identities, spiny, 2-Segal and weak 2-Segal for both.
     """
     x = c.base
     badrel = [r for r in validate_cyclic(c) if not r.ok]
     checks = [Check("cyclic-relations", not badrel,
                     f"{badrel[0].name} witness {badrel[0].witness}" if badrel else None)]
     inv_ok, inv_wit = is_inverseless_sset(x)
-    bad = validate(x)
-    if bad:
-        two = weak = (False, "simplicial identities fail")
-    elif algebroid or (effect and x.K >= 3):
-        two, weak = segal(x)
+    bad, spiny, two, weak = segal(x)
     if effect:
         suite = [Check("simplicial-identities", not bad),
                  Check("cyclic-relations", not badrel),
-                 Check("spiny", *is_spiny(x)),
+                 Check("spiny", *spiny),
                  Check("inverseless", inv_ok, None if inv_ok else x.label(2, inv_wit)),
                  Check("weakly-2-segal", *weak) if x.K >= 3 else
                  Check("weakly-2-segal", True, "truncation below 3", skipped=True)]

@@ -36,12 +36,6 @@ class TruncatedSSet:
     def simplices(self, n):
         return range(self.counts[n])
 
-    def d(self, n, i, s):
-        return self.face[(n, i)][s]
-
-    def s(self, n, i, s):
-        return self.deg[(n, i)][s]
-
     def label(self, n, s):
         lab = self.labels.get(n)
         return lab[s] if lab is not None else s
@@ -365,20 +359,24 @@ def _spine_order(x: TruncatedSSet, sp):
 
 
 def segal(x: TruncatedSSet):
-    """2-Segal and weak 2-Segal in one pass: (two, weak), each (ok, witness).
+    """The one pass over restrictions of simplices to vertex subsets:
+    (bad, spiny, two, weak), with bad = validate(x) and the rest (ok, witness).
 
-    2-Segal: every triangulation membrane map X_n -> MS(T, x) is bijective,
-    3 <= n <= K.  A simplex restricts to T as the tuple of its 2-faces on
-    T's triangles, read off the subface table of level n.  Injectivity
-    hashes these tuples in simplex order; surjectivity compares |MS(T)| from
-    membrane_counts with |X_n|.  Only when |MS(T)| is larger does
-    _least_unfilled enumerate the membranes of T, through the same join that
-    counts them, to find the least that no simplex hits.  Triangulations go
-    in triangulations(n) order, and collisions are looked for before
-    unfilled membranes.
+    Each level n = 2..K builds its subface tables once.  Spiny: the spines,
+    read off the tables of the edges (i, i+1), do not collide; the witness
+    is (n, s1, s2) as in is_spiny.
 
-    Weak 2-Segal: X_n bijects onto spine-compatible families of
-    triangulation membranes, one membrane per triangulation, all agreeing
+    2-Segal, from level 3: every triangulation membrane map X_n -> MS(T, x)
+    is bijective.  A simplex restricts to T as the tuple of its 2-faces on
+    T's triangles.  Injectivity hashes these tuples in simplex order;
+    surjectivity compares |MS(T)| from membrane_counts with |X_n|.  Only when
+    |MS(T)| is larger does _least_unfilled enumerate the membranes of T,
+    through the same join that counts them, to find the least that no
+    simplex hits.  Triangulations go in triangulations(n) order, and
+    collisions are looked for before unfilled membranes.
+
+    Weak 2-Segal, from level 3: X_n bijects onto spine-compatible families
+    of triangulation membranes, one membrane per triangulation, all agreeing
     on the spine.  Every vertex triple of the polygon lies in some
     triangulation, so a simplex's image is the tuple of all its 2-faces;
     injectivity hashes these in simplex order.  A spine sp carries
@@ -386,24 +384,29 @@ def segal(x: TruncatedSSet):
     sum to |X_n|.  Otherwise the witness is the least spine, in
     _spine_order, that has more families than simplices.
 
-    Each level builds its subface tables once, and each triangulation's
-    membrane counts serve both verdicts; the pass stops once both have
-    failed.  Below level 3 both hold vacuously.  Raises StructureError
-    unless the simplicial identities hold.
+    Membranes are glued along edges, so where the simplicial identities fail
+    both Segal verdicts fail with "simplicial identities fail"; spiny is
+    decided all the same.  Each triangulation's membrane counts serve both
+    Segal verdicts, and the pass stops once all three verdicts have failed.
 
     Witnesses: 2-Segal ("collision", n, T, s1, s2) or ("unfilled", n, T,
     spine-of-membrane); weak ("collision", n, s1, s2) or ("unfilled", n,
     spine edges).
     """
     bad = validate(x)
-    if bad:
-        raise StructureError(f"simplicial identities fail at {bad[0]}; "
-                             "the Segal checks need a simplicial set")
-    two = weak = (True, None)
-    for n in range(3, x.K + 1):
-        if not (two[0] or weak[0]):
+    spiny = (True, None)
+    two = weak = (False, "simplicial identities fail") if bad else (True, None)
+    for n in range(2, x.K + 1):
+        if not (spiny[0] or two[0] or weak[0]):
             break
         sub = subface_tables(x, n)
+        spines = list(zip(*(sub[(i, i + 1)] for i in range(n))))
+        if spiny[0]:
+            pair = first_collision(spines)
+            if pair is not None:
+                spiny = False, (n,) + pair
+        if n < 3 or not (two[0] or weak[0]):
+            continue
         if weak[0]:
             pair = first_collision(zip(*(sub[t] for t in itertools.combinations(range(n + 1), 3))))
             if pair is not None:
@@ -423,11 +426,11 @@ def segal(x: TruncatedSSet):
                 families = counts if families is None else {
                     sp: f * counts[sp] for sp, f in families.items() if sp in counts}
         if weak[0] and sum(families.values()) > x.counts[n]:
-            hits = Counter(zip(*(sub[(i, i + 1)] for i in range(n))))
+            hits = Counter(spines)
             sp = min((sp for sp, f in families.items() if f > hits[sp]),
                      key=lambda sp: _spine_order(x, sp))
             weak = False, ("unfilled", n, sp)
-    return two, weak
+    return bad, spiny, two, weak
 
 
 def boundary_membranes(x: TruncatedSSet, n: int):

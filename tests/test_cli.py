@@ -221,11 +221,11 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
 
 
 def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys):
-    """check sset and check cyclic --states --hc1 validate the structure at
-    most twice (the report and the Segal guard), the cyclic relations and
-    inverselessness once, build each level's subface tables once and count
-    each triangulation's membranes once; check sset lists each level's
-    boundary tuples once, for the 2-coskeletal check."""
+    """check sset and check cyclic --states --hc1 validate the structure, the
+    cyclic relations and inverselessness once, build each level's subface
+    tables once, count each triangulation's membranes once and never walk
+    spines one simplex at a time (the Segal pass decides spiny); check sset
+    lists each level's boundary tuples once, for the 2-coskeletal check."""
     calls = Counter()
 
     def counting(name, fn):
@@ -236,7 +236,7 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
             return fn(*args)
         return wrapper
 
-    counted = (sset.validate, cyc.validate_cyclic, sset.is_inverseless_sset,
+    counted = (sset.validate, cyc.validate_cyclic, sset.is_inverseless_sset, sset.is_spiny,
                sset.subface_tables, sset.membrane_counts, sset.boundary_membranes)
     for module in [m for name, m in sys.modules.items() if name.startswith("simpeff")]:
         for attr, value in list(vars(module).items()):
@@ -245,7 +245,7 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
     cz4, l2 = tmp_path / "cn-z4.json", tmp_path / "en-l2.json"
     assert run("build", "comm-nerve", "--group", z4_file, "--out", str(cz4)) == 0
     assert run("build", "effect-nerve", "--family", "l2", "--out", str(l2)) == 0
-    per_level = {("subface_tables", n) for n in (3, 4)}
+    per_level = {("subface_tables", n) for n in (2, 3, 4)}
     per_triangulation = {("membrane_counts", n, tri)
                          for n in (3, 4) for tri in sset.triangulations(n)}
     boundaries = {("boundary_membranes", n) for n in (3, 4)}
@@ -259,7 +259,8 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
         assert two_segal in capsys.readouterr().out, argv
         assert {k: c for k, c in calls.items() if len(k) > 1} == dict.fromkeys(
             per_level | per_triangulation | listed, 1), argv
-        assert calls[("validate",)] <= 2, argv
+        assert calls[("validate",)] == 1, argv
+        assert calls[("is_spiny",)] == 0, argv
     assert calls[("validate_cyclic",)] == calls[("is_inverseless_sset",)] == 1
 
 

@@ -167,12 +167,12 @@ def test_membrane_boundary_matches_tuple_enumeration(q8_nerve):
 
 def test_two_segal_abelian_nerve():
     x = nerve_of(nv.magma_of_group(nv.cyclic_group(4)), 4)
-    assert sset.segal(x)[0][0]
+    assert sset.segal(x)[2][0]
 
 
 def test_two_segal_fails_q8_with_jii_witness():
     x = nv.comm_nerve(nv.quaternion_group(), None, 3)
-    (ok, wit), _ = sset.segal(x)
+    _, _, (ok, wit), _ = sset.segal(x)
     assert not ok and wit[0] == "unfilled"
     # independent brute-force oracle: the (j, i, i) membrane exists under the
     # 1-3 diagonal (both triangles commute elementwise) but j and i do not
@@ -189,17 +189,17 @@ def test_two_segal_fails_q8_with_jii_witness():
 
 def test_two_segal_l2_nerve():
     l2 = palg.interval_effect_algebra(2)
-    assert sset.segal(nerve_of(l2.magma, 4))[0][0]
+    assert sset.segal(nerve_of(l2.magma, 4))[2][0]
 
 
 def test_weakly_two_segal(q8_nerve):
-    assert sset.segal(q8_nerve)[1][0]
+    assert sset.segal(q8_nerve)[3][0]
 
 
 def test_weakly_two_segal_ly_fails():
     z4 = nv.cyclic_group(4)
     ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 3)
-    _, (ok, wit) = sset.segal(ly)
+    *_, (ok, wit) = sset.segal(ly)
     assert not ok
     assert wit[0] == "unfilled" and wit[1] == 3 and tuple(wit[2]) == (1, 1, 1)
 
@@ -207,7 +207,7 @@ def test_weakly_two_segal_ly_fails():
 def test_weakly_two_segal_delta_w3_fails():
     w3 = sset.delta_w3()
     assert sset.validate(w3) == []
-    _, (ok, wit) = sset.segal(w3)
+    *_, (ok, wit) = sset.segal(w3)
     assert not ok and wit[0] == "unfilled"
 
 
@@ -216,11 +216,11 @@ def test_two_segal_implies_weakly(q8_nerve):
     instances = [nerve_of(nv.magma_of_group(nv.cyclic_group(3)), 4),
                  nerve_of(l2.magma, 4)]
     for x in instances:
-        two, weak = sset.segal(x)
+        _, _, two, weak = sset.segal(x)
         assert two[0]
         assert weak[0]
     # converse separation: Q8 nerve is weakly 2-Segal but not 2-Segal
-    two, weak = sset.segal(q8_nerve)
+    _, _, two, weak = sset.segal(q8_nerve)
     assert weak[0]
     assert not two[0]
 
@@ -335,7 +335,8 @@ def test_segal_counting_matches_enumeration():
     verdicts = set()
     for name, x in _oracle_instances():
         assert sset.validate(x) == [], name
-        two, weak = sset.segal(x)
+        bad, spiny, two, weak = sset.segal(x)
+        assert bad == [] and spiny == sset.is_spiny(x), name
         assert two == oracle_two_segal(x), name
         assert weak == oracle_weakly_two_segal(x), name
         verdicts.update({("2", two[0] or two[1][0]), ("w", weak[0] or weak[1][0])})
@@ -369,11 +370,13 @@ def test_hierarchy_census_three_elements():
     partial unital magma of size 3: magmas are not weakly 2-Segal, weak
     partial monoids are weakly 2-Segal but not 2-Segal, partial monoids are
     2-Segal, and every nerve is 2-coskeletal.  The 2-Segal verdicts and
-    witnesses also match the enumeration oracle."""
+    witnesses also match the enumeration oracle, and the spiny verdict of
+    the Segal pass matches is_spiny."""
     tally = Counter()
     for m in _three_element_magmas():
         x = nerve_of(m, 4)
-        two, (weak, _) = sset.segal(x)
+        _, spiny, two, (weak, _) = sset.segal(x)
+        assert spiny == sset.is_spiny(x), m.product
         tally[(palg.classify(m), weak, two[0], sset.is_coskeletal_2(x)[0])] += 1
         assert sset.is_inverseless_sset(x)[0] == palg.is_inverseless(m), m.product
         assert two == oracle_two_segal(x), m.product
@@ -392,12 +395,17 @@ def test_subface_tables_match_subface():
 
 
 def test_segal_checks_need_simplicial_identities():
+    """Where the simplicial identities fail, the Segal pass still decides
+    spiny and fails both Segal verdicts; the coskeletal check raises."""
     x = nv.comm_nerve(nv.quaternion_group(), None, 3)
     x.face[(2, 1)][x.counts[2] - 1] = x.face[(2, 1)][0]
     assert sset.validate(x)
-    for check in (sset.segal, sset.is_coskeletal_2):
-        with pytest.raises(StructureError):
-            check(x)
+    bad, spiny, two, weak = sset.segal(x)
+    assert bad == sset.validate(x)
+    assert spiny == sset.is_spiny(x)
+    assert two == weak == (False, "simplicial identities fail")
+    with pytest.raises(StructureError):
+        sset.is_coskeletal_2(x)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +441,7 @@ def test_spiny_weakly_two_segal_implies_coskeletal(q8_nerve):
               nerve_of(palg.interval_effect_algebra(2).magma, 4),
               nv.comm_nerve(nv.dihedral_group(4), None, 4)):
         assert sset.is_spiny(x)[0]
-        assert sset.segal(x)[1][0]
+        assert sset.segal(x)[3][0]
         assert sset.is_coskeletal_2(x)[0]
 
 
