@@ -180,7 +180,10 @@ def cmd_build(args):
                 raise InputError(f"bad action json: {exc}") from exc
         else:
             z_size, action = g.order, nv.translation_action(g)
-        y = [int(v) for v in args.y.split(",") if v != ""]
+        try:
+            y = [int(v) for v in args.y.split(",") if v != ""]
+        except ValueError as exc:
+            raise InputError(f"--y must list integers: {exc}") from exc
         x = nv.action_partial_group(g, z_size, action, y, K)
         body = x.to_json_dict()
     elif recipe == "effect-nerve":

@@ -66,9 +66,9 @@ class PartialUnitalMagma:
                 raise InputError("magma unit must be element 0")
             product = {}
             for a, b, c in d["products"]:
-                if (a, b) in product and product[(a, b)] != c:
+                a, b, c = int(a), int(b), int(c)
+                if product.setdefault((a, b), c) != c:
                     raise InputError(f"conflicting products for pair {(a, b)}")
-                product[(int(a), int(b))] = int(c)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad magma json: {exc}") from exc
         if size < 1:

@@ -92,6 +92,18 @@ def test_check_magma_corrupt_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_magma_compares_products_as_ints(tmp_path, capsys):
+    """Entries that agree once read as integers are one product, not a conflict."""
+    reports = []
+    for products in ([[1, 1, 0]], [[1, 1, 0], [1, 1, "0"]], [[1, 1, 0], ["1", "1", 0]]):
+        path = tmp_path / "magma.json"
+        path.write_text(json.dumps({"size": 2, "unit": 0, "products": UNIT_ROWS + products}))
+        code = run("check", "magma", "--in", str(path))
+        reports.append((code, capsys.readouterr()))
+    assert reports[0][0] in (0, 1) and not reports[0][1].err
+    assert reports[1] == reports[2] == reports[0]
+
+
 def test_states_cli_l2(tmp_path, capsys):
     out = tmp_path / "l2.json"
     run("build", "effect-nerve", "--family", "l2", "--levels", "4", "--out", str(out))
@@ -158,6 +170,7 @@ def test_check_levels_cap(q8_file, tmp_path, capsys):
     assert "2-segal: skipped" in captured
 
 
+UNIT_ROWS = [[0, 0, 0], [0, 1, 1], [1, 0, 1]]
 L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocomplement=[7, 1, 0])
 
 
@@ -187,12 +200,19 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("check", "sset", "--in", "face-2-7.json"),
     ("check", "cyclic", "--in", "deg-9-0.json"),
     ("states", "--cyclic", "tau-7.json"),
+    ("build", "action-pg", "--group", "z2.json", "--y", "a,b"),
+    ("check", "magma", "--in", "clash-str-a.json"),
+    ("check", "magma", "--in", "clash-str-b.json"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "negative-size.json").write_text(
         json.dumps({"size": -1, "unit": 0, "products": []}))
     (tmp_path / "bad-perp.json").write_text(json.dumps(L2_BAD_PERP))
+    # two products for the pair (1, 1), the second keyed by a string
+    for name, products in (("a", [[1, 1, 0], ["1", 1, 1]]), ("b", [[1, 1, 0], [1, "1", 1]])):
+        (tmp_path / f"clash-str-{name}.json").write_text(
+            json.dumps({"size": 2, "unit": 0, "products": UNIT_ROWS + products}))
     (tmp_path / "z2.json").write_text(json.dumps(nv.cyclic_group(2).to_json_dict()))
     (tmp_path / "order-0.json").write_text(json.dumps({"order": 0, "mul": []}))
     assert run("build", "s1", "--levels", "3", "--out", "s1.json") == 0

@@ -1,8 +1,9 @@
 """Dead-code guard over the package source.
 
 Every module-level function and class in src/simpeff must be named somewhere
-in src/ or tests/ outside its own definition, and every name a module in
-src/ imports must be used in that module.
+in src/ or tests/ outside its own definition, every non-dunder method of a
+class in src/simpeff must be read as an attribute there, and every name a
+module in src/ imports must be used in that module.
 """
 
 import ast
@@ -34,6 +35,8 @@ def test_every_definition_is_used():
     for tree in trees.values():
         for name in _names(tree):
             uses[name] = uses.get(name, 0) + 1
+    attrs = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
     unused = []
     for path in SRC:
         for node in trees[path].body:
@@ -41,6 +44,10 @@ def test_every_definition_is_used():
                 own = _names(node).count(node.name)  # recursive calls
                 if uses.get(node.name, 0) == own:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{path.name}:{fn.lineno} {node.name}.{fn.name}" for fn in node.body
+                           if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+                           and fn.name not in attrs]
     assert not unused
 
 
