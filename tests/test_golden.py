@@ -8,6 +8,10 @@ stdout bytes followed by the bytes of its --out file.  Paths are relative to
 a fresh working directory, so report subjects do not depend on where the
 suite runs.  A refactor that keeps reports byte-identical must pass this test
 without touching GOLDEN.
+
+`quantum-demo` (text and json, two seeds) and `build key-example-witness`
+are pinned apart from the digests, in QUANTUM_GOLDEN and WITNESS_GOLDEN:
+their floats to QUANTUM_TOL, everything else exactly.
 """
 
 import contextlib
@@ -16,6 +20,8 @@ import io
 import itertools
 import json
 import os
+
+import pytest
 
 from simpeff import cli, palg, sset
 from simpeff import cyclic as cyc
@@ -377,3 +383,247 @@ GOLDEN = {
 
 def test_golden_corpus(tmp_path):
     assert run_corpus(tmp_path) == GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# the numerical commands: quantum-demo and the key-example witness
+#
+# Their floats are rounding residuals and matrix entries, so they are pinned
+# to QUANTUM_TOL rather than by digest: a different but equally valid order
+# of floating-point operations may change a last bit.  Exit codes, strings,
+# integers (trials, passed, pi01_rank) and booleans are pinned exactly.
+
+QUANTUM_TOL = 1e-12
+QUANTUM_DEMOS = tuple(("quantum-demo", "--trials", "40", "--seed", seed) + fmt
+                      for seed in ("0", "1") for fmt in ((), ("--json",)))
+
+
+def _token(word):
+    for kind in (int, float):
+        try:
+            return kind(word)
+        except ValueError:
+            pass
+    return word
+
+
+def _witness_parsed(body):
+    """The witness bundle with its matrices as label -> {(i, j): (re, im)}."""
+    mats = {name: body[name] for name in ("A", "B", "C")}
+    for name in ("Pi", "Psi"):
+        mats.update({f"{name} {t}": m for t, m in body[name].items()})
+    entries = {label: {(i, j): tuple(v) for i, row in enumerate(m) for j, v in enumerate(row)}
+               for label, m in mats.items()}
+    return {"dim": body["dim"], "checks": body["checks"], "entries": entries}
+
+
+def _tokens(text):
+    """Text output as lines of int, float and str tokens."""
+    return [[_token(w) for w in line.split(" ")] for line in text.splitlines()]
+
+
+def run_quantum(argv):
+    """(exit code, stdout): text tokenized, json as read, the witness as entries."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    text = buf.getvalue()
+    if argv[0] == "build":
+        return code, _witness_parsed(json.loads(text))
+    return code, json.loads(text) if "--json" in argv else _tokens(text)
+
+
+def _close(got, want, where):
+    """Floats within QUANTUM_TOL; everything else equal, type included."""
+    if isinstance(want, float):
+        assert type(got) is float and abs(got - want) <= QUANTUM_TOL, (where, got, want)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for k in want:
+            _close(got[k], want[k], f"{where}/{k}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _close(g, w, f"{where}/{k}")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def _dense(nonzero):
+    """Golden witness entries: the listed nonzero ones, 0.0 elsewhere on a 9 x 9 grid."""
+    return {label: {(i, j): cells.get((i, j), (0.0, 0.0)) for i in range(9) for j in range(9)}
+            for label, cells in nonzero.items()}
+
+
+QUANTUM_GOLDEN = {
+    'quantum-demo --trials 40 --seed 0':
+        (0, (
+            'scope: pointwise and seeded-sample checks (the ambient simplicial set is infinite and never materialized)\n'
+            'witness: d2(Psi)=d1(Pi) residual 3.140e-16\n'
+            'witness: |[A,B]| = 0.000e+00\n'
+            'witness: |[B,C]| = 2.121320 (> 0.1)\n'
+            'witness: |[A,C]| = 2.121320\n'
+            'witness: Pi^01 rank = 4\n'
+            'inverseless samples: 40/40 collapsed\n'
+            'state identities (maximally mixed): 40/40\n'
+            'state identities (random density): 40/40\n'
+            'phi(omega^2 1) residual: 0.000e+00\n'
+            'result: pass\n')),
+    'quantum-demo --trials 40 --seed 0 --json':
+        (0, {'inverseless_samples': {'max_collapse_residual': 2.2411577161459596e-15,
+                                     'max_relation_residual': 0.0,
+                                     'passed': 40,
+                                     'trials': 40},
+             'scope': 'pointwise and seeded-sample checks; the ambient simplicial set of '
+                      'projective measurements is infinite and never materialized',
+             'state_checks_maximally_mixed': {'max_face_additivity': 5.551115123125783e-16,
+                                              'max_half': 0.0,
+                                              'max_partial_additive': 4.440892098500626e-16,
+                                              'max_swap_orth': 2.220446049250313e-16,
+                                              'max_third_zero': 4.440892098500626e-16,
+                                              'passed': 40,
+                                              'phi_omega_sq_one_residual': 0.0,
+                                              'trials': 40},
+             'state_checks_random_density': {'max_face_additivity': 6.661338147750939e-16,
+                                             'max_half': 0.0,
+                                             'max_partial_additive': 4.440892098500626e-16,
+                                             'max_swap_orth': 2.220446049250313e-16,
+                                             'max_third_zero': 4.440892098500626e-16,
+                                             'passed': 40,
+                                             'phi_omega_sq_one_residual': 1.1102230246251565e-16,
+                                             'trials': 40},
+             'witness_checks': {'AB_commutator': 0.0,
+                                'AC_commutator': 2.1213203435596424,
+                                'BC_commutator': 2.1213203435596424,
+                                'd2psi_eq_d1pi_residual': 3.1401849173675503e-16,
+                                'pi01_rank': 4,
+                                'pi_in_key_example': True,
+                                'psi_in_key_example': True}}),
+    'quantum-demo --trials 40 --seed 1':
+        (0, (
+            'scope: pointwise and seeded-sample checks (the ambient simplicial set is infinite and never materialized)\n'
+            'witness: d2(Psi)=d1(Pi) residual 3.140e-16\n'
+            'witness: |[A,B]| = 0.000e+00\n'
+            'witness: |[B,C]| = 2.121320 (> 0.1)\n'
+            'witness: |[A,C]| = 2.121320\n'
+            'witness: Pi^01 rank = 4\n'
+            'inverseless samples: 40/40 collapsed\n'
+            'state identities (maximally mixed): 40/40\n'
+            'state identities (random density): 40/40\n'
+            'phi(omega^2 1) residual: 0.000e+00\n'
+            'result: pass\n')),
+    'quantum-demo --trials 40 --seed 1 --json':
+        (0, {'inverseless_samples': {'max_collapse_residual': 1.9232773645751906e-15,
+                                     'max_relation_residual': 0.0,
+                                     'passed': 40,
+                                     'trials': 40},
+             'scope': 'pointwise and seeded-sample checks; the ambient simplicial set of '
+                      'projective measurements is infinite and never materialized',
+             'state_checks_maximally_mixed': {'max_face_additivity': 5.551115123125783e-16,
+                                              'max_half': 0.0,
+                                              'max_partial_additive': 4.440892098500626e-16,
+                                              'max_swap_orth': 2.220446049250313e-16,
+                                              'max_third_zero': 4.440892098500626e-16,
+                                              'passed': 40,
+                                              'phi_omega_sq_one_residual': 0.0,
+                                              'trials': 40},
+             'state_checks_random_density': {'max_face_additivity': 5.551115123125783e-16,
+                                             'max_half': 0.0,
+                                             'max_partial_additive': 5.551115123125783e-16,
+                                             'max_swap_orth': 2.220446049250313e-16,
+                                             'max_third_zero': 4.440892098500626e-16,
+                                             'passed': 40,
+                                             'phi_omega_sq_one_residual': 0.0,
+                                             'trials': 40},
+             'witness_checks': {'AB_commutator': 0.0,
+                                'AC_commutator': 2.1213203435596424,
+                                'BC_commutator': 2.1213203435596424,
+                                'd2psi_eq_d1pi_residual': 3.1401849173675503e-16,
+                                'pi01_rank': 4,
+                                'pi_in_key_example': True,
+                                'psi_in_key_example': True}}),
+}
+# the witness bundle's nonzero matrix entries; _dense fills in the zeros
+WITNESS_GOLDEN = (0, {
+    'dim': 9,
+    'checks': {'AB_commutator': 0.0,
+               'AC_commutator': 2.1213203435596424,
+               'BC_commutator': 2.1213203435596424,
+               'd2psi_eq_d1pi_residual': 3.1401849173675503e-16,
+               'pi01_rank': 4,
+               'pi_in_key_example': True,
+               'psi_in_key_example': True},
+    'entries': _dense({
+        'A': {(0, 0): (1.0, 0.0),
+              (1, 1): (1.0, 0.0),
+              (2, 2): (1.0, 0.0),
+              (3, 3): (-0.4999999999999998, 0.8660254037844387),
+              (4, 4): (1.0, 0.0),
+              (5, 5): (1.0, 0.0),
+              (6, 6): (-0.5000000000000003, -0.8660254037844384),
+              (7, 7): (1.0, 0.0),
+              (8, 8): (-0.5000000000000003, -0.8660254037844384)},
+        'B': {(0, 0): (1.0, 0.0),
+              (1, 1): (-0.4999999999999998, 0.8660254037844387),
+              (2, 2): (-0.5000000000000003, -0.8660254037844384),
+              (3, 3): (1.0, 0.0),
+              (4, 4): (-0.4999999999999998, 0.8660254037844387),
+              (5, 5): (-0.4999999999999998, 0.8660254037844387),
+              (6, 6): (1.0, 0.0),
+              (7, 7): (-0.4999999999999998, 0.8660254037844387),
+              (8, 8): (-0.5000000000000003, -0.8660254037844384)},
+        'C': {(0, 0): (-0.4999999999999998, 0.8660254037844387),
+              (1, 1): (1.0, 0.0),
+              (2, 2): (0.24999999999999978, -0.4330127018922191),
+              (2, 6): (0.75, 0.4330127018922191),
+              (3, 3): (1.0, 0.0),
+              (4, 4): (1.0, 0.0),
+              (5, 5): (1.0, 0.0),
+              (6, 2): (0.75, 0.4330127018922191),
+              (6, 6): (0.24999999999999978, -0.4330127018922191),
+              (7, 7): (1.0, 0.0),
+              (8, 8): (1.0, 0.0)},
+        'Pi 0.0': {(0, 0): (1.0, 0.0)},
+        'Pi 0.1': {(1, 1): (1.0, 0.0),
+                   (4, 4): (1.0, 0.0),
+                   (5, 5): (1.0, 0.0),
+                   (7, 7): (1.0, 0.0)},
+        'Pi 0.2': {(2, 2): (1.0, 0.0)},
+        'Pi 1.0': {(3, 3): (1.0, 0.0)},
+        'Pi 1.1': {},
+        'Pi 1.2': {},
+        'Pi 2.0': {(6, 6): (1.0, 0.0)},
+        'Pi 2.1': {},
+        'Pi 2.2': {(8, 8): (1.0, 0.0)},
+        'Psi 0.0': {},
+        'Psi 0.1': {(0, 0): (1.0, 0.0)},
+        'Psi 0.2': {},
+        'Psi 1.0': {(1, 1): (1.0, 0.0),
+                    (3, 3): (1.0, 0.0),
+                    (4, 4): (1.0, 0.0),
+                    (5, 5): (1.0, 0.0),
+                    (7, 7): (1.0, 0.0),
+                    (8, 8): (1.0, 0.0)},
+        'Psi 1.1': {},
+        'Psi 1.2': {},
+        'Psi 2.0': {(2, 2): (0.4999999999999999, 0.0),
+                    (2, 6): (0.4999999999999999, 0.0),
+                    (6, 2): (0.4999999999999999, 0.0),
+                    (6, 6): (0.4999999999999999, 0.0)},
+        'Psi 2.1': {},
+        'Psi 2.2': {(2, 2): (0.4999999999999999, 0.0),
+                    (2, 6): (-0.4999999999999999, -0.0),
+                    (6, 2): (-0.4999999999999999, 0.0),
+                    (6, 6): (0.4999999999999999, 0.0)},
+    }),
+})
+
+
+@pytest.mark.parametrize("argv", QUANTUM_DEMOS + (("build", "key-example-witness"),),
+                         ids=" ".join)
+def test_quantum_golden(argv):
+    code, got = run_quantum(argv)
+    want_code, want = (WITNESS_GOLDEN if argv[0] == "build"
+                       else QUANTUM_GOLDEN[" ".join(argv)])
+    assert code == want_code
+    _close(got, _tokens(want) if isinstance(want, str) else want, " ".join(argv))
