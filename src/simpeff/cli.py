@@ -234,8 +234,8 @@ def _witness_bundle_json():
     w = quantum.build_witness()
     return {
         "dim": quantum.DIM,
-        "Pi": {".".join(map(str, t)): _mat_json(p) for t, p in sorted(w["Pi"].ops.items())},
-        "Psi": {".".join(map(str, t)): _mat_json(p) for t, p in sorted(w["Psi"].ops.items())},
+        **{name: {".".join(map(str, t)): _mat_json(w[name][t]) for t in w[name].outcomes()}
+           for name in ("Pi", "Psi")},
         "A": _mat_json(w["A"]),
         "B": _mat_json(w["B"]),
         "C": _mat_json(w["C"]),

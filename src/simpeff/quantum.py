@@ -34,12 +34,21 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _block_norms(blocks):
+    """Frobenius norm of each matrix in a stack."""
+    return np.linalg.norm(blocks, axis=(-2, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(n):
+    """The complex n x n identity, built once and read-only."""
+    e = np.eye(n, dtype=complex)
+    e.flags.writeable = False
+    return e
+
+
 def dagger(a):
     return a.conj().T
-
-
-def is_unitary(u) -> bool:
-    return frob(u @ dagger(u) - np.eye(u.shape[0])) < TOL_PROJ
 
 
 def commutator_norm(a, b) -> float:
@@ -47,89 +56,108 @@ def commutator_norm(a, b) -> float:
 
 
 def eigenprojectors(u):
-    """Spectral projectors of a D-torsion unitary via the finite Fourier sum
-    P_a = (1/D) sum_k omega^{-ak} u^k; reconstruction sum_a omega^a P_a = u."""
-    dim = u.shape[0]
-    if not is_unitary(u):
+    """Spectral projectors of a D-torsion unitary, stacked in one array, via
+    the finite Fourier sum P_a = (1/D) sum_k omega^{-ak} u^k; reconstruction
+    sum_a omega^a P_a = u."""
+    eye = _eye(u.shape[0])
+    if frob(u @ dagger(u) - eye) > TOL_PROJ:
         raise InputError("input is not unitary within tolerance")
-    powers = [np.eye(dim, dtype=complex)]
+    powers = [eye]
     for _ in range(D):
         powers.append(powers[-1] @ u)
-    if frob(powers[D] - np.eye(dim)) > TOL_PROJ:
+    if frob(powers[D] - eye) > TOL_PROJ:
         raise InputError(f"input is not {D}-torsion within tolerance")
-    projs = []
-    for a in range(D):
-        p = sum(OMEGA ** (-a * k) * powers[k] for k in range(D)) / D
-        projs.append(p)
-    recon = sum(OMEGA ** a * p for a, p in enumerate(projs))
-    if frob(recon - u) > TOL_EQ:
+    k = np.arange(D)
+    projs = np.tensordot(OMEGA ** -np.outer(k, k), powers[:D], axes=1) / D
+    if frob(np.tensordot(OMEGA ** k, projs, axes=1) - u) > TOL_EQ:
         raise InputError("spectral reconstruction failed")
     return projs
 
 
-@dataclass
+@functools.lru_cache(maxsize=None)
+def _outcomes(arity):
+    """The outcome tuples of (Z/3)^arity in lexicographic order, and tuple -> rank."""
+    outs = tuple(itertools.product(range(D), repeat=arity))
+    return outs, {t: k for k, t in enumerate(outs)}
+
+
+@dataclass(eq=False)
 class ProjectiveMeasurement:
-    """Finitely indexed projective measurement: outcome tuple -> projector."""
+    """Finitely indexed projective measurement: outcome tuple -> projector.
+
+    blocks has shape (3^arity, dim, dim); block k is the projector of the
+    k-th outcome tuple in lexicographic order, and m[t] reads outcome t.
+    """
 
     arity: int
-    ops: dict  # (a_1..a_n) in (Z/3)^arity -> ndarray
+    blocks: np.ndarray
+
+    @classmethod
+    def zeros(cls, arity, dim):
+        return cls(arity, np.zeros((D ** arity, dim, dim), dtype=complex))
+
+    def __getitem__(self, t):
+        return self.blocks[_outcomes(self.arity)[1][t]]
+
+    def __setitem__(self, t, p):
+        self.blocks[_outcomes(self.arity)[1][t]] = p
 
     def outcomes(self):
-        return sorted(self.ops)
+        return list(_outcomes(self.arity)[0])
 
     @property
     def dim(self):
-        return next(iter(self.ops.values())).shape[0]
+        return self.blocks.shape[-1]
 
     def validate(self):
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        outs = self.outcomes()
-        if len(outs) != D ** self.arity or any(len(t) != self.arity for t in outs):
+        p = self.blocks
+        n = D ** self.arity
+        if p.ndim != 3 or p.shape[0] != n or p.shape[1] != p.shape[2]:
             raise InputError("measurement must be indexed by all outcome tuples")
-        for t in outs:
-            p = self.ops[t]
-            if frob(p @ p - p) > TOL_PROJ or frob(dagger(p) - p) > TOL_PROJ:
-                raise InputError(f"entry {t} is not a projector")
-            total = total + p
-        for t1, t2 in itertools.combinations(outs, 2):
-            if frob(self.ops[t1] @ self.ops[t2]) > TOL_PROJ:
-                raise InputError(f"entries {t1}, {t2} are not orthogonal")
-        if frob(total - np.eye(self.dim)) > TOL_EQ:
+        d = p.shape[1]
+        outs = _outcomes(self.arity)[0]
+        # gram[s, :, t, :] = p[s] @ p[t]: the blocks stacked vertically times
+        # the blocks stacked horizontally
+        gram = (p.reshape(n * d, d) @ p.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
+        diag = np.arange(n)
+        bad = np.flatnonzero((_block_norms(gram[diag, :, diag, :] - p) > TOL_PROJ)
+                             | (_block_norms(p.conj().transpose(0, 2, 1) - p) > TOL_PROJ))
+        if bad.size:
+            raise InputError(f"entry {outs[bad[0]]} is not a projector")
+        # row-major order over s < t is itertools.combinations order
+        s, t = np.nonzero(np.triu(np.linalg.norm(gram, axis=(1, 3)) > TOL_PROJ, 1))
+        if s.size:
+            raise InputError(f"entries {outs[s[0]]}, {outs[t[0]]} are not orthogonal")
+        if frob(p.sum(0) - _eye(d)) > TOL_EQ:
             raise InputError("entries do not sum to the identity")
 
     def close_to(self, other) -> bool:
         return (self.arity == other.arity
-                and max(frob(self.ops[t] - other.ops[t]) for t in self.ops) < TOL_EQ)
+                and _block_norms(self.blocks - other.blocks).max() < TOL_EQ)
 
 
-def _zero_ops(arity, dim):
-    """Outcome tuple -> zero block, for every tuple in (Z/3)^arity in order."""
-    return {t: np.zeros((dim, dim), dtype=complex)
-            for t in itertools.product(range(D), repeat=arity)}
-
-
-def _ordered_product(ms):
-    """ms[0] @ ms[1] @ .., multiplied left to right onto the identity."""
-    return functools.reduce(np.matmul, ms, np.eye(ms[0].shape[0], dtype=complex))
+@functools.lru_cache(maxsize=None)
+def _face_fibres(n, i):
+    """The arity-n outcome ranks sorted by the rank of their image under
+    d_i, rank order kept within a fibre; every fibre has D elements."""
+    ranks = _outcomes(n - 1)[1]
+    return np.argsort([ranks[tuple_face(_Z3_ADD, n, i, t)] for t in _outcomes(n)[0]],
+                      kind="stable")
 
 
 def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """Fibre-sum face map: (d_i m)^c = sum of m^t over t with d_i(t) = c."""
-    n = m.arity
-    ops = _zero_ops(n - 1, m.dim)
-    for t, p in m.ops.items():
-        c = tuple_face(_Z3_ADD, n, i, t)
-        ops[c] = ops[c] + p
-    return ProjectiveMeasurement(n - 1, ops)
+    fibres = m.blocks[_face_fibres(m.arity, i)].reshape(-1, D, m.dim, m.dim)
+    return ProjectiveMeasurement(m.arity - 1, fibres.sum(1))
 
 
 def degeneracy(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """(s_i m)^t = m^{t minus position i} when t[i] = 0, else the zero block."""
     n = m.arity
-    ops = _zero_ops(n + 1, m.dim)
-    for c, p in m.ops.items():
-        ops[insert_unit(n, i, c)] = p.copy()
-    return ProjectiveMeasurement(n + 1, ops)
+    out = ProjectiveMeasurement.zeros(n + 1, m.dim)
+    ranks = _outcomes(n + 1)[1]
+    out.blocks[[ranks[insert_unit(n, i, c)] for c in _outcomes(n)[0]]] = m.blocks
+    return out
 
 
 def measurement_from_unitaries(us) -> ProjectiveMeasurement:
@@ -142,23 +170,20 @@ def measurement_from_unitaries(us) -> ProjectiveMeasurement:
         nc = commutator_norm(us[i], us[j])
         if nc > TOL_PROJ:
             raise InputError(f"unitaries {i}, {j} do not commute: |[u_i,u_j]|_F = {nc:.6g}")
-    projs = [eigenprojectors(u) for u in us]
-    ops = {t: _ordered_product([projs[k][a] for k, a in enumerate(t)])
-           for t in itertools.product(range(D), repeat=len(us))}
-    m = ProjectiveMeasurement(len(us), ops)
+    dim = us[0].shape[0]
+    blocks = _eye(dim)[None]
+    for u in us:
+        # appending outcome a to every tuple so far keeps lexicographic order
+        blocks = (blocks[:, None] @ eigenprojectors(u)[None]).reshape(-1, dim, dim)
+    m = ProjectiveMeasurement(len(us), blocks)
     m.validate()
     return m
 
 
 def unitaries_from_measurement(m: ProjectiveMeasurement):
     """Inverse of measurement_from_unitaries: u_i = sum_t omega^{t_i} Pi^t."""
-    out = []
-    for i in range(m.arity):
-        u = np.zeros((m.dim, m.dim), dtype=complex)
-        for t, p in m.ops.items():
-            u = u + OMEGA ** t[i] * p
-        out.append(u)
-    return out
+    phases = OMEGA ** np.array(_outcomes(m.arity)[0]).T
+    return list(np.tensordot(phases, m.blocks, axes=1))
 
 
 _FORBIDDEN = ((1, 1), (2, 1), (1, 2))
@@ -176,7 +201,7 @@ def in_key_example(m: ProjectiveMeasurement):
     if m.arity != 2:
         raise InputError("in_key_example takes 2-simplices; use in_key_example_tuple")
     for t in _FORBIDDEN:
-        nrm = frob(m.ops[t])
+        nrm = frob(m[t])
         if nrm > TOL_EQ:
             return False, (t, nrm)
     return True, None
@@ -188,8 +213,10 @@ def in_key_example_tuple(us):
     n = len(us)
     if n == 2:
         return in_key_example(measurement_from_unitaries(us))
+    eye = _eye(us[0].shape[0])
     for i, j, k in itertools.combinations(range(n + 1), 3):
-        ab = [_ordered_product(us[i:j]), _ordered_product(us[j:k])]
+        # the edges 01 and 12 of the 2-face ijk: products multiplied left to right
+        ab = [functools.reduce(np.matmul, us[a:b], eye) for a, b in ((i, j), (j, k))]
         ok, wit = in_key_example(measurement_from_unitaries(ab))
         if not ok:
             return False, ((i, j, k), wit)
@@ -200,12 +227,6 @@ def in_key_example_tuple(us):
 # the witness bundle
 
 
-def _gamma(a, b):
-    p = np.zeros((DIM, DIM), dtype=complex)
-    p[3 * a + b, 3 * a + b] = 1.0
-    return p
-
-
 def build_witness():
     """The explicit pair of 2-simplices exhibiting the 2-Segal failure.
 
@@ -214,29 +235,27 @@ def build_witness():
     A, B, C are the unitaries of d_2(Pi), d_0(Pi), d_0(Psi); (A, B) commute,
     (B, C) do not, so the glued pair of triangles has no filler.
     """
-    basis = {(a, b): _gamma(a, b) for a in range(3) for b in range(3)}
+    e = _eye(DIM)
+    basis = {(a, b): np.outer(e[3 * a + b], e[3 * a + b]) for a in range(D) for b in range(D)}
     pi01 = basis[(0, 1)] + basis[(1, 1)] + basis[(2, 1)] + basis[(1, 2)]
-    pi_ops = _zero_ops(2, DIM)
-    pi_ops.update({t: basis[t].copy() for t in _ALLOWED})
-    pi_ops[(0, 1)] = pi01
-    pi = ProjectiveMeasurement(2, pi_ops)
+    pi = ProjectiveMeasurement.zeros(2, DIM)
+    for t in _ALLOWED:
+        pi[t] = basis[t]
+    pi[(0, 1)] = pi01
     pi.validate()
 
     plus = np.zeros(DIM, dtype=complex)
-    plus[3 * 0 + 2] = 1 / np.sqrt(2)
-    plus[3 * 2 + 0] = 1 / np.sqrt(2)
-    minus = np.zeros(DIM, dtype=complex)
-    minus[3 * 0 + 2] = 1 / np.sqrt(2)
-    minus[3 * 2 + 0] = -1 / np.sqrt(2)
+    plus[[3 * 0 + 2, 3 * 2 + 0]] = 1 / np.sqrt(2)
+    minus = plus.copy()
+    minus[3 * 2 + 0] *= -1
     gp = np.outer(plus, plus.conj())
     gm = np.outer(minus, minus.conj())
 
-    psi_ops = _zero_ops(2, DIM)
-    psi_ops[(2, 0)] = gp
-    psi_ops[(1, 0)] = pi01 + basis[(1, 0)] + basis[(2, 2)]
-    psi_ops[(0, 1)] = basis[(0, 0)].copy()
-    psi_ops[(2, 2)] = gm
-    psi = ProjectiveMeasurement(2, psi_ops)
+    psi = ProjectiveMeasurement.zeros(2, DIM)
+    psi[(2, 0)] = gp
+    psi[(1, 0)] = pi01 + basis[(1, 0)] + basis[(2, 2)]
+    psi[(0, 1)] = basis[(0, 0)]
+    psi[(2, 2)] = gm
     psi.validate()
 
     [a_mat] = unitaries_from_measurement(face(pi, 2))
@@ -256,8 +275,7 @@ def build_witness():
 
 def _glue_residual(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement) -> float:
     """Largest Frobenius distance between d_2(psi) and d_1(pi), outcome by outcome."""
-    d2, d1 = face(psi, 2), face(pi, 1)
-    return max(frob(d2.ops[c] - d1.ops[c]) for c in d1.ops)
+    return float(_block_norms(face(psi, 2).blocks - face(pi, 1).blocks).max())
 
 
 def membrane_filler_check(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement):
@@ -272,11 +290,8 @@ def membrane_filler_check(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement)
         raise InputError("pi and psi do not share the gluing edge")
     u1, u2 = unitaries_from_measurement(pi)
     u3 = unitaries_from_measurement(psi)[1]
-    norms = {
-        "12": commutator_norm(u1, u2),
-        "13": commutator_norm(u1, u3),
-        "23": commutator_norm(u2, u3),
-    }
+    norms = {"12": commutator_norm(u1, u2), "13": commutator_norm(u1, u3),
+             "23": commutator_norm(u2, u3)}
     if max(norms.values()) > TOL_PROJ:
         return False, norms
     ok, wit = in_key_example_tuple([u1, u2, u3])
@@ -314,21 +329,14 @@ def _haar_blocks(rng, ranks):
     """u P u^dagger for consecutive diagonal blocks P of the given ranks,
     with one Haar-random u drawn from rng."""
     u = haar_unitary(rng, DIM)
-    out = []
-    start = 0
-    for r in ranks:
-        block = np.zeros((DIM, DIM), dtype=complex)
-        for k in range(start, start + int(r)):
-            block[k, k] = 1.0
-        out.append(u @ block @ dagger(u))
-        start += int(r)
-    return out
+    edges = np.cumsum([0, *ranks])
+    return [u[:, a:b] @ dagger(u[:, a:b]) for a, b in zip(edges, edges[1:])]
 
 
 def degenerate_two_simplex():
-    ops = _zero_ops(2, DIM)
-    ops[(0, 0)] = np.eye(DIM, dtype=complex)
-    return ProjectiveMeasurement(2, ops)
+    m = ProjectiveMeasurement.zeros(2, DIM)
+    m[(0, 0)] = _eye(DIM)
+    return m
 
 
 def sample_z_two_simplex(rng, ranks=None) -> ProjectiveMeasurement:
@@ -339,9 +347,9 @@ def sample_z_two_simplex(rng, ranks=None) -> ProjectiveMeasurement:
     """
     if ranks is None:
         ranks = dict(zip(_ALLOWED, rng.multinomial(DIM, [1 / len(_ALLOWED)] * len(_ALLOWED))))
-    ops = _zero_ops(2, DIM)
-    ops.update(zip(_ALLOWED, _haar_blocks(rng, [ranks.get(t, 0) for t in _ALLOWED])))
-    m = ProjectiveMeasurement(2, ops)
+    m = ProjectiveMeasurement.zeros(2, DIM)
+    for t, p in zip(_ALLOWED, _haar_blocks(rng, [ranks.get(t, 0) for t in _ALLOWED])):
+        m[t] = p
     m.validate()
     return m
 
@@ -357,24 +365,24 @@ def inverseless_sample_check(trials: int, seed: int):
     results = []
     ss = np.random.SeedSequence(seed)
     target = degenerate_two_simplex()
-    deg_edge = face(target, 1).ops
+    deg_edge = face(target, 1).blocks
     for child in ss.spawn(trials):
         rng = np.random.default_rng(child)
         sample = sample_z_two_simplex(rng, ranks={(0, 0): DIM})
         ok, _ = in_key_example(sample)
         d1 = face(sample, 1)
-        rel = [frob(d1.ops[(0,)] - sample.ops[(0, 0)]),
-               frob(sample.ops[(2, 2)] + sample.ops[(1, 0)] + sample.ops[(0, 1)] - d1.ops[(1,)]),
-               frob(sample.ops[(2, 0)] + sample.ops[(0, 2)] - d1.ops[(2,)])]
-        degenerate_input = max(frob(d1.ops[c] - deg_edge[c]) for c in deg_edge)
-        collapse = max(frob(sample.ops[t] - target.ops[t]) for t in sample.ops)
+        fibres = np.array([sample[(0, 0)],
+                           sample[(2, 2)] + sample[(1, 0)] + sample[(0, 1)],
+                           sample[(2, 0)] + sample[(0, 2)]])
+        relation = float(_block_norms(fibres - d1.blocks).max())
+        degenerate_input = float(_block_norms(d1.blocks - deg_edge).max())
+        collapse = float(_block_norms(sample.blocks - target.blocks).max())
         generic = sample_z_two_simplex(rng)
-        off_mass = sum(np.trace(generic.ops[t]).real for t in _ALLOWED if t != (0, 0))
-        gen_d1 = face(generic, 1)
-        gen_gap = sum(np.trace(gen_d1.ops[c]).real for c in [(1,), (2,)])
+        off_mass = sum(np.trace(generic[t]).real for t in _ALLOWED if t != (0, 0))
+        gen_gap = sum(np.trace(face(generic, 1)[c]).real for c in [(1,), (2,)])
         results.append({
             "in_key_example": bool(ok),
-            "relation_residual": max(rel),
+            "relation_residual": relation,
             "d1_degenerate_residual": degenerate_input,
             "collapse_residual": collapse,
             "collapsed": bool(ok and degenerate_input < TOL_EQ and collapse < TOL_EQ),
@@ -393,18 +401,18 @@ def born_state(rho, m: ProjectiveMeasurement):
     if rho.shape[0] != m.dim:
         raise InputError("dimension mismatch between state and measurement")
     validate_density(rho)
-    p = [float(np.trace(rho @ m.ops[t]).real) for t in m.outcomes()]
+    p = [float(np.trace(rho @ b).real) for b in m.blocks]
     if any(v < -TOL_EQ for v in p) or abs(sum(p) - 1) > TOL_EQ:
         raise InputError("Born vector failed positivity or normalization")
     return p
 
 
 def phi_state(rho, edge_ops):
-    """The candidate state on a 1-simplex (P0, P1, P2):
-    Tr(rho ((1 - P0) - P2 / 2))."""
+    """The candidate state on a 1-simplex (P0, P1, P2), given as anything
+    that indexes them by 0, 1, 2: Tr(rho ((1 - P0) - P2 / 2))."""
     p0 = edge_ops[0]
     p2 = edge_ops[2]
-    op = np.eye(p0.shape[0], dtype=complex) - p0 - 0.5 * p2
+    op = _eye(p0.shape[0]) - p0 - 0.5 * p2
     return float(np.trace(rho @ op).real)
 
 
@@ -432,11 +440,11 @@ def key_example_state_check(rho, trials: int, seed: int):
     """
     validate_density(rho)
     ss = np.random.SeedSequence(seed)
-    eye = np.eye(DIM, dtype=complex)
+    eye = _eye(DIM)
     zero = np.zeros((DIM, DIM), dtype=complex)
 
     def phi(p0, p1, p2):
-        return phi_state(rho, {0: p0, 1: p1, 2: p2})
+        return phi_state(rho, (p0, p1, p2))
 
     omega_sq_one = abs(phi(zero, zero, eye) - 0.5)
     results = []
@@ -458,14 +466,9 @@ def key_example_state_check(rho, trials: int, seed: int):
         b_mat = (p1 + q) + OMEGA * (p0 - q) + OMEGA ** 2 * p2
         m = measurement_from_unitaries([a_mat, b_mat])
         ok_z, _ = in_key_example(m)
-        d2, d0, d1 = face(m, 2), face(m, 0), face(m, 1)
-
-        def phi_edge(e):
-            return phi(e.ops[(0,)], e.ops[(1,)], e.ops[(2,)])
-
-        additivity = abs(phi_edge(d2) + phi_edge(d0) - phi_edge(d1))
-        values = [phi_edge(d2), phi_edge(d0), phi_edge(d1)]
-        in_range = all(-1e-12 <= v <= 1 + 1e-12 for v in values)
+        d2, d0, d1 = (phi_state(rho, face(m, i).blocks) for i in (2, 0, 1))
+        additivity = abs(d2 + d0 - d1)
+        in_range = all(-1e-12 <= v <= 1 + 1e-12 for v in (d2, d0, d1))
         results.append({
             "partial_additive": partial_additive,
             "swap_orth": swap_orth,
@@ -479,9 +482,5 @@ def key_example_state_check(rho, trials: int, seed: int):
                                additivity) < TOL_EQ),
         })
     passed = sum(1 for r in results if r["ok"])
-    return {
-        "trials": trials,
-        "passed": passed,
-        "phi_omega_sq_one_residual": omega_sq_one,
-        "results": results,
-    }
+    return {"trials": trials, "passed": passed, "phi_omega_sq_one_residual": omega_sq_one,
+            "results": results}

@@ -197,15 +197,15 @@ def test_criterion_7_key_example_witness():
             expected = pi01
         else:
             expected = gam[t]
-        assert quantum.frob(pi.ops[t] - expected) < 1e-12
+        assert quantum.frob(pi[t] - expected) < 1e-12
     plus = np.zeros(9, dtype=complex)
     plus[2], plus[6] = 1 / np.sqrt(2), 1 / np.sqrt(2)
     minus = np.zeros(9, dtype=complex)
     minus[2], minus[6] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    assert quantum.frob(psi.ops[(2, 0)] - np.outer(plus, plus.conj())) < 1e-12
-    assert quantum.frob(psi.ops[(2, 2)] - np.outer(minus, minus.conj())) < 1e-12
-    assert quantum.frob(psi.ops[(0, 1)] - gam[(0, 0)]) < 1e-12
-    assert quantum.frob(psi.ops[(1, 0)] - (pi01 + gam[(1, 0)] + gam[(2, 2)])) < 1e-12
+    assert quantum.frob(psi[(2, 0)] - np.outer(plus, plus.conj())) < 1e-12
+    assert quantum.frob(psi[(2, 2)] - np.outer(minus, minus.conj())) < 1e-12
+    assert quantum.frob(psi[(0, 1)] - gam[(0, 0)]) < 1e-12
+    assert quantum.frob(psi[(1, 0)] - (pi01 + gam[(1, 0)] + gam[(2, 2)])) < 1e-12
 
     checks = w["checks"]
     assert checks["d2psi_eq_d1pi_residual"] < 1e-9

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import quantum_oracles as oracle
 from simpeff import quantum as q
 from simpeff.util import InputError
 
@@ -61,7 +62,7 @@ def test_eigenprojectors_reject_bad_input():
 def test_witness_b_eigenprojector_is_pi01(witness):
     # the omega-eigenprojector of B is the rank-4 block at outcome 01
     projs = q.eigenprojectors(witness["B"])
-    assert q.frob(projs[1] - witness["Pi"].ops[(0, 1)]) < q.TOL_EQ
+    assert q.frob(projs[1] - witness["Pi"][(0, 1)]) < q.TOL_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +71,15 @@ def test_witness_b_eigenprojector_is_pi01(witness):
 
 def test_measurement_from_single_identity():
     m = q.measurement_from_unitaries([np.eye(q.DIM, dtype=complex)])
-    assert q.frob(m.ops[(0,)] - np.eye(q.DIM)) < q.TOL_EQ
-    assert q.frob(m.ops[(1,)]) < q.TOL_EQ and q.frob(m.ops[(2,)]) < q.TOL_EQ
+    assert q.frob(m[(0,)] - np.eye(q.DIM)) < q.TOL_EQ
+    assert q.frob(m[(1,)]) < q.TOL_EQ and q.frob(m[(2,)]) < q.TOL_EQ
 
 
 def test_measurement_from_witness_pair(witness):
     m = q.measurement_from_unitaries([witness["A"], witness["B"]])
     assert m.close_to(witness["Pi"])
     for t in ((1, 1), (2, 1), (1, 2)):
-        assert q.frob(m.ops[t]) < q.TOL_EQ
+        assert q.frob(m[t]) < q.TOL_EQ
 
 
 def test_measurement_rejects_noncommuting(witness):
@@ -106,10 +107,10 @@ def test_unitaries_measurement_roundtrip():
 def test_measurement_faces_are_fiber_sums(witness):
     pi = witness["Pi"]
     d1 = q.face(pi, 1)
-    manual = pi.ops[(0, 1)] + pi.ops[(1, 0)] + pi.ops[(2, 2)]
-    assert q.frob(d1.ops[(1,)] - manual) < q.TOL_EQ
+    manual = pi[(0, 1)] + pi[(1, 0)] + pi[(2, 2)]
+    assert q.frob(d1[(1,)] - manual) < q.TOL_EQ
     d0 = q.face(pi, 0)
-    assert q.frob(d0.ops[(1,)] - sum(pi.ops[(a, 1)] for a in range(3))) < q.TOL_EQ
+    assert q.frob(d0[(1,)] - sum(pi[(a, 1)] for a in range(3))) < q.TOL_EQ
 
 
 def test_degeneracies_are_sections_of_faces(witness):
@@ -137,15 +138,14 @@ def test_in_key_example_generic_pair_fails():
         u = q.haar_unitary(rng, q.DIM)
         ranks = rng.multinomial(q.DIM, [1 / 9] * 9)
         labels = list(itertools.product(range(3), repeat=2))
-        blocks = {}
+        m = q.ProjectiveMeasurement.zeros(2, q.DIM)
         start = 0
         for lab, r in zip(labels, ranks):
             sel = np.zeros((q.DIM, q.DIM), dtype=complex)
             for k in range(start, start + int(r)):
                 sel[k, k] = 1
-            blocks[lab] = u @ sel @ q.dagger(u)
+            m[lab] = u @ sel @ q.dagger(u)
             start += int(r)
-        m = q.ProjectiveMeasurement(2, blocks)
         ok, wit = q.in_key_example(m)
         if not ok:
             hits += 1
@@ -155,8 +155,7 @@ def test_in_key_example_generic_pair_fails():
 
 
 def test_in_key_example_dimension_guard():
-    bad = q.ProjectiveMeasurement(2, {t: np.zeros((3, 3), dtype=complex)
-                            for t in itertools.product(range(3), repeat=2)})
+    bad = q.ProjectiveMeasurement.zeros(2, 3)
     with pytest.raises(InputError):
         q.in_key_example(bad)
 
@@ -220,8 +219,8 @@ def test_constraint_violating_simplex_rejected():
     bad = q.degenerate_two_simplex()
     shift = np.zeros((q.DIM, q.DIM), dtype=complex)
     shift[0, 0] = 1
-    bad.ops[(1, 1)] = shift
-    bad.ops[(0, 0)] = bad.ops[(0, 0)] - shift
+    bad[(1, 1)] = shift
+    bad[(0, 0)] = bad[(0, 0)] - shift
     ok, wit = q.in_key_example(bad)
     assert not ok and wit[0] == (1, 1)
 
@@ -273,7 +272,7 @@ def test_state_formula_distinguishes_densities():
         m = q.sample_z_two_simplex(rng)
         for i in (0, 1, 2):
             e = q.face(m, i)
-            ops = {k: e.ops[(k,)] for k in range(3)}
+            ops = {k: e[(k,)] for k in range(3)}
             if abs(q.phi_state(rho1, ops) - q.phi_state(rho2, ops)) > 1e-6:
                 found = True
     assert found
@@ -287,3 +286,86 @@ def test_validate_density():
     bad[0, 0], bad[1, 1] = 2, -1
     with pytest.raises(InputError):
         q.validate_density(bad)
+
+
+# ---------------------------------------------------------------------------
+# the block array against the per-outcome oracles
+
+
+def sampled_measurement(rng, arity):
+    """A validated measurement from arity commuting Haar-conjugated unitaries."""
+    u = q.haar_unitary(rng, q.DIM)
+    return q.measurement_from_unitaries(
+        [u @ np.diag(q.OMEGA ** rng.integers(0, 3, q.DIM)) @ q.dagger(u) for _ in range(arity)])
+
+
+def rank_one_measurement(rng):
+    """An arity-2 measurement whose nine blocks are all rank one."""
+    u = q.haar_unitary(rng, q.DIM)
+    return q.measurement_from_unitaries(
+        [u @ np.diag([q.OMEGA ** f(k) for k in range(q.DIM)]) @ q.dagger(u)
+         for f in (lambda k: k // 3, lambda k: k % 3)])
+
+
+def assert_blocks_close(m, ops):
+    assert sorted(ops) == m.outcomes()
+    for t, p in ops.items():
+        assert q.frob(m[t] - p) < q.TOL_EQ
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_array_maps_match_oracles(arity):
+    rng = np.random.default_rng(40 + arity)
+    for _ in range(3):
+        m = sampled_measurement(rng, arity)
+        ops = oracle.as_dict(m)
+        oracle.validate(arity, ops)
+        for i in range(arity + 1):
+            assert_blocks_close(q.face(m, i), oracle.face(arity, ops, i))
+            s = q.degeneracy(m, i)
+            s.validate()
+            assert_blocks_close(s, oracle.degeneracy(arity, ops, i))
+        for fast, slow in zip(q.unitaries_from_measurement(m),
+                              oracle.unitaries_from_measurement(arity, ops), strict=True):
+            assert q.frob(fast - slow) < q.TOL_EQ
+
+
+def assert_same_rejection(arity, blocks):
+    ops = dict(zip(itertools.product(range(3), repeat=arity), blocks))
+    with pytest.raises(InputError) as fast:
+        q.ProjectiveMeasurement(arity, blocks).validate()
+    with pytest.raises(InputError) as slow:
+        oracle.validate(arity, ops)
+    assert str(fast.value) == str(slow.value)
+    return str(fast.value)
+
+
+def test_validate_rejections_match_oracle():
+    rng = np.random.default_rng(61)
+    m = rank_one_measurement(rng)
+    scaled = m.blocks.copy()
+    scaled[m.outcomes().index((1, 2))] *= 2
+    assert assert_same_rejection(2, scaled) == "entry (1, 2) is not a projector"
+    skew = q.face(m, 0).blocks.copy()  # three rank-3 blocks
+    skew[2] = skew[2] @ (np.eye(q.DIM) + np.triu(np.ones((q.DIM, q.DIM)), 1))
+    assert assert_same_rejection(1, skew) == "entry (2,) is not a projector"
+    clash = q.ProjectiveMeasurement(2, m.blocks.copy())
+    clash[(2, 1)] = m[(1, 0)]
+    clash[(2, 2)] = m[(0, 2)]
+    # (1, 0), (2, 1) also clash, but (0, 2), (2, 2) comes first
+    assert assert_same_rejection(2, clash.blocks) == "entries (0, 2), (2, 2) are not orthogonal"
+    short = m.blocks.copy()
+    short[0] = 0
+    assert assert_same_rejection(2, short) == "entries do not sum to the identity"
+    assert (assert_same_rejection(2, m.blocks[:8])
+            == "measurement must be indexed by all outcome tuples")
+    assert (assert_same_rejection(3, sampled_measurement(rng, 2).blocks)
+            == "measurement must be indexed by all outcome tuples")
+
+
+def test_accessor_rejects_outcomes_of_another_arity(witness):
+    pi = witness["Pi"]
+    assert q.frob(pi[(0, 1)] - pi.blocks[1]) == 0
+    for bad in [(0,), (0, 1, 2), (0, 3)]:
+        with pytest.raises(KeyError):
+            pi[bad]
