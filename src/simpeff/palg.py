@@ -62,7 +62,7 @@ class PartialUnitalMagma:
     def from_json_dict(d) -> "PartialUnitalMagma":
         try:
             size = int(d["size"])
-            if d.get("unit", 0) != 0:
+            if int(d.get("unit", 0)) != 0:
                 raise InputError("magma unit must be element 0")
             product = {}
             for a, b, c in d["products"]:

@@ -104,6 +104,18 @@ def test_check_magma_compares_products_as_ints(tmp_path, capsys):
     assert reports[1] == reports[2] == reports[0]
 
 
+def test_check_magma_reads_unit_as_int(tmp_path, capsys):
+    """"unit": "0" is read like 0, as "size" and the products are."""
+    reports = []
+    for unit in (0, "0"):
+        path = tmp_path / "magma.json"
+        path.write_text(json.dumps({"size": 2, "unit": unit, "products": UNIT_ROWS}))
+        code = run("check", "magma", "--in", str(path))
+        reports.append((code, capsys.readouterr()))
+    assert reports[0][0] in (0, 1) and not reports[0][1].err
+    assert reports[1] == reports[0]
+
+
 def test_states_cli_l2(tmp_path, capsys):
     out = tmp_path / "l2.json"
     run("build", "effect-nerve", "--family", "l2", "--levels", "4", "--out", str(out))
@@ -203,6 +215,8 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("build", "action-pg", "--group", "z2.json", "--y", "a,b"),
     ("check", "magma", "--in", "clash-str-a.json"),
     ("check", "magma", "--in", "clash-str-b.json"),
+    ("check", "magma", "--in", "unit-1.json"),
+    ("check", "magma", "--in", "unit-x.json"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -213,6 +227,9 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     for name, products in (("a", [[1, 1, 0], ["1", 1, 1]]), ("b", [[1, 1, 0], [1, "1", 1]])):
         (tmp_path / f"clash-str-{name}.json").write_text(
             json.dumps({"size": 2, "unit": 0, "products": UNIT_ROWS + products}))
+    for name, unit in (("1", "1"), ("x", "x")):
+        (tmp_path / f"unit-{name}.json").write_text(
+            json.dumps({"size": 2, "unit": unit, "products": UNIT_ROWS}))
     (tmp_path / "z2.json").write_text(json.dumps(nv.cyclic_group(2).to_json_dict()))
     (tmp_path / "order-0.json").write_text(json.dumps({"order": 0, "mul": []}))
     assert run("build", "s1", "--levels", "3", "--out", "s1.json") == 0
