@@ -108,30 +108,6 @@ def leaf_count(tree) -> int:
     return leaf_count(tree[0]) + leaf_count(tree[1])
 
 
-def bracketed_product(m: PartialUnitalMagma, tup, tree):
-    """Evaluate tup under the bracketing tree; None when undefined.
-
-    The tree performs one binary product per internal vertex.  Arity
-    mismatch between tuple and tree is an input error.
-    """
-    if leaf_count(tree) != len(tup):
-        raise InputError(f"bracketing has {leaf_count(tree)} leaves for a {len(tup)}-tuple")
-
-    def ev(t, lo, hi):
-        if t == LEAF:
-            return tup[lo]
-        k = leaf_count(t[0])
-        a = ev(t[0], lo, lo + k)
-        if a is None:
-            return None
-        b = ev(t[1], lo + k, hi)
-        if b is None:
-            return None
-        return m.product.get((a, b))
-
-    return ev(tree, 0, len(tup))
-
-
 def _interval_tables(m: PartialUnitalMagma, tup):
     """Interval DP over all bracketings.
 
@@ -175,15 +151,6 @@ def is_multiplicable(m: PartialUnitalMagma, tup) -> bool:
         return True
     _, ok = _interval_tables(m, tup)
     return ok[(0, len(tup) - 1)]
-
-
-def is_associable(m: PartialUnitalMagma, tup) -> bool:
-    """Multiplicable with all bracketings agreeing on a single value."""
-    if len(tup) == 1:
-        return True
-    vals, ok = _interval_tables(m, tup)
-    key = (0, len(tup) - 1)
-    return ok[key] and len(vals[key]) == 1
 
 
 def is_fully_associable(m: PartialUnitalMagma, tup) -> bool:

@@ -113,11 +113,6 @@ def from_levels(levels, face_key, deg_key) -> TruncatedSSet:
     return TruncatedSSet(K, [len(lev) for lev in levels], face, deg, dict(enumerate(levels)))
 
 
-def sset_equal(x: TruncatedSSet, y: TruncatedSSet) -> bool:
-    return (x.K == y.K and x.counts == y.counts
-            and x.face == y.face and x.deg == y.deg)
-
-
 def validate(x: TruncatedSSet):
     """All simplicial identity instances within the truncation.
 

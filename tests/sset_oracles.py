@@ -4,7 +4,8 @@ membrane_set is a generic backtracker over the simplicial maps from a
 subcomplex of the n-simplex (the spine, the boundary or a triangulation) into
 a truncated simplicial set; the Segal checks count and enumerate membranes
 with an interval DP instead, and the tests compare the two.  sset_isomorphic
-searches for a levelwise isomorphism.
+searches for a levelwise isomorphism, and sset_equal compares two truncated
+simplicial sets table by table.
 """
 
 import itertools
@@ -14,6 +15,12 @@ from simpeff.util import InputError
 
 SPINE = "spine"
 BOUNDARY = "boundary"
+
+
+def sset_equal(x: sset.TruncatedSSet, y: sset.TruncatedSSet) -> bool:
+    """The same truncation, counts and face and degeneracy tables."""
+    return (x.K == y.K and x.counts == y.counts
+            and x.face == y.face and x.deg == y.deg)
 
 
 def _top_cells(n, subset):

@@ -5,6 +5,8 @@ from simpeff import nerve as nv
 from simpeff import palg, sset
 from simpeff.util import InputError
 
+from sset_oracles import sset_equal
+
 
 def nerve_of(magma, K=4):
     return nv.nerve(magma, palg.max_associativity_datum(magma, K), K)
@@ -221,4 +223,4 @@ def test_cyclic_json_roundtrip(l2_cyclic):
     c = l2_cyclic[2]
     again = cyc.CyclicSSet.from_json_dict(c.to_json_dict())
     assert again.tau == c.tau
-    assert sset.sset_equal(again.base, c.base)
+    assert sset_equal(again.base, c.base)

@@ -9,7 +9,7 @@ from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
 from conftest import random_magma
-from sset_oracles import BOUNDARY, SPINE, membrane_set, sset_isomorphic
+from sset_oracles import BOUNDARY, SPINE, membrane_set, sset_equal, sset_isomorphic
 from test_golden import _twin_tetra
 
 I, J = 2, 4  # Q8 ids for i and j
@@ -449,12 +449,12 @@ def test_cosk2_extend_z2(z2_nerve):
     ext = sset.cosk2_extend(sset.truncate(z2_nerve, 2), 4)
     assert sset.validate(ext) == []
     assert sset.is_coskeletal_2(ext)[0]
-    assert sset.sset_equal(sset.canonicalize_spiny(ext), sset.canonicalize_spiny(z2_nerve))
+    assert sset_equal(sset.canonicalize_spiny(ext), sset.canonicalize_spiny(z2_nerve))
 
 
 def test_cosk2_extend_q8(q8_nerve):
     ext = sset.cosk2_extend(sset.truncate(q8_nerve, 2), 4)
-    assert sset.sset_equal(sset.canonicalize_spiny(ext), sset.canonicalize_spiny(q8_nerve))
+    assert sset_equal(sset.canonicalize_spiny(ext), sset.canonicalize_spiny(q8_nerve))
 
 
 def test_cosk2_extend_point():
@@ -480,7 +480,7 @@ def test_cosk2_fixpoint_iff_coskeletal():
 
 def test_canonicalize_idempotent(q8_nerve):
     c1 = sset.canonicalize_spiny(q8_nerve)
-    assert sset.sset_equal(sset.canonicalize_spiny(c1), c1)
+    assert sset_equal(sset.canonicalize_spiny(c1), c1)
 
 
 def test_isomorphic_rejects_different():
@@ -492,7 +492,7 @@ def test_isomorphic_rejects_different():
 
 def test_sset_json_roundtrip(q8_nerve):
     again = sset.TruncatedSSet.from_json_dict(q8_nerve.to_json_dict())
-    assert sset.sset_equal(again, q8_nerve)
+    assert sset_equal(again, q8_nerve)
 
 
 def test_membrane_boundary_above_truncation(q8_nerve):
