@@ -452,16 +452,13 @@ def key_example_state_check(rho, trials: int, seed: int):
         rng = np.random.default_rng(child)
         p0, p1, p2 = _haar_blocks(rng, rng.multinomial(DIM, [1 / 3] * 3))
         q = _random_subprojector(rng, p0)
-        qbar = eye - q
-        partial_additive = abs(
-            phi(p0, p1, p2) + phi(p1 + q, p0 - q, p2) - phi(q, qbar, zero))
-        p0bar = eye - p0
-        swap_orth = abs(phi(p0, p0bar, zero) + phi(p0bar, p0, zero) - 1)
-        half = abs(2 * phi(p0, zero, p0bar) - phi(p0, p0bar, zero))
+        # phi of the edges (Q, 1-Q, 0) and (P0, 1-P0, 0), each used twice or more
+        phi_q, phi_p0 = phi(q, eye - q, zero), phi(p0, eye - p0, zero)
+        partial_additive = abs(phi(p0, p1, p2) + phi(p1 + q, p0 - q, p2) - phi_q)
+        swap_orth = abs(phi_p0 + phi(eye - p0, p0, zero) - 1)
+        half = abs(2 * phi(p0, zero, eye - p0) - phi_p0)
         p1q = p1 + q
-        third_zero = abs(
-            phi(p0, p0bar, zero) + phi(p1q, eye - p1q, zero)
-            - phi(eye - p2, p2, zero) - phi(q, qbar, zero))
+        third_zero = abs(phi_p0 + phi(p1q, eye - p1q, zero) - phi(eye - p2, p2, zero) - phi_q)
         a_mat = p0 + OMEGA * p1 + OMEGA ** 2 * p2
         b_mat = (p1 + q) + OMEGA * (p0 - q) + OMEGA ** 2 * p2
         m = measurement_from_unitaries([a_mat, b_mat])
