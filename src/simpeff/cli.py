@@ -234,8 +234,8 @@ def _witness_bundle_json():
     w = quantum.build_witness()
     return {
         "dim": quantum.DIM,
-        **{name: {".".join(map(str, t)): _mat_json(w[name][t]) for t in w[name].outcomes()}
-           for name in ("Pi", "Psi")},
+        "Pi": {".".join(map(str, t)): _mat_json(w["Pi"][t]) for t in w["Pi"].outcomes()},
+        "Psi": {".".join(map(str, t)): _mat_json(w["Psi"][t]) for t in w["Psi"].outcomes()},
         "A": _mat_json(w["A"]),
         "B": _mat_json(w["B"]),
         "C": _mat_json(w["C"]),

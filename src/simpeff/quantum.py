@@ -81,7 +81,7 @@ def _outcomes(arity):
     return outs, {t: k for k, t in enumerate(outs)}
 
 
-@dataclass(eq=False)
+@dataclass
 class ProjectiveMeasurement:
     """Finitely indexed projective measurement: outcome tuple -> projector.
 
@@ -141,8 +141,10 @@ def _face_fibres(n, i):
     """The arity-n outcome ranks sorted by the rank of their image under
     d_i, rank order kept within a fibre; every fibre has D elements."""
     ranks = _outcomes(n - 1)[1]
-    return np.argsort([ranks[tuple_face(_Z3_ADD, n, i, t)] for t in _outcomes(n)[0]],
-                      kind="stable")
+    order = np.argsort([ranks[tuple_face(_Z3_ADD, n, i, t)] for t in _outcomes(n)[0]],
+                       kind="stable")
+    order.flags.writeable = False
+    return order
 
 
 def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
