@@ -351,6 +351,14 @@ def positive_int(text):
     return value
 
 
+def nonnegative_int(text):
+    """argparse type for seeds, which SeedSequence takes from 0 up."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="simpeff",
                                 description="checkers and builders for finite "
@@ -386,7 +394,7 @@ def _parser():
 
     q = sub.add_parser("quantum-demo", help="key-example witness and sampled checks")
     q.add_argument("--trials", type=positive_int, default=20)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=nonnegative_int, default=0)
     q.set_defaults(func=cmd_quantum_demo)
     for sp in (c, b):
         sp.add_argument("--levels", type=positive_int, default=4,

@@ -10,6 +10,7 @@ variant, inverses, and finite effect algebras.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -84,28 +85,20 @@ class PartialUnitalMagma:
 LEAF = "*"
 
 
+@functools.lru_cache(maxsize=None)
 def bracketings(n: int):
     """All planar binary rooted trees with n leaves (Catalan(n-1) of them).
 
     A tree is LEAF or a pair (left, right).  Deterministic order: by split
-    position, left subtree first.
+    position, left subtree first.  Cached per n, so trees share their
+    subtrees; the result is a tuple, as trees are immutable.
     """
     if n < 1:
         raise InputError("bracketings need n >= 1")
     if n == 1:
-        return [LEAF]
-    out = []
-    for k in range(1, n):
-        for left in bracketings(k):
-            for right in bracketings(n - k):
-                out.append((left, right))
-    return out
-
-
-def leaf_count(tree) -> int:
-    if tree == LEAF:
-        return 1
-    return leaf_count(tree[0]) + leaf_count(tree[1])
+        return (LEAF,)
+    return tuple((left, right) for k in range(1, n)
+                 for left in bracketings(k) for right in bracketings(n - k))
 
 
 def _interval_tables(m: PartialUnitalMagma, tup):

@@ -6,6 +6,10 @@ indexed by (Z/3)^n outcome tuples, membership in the full simplicial subset
 with Pi^11 = Pi^21 = Pi^12 = 0, the explicit witness pair of 2-simplices
 with no 3-simplex filler, and the Born-rule state formula checks.  Nothing
 infinite is materialized; every claim is pointwise or sampled.
+
+The maps on matrices and measurements take leading stack axes, so that the
+sampled checks run on blocks of TRIAL_BLOCK trials at once; a single matrix
+or measurement is the stack with no leading axis.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .util import InputError
 TOL_EQ = 1e-9        # operator equality, Frobenius norm
 TOL_PROJ = 1e-6      # "is a projector" / commutation acceptance
 NONCOMM_MARGIN = 0.1  # asserted lower bound for genuine non-commutation
+# trials checked together by the sampled checks; peak memory, which grows with
+# it, bounds it rather than speed
+TRIAL_BLOCK = 10
 
 D = 3
 DIM = 9
@@ -48,28 +55,34 @@ def _eye(n):
 
 
 def dagger(a):
-    return a.conj().T
+    return np.swapaxes(a, -2, -1).conj()
 
 
-def commutator_norm(a, b) -> float:
-    return frob(a @ b - b @ a)
+def commutator_norm(a, b):
+    return _block_norms(a @ b - b @ a)
+
+
+def _traces(a):
+    """Real part of the trace of each matrix in a stack."""
+    return np.trace(a, axis1=-2, axis2=-1).real
 
 
 def eigenprojectors(u):
-    """Spectral projectors of a D-torsion unitary, stacked in one array, via
-    the finite Fourier sum P_a = (1/D) sum_k omega^{-ak} u^k; reconstruction
-    sum_a omega^a P_a = u."""
-    eye = _eye(u.shape[0])
-    if frob(u @ dagger(u) - eye) > TOL_PROJ:
+    """Spectral projectors of a D-torsion unitary u (..., d, d), stacked as
+    (..., D, d, d), via the finite Fourier sum P_a = (1/D) sum_k omega^{-ak} u^k;
+    reconstruction sum_a omega^a P_a = u."""
+    eye = _eye(u.shape[-1])
+    if (_block_norms(u @ dagger(u) - eye) > TOL_PROJ).any():
         raise InputError("input is not unitary within tolerance")
-    powers = [eye]
-    for _ in range(D):
-        powers.append(powers[-1] @ u)
-    if frob(powers[D] - eye) > TOL_PROJ:
+    powers = [np.broadcast_to(eye, u.shape), u, u @ u]
+    if (_block_norms(powers[-1] @ u - eye) > TOL_PROJ).any():
         raise InputError(f"input is not {D}-torsion within tolerance")
     k = np.arange(D)
-    projs = np.tensordot(OMEGA ** -np.outer(k, k), powers[:D], axes=1) / D
-    if frob(np.tensordot(OMEGA ** k, projs, axes=1) - u) > TOL_EQ:
+    # the powers' entries as rows, so that each sum over k is one matmul
+    flat = np.stack(powers, -3).reshape(*u.shape[:-2], D, -1)
+    projs = (OMEGA ** -np.outer(k, k) @ flat / D).reshape(*u.shape[:-2], D, *u.shape[-2:])
+    rebuilt = (OMEGA ** k @ projs.reshape(flat.shape)).reshape(u.shape)
+    if (_block_norms(rebuilt - u) > TOL_EQ).any():
         raise InputError("spectral reconstruction failed")
     return projs
 
@@ -85,8 +98,10 @@ def _outcomes(arity):
 class ProjectiveMeasurement:
     """Finitely indexed projective measurement: outcome tuple -> projector.
 
-    blocks has shape (3^arity, dim, dim); block k is the projector of the
-    k-th outcome tuple in lexicographic order, and m[t] reads outcome t.
+    blocks has shape (..., 3^arity, dim, dim); block k is the projector of
+    the k-th outcome tuple in lexicographic order, and m[t] reads outcome t.
+    Leading axes, if any, stack measurements of one arity, which m[t],
+    validate, face and in_key_example treat one by one.
     """
 
     arity: int
@@ -97,10 +112,10 @@ class ProjectiveMeasurement:
         return cls(arity, np.zeros((D ** arity, dim, dim), dtype=complex))
 
     def __getitem__(self, t):
-        return self.blocks[_outcomes(self.arity)[1][t]]
+        return self.blocks[..., _outcomes(self.arity)[1][t], :, :]
 
     def __setitem__(self, t, p):
-        self.blocks[_outcomes(self.arity)[1][t]] = p
+        self.blocks[..., _outcomes(self.arity)[1][t], :, :] = p
 
     def outcomes(self):
         return list(_outcomes(self.arity)[0])
@@ -110,26 +125,34 @@ class ProjectiveMeasurement:
         return self.blocks.shape[-1]
 
     def validate(self):
+        """Raise the first failure of the first failing measurement in the
+        stack: a non-projector, then a non-orthogonal pair in
+        itertools.combinations order, then a sum other than the identity."""
         p = self.blocks
         n = D ** self.arity
-        if p.ndim != 3 or p.shape[0] != n or p.shape[1] != p.shape[2]:
+        if p.ndim < 3 or p.shape[-3] != n or p.shape[-2] != p.shape[-1]:
             raise InputError("measurement must be indexed by all outcome tuples")
-        d = p.shape[1]
         outs = _outcomes(self.arity)[0]
-        # gram[s, :, t, :] = p[s] @ p[t]: the blocks stacked vertically times
-        # the blocks stacked horizontally
-        gram = (p.reshape(n * d, d) @ p.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
-        diag = np.arange(n)
-        bad = np.flatnonzero((_block_norms(gram[diag, :, diag, :] - p) > TOL_PROJ)
-                             | (_block_norms(p.conj().transpose(0, 2, 1) - p) > TOL_PROJ))
-        if bad.size:
-            raise InputError(f"entry {outs[bad[0]]} is not a projector")
-        # row-major order over s < t is itertools.combinations order
-        s, t = np.nonzero(np.triu(np.linalg.norm(gram, axis=(1, 3)) > TOL_PROJ, 1))
-        if s.size:
-            raise InputError(f"entries {outs[s[0]]}, {outs[t[0]]} are not orthogonal")
-        if frob(p.sum(0) - _eye(d)) > TOL_EQ:
-            raise InputError("entries do not sum to the identity")
+        not_proj = _block_norms(dagger(p) - p) > TOL_PROJ
+        not_orth = np.zeros(p.shape[:-2] + (n,), dtype=bool)
+        # row s of the Gram array, p[s] @ p[t] for t >= s, one row at a time:
+        # a whole stack's Gram array would be n times the size of its blocks
+        for s in range(n):
+            row = p[..., s:s + 1, :, :] @ p[..., s:, :, :]
+            not_proj[..., s] |= _block_norms(row[..., 0, :, :] - p[..., s, :, :]) > TOL_PROJ
+            not_orth[..., s, s + 1:] = _block_norms(row[..., 1:, :, :]) > TOL_PROJ
+        not_unit = _block_norms(p.sum(-3) - _eye(p.shape[-1])) > TOL_EQ
+        bad = not_proj.any(-1) | not_orth.any((-2, -1)) | not_unit
+        if not bad.any():
+            return
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        if not_proj[first].any():
+            raise InputError(f"entry {outs[np.argmax(not_proj[first])]} is not a projector")
+        if not_orth[first].any():
+            # row-major order over s < t is itertools.combinations order
+            s, t = np.unravel_index(np.argmax(not_orth[first]), (n, n))
+            raise InputError(f"entries {outs[s]}, {outs[t]} are not orthogonal")
+        raise InputError("entries do not sum to the identity")
 
     def close_to(self, other) -> bool:
         return (self.arity == other.arity
@@ -149,8 +172,9 @@ def _face_fibres(n, i):
 
 def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """Fibre-sum face map: (d_i m)^c = sum of m^t over t with d_i(t) = c."""
-    fibres = m.blocks[_face_fibres(m.arity, i)].reshape(-1, D, m.dim, m.dim)
-    return ProjectiveMeasurement(m.arity - 1, fibres.sum(1))
+    fibres = m.blocks[..., _face_fibres(m.arity, i), :, :]
+    return ProjectiveMeasurement(
+        m.arity - 1, fibres.reshape(*fibres.shape[:-3], -1, D, m.dim, m.dim).sum(-3))
 
 
 def degeneracy(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
@@ -165,18 +189,20 @@ def degeneracy(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
 def measurement_from_unitaries(us) -> ProjectiveMeasurement:
     """Pi^{a_1..a_n} as the product of the unitaries' eigenprojectors.
 
-    The unitaries must pairwise commute within tolerance; a violation is an
-    input error carrying the commutator norm.
+    The unitaries, each (..., d, d), must pairwise commute within tolerance;
+    a violation is an input error carrying the first failing commutator norm.
     """
     for i, j in itertools.combinations(range(len(us)), 2):
-        nc = commutator_norm(us[i], us[j])
-        if nc > TOL_PROJ:
-            raise InputError(f"unitaries {i}, {j} do not commute: |[u_i,u_j]|_F = {nc:.6g}")
-    dim = us[0].shape[0]
+        nc = np.ravel(commutator_norm(us[i], us[j]))
+        if (nc > TOL_PROJ).any():
+            raise InputError(f"unitaries {i}, {j} do not commute: "
+                             f"|[u_i,u_j]|_F = {nc[nc > TOL_PROJ][0]:.6g}")
+    dim = us[0].shape[-1]
     blocks = _eye(dim)[None]
     for u in us:
         # appending outcome a to every tuple so far keeps lexicographic order
-        blocks = (blocks[:, None] @ eigenprojectors(u)[None]).reshape(-1, dim, dim)
+        blocks = blocks[..., :, None, :, :] @ eigenprojectors(u)[..., None, :, :, :]
+        blocks = blocks.reshape(*blocks.shape[:-4], -1, dim, dim)
     m = ProjectiveMeasurement(len(us), blocks)
     m.validate()
     return m
@@ -195,18 +221,23 @@ _ALLOWED = ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 2))
 def in_key_example(m: ProjectiveMeasurement):
     """Membership of a 2-simplex in the full subset with the three zeros.
 
-    Returns (bool, witness): the witness names the first forbidden label
-    carrying a nonzero projector and its norm.
+    Returns (ok, witness): ok has the measurement's stack shape, and the
+    witness names the first forbidden label carrying a nonzero projector in
+    the first failing measurement, with its norm.
     """
     if m.dim != DIM:
         raise InputError(f"key example lives on C^{DIM}")
     if m.arity != 2:
         raise InputError("in_key_example takes 2-simplices; use in_key_example_tuple")
-    for t in _FORBIDDEN:
-        nrm = frob(m[t])
-        if nrm > TOL_EQ:
-            return False, (t, nrm)
-    return True, None
+    index = _outcomes(2)[1]
+    norms = _block_norms(m.blocks[..., [index[t] for t in _FORBIDDEN], :, :])
+    nonzero = norms > TOL_EQ
+    ok = ~nonzero.any(-1)
+    if ok.all():
+        return ok, None
+    first = np.unravel_index(np.argmax(~ok), ok.shape)
+    j = np.argmax(nonzero[first])
+    return ok, (_FORBIDDEN[j], float(norms[first][j]))
 
 
 def in_key_example_tuple(us):
@@ -264,8 +295,8 @@ def build_witness():
     [b_mat] = unitaries_from_measurement(face(pi, 0))
     [c_mat] = unitaries_from_measurement(face(psi, 0))
     checks = {
-        "pi_in_key_example": in_key_example(pi)[0],
-        "psi_in_key_example": in_key_example(psi)[0],
+        "pi_in_key_example": bool(in_key_example(pi)[0]),
+        "psi_in_key_example": bool(in_key_example(psi)[0]),
         "pi01_rank": int(round(np.trace(pi01).real)),
         "d2psi_eq_d1pi_residual": _glue_residual(pi, psi),
         "AB_commutator": commutator_norm(a_mat, b_mat),
@@ -304,10 +335,22 @@ def membrane_filler_check(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement)
 # sampling
 
 
-def haar_unitary(rng, n):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def ginibre(rng, n):
+    """An n x n complex Gaussian matrix, real parts drawn before imaginary."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def haar_from_ginibre(z):
+    """A Haar-random unitary from each Gaussian matrix in a stack (..., n, n):
+    Q of the QR decomposition, with the phases of R's diagonal moved into Q
+    (Mezzadri, math-ph/0609050)."""
     q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_unitary(rng, n):
+    return haar_from_ginibre(ginibre(rng, n))
 
 
 def random_density(rng):
@@ -327,12 +370,14 @@ def validate_density(rho):
     return True
 
 
-def _haar_blocks(rng, ranks):
-    """u P u^dagger for consecutive diagonal blocks P of the given ranks,
-    with one Haar-random u drawn from rng."""
-    u = haar_unitary(rng, DIM)
-    edges = np.cumsum([0, *ranks])
-    return [u[:, a:b] @ dagger(u[:, a:b]) for a, b in zip(edges, edges[1:])]
+def _haar_blocks(u, ranks):
+    """u P u^dagger for consecutive diagonal blocks P of the given ranks:
+    u is (..., d, d) and ranks (..., k), and the result (..., k, d, d)."""
+    ends = np.cumsum(ranks, -1)[..., None]
+    cols = np.arange(u.shape[-1])
+    # mask[..., b, j]: column j of u spans block b
+    mask = (ends - np.asarray(ranks)[..., None] <= cols) & (cols < ends)
+    return (u[..., None, :, :] * mask[..., None, :]) @ dagger(u)[..., None, :, :]
 
 
 def degenerate_two_simplex():
@@ -348,12 +393,31 @@ def sample_z_two_simplex(rng, ranks=None) -> ProjectiveMeasurement:
     uniformly from the compositions when omitted.
     """
     if ranks is None:
-        ranks = dict(zip(_ALLOWED, rng.multinomial(DIM, [1 / len(_ALLOWED)] * len(_ALLOWED))))
-    m = ProjectiveMeasurement.zeros(2, DIM)
-    for t, p in zip(_ALLOWED, _haar_blocks(rng, [ranks.get(t, 0) for t in _ALLOWED])):
-        m[t] = p
+        ranks = dict(zip(_ALLOWED, _allowed_ranks(rng)))
+    return _allowed_two_simplices(haar_unitary(rng, DIM), [ranks.get(t, 0) for t in _ALLOWED])
+
+
+def _allowed_ranks(rng):
+    """Ranks of the six allowed labels, uniform over the compositions of 9."""
+    return rng.multinomial(DIM, [1 / len(_ALLOWED)] * len(_ALLOWED))
+
+
+def _allowed_two_simplices(u, ranks):
+    """The validated 2-simplices, one per unitary in u (..., 9, 9), with the
+    blocks u P u^dagger of the ranks (..., 6) on the allowed labels in order."""
+    blocks = np.zeros(u.shape[:-2] + (D * D, DIM, DIM), dtype=complex)
+    blocks[..., [_outcomes(2)[1][t] for t in _ALLOWED], :, :] = _haar_blocks(u, ranks)
+    m = ProjectiveMeasurement(2, blocks)
     m.validate()
     return m
+
+
+def _trial_blocks(seed: int, trials: int):
+    """Each trial's generator, seeded by its own SeedSequence child, in
+    blocks of TRIAL_BLOCK trials."""
+    children = np.random.SeedSequence(seed).spawn(trials)
+    for start in range(0, trials, TRIAL_BLOCK):
+        yield [np.random.default_rng(c) for c in children[start:start + TRIAL_BLOCK]]
 
 
 def inverseless_sample_check(trials: int, seed: int):
@@ -362,34 +426,39 @@ def inverseless_sample_check(trials: int, seed: int):
     Each trial checks both directions: the unique d_1-degenerate 2-simplex
     (Haar-conjugated) collapses to the totally degenerate one through the
     three fibre-sum relations, and a generic sample with mass outside the
-    00 label has a d_1 face quantifiably far from degenerate.
+    00 label has a d_1 face quantifiably far from degenerate.  Each trial
+    draws its Gaussian matrix, then the generic sample's ranks and Gaussian
+    matrix; the checks run on a block of trials at once.
     """
     results = []
-    ss = np.random.SeedSequence(seed)
     target = degenerate_two_simplex()
     deg_edge = face(target, 1).blocks
-    for child in ss.spawn(trials):
-        rng = np.random.default_rng(child)
-        sample = sample_z_two_simplex(rng, ranks={(0, 0): DIM})
+    collapse_ranks = [DIM if t == (0, 0) else 0 for t in _ALLOWED]
+    for rngs in _trial_blocks(seed, trials):
+        draws = [(ginibre(rng, DIM), _allowed_ranks(rng), ginibre(rng, DIM)) for rng in rngs]
+        z, ranks, z_generic = (np.array(a) for a in zip(*draws))
+        sample = _allowed_two_simplices(haar_from_ginibre(z), collapse_ranks)
         ok, _ = in_key_example(sample)
-        d1 = face(sample, 1)
-        fibres = np.array([sample[(0, 0)],
+        d1 = face(sample, 1).blocks
+        fibres = np.stack([sample[(0, 0)],
                            sample[(2, 2)] + sample[(1, 0)] + sample[(0, 1)],
-                           sample[(2, 0)] + sample[(0, 2)]])
-        relation = float(_block_norms(fibres - d1.blocks).max())
-        degenerate_input = float(_block_norms(d1.blocks - deg_edge).max())
-        collapse = float(_block_norms(sample.blocks - target.blocks).max())
-        generic = sample_z_two_simplex(rng)
-        off_mass = sum(np.trace(generic[t]).real for t in _ALLOWED if t != (0, 0))
-        gen_gap = sum(np.trace(face(generic, 1)[c]).real for c in [(1,), (2,)])
-        results.append({
-            "in_key_example": bool(ok),
-            "relation_residual": relation,
-            "d1_degenerate_residual": degenerate_input,
-            "collapse_residual": collapse,
-            "collapsed": bool(ok and degenerate_input < TOL_EQ and collapse < TOL_EQ),
-            "generic_gap_matches_off_mass": bool(abs(gen_gap - off_mass) < TOL_EQ),
-        })
+                           sample[(2, 0)] + sample[(0, 2)]], -3)
+        relation = _block_norms(fibres - d1).max(-1)
+        degenerate_input = _block_norms(d1 - deg_edge).max(-1)
+        collapse = _block_norms(sample.blocks - target.blocks).max(-1)
+        generic = _allowed_two_simplices(haar_from_ginibre(z_generic), ranks)
+        off_mass = sum(_traces(generic[t]) for t in _ALLOWED if t != (0, 0))
+        gen_gap = sum(_traces(face(generic, 1)[c]) for c in [(1,), (2,)])
+        collapsed = ok & (degenerate_input < TOL_EQ) & (collapse < TOL_EQ)
+        gap_ok = abs(gen_gap - off_mass) < TOL_EQ
+        results.extend({
+            "in_key_example": bool(ok[k]),
+            "relation_residual": float(relation[k]),
+            "d1_degenerate_residual": float(degenerate_input[k]),
+            "collapse_residual": float(collapse[k]),
+            "collapsed": bool(collapsed[k]),
+            "generic_gap_matches_off_mass": bool(gap_ok[k]),
+        } for k in range(len(rngs)))
     passed = sum(1 for r in results if r["collapsed"] and r["generic_gap_matches_off_mass"])
     return {"trials": trials, "passed": passed, "results": results}
 
@@ -411,23 +480,40 @@ def born_state(rho, m: ProjectiveMeasurement):
 
 def phi_state(rho, edge_ops):
     """The candidate state on a 1-simplex (P0, P1, P2), given as anything
-    that indexes them by 0, 1, 2: Tr(rho ((1 - P0) - P2 / 2))."""
+    that indexes them by 0, 1, 2: Tr(rho ((1 - P0) - P2 / 2)).  Stacked
+    operators (..., d, d) give the stack of values."""
     p0 = edge_ops[0]
     p2 = edge_ops[2]
-    op = _eye(p0.shape[0]) - p0 - 0.5 * p2
-    return float(np.trace(rho @ op).real)
+    return _traces(rho @ (_eye(p0.shape[-1]) - p0 - 0.5 * p2))
 
 
-def _random_subprojector(rng, p):
-    r = int(round(np.trace(p).real))
+def _state_draws(rng):
+    """One trial's random numbers, in the order they are drawn: the ranks of
+    (P0, P1, P2), a 9 x 9 Gaussian matrix, and, when r = rank P0 > 0, an
+    r x r Gaussian matrix and the rank of Q <= P0."""
+    ranks = rng.multinomial(DIM, [1 / 3] * 3)
+    z = ginibre(rng, DIM)
+    r = int(ranks[0])
     if r == 0:
-        return np.zeros_like(p)
-    vals, vecs = np.linalg.eigh(p)
-    cols = vecs[:, vals > 0.5]
-    w = cols @ haar_unitary(rng, r)
-    q = int(rng.integers(0, r + 1))
-    sel = w[:, :q]
-    return sel @ dagger(sel)
+        return ranks, z, None, 0
+    return ranks, z, ginibre(rng, r), int(rng.integers(0, r + 1))
+
+
+def _random_subprojectors(p, draws):
+    """For each projector P in a stack and its trial's draws, Q <= P: the
+    first q columns of P's range, read off the eigh basis of P and turned by
+    the Haar unitary of the r x r Gaussian matrix.  Trials of one rank r take
+    the Haar step together."""
+    out = np.zeros_like(p)
+    rank = np.array([d[0][0] for d in draws])
+    kept = np.array([d[3] for d in draws])
+    vecs = np.linalg.eigh(p)[1]  # eigenvalues ascending: the last r columns span P
+    for r in sorted(set(rank.tolist()) - {0}):
+        idx = np.flatnonzero(rank == r)
+        w = vecs[idx, :, DIM - r:] @ haar_from_ginibre(np.array([draws[k][2] for k in idx]))
+        sel = w * (np.arange(r) < kept[idx, None])[:, None, :]
+        out[idx] = sel @ dagger(sel)
+    return out
 
 
 def key_example_state_check(rho, trials: int, seed: int):
@@ -438,22 +524,24 @@ def key_example_state_check(rho, trials: int, seed: int):
     B = (P1+Q) + w(P0-Q) + w^2 P2 (so AB has spectral family (Q, 1-Q, 0)),
     and check the partial-additivity equation, its swap-orthogonality, half,
     and third-zero specializations, plus general face additivity and the
-    state range.  phi(w^2 1) = 1/2 is checked to 1e-12.
+    state range.  phi(w^2 1) = 1/2 is checked to 1e-12.  Each trial draws
+    its numbers in turn (_state_draws); the checks run on a block of trials
+    at once.
     """
     validate_density(rho)
-    ss = np.random.SeedSequence(seed)
     eye = _eye(DIM)
     zero = np.zeros((DIM, DIM), dtype=complex)
 
     def phi(p0, p1, p2):
         return phi_state(rho, (p0, p1, p2))
 
-    omega_sq_one = abs(phi(zero, zero, eye) - 0.5)
+    omega_sq_one = float(abs(phi(zero, zero, eye) - 0.5))
     results = []
-    for child in ss.spawn(trials):
-        rng = np.random.default_rng(child)
-        p0, p1, p2 = _haar_blocks(rng, rng.multinomial(DIM, [1 / 3] * 3))
-        q = _random_subprojector(rng, p0)
+    for rngs in _trial_blocks(seed, trials):
+        draws = [_state_draws(rng) for rng in rngs]
+        u = haar_from_ginibre(np.array([d[1] for d in draws]))
+        p0, p1, p2 = np.moveaxis(_haar_blocks(u, np.array([d[0] for d in draws])), -3, 0)
+        q = _random_subprojectors(p0, draws)
         # phi of the edges (Q, 1-Q, 0) and (P0, 1-P0, 0), each used twice or more
         phi_q, phi_p0 = phi(q, eye - q, zero), phi(p0, eye - p0, zero)
         partial_additive = abs(phi(p0, p1, p2) + phi(p1 + q, p0 - q, p2) - phi_q)
@@ -465,21 +553,22 @@ def key_example_state_check(rho, trials: int, seed: int):
         b_mat = (p1 + q) + OMEGA * (p0 - q) + OMEGA ** 2 * p2
         m = measurement_from_unitaries([a_mat, b_mat])
         ok_z, _ = in_key_example(m)
-        d2, d0, d1 = (phi_state(rho, face(m, i).blocks) for i in (2, 0, 1))
+        # the faces' outcomes first, so that phi_state reads them by 0, 1, 2
+        d2, d0, d1 = (phi_state(rho, np.moveaxis(face(m, i).blocks, -3, 0)) for i in (2, 0, 1))
         additivity = abs(d2 + d0 - d1)
-        in_range = all(-1e-12 <= v <= 1 + 1e-12 for v in (d2, d0, d1))
-        results.append({
-            "partial_additive": partial_additive,
-            "swap_orth": swap_orth,
-            "half": half,
-            "third_zero": third_zero,
-            "face_additivity": additivity,
-            "sample_in_key_example": bool(ok_z),
-            "phi_in_unit_interval": bool(in_range),
-            "ok": bool(ok_z and in_range
-                       and max(partial_additive, swap_orth, half, third_zero,
-                               additivity) < TOL_EQ),
-        })
+        in_range = np.all([(-1e-12 <= v) & (v <= 1 + 1e-12) for v in (d2, d0, d1)], axis=0)
+        worst = np.max([partial_additive, swap_orth, half, third_zero, additivity], axis=0)
+        ok = ok_z & in_range & (worst < TOL_EQ)
+        results.extend({
+            "partial_additive": float(partial_additive[k]),
+            "swap_orth": float(swap_orth[k]),
+            "half": float(half[k]),
+            "third_zero": float(third_zero[k]),
+            "face_additivity": float(additivity[k]),
+            "sample_in_key_example": bool(ok_z[k]),
+            "phi_in_unit_interval": bool(in_range[k]),
+            "ok": bool(ok[k]),
+        } for k in range(len(rngs)))
     passed = sum(1 for r in results if r["ok"])
     return {"trials": trials, "passed": passed, "phi_omega_sq_one_residual": omega_sq_one,
             "results": results}

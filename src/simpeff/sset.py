@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .palg import LEAF, bracketings, leaf_count
+from .palg import LEAF, bracketings
 from .util import InputError, StructureError, first_collision, first_failure
 
 class TruncatedSSet:
@@ -222,6 +222,10 @@ class Triangulation:
             raise InputError("a triangulation of P_{n+1} has n-1 triangles")
 
 
+# markers on the walk's stack: a node's left subtree is done, its right one is
+_SPLIT, _CLOSE = object(), object()
+
+
 def triangulations(n: int):
     """All Catalan(n-1) triangulations of the polygon on vertices 0..n.
 
@@ -233,13 +237,22 @@ def triangulations(n: int):
         raise InputError("triangulations need n >= 2")
     out = []
     for tree in bracketings(n):
-        tri, stack = [], [(tree, 0, n)]
+        # one in-order walk numbers the leaves: a node opens at the leaf
+        # count i, its split k is the count after its left subtree, and it
+        # closes at the count j after its right subtree
+        tri, opened, leaves, stack = [], [], 0, [tree]
         while stack:
-            node, i, j = stack.pop()
-            if node != LEAF:
-                k = i + leaf_count(node[0])
-                tri.append((i, k, j))
-                stack += [(node[0], i, k), (node[1], k, j)]
+            node = stack.pop()
+            if node is _SPLIT:
+                opened[-1].append(leaves)
+            elif node is _CLOSE:
+                i, k = opened.pop()
+                tri.append((i, k, leaves))
+            elif node == LEAF:
+                leaves += 1
+            else:
+                opened.append([leaves])
+                stack += [_CLOSE, node[1], _SPLIT, node[0]]
         out.append(Triangulation(n, tuple(sorted(tri))))
     out.sort(key=lambda t: t.triangles)
     return out

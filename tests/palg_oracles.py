@@ -2,11 +2,18 @@
 
 bracketed_product evaluates a tuple under one explicit bracketing tree;
 is_associable reads the interval DP's table for the whole tuple.  The tests
-compare the DP against every tree of palg.bracketings.
+compare the DP against every tree of palg.bracketings.  leaf_count is the
+per-node walk sset.triangulations no longer needs.
 """
 
 from simpeff import palg
 from simpeff.util import InputError
+
+
+def leaf_count(tree) -> int:
+    if tree == palg.LEAF:
+        return 1
+    return leaf_count(tree[0]) + leaf_count(tree[1])
 
 
 def bracketed_product(m: palg.PartialUnitalMagma, tup, tree):
@@ -15,13 +22,13 @@ def bracketed_product(m: palg.PartialUnitalMagma, tup, tree):
     The tree performs one binary product per internal vertex.  Arity
     mismatch between tuple and tree is an input error.
     """
-    if palg.leaf_count(tree) != len(tup):
-        raise InputError(f"bracketing has {palg.leaf_count(tree)} leaves for a {len(tup)}-tuple")
+    if leaf_count(tree) != len(tup):
+        raise InputError(f"bracketing has {leaf_count(tree)} leaves for a {len(tup)}-tuple")
 
     def ev(t, lo, hi):
         if t == palg.LEAF:
             return tup[lo]
-        k = palg.leaf_count(t[0])
+        k = leaf_count(t[0])
         a = ev(t[0], lo, lo + k)
         if a is None:
             return None

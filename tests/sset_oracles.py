@@ -5,12 +5,15 @@ subcomplex of the n-simplex (the spine, the boundary or a triangulation) into
 a truncated simplicial set; the Segal checks count and enumerate membranes
 with an interval DP instead, and the tests compare the two.  sset_isomorphic
 searches for a levelwise isomorphism, and sset_equal compares two truncated
-simplicial sets table by table.
+simplicial sets table by table.  triangulations is the per-node leaf count
+walk over palg.bracketings that sset.triangulations replaced.
 """
 
 import itertools
 
+from palg_oracles import leaf_count
 from simpeff import sset
+from simpeff.palg import LEAF, bracketings
 from simpeff.util import InputError
 
 SPINE = "spine"
@@ -21,6 +24,23 @@ def sset_equal(x: sset.TruncatedSSet, y: sset.TruncatedSSet) -> bool:
     """The same truncation, counts and face and degeneracy tables."""
     return (x.K == y.K and x.counts == y.counts
             and x.face == y.face and x.deg == y.deg)
+
+
+def triangulations(n: int):
+    """Triangulations of the polygon on 0..n, a node's split read off the
+    leaf count of its left subtree; sorted by triangle tuple."""
+    out = []
+    for tree in bracketings(n):
+        tri, stack = [], [(tree, 0, n)]
+        while stack:
+            node, i, j = stack.pop()
+            if node != LEAF:
+                k = i + leaf_count(node[0])
+                tri.append((i, k, j))
+                stack += [(node[0], i, k), (node[1], k, j)]
+        out.append(sset.Triangulation(n, tuple(sorted(tri))))
+    out.sort(key=lambda t: t.triangles)
+    return out
 
 
 def _top_cells(n, subset):

@@ -189,6 +189,7 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
 @pytest.mark.parametrize("argv", [
     ("quantum-demo", "--trials", "0"),
     ("quantum-demo", "--trials", "-1"),
+    ("quantum-demo", "--seed", "-1"),
     ("check", "magma", "--in", "negative-size.json"),
     ("check", "effect-algebra", "--in", "bad-perp.json"),
     ("build", "effect-nerve", "--effect-algebra", "bad-perp.json"),

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import quantum_oracles as oracle
+from simpeff import cli
 from simpeff import quantum as q
 from simpeff.util import InputError
 
@@ -369,3 +373,102 @@ def test_accessor_rejects_outcomes_of_another_arity(witness):
     for bad in [(0,), (0, 1, 2), (0, 3)]:
         with pytest.raises(KeyError):
             pi[bad]
+
+
+def bad_blocks(rng):
+    """Arity-2 blocks that validate rejects: a non-projector, a non-orthogonal
+    pair and a sum short of the identity, in that order."""
+    m = rank_one_measurement(rng)
+    scaled, clash, short = (m.blocks.copy() for _ in range(3))
+    scaled[5] *= 2
+    clash[8] = m[(0, 2)]
+    short[0] = 0
+    return [scaled, clash, short]
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_stacked_validate_names_the_first_bad_measurement(k):
+    rng = np.random.default_rng(71)
+    stack = np.array([sampled_measurement(rng, 2).blocks for _ in range(7)])
+    q.ProjectiveMeasurement(2, stack).validate()
+    bad = bad_blocks(rng)
+    for j, blocks in enumerate(bad):
+        ops = dict(zip(itertools.product(range(3), repeat=2), blocks))
+        with pytest.raises(InputError) as slow:
+            oracle.validate(2, ops)
+        mixed = stack.copy()
+        mixed[k] = blocks
+        if k + 1 < len(stack):  # a later measurement that fails differently
+            mixed[k + 1] = bad[(j + 1) % len(bad)]
+        with pytest.raises(InputError) as fast:
+            q.ProjectiveMeasurement(2, mixed).validate()
+        assert str(fast.value) == str(slow.value)
+
+
+def assert_reports_close(fast, slow):
+    """Equal trial counts, passed counts and booleans; floats within 1e-12."""
+    assert fast.keys() == slow.keys()
+    for key in fast.keys() - {"results"}:
+        assert fast[key] == pytest.approx(slow[key], abs=1e-12, rel=0)
+    for got, want in zip(fast["results"], slow["results"], strict=True):
+        assert got.keys() == want.keys()
+        for key, value in got.items():
+            if isinstance(value, bool):
+                assert value is want[key], key
+            else:
+                assert abs(value - want[key]) <= 1e-12, key
+
+
+def checked_two_simplices(monkeypatch, kinds, check, *args):
+    """A sampled check's report, and the 2-simplices it validated, as one
+    array for each of the kinds of sample whose validate calls alternate."""
+    calls = []
+    validate = q.ProjectiveMeasurement.validate
+
+    def recording(m):
+        if m.arity == 2:
+            calls.append(m.blocks.reshape(-1, 9, q.DIM, q.DIM))
+        validate(m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(q.ProjectiveMeasurement, "validate", recording)
+        report = check(*args)
+    return report, [np.concatenate(calls[start::kinds]) for start in range(kinds)]
+
+
+@pytest.mark.parametrize("trials", [1, 7, 10, 11, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_blocked_sampled_checks_match_per_trial_oracles(monkeypatch, trials, seed):
+    """Same reports and same samples, trial by trial.  TRIAL_BLOCK is 10, so
+    the trial counts end in part-filled and in whole blocks.  The inverseless
+    check validates a sample, then a generic sample (per trial or per block),
+    so its validate calls alternate between two kinds."""
+    assert q.TRIAL_BLOCK == 10
+    cases = [(2, q.inverseless_sample_check, oracle.inverseless_sample_check, (trials, seed))]
+    for rho in (np.eye(q.DIM, dtype=complex) / q.DIM,
+                q.random_density(np.random.default_rng(seed))):
+        cases.append((1, q.key_example_state_check, oracle.key_example_state_check,
+                      (rho, trials, seed)))
+    for kinds, fast_check, slow_check, args in cases:
+        fast, fast_samples = checked_two_simplices(monkeypatch, kinds, fast_check, *args)
+        slow, slow_samples = checked_two_simplices(monkeypatch, kinds, slow_check, *args)
+        assert_reports_close(fast, slow)
+        for got, want in zip(fast_samples, slow_samples, strict=True):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_quantum_demo_traced_memory_stays_small():
+    """The sampled checks hold one block of trials at a time, never a whole
+    block's Gram array: the traced peak of a 200-trial demo stays within
+    1536 KB (about 0.7 MB before blocks, and 1.1 MB with blocks of 10)."""
+    argv = ["quantum-demo", "--json", "--trials", "200"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # imports and caches are not counted
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1536 * 1024

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -9,7 +10,8 @@ from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
 from conftest import random_magma
-from sset_oracles import BOUNDARY, SPINE, membrane_set, sset_equal, sset_isomorphic
+from sset_oracles import (BOUNDARY, SPINE, membrane_set, sset_equal, sset_isomorphic,
+                          triangulations)
 from test_golden import _twin_tetra
 
 I, J = 2, 4  # Q8 ids for i and j
@@ -118,6 +120,13 @@ def test_triangulations_counts():
     assert len(sset.triangulations(5)) == 14
     with pytest.raises(InputError):
         sset.triangulations(1)
+
+
+def test_triangulations_match_leaf_count_oracle():
+    for n in range(2, 10):
+        tris = sset.triangulations(n)
+        assert len({t.triangles for t in tris}) == math.comb(2 * n - 2, n - 1) // n
+        assert tris == triangulations(n)
 
 
 def test_membrane_spine_count(z2_nerve):
