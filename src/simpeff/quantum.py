@@ -420,6 +420,11 @@ def _trial_blocks(seed: int, trials: int):
         yield [np.random.default_rng(c) for c in children[start:start + TRIAL_BLOCK]]
 
 
+def _per_trial(columns):
+    """Name -> per-trial array, as one dict of Python floats and bools per trial."""
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+
+
 def inverseless_sample_check(trials: int, seed: int):
     """Sampled verification that the degenerate-edge square is a pullback.
 
@@ -449,16 +454,14 @@ def inverseless_sample_check(trials: int, seed: int):
         generic = _allowed_two_simplices(haar_from_ginibre(z_generic), ranks)
         off_mass = sum(_traces(generic[t]) for t in _ALLOWED if t != (0, 0))
         gen_gap = sum(_traces(face(generic, 1)[c]) for c in [(1,), (2,)])
-        collapsed = ok & (degenerate_input < TOL_EQ) & (collapse < TOL_EQ)
-        gap_ok = abs(gen_gap - off_mass) < TOL_EQ
-        results.extend({
-            "in_key_example": bool(ok[k]),
-            "relation_residual": float(relation[k]),
-            "d1_degenerate_residual": float(degenerate_input[k]),
-            "collapse_residual": float(collapse[k]),
-            "collapsed": bool(collapsed[k]),
-            "generic_gap_matches_off_mass": bool(gap_ok[k]),
-        } for k in range(len(rngs)))
+        results += _per_trial({
+            "in_key_example": ok,
+            "relation_residual": relation,
+            "d1_degenerate_residual": degenerate_input,
+            "collapse_residual": collapse,
+            "collapsed": ok & (degenerate_input < TOL_EQ) & (collapse < TOL_EQ),
+            "generic_gap_matches_off_mass": abs(gen_gap - off_mass) < TOL_EQ,
+        })
     passed = sum(1 for r in results if r["collapsed"] and r["generic_gap_matches_off_mass"])
     return {"trials": trials, "passed": passed, "results": results}
 
@@ -558,17 +561,16 @@ def key_example_state_check(rho, trials: int, seed: int):
         additivity = abs(d2 + d0 - d1)
         in_range = np.all([(-1e-12 <= v) & (v <= 1 + 1e-12) for v in (d2, d0, d1)], axis=0)
         worst = np.max([partial_additive, swap_orth, half, third_zero, additivity], axis=0)
-        ok = ok_z & in_range & (worst < TOL_EQ)
-        results.extend({
-            "partial_additive": float(partial_additive[k]),
-            "swap_orth": float(swap_orth[k]),
-            "half": float(half[k]),
-            "third_zero": float(third_zero[k]),
-            "face_additivity": float(additivity[k]),
-            "sample_in_key_example": bool(ok_z[k]),
-            "phi_in_unit_interval": bool(in_range[k]),
-            "ok": bool(ok[k]),
-        } for k in range(len(rngs)))
+        results += _per_trial({
+            "partial_additive": partial_additive,
+            "swap_orth": swap_orth,
+            "half": half,
+            "third_zero": third_zero,
+            "face_additivity": additivity,
+            "sample_in_key_example": ok_z,
+            "phi_in_unit_interval": in_range,
+            "ok": ok_z & in_range & (worst < TOL_EQ),
+        })
     passed = sum(1 for r in results if r["ok"])
     return {"trials": trials, "passed": passed, "phi_omega_sq_one_residual": omega_sq_one,
             "results": results}
