@@ -261,7 +261,7 @@ def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet
         raise InputError("nerve needs K >= 2")
     if a.max_arity < K:
         raise InputError(f"datum only reaches arity {a.max_arity} < K = {K}")
-    bad = [c for c in palg.validate_datum(m, a, require_face_closure=True) if not c.ok]
+    bad = [c for c in palg.validate_datum(m, a) if not c.ok]
     if bad:
         raise InputError(f"invalid datum: {bad[0].name} witness {bad[0].witness}")
     levels = [[()], [(x,) for x in m.elements()]]
@@ -444,9 +444,8 @@ def simplicial_circle(K: int) -> TruncatedSSet:
     def s(n, j, i):
         return i + 1 if j < i else i
 
-    x = from_levels([list(range(n + 1)) for n in range(K + 1)], d, s)
-    x.labels = {n: ["*"] + [f"theta^{i}" for i in range(1, n + 1)] for n in range(K + 1)}
-    return x
+    return from_levels([list(range(n + 1)) for n in range(K + 1)], d, s,
+                       {n: ["*"] + [f"theta^{i}" for i in range(1, n + 1)] for n in range(K + 1)})
 
 
 def chain_magma(n: int) -> PartialUnitalMagma:

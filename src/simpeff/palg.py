@@ -273,14 +273,14 @@ def max_associativity_datum(m: PartialUnitalMagma, up_to: int) -> AssociativityD
     return AssociativityDatum(levels)
 
 
-def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum, require_face_closure=False):
+def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
     """Datum conditions against m; list of Check rows.
 
     Conditions: A_2 equals the product domain, closure under outer splits,
     closure under unit insertion (within the stored arity bound), and full
     associability of every stored tuple.  Face closure (contraction of an
     adjacent pair to its product) is what PAS condition (4) and the nerve
-    need; it is extra to the printed conditions and only enforced on demand.
+    need; it is extra to the printed conditions and has its own row.
     """
     checks = []
     dom = frozenset(m.product)
@@ -307,7 +307,7 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum, require_face_cl
                         unit_ok, unit_wit = False, (t, ins)
             if assoc_ok and not is_fully_associable(m, t):
                 assoc_ok, assoc_wit = False, t
-            if require_face_closure and n >= 3:
+            if n >= 3:
                 for i in range(n - 1):
                     c = m.product.get((t[i], t[i + 1]))
                     contr = t[:i] + (c,) + t[i + 2:]
@@ -316,8 +316,7 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum, require_face_cl
     checks.append(Check("datum-cond2-split-closure", split_ok, split_wit))
     checks.append(Check(f"datum-cond3-unit-insertion(arity<={top})", unit_ok, unit_wit))
     checks.append(Check("datum-fully-associable", assoc_ok, assoc_wit))
-    if require_face_closure:
-        checks.append(Check("datum-face-closure", face_ok, face_wit))
+    checks.append(Check("datum-face-closure", face_ok, face_wit))
     return checks
 
 
@@ -340,7 +339,7 @@ class PasStructure:
 
 def to_pas(m: PartialUnitalMagma, a: AssociativityDatum) -> PasStructure:
     """D = datum words plus the carrier plus the empty word; pi by any bracketing."""
-    bad = [c for c in validate_datum(m, a, require_face_closure=True) if not c.ok]
+    bad = [c for c in validate_datum(m, a) if not c.ok]
     if bad:
         raise InputError(f"invalid associativity datum: {bad[0].name} witness {bad[0].witness}")
     words = {(): m.unit}
@@ -504,9 +503,6 @@ class FiniteEffectAlgebra:
     @property
     def top(self) -> int:
         return self.orthocomplement[0]
-
-    def add(self, a: int, b: int):
-        return self.magma.mul(a, b)
 
     def to_json_dict(self):
         d = self.magma.to_json_dict()

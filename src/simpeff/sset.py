@@ -31,7 +31,6 @@ class TruncatedSSet:
         self.face = {k: list(v) for k, v in face.items()}
         self.deg = {k: list(v) for k, v in deg.items()}
         self.labels = labels or {}
-        self._face_idx = {}
 
     def simplices(self, n):
         return range(self.counts[n])
@@ -39,16 +38,6 @@ class TruncatedSSet:
     def label(self, n, s):
         lab = self.labels.get(n)
         return lab[s] if lab is not None else s
-
-    def face_index(self, n, i):
-        """value -> list of level-n simplices whose d_i is that value."""
-        key = (n, i)
-        if key not in self._face_idx:
-            idx = {}
-            for s, v in enumerate(self.face[key]):
-                idx.setdefault(v, []).append(s)
-            self._face_idx[key] = idx
-        return self._face_idx[key]
 
     # -- structural shape ---------------------------------------------------
 
@@ -97,12 +86,12 @@ class TruncatedSSet:
         return x
 
 
-def from_levels(levels, face_key, deg_key) -> TruncatedSSet:
+def from_levels(levels, face_key, deg_key, labels=None) -> TruncatedSSet:
     """The simplicial set whose level-n simplices are the keys levels[n], n = 0..K.
 
     Ids follow list order.  face_key(n, i, key) and deg_key(n, i, key) give
     the key of d_i and s_i of a level-n simplex; every key they return must
-    be listed one level down or up.  Levels double as labels.
+    be listed one level down or up.  Labels default to the levels.
     """
     K = len(levels) - 1
     ids = [{key: i for i, key in enumerate(lev)} for lev in levels]
@@ -110,7 +99,9 @@ def from_levels(levels, face_key, deg_key) -> TruncatedSSet:
             for n in range(1, K + 1) for i in range(n + 1)}
     deg = {(n, i): [ids[n + 1][deg_key(n, i, key)] for key in levels[n]]
            for n in range(K) for i in range(n + 1)}
-    return TruncatedSSet(K, [len(lev) for lev in levels], face, deg, dict(enumerate(levels)))
+    if labels is None:
+        labels = dict(enumerate(levels))
+    return TruncatedSSet(K, [len(lev) for lev in levels], face, deg, labels)
 
 
 def validate(x: TruncatedSSet):
@@ -222,10 +213,6 @@ class Triangulation:
             raise InputError("a triangulation of P_{n+1} has n-1 triangles")
 
 
-# markers on the walk's stack: a node's left subtree is done, its right one is
-_SPLIT, _CLOSE = object(), object()
-
-
 def triangulations(n: int):
     """All Catalan(n-1) triangulations of the polygon on vertices 0..n.
 
@@ -235,27 +222,17 @@ def triangulations(n: int):
     """
     if n < 2:
         raise InputError("triangulations need n >= 2")
-    out = []
-    for tree in bracketings(n):
-        # one in-order walk numbers the leaves: a node opens at the leaf
-        # count i, its split k is the count after its left subtree, and it
-        # closes at the count j after its right subtree
-        tri, opened, leaves, stack = [], [], 0, [tree]
-        while stack:
-            node = stack.pop()
-            if node is _SPLIT:
-                opened[-1].append(leaves)
-            elif node is _CLOSE:
-                i, k = opened.pop()
-                tri.append((i, k, leaves))
-            elif node == LEAF:
-                leaves += 1
-            else:
-                opened.append([leaves])
-                stack += [_CLOSE, node[1], _SPLIT, node[0]]
-        out.append(Triangulation(n, tuple(sorted(tri))))
-    out.sort(key=lambda t: t.triangles)
-    return out
+
+    def walk(node, i):
+        # (j, triangles) for the subtree whose leaves start at vertex i
+        if node == LEAF:
+            return i + 1, []
+        k, left = walk(node[0], i)
+        j, right = walk(node[1], k)
+        return j, left + right + [(i, k, j)]
+
+    return sorted((Triangulation(n, tuple(sorted(walk(tree, 0)[1]))) for tree in bracketings(n)),
+                  key=lambda t: t.triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +273,9 @@ def _membrane_join(x: TruncatedSSet, n: int, tri: Triangulation, edge, mid):
         a, b, c = sorted(t)
         apex[(a, c)] = b
     d0, d1 = x.face[(2, 0)], x.face[(2, 1)]
-    by_d2 = x.face_index(2, 2)
+    by_d2 = {}
+    for sig, a in enumerate(x.face[(2, 2)]):
+        by_d2.setdefault(a, []).append(sig)
 
     def join(i, j):
         if j == i + 1:
@@ -541,9 +520,8 @@ def canonicalize_spiny(x: TruncatedSSet) -> TruncatedSSet:
         raise InputError(f"canonicalize_spiny needs a spiny set, collision {wit}")
     # spines order level n >= 2 and leave levels 0 and 1 as they are
     levels = [sorted(x.simplices(n), key=lambda s: spine(x, n, s)) for n in range(x.K + 1)]
-    y = from_levels(levels, lambda n, i, s: x.face[(n, i)][s], lambda n, i, s: x.deg[(n, i)][s])
-    y.labels = {n: [lab[s] for s in levels[n]] for n, lab in x.labels.items()}
-    return y
+    return from_levels(levels, lambda n, i, s: x.face[(n, i)][s], lambda n, i, s: x.deg[(n, i)][s],
+                       {n: [lab[s] for s in levels[n]] for n, lab in x.labels.items()})
 
 
 # ---------------------------------------------------------------------------

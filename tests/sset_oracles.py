@@ -70,6 +70,14 @@ def membrane_set(x, n: int, subset):
         raise InputError("subset has cells above the truncation")
     tops = sorted(tops, key=lambda c: (c[0], c))
     out = []
+    # (d, i) -> value -> the d-simplices whose d_i is that value, for the
+    # dimensions d of the maximal cells
+    by_face = {}
+    for d in {len(c) - 1 for c in tops} - {0}:
+        for i in range(d + 1):
+            index = by_face[(d, i)] = {}
+            for s, v in enumerate(x.face[(d, i)]):
+                index.setdefault(v, []).append(s)
 
     def forced_cells(cell, value, assign):
         """Values on all subcells of cell, from its assigned value."""
@@ -96,7 +104,7 @@ def membrane_set(x, n: int, subset):
         for i in range(len(cell)):
             subcell = cell[:i] + cell[i + 1:]
             if d >= 1 and subcell in assign:
-                cand = x.face_index(d, i).get(assign[subcell], [])
+                cand = by_face[(d, i)].get(assign[subcell], [])
                 break
         if cand is None:
             cand = x.simplices(d)

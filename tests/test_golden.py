@@ -11,7 +11,10 @@ without touching GOLDEN.
 
 `quantum-demo` (text and json, two seeds) and `build key-example-witness`
 are pinned apart from the digests, in QUANTUM_GOLDEN and WITNESS_GOLDEN:
-their floats to QUANTUM_TOL, everything else exactly.
+their floats to QUANTUM_TOL, everything else exactly.  The demo's printed
+floats are rounding residuals that any sample gives, so SAMPLE_GOLDEN pins
+the samples themselves: one weighted sum of the validated 2-simplices per
+sampled check, to SAMPLE_TOL.
 """
 
 import contextlib
@@ -21,11 +24,13 @@ import itertools
 import json
 import os
 
+import numpy as np
 import pytest
 
 from simpeff import cli, palg, sset
 from simpeff import cyclic as cyc
 from simpeff import nerve as nv
+from simpeff import quantum as q
 
 # S3 (sorted permutations, identity first) acting on {0, 1, 2} from the right
 S3_ACTION = {"z_size": 3, "table": [[0, 1, 2], [0, 2, 1], [1, 0, 2],
@@ -627,3 +632,51 @@ def test_quantum_golden(argv):
                        else QUANTUM_GOLDEN[" ".join(argv)])
     assert code == want_code
     _close(got, _tokens(want) if isinstance(want, str) else want, " ".join(argv))
+
+
+SAMPLE_TOL = 1e-9
+# a fixed real weight on every (outcome, row, column) entry of a 2-simplex
+SAMPLE_WEIGHTS = np.cos(np.arange(9 * q.DIM * q.DIM)).reshape(9, q.DIM, q.DIM)
+# seed -> (inverseless, state on the maximally mixed density, state on the
+# random density); the last draws from seed + 1, as the demo seeds it
+SAMPLE_GOLDEN = {
+    "0": (24.76859832822585, -2.5619101049889696, 3.5968104372499496),
+    "1": (40.860356513288146, 3.5968104372499496, 3.8464819511141517),
+}
+
+
+def sampled_sums(monkeypatch, argv):
+    """Per sampled check of the demo, in call order: the sum over every
+    2-simplex it validates of the weighted sum of its real entries.  The
+    witness, validated before the first check, is not counted."""
+    sums = []
+    validate = q.ProjectiveMeasurement.validate
+
+    def recording(m):
+        if m.arity == 2 and sums:
+            sums[-1] += float(np.sum(m.blocks.real.reshape(-1, 9, q.DIM, q.DIM) * SAMPLE_WEIGHTS))
+        validate(m)
+
+    def opening(check):
+        def run(*args):
+            sums.append(0.0)
+            return check(*args)
+        return run
+
+    with monkeypatch.context() as patch:
+        patch.setattr(q.ProjectiveMeasurement, "validate", recording)
+        for name in ("inverseless_sample_check", "key_example_state_check"):
+            patch.setattr(q, name, opening(getattr(q, name)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(argv)) == 0
+    return sums
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLE_GOLDEN))
+def test_quantum_samples_golden(monkeypatch, seed):
+    """The inverseless check, then the state check on the maximally mixed and
+    on the random density, of `quantum-demo --trials 40`."""
+    got = sampled_sums(monkeypatch, ("quantum-demo", "--trials", "40", "--seed", seed))
+    assert len(got) == len(SAMPLE_GOLDEN[seed])
+    for g, want in zip(got, SAMPLE_GOLDEN[seed]):
+        assert abs(g - want) <= SAMPLE_TOL, (seed, got)

@@ -168,7 +168,7 @@ def test_max_datum_s3_pairwise_commuting():
 
 def test_validate_datum_conditions(l2):
     datum = palg.max_associativity_datum(l2.magma, 3)
-    assert all(c.ok for c in palg.validate_datum(l2.magma, datum, require_face_closure=True))
+    assert all(c.ok for c in palg.validate_datum(l2.magma, datum))
     broken = palg.AssociativityDatum(
         {2: datum.level(2) - {(1, 1)}, 3: datum.level(3)})
     rep = palg.validate_datum(l2.magma, broken)

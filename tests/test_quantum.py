@@ -169,6 +169,21 @@ def test_in_key_example_tuple(witness):
     assert ok
 
 
+def test_in_key_example_tuple_arity_three():
+    """Every 2-face (i, j, k) of the 3-simplex is checked: its edges are the
+    products of us[i:j] and us[j:k], and the first forbidden face is named."""
+    eye = np.eye(q.DIM, dtype=complex)
+    assert q.in_key_example_tuple([eye, eye, eye]) == (True, None)
+    ok, (face, (label, norm)) = q.in_key_example_tuple([q.OMEGA * eye, q.OMEGA * eye, eye])
+    assert not ok and (face, label) == ((0, 1, 2), (1, 1))
+    assert norm == pytest.approx(3.0, abs=1e-12)
+    ok, (face, _) = q.in_key_example_tuple([eye, q.OMEGA * eye, q.OMEGA * eye])
+    assert not ok and face == (0, 2, 3)
+    flat = q.measurement_from_unitaries([eye, eye])
+    ok, norms = q.membrane_filler_check(flat, flat)
+    assert ok and max(norms.values()) <= 1e-12
+
+
 def test_tau2_label_action_preserves_condition_set():
     # degree-2 cyclic action for the canonical central element: the label
     # permutation (a, b) -> (1 - a - b, a); the defining set is an orbit

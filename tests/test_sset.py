@@ -380,18 +380,34 @@ def test_hierarchy_census_three_elements():
     partial monoids are weakly 2-Segal but not 2-Segal, partial monoids are
     2-Segal, and every nerve is 2-coskeletal.  The 2-Segal verdicts and
     witnesses also match the enumeration oracle, and the spiny verdict of
-    the Segal pass matches is_spiny."""
-    tally = Counter()
+    the Segal pass matches is_spiny.
+
+    The two extremes of the hierarchy, tallied per class: a simplicial
+    effect is a nerve that is spiny, inverseless and weakly 2-Segal at K=4,
+    and a WAPG is a weakly associative partial group checked to arity 3.
+    No magma is both, and no magma in the narrow sense is either."""
+    tally, extremes = Counter(), Counter()
     for m in _three_element_magmas():
         x = nerve_of(m, 4)
         _, spiny, two, (weak, _) = sset.segal(x)
         assert spiny == sset.is_spiny(x), m.product
         tally[(palg.classify(m), weak, two[0], sset.is_coskeletal_2(x)[0])] += 1
-        assert sset.is_inverseless_sset(x)[0] == palg.is_inverseless(m), m.product
+        inverseless = sset.is_inverseless_sset(x)[0]
+        assert inverseless == palg.is_inverseless(m), m.product
         assert two == oracle_two_segal(x), m.product
+        effect = spiny[0] and inverseless and weak
+        extremes[(palg.classify(m), effect,
+                  palg.is_weakly_associative_partial_group(m, 3)[0])] += 1
     assert tally == {(palg.MAGMA, False, False, True): 160,
                      (palg.WEAK_PARTIAL_MONOID, True, False, True): 71,
                      (palg.PARTIAL_MONOID, True, True, True): 25}
+    assert extremes == {(palg.PARTIAL_MONOID, True, False): 20,
+                        (palg.PARTIAL_MONOID, False, True): 1,
+                        (palg.PARTIAL_MONOID, False, False): 4,
+                        (palg.WEAK_PARTIAL_MONOID, True, False): 45,
+                        (palg.WEAK_PARTIAL_MONOID, False, True): 2,
+                        (palg.WEAK_PARTIAL_MONOID, False, False): 24,
+                        (palg.MAGMA, False, False): 160}
 
 
 def test_subface_tables_match_subface():
@@ -401,6 +417,19 @@ def test_subface_tables_match_subface():
             assert len(tables) == 2 ** (n + 1) - n - 2
             for c, tab in tables.items():
                 assert tab == [sset.subface(x, n, s, c) for s in x.simplices(n)]
+
+
+def test_checks_leave_the_structure_as_built():
+    """No checker caches anything on the structure: its attributes after the
+    Segal pass, the coskeletal check and a membrane count are those of a
+    fresh copy, and no attribute is added."""
+    x = nv.comm_nerve(nv.quaternion_group(), None, 4)
+    built = {k: repr(v) for k, v in vars(x).items()}
+    sset.segal(x)
+    sset.is_coskeletal_2(x)
+    sset.membrane_counts(x, 4, sset.triangulations(4)[0])
+    assert {k: repr(v) for k, v in vars(x).items()} == built
+    assert not hasattr(x, "face_index")
 
 
 def test_segal_checks_need_simplicial_identities():
