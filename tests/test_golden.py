@@ -11,10 +11,10 @@ without touching GOLDEN.
 
 `quantum-demo` (text and json, two seeds) and `build key-example-witness`
 are pinned apart from the digests, in QUANTUM_GOLDEN and WITNESS_GOLDEN:
-their floats to QUANTUM_TOL, everything else exactly.  The demo's printed
-floats are rounding residuals that any sample gives, so SAMPLE_GOLDEN pins
-the samples themselves: one weighted sum of the validated 2-simplices per
-sampled check, to SAMPLE_TOL.
+their floats to QUANTUM_TOL, everything else exactly.  The floats the demo
+prints for its sampled checks are rounding residuals, near zero for any
+sample, so SAMPLE_GOLDEN pins the samples themselves: one weighted sum of
+the validated 2-simplices per sampled check, to SAMPLE_TOL.
 """
 
 import contextlib

@@ -420,9 +420,9 @@ def test_subface_tables_match_subface():
 
 
 def test_checks_leave_the_structure_as_built():
-    """No checker caches anything on the structure: its attributes after the
-    Segal pass, the coskeletal check and a membrane count are those of a
-    fresh copy, and no attribute is added."""
+    """No checker caches anything on the structure: after the Segal pass,
+    the coskeletal check and a membrane count its attributes are as built,
+    and none is added."""
     x = nv.comm_nerve(nv.quaternion_group(), None, 4)
     built = {k: repr(v) for k, v in vars(x).items()}
     sset.segal(x)
