@@ -53,7 +53,7 @@ def _check_magma(path, args):
     m = palg.PartialUnitalMagma.from_json_dict(_load_json(path))
     bound = min(args.levels, 3)
     rep = CheckReport(subject=f"magma {path}", bound=bound)
-    cls, wit = palg.classify_with_witness(m)
+    cls, wit = palg.classify(m)
     rep.add(Check("classification", True, cls if wit is None else f"{cls} (witness {wit})"))
     rep.add(Check("inverseless", palg.is_inverseless(m)))
     wapg, wit = palg.is_weakly_associative_partial_group(m, bound) \

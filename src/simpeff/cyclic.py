@@ -9,7 +9,7 @@ effect-algebroid conditions.
 
 from __future__ import annotations
 
-from .palg import FiniteEffectAlgebra, ea_sum
+from .palg import FiniteEffectAlgebra, left_product
 from .nerve import FiniteGroup
 from .sset import TruncatedSSet, is_inverseless_sset, segal
 from .util import Check, InputError, first_collision, first_failure
@@ -136,7 +136,7 @@ def effect_nerve_cyclic(e: FiniteEffectAlgebra, x: TruncatedSSet) -> CyclicSSet:
     perp = e.orthocomplement
 
     def tau_tuple(n, t):
-        s = ea_sum(e, t)
+        s = left_product(e.magma, t)
         if s is None:
             raise InputError(f"nerve level tuple {t} is not summable")
         return (perp[s],) + t[:-1]

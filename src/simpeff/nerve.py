@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import palg
 from .palg import (AssociativityDatum, FiniteEffectAlgebra, PartialUnitalMagma,
-                   ea_sum, max_associativity_datum, multiset_multiplicable)
+                   left_product, max_associativity_datum, multiset_multiplicable)
 from .sset import TruncatedSSet, from_levels, is_reduced, is_spiny, spine
 from .util import InputError, StructureError
 
@@ -418,7 +418,7 @@ def effect_functor(e: FiniteEffectAlgebra, x: TruncatedSSet) -> TruncatedSSet:
         out = [[] for _ in range(size)]
         for src, v in enumerate(t):
             out[mapping[src]].append(v)
-        summed = tuple(ea_sum(e, vs) for vs in out)
+        summed = tuple(left_product(e.magma, vs) for vs in out)
         if any(v is None for v in summed):
             raise StructureError("fibre sum undefined; input is not an effect algebra")
         return summed

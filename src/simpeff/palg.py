@@ -159,32 +159,28 @@ def is_fully_associable(m: PartialUnitalMagma, tup) -> bool:
     return True
 
 
-def tuple_product(m: PartialUnitalMagma, tup):
-    """The common value of a fully associable tuple (left-fold)."""
-    acc = tup[0]
-    for x in tup[1:]:
-        acc = m.product.get((acc, x))
+def left_product(m: PartialUnitalMagma, values):
+    """The left fold ((v_1 v_2) ..) v_n, started from the unit, so () gives
+    the unit; None when some partial product is undefined.  On a fully
+    associable tuple it is the common value of every bracketing."""
+    acc = 0
+    for v in values:
+        acc = m.product.get((acc, v))
         if acc is None:
-            raise StructureError(f"tuple {tup} is not left-multiplicable")
+            return None
     return acc
 
 
-def classify(m: PartialUnitalMagma) -> str:
-    """MAGMA / WEAK_PARTIAL_MONOID / PARTIAL_MONOID by exhaustive triple scan.
+def classify(m: PartialUnitalMagma):
+    """(class, lex-least witness against the next stronger class) by an
+    exhaustive triple scan; the witness is None for a partial monoid.
 
-    Triples are decisive: any two bracketings are linked by a(bc) <-> (ab)c
-    moves.
+    A triple whose bracketings (ab)c and a(bc) are both defined and differ
+    makes m a magma; one whose bracketings differ at all (one undefined)
+    keeps it from being a partial monoid.  Triples are decisive: any two
+    bracketings are linked by a(bc) <-> (ab)c moves.
     """
-    cls, _ = classify_with_witness(m)
-    return cls
-
-
-def classify_with_witness(m: PartialUnitalMagma):
-    """Classification plus the lex-least witness against the next stronger class."""
     prod = m.product
-    weak = True
-    weak_wit = None
-    segal = True
     segal_wit = None
     rng = range(m.size)
     for a in rng:
@@ -192,19 +188,14 @@ def classify_with_witness(m: PartialUnitalMagma):
             ab = prod.get((a, b))
             for c in rng:
                 bc = prod.get((b, c))
-                left = prod.get((ab, c)) if ab is not None else None
-                right = prod.get((a, bc)) if bc is not None else None
-                ldef = ab is not None and (ab, c) in prod
-                rdef = bc is not None and (a, bc) in prod
-                if ldef and rdef and left != right:
-                    if weak:
-                        weak, weak_wit = False, (a, b, c)
-                if ldef != rdef or (ldef and left != right):
-                    if segal:
-                        segal, segal_wit = False, (a, b, c)
-    if not weak:
-        return MAGMA, weak_wit
-    if not segal:
+                left = None if ab is None else prod.get((ab, c))
+                right = None if bc is None else prod.get((a, bc))
+                if left != right:
+                    if left is not None and right is not None:
+                        return MAGMA, (a, b, c)
+                    if segal_wit is None:
+                        segal_wit = (a, b, c)
+    if segal_wit is not None:
         return WEAK_PARTIAL_MONOID, segal_wit
     return PARTIAL_MONOID, None
 
@@ -282,42 +273,24 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
     adjacent pair to its product) is what PAS condition (4) and the nerve
     need; it is extra to the printed conditions and has its own row.
     """
-    checks = []
     dom = frozenset(m.product)
-    a2 = a.level(2)
-    checks.append(Check("datum-cond1-a2-is-domain", a2 == dom,
-                        None if a2 == dom else sorted(dom ^ a2)[0]))
-    split_ok, split_wit = True, None
-    unit_ok, unit_wit = True, None
-    assoc_ok, assoc_wit = True, None
-    face_ok, face_wit = True, None
     top = a.max_arity
-    for n in sorted(a.levels):
-        for t in sorted(a.levels[n]):
-            for i in range(1, n):
-                pre, suf = t[:i], t[i:]
-                if len(pre) >= 2 and pre not in a.level(len(pre)) and split_ok:
-                    split_ok, split_wit = False, (t, pre)
-                if len(suf) >= 2 and suf not in a.level(len(suf)) and split_ok:
-                    split_ok, split_wit = False, (t, suf)
-            if n + 1 <= top:
-                for i in range(n + 1):
-                    ins = t[:i] + (0,) + t[i:]
-                    if ins not in a.level(n + 1) and unit_ok:
-                        unit_ok, unit_wit = False, (t, ins)
-            if assoc_ok and not is_fully_associable(m, t):
-                assoc_ok, assoc_wit = False, t
-            if n >= 3:
-                for i in range(n - 1):
-                    c = m.product.get((t[i], t[i + 1]))
-                    contr = t[:i] + (c,) + t[i + 2:]
-                    if (c is None or contr not in a.level(n - 1)) and face_ok:
-                        face_ok, face_wit = False, (t, contr)
-    checks.append(Check("datum-cond2-split-closure", split_ok, split_wit))
-    checks.append(Check(f"datum-cond3-unit-insertion(arity<={top})", unit_ok, unit_wit))
-    checks.append(Check("datum-fully-associable", assoc_ok, assoc_wit))
-    checks.append(Check("datum-face-closure", face_ok, face_wit))
-    return checks
+    stored = [(n, t) for n in sorted(a.levels) for t in sorted(a.levels[n])]
+    return [
+        first_failure("datum-cond1-a2-is-domain", sorted(dom ^ a.level(2))),
+        first_failure("datum-cond2-split-closure", (
+            (t, part) for n, t in stored for i in range(1, n) for part in (t[:i], t[i:])
+            if len(part) >= 2 and part not in a.level(len(part)))),
+        first_failure(f"datum-cond3-unit-insertion(arity<={top})", (
+            (t, ins) for n, t in stored if n < top for i in range(n + 1)
+            if (ins := t[:i] + (0,) + t[i:]) not in a.level(n + 1))),
+        first_failure("datum-fully-associable", (
+            t for _, t in stored if not is_fully_associable(m, t))),
+        # an undefined product contracts to a word with None, stored nowhere
+        first_failure("datum-face-closure", (
+            (t, contr) for n, t in stored if n >= 3 for i in range(n - 1)
+            if (contr := t[:i] + (m.mul(t[i], t[i + 1]),) + t[i + 2:]) not in a.level(n - 1))),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +320,9 @@ def to_pas(m: PartialUnitalMagma, a: AssociativityDatum) -> PasStructure:
         words[(x,)] = x
     for n in sorted(a.levels):
         for t in sorted(a.levels[n]):
-            words[t] = tuple_product(m, t)
+            words[t] = left_product(m, t)
+            if words[t] is None:
+                raise StructureError(f"tuple {t} is not left-multiplicable")
     return PasStructure(m.size, frozenset(words), words)
 
 
@@ -437,25 +412,9 @@ def inverses(m: PartialUnitalMagma, x: int):
 
 
 def is_inverseless(m: PartialUnitalMagma) -> bool:
-    """True iff only the unit has any one-sided inverse."""
-    for x in m.elements():
-        if x == 0:
-            continue
-        inv = inverses(m, x)
-        if inv["left"] or inv["right"]:
-            return False
-    return True
-
-
-def two_sided_inverse_map(m: PartialUnitalMagma):
-    """x -> its two-sided inverse, or None if some element has none."""
-    out = []
-    for x in m.elements():
-        two = sorted(inverses(m, x)["two_sided"])
-        if not two:
-            return None
-        out.append(two[0])
-    return out
+    """True iff only the unit has any one-sided inverse: no product but the
+    unit's with itself is the unit."""
+    return all(c != 0 or pair == (0, 0) for pair, c in m.product.items())
 
 
 def is_weakly_associative_partial_group(m: PartialUnitalMagma, up_to: int):
@@ -467,13 +426,15 @@ def is_weakly_associative_partial_group(m: PartialUnitalMagma, up_to: int):
     """
     if up_to < 2:
         raise InputError("up_to must be >= 2")
-    cls = classify(m)
+    cls, wit = classify(m)
     if cls == MAGMA:
-        return False, ("not-weakly-associative", classify_with_witness(m)[1])
-    inv = two_sided_inverse_map(m)
-    if inv is None:
-        missing = [x for x in m.elements() if not inverses(m, x)["two_sided"]]
-        return False, ("missing-inverse", missing[0])
+        return False, ("not-weakly-associative", wit)
+    inv = []
+    for x in m.elements():
+        two = inverses(m, x)["two_sided"]
+        if not two:
+            return False, ("missing-inverse", x)
+        inv.append(min(two))
     datum = max_associativity_datum(m, up_to)
     singles = [(x,) for x in m.elements()]
     for n in range(1, up_to + 1):
@@ -523,19 +484,9 @@ class FiniteEffectAlgebra:
         return FiniteEffectAlgebra(magma, perp)
 
 
-def ea_sum(e: FiniteEffectAlgebra, values):
-    """Left-fold partial sum; None when some partial sum is undefined."""
-    acc = 0
-    for v in values:
-        acc = e.magma.mul(acc, v)
-        if acc is None:
-            return None
-    return acc
-
-
 def multiplicable_recursive(e: FiniteEffectAlgebra, tup) -> bool:
     """Recursive n-multiplicability: prefix multiplicable and (prefix-sum, last) defined."""
-    return ea_sum(e, tup) is not None
+    return left_product(e.magma, tup) is not None
 
 
 _ORDER_CHECK_LIMIT = 4
@@ -565,7 +516,7 @@ def validate_effect_algebra(e: FiniteEffectAlgebra):
     m.validate()
     perp = e.orthocomplement
     one = e.top
-    cls, cls_wit = classify_with_witness(m)
+    cls, cls_wit = classify(m)
     return [
         first_failure("orthocomplement-involution", (
             a for a in m.elements() if perp[perp[a]] != a)),

@@ -37,13 +37,9 @@ OMEGA = np.exp(2j * np.pi / 3)
 _Z3_ADD = tuple(tuple((a + b) % D for b in range(D)) for a in range(D))
 
 
-def frob(a) -> float:
-    return float(np.linalg.norm(a))
-
-
-def _block_norms(blocks):
-    """Frobenius norm of each matrix in a stack."""
-    return np.linalg.norm(blocks, axis=(-2, -1))
+def frob(a):
+    """Frobenius norm of a matrix, or of each matrix in a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,7 +55,7 @@ def dagger(a):
 
 
 def commutator_norm(a, b):
-    return _block_norms(a @ b - b @ a)
+    return frob(a @ b - b @ a)
 
 
 def _traces(a):
@@ -72,17 +68,17 @@ def eigenprojectors(u):
     (..., D, d, d), via the finite Fourier sum P_a = (1/D) sum_k omega^{-ak} u^k;
     reconstruction sum_a omega^a P_a = u."""
     eye = _eye(u.shape[-1])
-    if (_block_norms(u @ dagger(u) - eye) > TOL_PROJ).any():
+    if (frob(u @ dagger(u) - eye) > TOL_PROJ).any():
         raise InputError("input is not unitary within tolerance")
     powers = [np.broadcast_to(eye, u.shape), u, u @ u]
-    if (_block_norms(powers[-1] @ u - eye) > TOL_PROJ).any():
+    if (frob(powers[-1] @ u - eye) > TOL_PROJ).any():
         raise InputError(f"input is not {D}-torsion within tolerance")
     k = np.arange(D)
     # the powers' entries as rows, so that each sum over k is one matmul
     flat = np.stack(powers, -3).reshape(*u.shape[:-2], D, -1)
     projs = (OMEGA ** -np.outer(k, k) @ flat / D).reshape(*u.shape[:-2], D, *u.shape[-2:])
     rebuilt = (OMEGA ** k @ projs.reshape(flat.shape)).reshape(u.shape)
-    if (_block_norms(rebuilt - u) > TOL_EQ).any():
+    if (frob(rebuilt - u) > TOL_EQ).any():
         raise InputError("spectral reconstruction failed")
     return projs
 
@@ -133,15 +129,15 @@ class ProjectiveMeasurement:
         if p.ndim < 3 or p.shape[-3] != n or p.shape[-2] != p.shape[-1]:
             raise InputError("measurement must be indexed by all outcome tuples")
         outs = _outcomes(self.arity)[0]
-        not_proj = _block_norms(dagger(p) - p) > TOL_PROJ
+        not_proj = frob(dagger(p) - p) > TOL_PROJ
         not_orth = np.zeros(p.shape[:-2] + (n,), dtype=bool)
         # row s of the Gram array, p[s] @ p[t] for t >= s, one row at a time:
         # a whole stack's Gram array would be n times the size of its blocks
         for s in range(n):
             row = p[..., s:s + 1, :, :] @ p[..., s:, :, :]
-            not_proj[..., s] |= _block_norms(row[..., 0, :, :] - p[..., s, :, :]) > TOL_PROJ
-            not_orth[..., s, s + 1:] = _block_norms(row[..., 1:, :, :]) > TOL_PROJ
-        not_unit = _block_norms(p.sum(-3) - _eye(p.shape[-1])) > TOL_EQ
+            not_proj[..., s] |= frob(row[..., 0, :, :] - p[..., s, :, :]) > TOL_PROJ
+            not_orth[..., s, s + 1:] = frob(row[..., 1:, :, :]) > TOL_PROJ
+        not_unit = frob(p.sum(-3) - _eye(p.shape[-1])) > TOL_EQ
         bad = not_proj.any(-1) | not_orth.any((-2, -1)) | not_unit
         if not bad.any():
             return
@@ -156,7 +152,7 @@ class ProjectiveMeasurement:
 
     def close_to(self, other) -> bool:
         return (self.arity == other.arity
-                and _block_norms(self.blocks - other.blocks).max() < TOL_EQ)
+                and frob(self.blocks - other.blocks).max() < TOL_EQ)
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,7 +226,7 @@ def in_key_example(m: ProjectiveMeasurement):
     if m.arity != 2:
         raise InputError("in_key_example takes 2-simplices; use in_key_example_tuple")
     index = _outcomes(2)[1]
-    norms = _block_norms(m.blocks[..., [index[t] for t in _FORBIDDEN], :, :])
+    norms = frob(m.blocks[..., [index[t] for t in _FORBIDDEN], :, :])
     nonzero = norms > TOL_EQ
     ok = ~nonzero.any(-1)
     if ok.all():
@@ -308,7 +304,7 @@ def build_witness():
 
 def _glue_residual(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement) -> float:
     """Largest Frobenius distance between d_2(psi) and d_1(pi), outcome by outcome."""
-    return float(_block_norms(face(psi, 2).blocks - face(pi, 1).blocks).max())
+    return float(frob(face(psi, 2).blocks - face(pi, 1).blocks).max())
 
 
 def membrane_filler_check(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement):
@@ -354,7 +350,7 @@ def haar_unitary(rng, n):
 
 
 def random_density(rng):
-    g = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))
+    g = ginibre(rng, DIM)
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 
@@ -448,9 +444,9 @@ def inverseless_sample_check(trials: int, seed: int):
         fibres = np.stack([sample[(0, 0)],
                            sample[(2, 2)] + sample[(1, 0)] + sample[(0, 1)],
                            sample[(2, 0)] + sample[(0, 2)]], -3)
-        relation = _block_norms(fibres - d1).max(-1)
-        degenerate_input = _block_norms(d1 - deg_edge).max(-1)
-        collapse = _block_norms(sample.blocks - target.blocks).max(-1)
+        relation = frob(fibres - d1).max(-1)
+        degenerate_input = frob(d1 - deg_edge).max(-1)
+        collapse = frob(sample.blocks - target.blocks).max(-1)
         generic = _allowed_two_simplices(haar_from_ginibre(z_generic), ranks)
         off_mass = sum(_traces(generic[t]) for t in _ALLOWED if t != (0, 0))
         gen_gap = sum(_traces(face(generic, 1)[c]) for c in [(1,), (2,)])

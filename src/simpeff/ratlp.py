@@ -16,32 +16,34 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _pivot(rows, r, c):
+    """The one elimination step: scale row r to a one in column c, then clear
+    column c from every other row.  In place; rows are lists of Fractions."""
+    pv = rows[r][c]
+    rows[r] = [v / pv for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+
+
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns).
 
     rows are lists of Fractions (any width); input is not mutated.
     """
     mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        _pivot(mat, r, c)
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
     return mat, pivots
 
 
@@ -76,10 +78,11 @@ class BoxLP:
 
     Internally: standard form over x (n vars) and upper-bound slacks s
     (n vars) with rows [A 0; I I], then a two-phase tableau simplex with
-    Bland's rule, whose last row holds the reduced costs.  Phase 1 runs once,
-    in the constructor; its artificial columns end up holding B^-1, so the
-    duals (a Farkas certificate) fall out.  Each solve runs phase 2 from a
-    copy of the feasible basis phase 1 leaves.
+    Bland's rule.  Each tableau row ends with its right-hand side, and the
+    last row holds the reduced costs, so every step is one `_pivot`.  Phase 1
+    runs once, in the constructor; its artificial columns end up holding
+    B^-1, so the duals (a Farkas certificate) fall out.  Each solve runs
+    phase 2 from a copy of the feasible basis phase 1 leaves.
     """
 
     def __init__(self, A, b):
@@ -91,67 +94,55 @@ class BoxLP:
         nrows, width = len(self._rows), 2 * n
         signs = [-1 if v < 0 else 1 for v in self._b]
         tab = [[sg * v for v in row] + [_ONE if k == i else _ZERO for k in range(nrows)]
-               for i, (row, sg) in enumerate(zip(self._rows, signs))]
-        rhs = [abs(v) for v in self._b]
+               + [abs(r)] for i, (row, r, sg) in enumerate(zip(self._rows, self._b, signs))]
         basis = list(range(width, width + nrows))
-        self._price(tab, rhs, basis, [_ZERO] * width + [Fraction(-1)] * nrows)
-        self._simplex(tab, rhs, basis)
-        reduced, infeasibility = tab.pop(), rhs.pop()
+        self._price(tab, basis, [_ZERO] * width + [Fraction(-1)] * nrows)
+        self._simplex(tab, basis)
+        reduced = tab.pop()
         self._farkas = None
-        if infeasibility > 0:
-            # the duals y sit under the artificial columns as -1 - y; the
-            # signs undo the flips that made rhs nonnegative
-            self._farkas = [(1 + d) * sg for d, sg in zip(reduced[width:], signs)]
+        if reduced[-1] > 0:
+            # the infeasibility is left as the objective's right-hand side;
+            # the duals y sit under the artificial columns as -1 - y, and the
+            # signs undo the flips that made the right-hand sides nonnegative
+            self._farkas = [(1 + d) * sg for d, sg in zip(reduced[width:-1], signs)]
             return
         # drive leftover artificials out of the basis
         for r in range(nrows):
-            if basis[r] >= width and rhs[r] == 0:
+            if basis[r] >= width and tab[r][-1] == 0:
                 c = next((j for j in range(width) if tab[r][j] != 0), None)
                 if c is not None:
-                    self._pivot(tab, rhs, basis, r, c)
+                    _pivot(tab, r, c)
+                    basis[r] = c
         live = [r for r in range(nrows) if basis[r] < width]
-        self._tab = [tab[r][:width] for r in live]
-        self._rhs = [rhs[r] for r in live]
+        self._tab = [tab[r][:width] + tab[r][-1:] for r in live]
         self._basis = [basis[r] for r in live]
 
     @staticmethod
-    def _price(tab, rhs, basis, cost):
-        """Append the reduced costs c - c_B B^-1 A, with -c_B x_B as rhs."""
-        reduced, neg_value = list(cost), _ZERO
-        for i, bvar in enumerate(basis):
+    def _price(tab, basis, cost):
+        """Append the reduced costs c - c_B B^-1 A, with -c_B x_B as their
+        right-hand side."""
+        reduced = list(cost) + [_ZERO]
+        for row, bvar in zip(tab, basis):
             if cost[bvar] != 0:
-                reduced = [d - cost[bvar] * v for d, v in zip(reduced, tab[i])]
-                neg_value -= cost[bvar] * rhs[i]
+                reduced = [d - cost[bvar] * v for d, v in zip(reduced, row)]
         tab.append(reduced)
-        rhs.append(neg_value)
 
     @staticmethod
-    def _pivot(tab, rhs, basis, r, c):
-        pv = tab[r][c]
-        tab[r] = [v / pv for v in tab[r]]
-        rhs[r] /= pv
-        for i in range(len(tab)):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
-                rhs[i] -= f * rhs[r]
-        basis[r] = c
-
-    @staticmethod
-    def _simplex(tab, rhs, basis):
+    def _simplex(tab, basis):
         """Maximize over a priced tableau; Bland's rule; in place.  Both
         phases are bounded, so an entering column always has a leaving row."""
         while True:
-            enter = next((j for j, d in enumerate(tab[-1]) if d > 0), None)
+            enter = next((j for j, d in enumerate(tab[-1][:-1]) if d > 0), None)
             if enter is None:
                 return
             leave, best = None, None
             for i in range(len(basis)):
                 if tab[i][enter] > 0:
-                    ratio = rhs[i] / tab[i][enter]
+                    ratio = tab[i][-1] / tab[i][enter]
                     if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                         best, leave = ratio, i
-            BoxLP._pivot(tab, rhs, basis, leave, enter)
+            _pivot(tab, leave, enter)
+            basis[leave] = enter
 
     def solve(self, objective=None, maximize=True):
         """Returns (status, x, value, farkas).
@@ -168,15 +159,14 @@ class BoxLP:
         if objective is not None:
             cost[:self.n] = [sign * Fraction(v) for v in objective]
         tab = [list(row) for row in self._tab]
-        rhs = list(self._rhs)
         basis = list(self._basis)
-        self._price(tab, rhs, basis, cost)
-        self._simplex(tab, rhs, basis)
+        self._price(tab, basis, cost)
+        self._simplex(tab, basis)
         x = [_ZERO] * self.n
-        for r, bvar in enumerate(basis):
+        for row, bvar in zip(tab, basis):
             if bvar < self.n:
-                x[bvar] = rhs[r]
-        return OPTIMAL, x, -sign * rhs[-1], None
+                x[bvar] = row[-1]
+        return OPTIMAL, x, -sign * tab[-1][-1], None
 
     def verify_farkas(self, farkas) -> bool:
         """Independent exact check that the certificate proves emptiness."""

@@ -95,11 +95,6 @@ def find_state(c: CyclicSSet) -> StateSearch:
     return StateSearch(True, x, None, A, n - ratlp.rank(A + forced), vertices)
 
 
-def state_polytope_dim(c: CyclicSSet):
-    """Affine dimension of the state polytope; None when it is empty."""
-    return find_state(c).dim
-
-
 def hc1(c: CyclicSSet, A=None):
     """Dimension and rational basis of the degree-one cyclic cocycles.
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -47,3 +48,14 @@ def random_magma(rng: random.Random, size: int, density: float = 0.5) -> palg.Pa
     m = palg.PartialUnitalMagma(size, product)
     m.validate()
     return m
+
+
+def three_element_magmas():
+    """All 256 partial unital magmas on {0, 1, 2}: each of the four products
+    of non-units is undefined or one of the three elements."""
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    unit = {p: p[0] + p[1] for p in itertools.product(range(3), repeat=2) if 0 in p}
+    for values in itertools.product((None, 0, 1, 2), repeat=len(pairs)):
+        product = dict(unit)
+        product.update({p: v for p, v in zip(pairs, values) if v is not None})
+        yield palg.PartialUnitalMagma(3, product)

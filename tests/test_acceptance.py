@@ -156,7 +156,7 @@ def test_criterion_6_states_and_hc1():
     assert found.feasible
     assert {lab[i]: v for i, v in enumerate(found.state)} == {
         0: Fraction(0), 1: Fraction(1, 2), 2: Fraction(1)}
-    assert states.state_polytope_dim(cl2) == 0
+    assert states.find_state(cl2).dim == 0
     assert states.hc1(cl2)[0] == 0
 
     z2 = nv.cyclic_group(2)
@@ -166,7 +166,7 @@ def test_criterion_6_states_and_hc1():
 
     b2 = palg.boolean_effect_algebra(2)
     cb = cyc.effect_nerve_cyclic(b2, nerve_of(b2.magma, 4))
-    assert states.state_polytope_dim(cb) == 1
+    assert states.find_state(cb).dim == 1
     assert states.hc1(cb)[0] == 1
 
     instances = [cl2, cb,

@@ -7,8 +7,8 @@ from simpeff import nerve as nv
 from simpeff import palg
 from simpeff.util import InputError
 
-from conftest import random_magma
-from palg_oracles import bracketed_product, is_associable
+from conftest import random_magma, three_element_magmas
+from palg_oracles import bracketed_product, classify, is_associable
 
 # Q8 element ids (see nerve.quaternion_group): 1,-1,i,-i,j,-j,k,-k
 I, NEG_I, J = 2, 3, 4
@@ -86,9 +86,9 @@ def test_fully_associable(l2, q8_magma):
 
 
 def test_classify(l2, q8_magma, one_element_magma):
-    assert palg.classify(l2.magma) == palg.PARTIAL_MONOID
-    assert palg.classify(one_element_magma) == palg.PARTIAL_MONOID
-    assert palg.classify(q8_magma) == palg.WEAK_PARTIAL_MONOID
+    assert palg.classify(l2.magma) == (palg.PARTIAL_MONOID, None)
+    assert palg.classify(one_element_magma) == (palg.PARTIAL_MONOID, None)
+    assert palg.classify(q8_magma)[0] == palg.WEAK_PARTIAL_MONOID
 
 
 def test_classify_q8_witness(q8_magma):
@@ -97,12 +97,21 @@ def test_classify_q8_witness(q8_magma):
     ii = m.mul(I, I)
     assert m.defined(J, ii)
     assert not m.defined(J, I)
-    cls, wit = palg.classify_with_witness(m)
+    cls, wit = palg.classify(m)
     assert cls == palg.WEAK_PARTIAL_MONOID
     a, b, c = wit
     ldef = m.mul(a, b) is not None and m.defined(m.mul(a, b), c)
     rdef = m.mul(b, c) is not None and m.defined(a, m.mul(b, c))
     assert ldef != rdef
+
+
+def test_classify_matches_bracketing_oracle():
+    # class and lex-least witness against both bracketings of every triple,
+    # on the size-3 census and on seeded size-4 magmas
+    rng = random.Random(41)
+    magmas = list(three_element_magmas()) + [random_magma(rng, 4) for _ in range(300)]
+    for m in magmas:
+        assert palg.classify(m) == classify(m), m.product
 
 
 def test_weak_bracketing_agreement_property():
@@ -112,7 +121,7 @@ def test_weak_bracketing_agreement_property():
     found = 0
     for _ in range(300):
         m = random_magma(rng, rng.randrange(2, 5), density=0.35)
-        if palg.classify(m) == palg.MAGMA:
+        if palg.classify(m)[0] == palg.MAGMA:
             continue
         found += 1
         for _ in range(30):
@@ -128,7 +137,7 @@ def test_partial_monoid_definedness_property():
     rng = random.Random(5)
     for _ in range(200):
         m = random_magma(rng, rng.randrange(2, 5), density=0.3)
-        if palg.classify(m) != palg.PARTIAL_MONOID:
+        if palg.classify(m)[0] != palg.PARTIAL_MONOID:
             continue
         for a, b, c in itertools.product(range(m.size), repeat=3):
             ab, bc = m.mul(a, b), m.mul(b, c)
@@ -173,6 +182,43 @@ def test_validate_datum_conditions(l2):
         {2: datum.level(2) - {(1, 1)}, 3: datum.level(3)})
     rep = palg.validate_datum(l2.magma, broken)
     assert not next(c for c in rep if c.name.startswith("datum-cond1")).ok
+
+
+def _datum_minus(m, up_to, drop=(), add=()):
+    """The maximal datum of m to arity up_to, with tuples dropped and added."""
+    levels = dict(palg.max_associativity_datum(m, up_to).levels)
+    for t in drop:
+        levels[len(t)] -= {t}
+    for t in add:
+        levels[len(t)] |= {t}
+    return palg.AssociativityDatum(levels)
+
+
+def test_validate_datum_witnesses(l2, l3, q8_magma):
+    # the full report, witnesses included, on data broken one way each
+    cases = [
+        (l2.magma, _datum_minus(l2.magma, 3, drop=[(1, 1)]),
+         [(1, 1), ((0, 1, 1), (1, 1)), None, None, ((0, 1, 1), (1, 1))]),
+        (l2.magma, _datum_minus(l2.magma, 3, drop=[(0, 1, 1)]),
+         [None, None, ((1, 1), (0, 1, 1)), None, None]),
+        (l2.magma, _datum_minus(l2.magma, 3, add=[(2, 1, 0)]),
+         [None, ((2, 1, 0), (2, 1)), None, (2, 1, 0), ((2, 1, 0), (None, 0))]),
+        (q8_magma, _datum_minus(q8_magma, 3, add=[(I, 0, J)]),
+         [None, None, None, (I, 0, J), ((I, 0, J), (I, J))]),
+        (l3.magma, _datum_minus(l3.magma, 4, drop=[(2, 1, 0)]),
+         [None, ((0, 2, 1, 0), (2, 1, 0)), ((2, 1), (2, 1, 0)), None,
+          ((0, 2, 1, 0), (2, 1, 0))]),
+        (l3.magma, _datum_minus(l3.magma, 4, add=[(1, 1, 1, 1)]),
+         [None, None, None, (1, 1, 1, 1), ((1, 1, 1, 1), (2, 1, 1))]),
+    ]
+    for m, datum, witnesses in cases:
+        rep = palg.validate_datum(m, datum)
+        assert [c.name for c in rep] == [
+            "datum-cond1-a2-is-domain", "datum-cond2-split-closure",
+            f"datum-cond3-unit-insertion(arity<={datum.max_arity})",
+            "datum-fully-associable", "datum-face-closure"]
+        assert [c.witness for c in rep] == witnesses
+        assert [c.ok for c in rep] == [w is None for w in witnesses]
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +300,13 @@ def test_is_inverseless(l2, q8_magma, one_element_magma):
 
 def test_one_sided_inverse_is_the_inverse():
     # in a weak partial monoid with inverses, any one-sided inverse equals
-    # the two-sided one
+    # the two-sided one, which is unique
     for g in (nv.quaternion_group(), nv.symmetric_group(3), nv.dihedral_group(4)):
         m = nv.commuting_magma(g)
-        inv = palg.two_sided_inverse_map(m)
-        assert inv is not None
         for x in m.elements():
             found = palg.inverses(m, x)
-            assert found["left"] <= {inv[x]} and found["right"] <= {inv[x]}
+            assert len(found["two_sided"]) == 1
+            assert found["left"] <= found["two_sided"] and found["right"] <= found["two_sided"]
 
 
 def test_wapg(q8_magma, l2):

@@ -9,7 +9,7 @@ from simpeff import nerve as nv
 from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
-from conftest import random_magma
+from conftest import random_magma, three_element_magmas
 from sset_oracles import (BOUNDARY, SPINE, membrane_set, sset_equal, sset_isomorphic,
                           triangulations)
 from test_golden import _twin_tetra
@@ -363,17 +363,6 @@ def test_segal_counting_matches_enumeration():
     assert verdicts == {(c, v) for c in "2w" for v in (True, "collision", "unfilled")}
 
 
-def _three_element_magmas():
-    """All 256 partial unital magmas on {0, 1, 2}: each of the four products
-    of non-units is undefined or one of the three elements."""
-    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    unit = {p: p[0] + p[1] for p in itertools.product(range(3), repeat=2) if 0 in p}
-    for values in itertools.product((None, 0, 1, 2), repeat=len(pairs)):
-        product = dict(unit)
-        product.update({p: v for p, v in zip(pairs, values) if v is not None})
-        yield palg.PartialUnitalMagma(3, product)
-
-
 def test_hierarchy_census_three_elements():
     """The algebraic hierarchy against its geometric counterparts on every
     partial unital magma of size 3: magmas are not weakly 2-Segal, weak
@@ -387,16 +376,16 @@ def test_hierarchy_census_three_elements():
     and a WAPG is a weakly associative partial group checked to arity 3.
     No magma is both, and no magma in the narrow sense is either."""
     tally, extremes = Counter(), Counter()
-    for m in _three_element_magmas():
+    for m in three_element_magmas():
         x = nerve_of(m, 4)
         _, spiny, two, (weak, _) = sset.segal(x)
         assert spiny == sset.is_spiny(x), m.product
-        tally[(palg.classify(m), weak, two[0], sset.is_coskeletal_2(x)[0])] += 1
+        tally[(palg.classify(m)[0], weak, two[0], sset.is_coskeletal_2(x)[0])] += 1
         inverseless = sset.is_inverseless_sset(x)[0]
         assert inverseless == palg.is_inverseless(m), m.product
         assert two == oracle_two_segal(x), m.product
         effect = spiny[0] and inverseless and weak
-        extremes[(palg.classify(m), effect,
+        extremes[(palg.classify(m)[0], effect,
                   palg.is_weakly_associative_partial_group(m, 3)[0])] += 1
     assert tally == {(palg.MAGMA, False, False, True): 160,
                      (palg.WEAK_PARTIAL_MONOID, True, False, True): 71,

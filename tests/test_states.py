@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from simpeff import cyclic as cyc
@@ -45,6 +47,44 @@ def test_rref_and_nullspace():
     assert v[0] + v[1] == 0 and v[1] + v[2] == 0
 
 
+def _is_rref(mat, pivots):
+    """Leading ones in strictly increasing columns, zeros elsewhere in each
+    pivot column, and every row past the pivots zero."""
+    if pivots != sorted(set(pivots)):
+        return False
+    for r, row in enumerate(mat):
+        if r >= len(pivots):
+            if any(row):
+                return False
+            continue
+        p = pivots[r]
+        if any(row[:p]) or row[p] != 1 or any(mat[i][p] for i in range(len(mat)) if i != r):
+            return False
+    return True
+
+
+def test_rref_rank_nullspace_on_random_matrices():
+    # tall, wide, square, zero-row and zero-column shapes; each matrix is
+    # small-integer combinations of k random rows, so its rank is at most k
+    rng = random.Random(19)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (6, 2), (7, 3), (2, 6), (3, 8), (4, 4), (5, 5)]
+    for nrows, ncols in shapes * 6:
+        k = rng.randrange(min(nrows, ncols) + 1)
+        gens = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
+        rows = [[Fraction(sum(c * g[j] for c, g in zip(coeffs, gens))) for j in range(ncols)]
+                for coeffs in ([rng.randint(-2, 2) for _ in range(k)] for _ in range(nrows))]
+        mat, pivots = ratlp.rref(rows)
+        assert _is_rref(mat, pivots), rows
+        rank = ratlp.rank(rows)
+        assert rank == len(pivots) == np.linalg.matrix_rank(
+            np.array(rows, dtype=float).reshape(nrows, ncols)), rows
+        basis = ratlp.nullspace(rows, ncols)
+        assert len(basis) == ncols - rank
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows for vec in basis)
+        if basis:
+            assert np.linalg.matrix_rank(np.array(basis, dtype=float)) == len(basis)
+
+
 def test_boxlp_feasible_vertex():
     # x0 + x1 = 1 inside the unit box
     lp = ratlp.BoxLP([[1, 1]], [1])
@@ -87,7 +127,7 @@ def test_l2_unique_state(l2_cyclic):
     lab = l2_cyclic.base.labels[1]
     values = {lab[i]: v for i, v in enumerate(found.state)}
     assert values == {0: Fraction(0), 1: Fraction(1, 2), 2: Fraction(1)}
-    assert states.state_polytope_dim(l2_cyclic) == 0
+    assert states.find_state(l2_cyclic).dim == 0
 
 
 def test_l2_hc1_trivial(l2_cyclic):
@@ -110,11 +150,11 @@ def test_z2_z1_empty(z2_z1_cyclic):
     found = states.find_state(z2_z1_cyclic)
     assert not found.feasible
     assert found.farkas is not None  # verified inside find_state
-    assert states.state_polytope_dim(z2_z1_cyclic) is None
+    assert states.find_state(z2_z1_cyclic).dim is None
 
 
 def test_bool2_dims(bool2_cyclic):
-    assert states.state_polytope_dim(bool2_cyclic) == 1
+    assert states.find_state(bool2_cyclic).dim == 1
     dim, basis = states.hc1(bool2_cyclic)
     assert dim == 1
     # the basis vector must be antisymmetric under the orthocomplement
@@ -140,7 +180,7 @@ def test_polytope_dim_at_most_hc1():
     for e in (palg.interval_effect_algebra(2), palg.interval_effect_algebra(3),
               palg.boolean_effect_algebra(2), palg.boolean_effect_algebra(3)):
         c = effect_cyclic(e)
-        dim = states.state_polytope_dim(c)
+        dim = states.find_state(c).dim
         assert dim is not None
         assert dim <= states.hc1(c)[0]
 
@@ -149,5 +189,5 @@ def test_bool3_evaluation_states():
     # Boolean algebra on 3 atoms: states = convex hull of the three
     # evaluation states, so dimension 2
     c = effect_cyclic(palg.boolean_effect_algebra(3))
-    assert states.state_polytope_dim(c) == 2
+    assert states.find_state(c).dim == 2
     assert states.hc1(c)[0] == 2
