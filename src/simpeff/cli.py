@@ -64,7 +64,7 @@ def _check_magma(path, args):
 
 
 def _sset_battery(x, rep):
-    bad, (ok, wit), two, weak = sset.segal(x)
+    bad, (ok, wit), two, weak, cosk = sset.segal(x)
     rep.add(Check("simplicial-identities", not bad, bad[0] if bad else None))
     if bad:
         return
@@ -72,8 +72,7 @@ def _sset_battery(x, rep):
     reduced = sset.is_reduced(x)
     rep.add(Check("reduced", reduced, None if reduced else f"{x.counts[0]} vertices"))
     if x.K >= 3:
-        ok, wit = sset.is_coskeletal_2(x)
-        rep.add(Check("2-coskeletal", ok, None if ok else wit))
+        rep.add(Check("2-coskeletal", *cosk))
         for name, (ok, wit) in (("2-segal", two), ("weakly-2-segal", weak)):
             rep.add(Check(name, ok, None if ok else _segal_witness(wit)))
     else:

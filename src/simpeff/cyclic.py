@@ -186,7 +186,7 @@ def battery(c: CyclicSSet, effect=True, algebroid=True):
     checks = [Check("cyclic-relations", not badrel,
                     f"{badrel[0].name} witness {badrel[0].witness}" if badrel else None)]
     inv_ok, inv_wit = is_inverseless_sset(x)
-    bad, spiny, two, weak = segal(x)
+    bad, spiny, two, weak, _ = segal(x)
     if effect:
         suite = [Check("simplicial-identities", not bad),
                  Check("cyclic-relations", not badrel),

@@ -55,7 +55,7 @@ class TruncatedSSet:
                 tab = tables.get((n, i))
                 if tab is None or len(tab) != self.counts[n]:
                     raise InputError(f"missing or missized {kind} table {(n, i)}")
-                if any(not (0 <= v < self.counts[n + step]) for v in tab):
+                if tab and not (0 <= min(tab) and max(tab) < self.counts[n + step]):
                     raise InputError(f"{kind} table {(n, i)} value out of range")
 
     def to_json_dict(self):
@@ -347,7 +347,9 @@ def _spine_order(x: TruncatedSSet, sp):
 
 def segal(x: TruncatedSSet):
     """The one pass over restrictions of simplices to vertex subsets:
-    (bad, spiny, two, weak), with bad = validate(x) and the rest (ok, witness).
+    (bad, spiny, two, weak, cosk), with bad = validate(x) and the rest
+    (ok, witness).  cosk is is_coskeletal_2(x), run once when K >= 3 and the
+    simplicial identities hold; otherwise it reads as the Segal verdicts do.
 
     Each level n = 2..K builds its subface tables once.  Spiny: the spines,
     read off the tables of the edges (i, i+1), do not collide; the witness
@@ -379,12 +381,43 @@ def segal(x: TruncatedSSet):
     Witnesses: 2-Segal ("collision", n, T, s1, s2) or ("unfilled", n, T,
     spine-of-membrane); weak ("collision", n, s1, s2) or ("unfilled", n,
     spine edges).
+
+    The pass stops after level 3 when the set is spiny so far and
+    2-coskeletal: the level-3 verdicts, with their level-3 witnesses, then
+    hold at every level up to K, and so does spiny.  Proof, for 3 < n <= K:
+    - Spiny at level 2 makes the partial composite e.f of edges the d_1 of
+      the one 2-simplex whose (d_2, d_0) is (e, f), defined when there is
+      one.  Unique fillers at levels 3..K make an n-simplex the same as its
+      2-faces: a family of edges e_ab (a < b) with e_ab.e_bc defined and
+      equal to e_ac for all a < b < c.  As e_ab = e_a,b-1 . e_b-1,b, the
+      spine determines the family, so spiny holds at level n.
+    - In the same way a membrane of a triangulation T is determined by its
+      spine, and a spine carries one exactly when the bracketing of the
+      spine that T reads is defined.  Both membrane maps are therefore
+      injective at level n, and onto exactly when every spine whose
+      T-bracketing is defined for one T (2-Segal), or for every T (weak),
+      spans an n-simplex.
+    - 2-Segal at level 3 says (ab)c is defined iff a(bc) is, and the two
+      are equal; weak 2-Segal at level 3 says they are equal when both are
+      defined.  Any two bracketings are joined by rotations
+      (XY)Z <-> X(YZ) of sub-bracketings.  Under 2-Segal, one defined
+      bracketing of a spine makes all of them defined, with one value;
+      under weak 2-Segal the values agree when all are defined.
+    - Every interval [a, b] of the spine is a subtree of some bracketing,
+      so let e_ab be its one value; e_ab.e_bc is a bracketing of [a, c], so
+      it equals e_ac.  The unique fillers at levels 3..n extend this family
+      to the one n-simplex with that spine.
+    Spininess is needed: the 2-coskeletal extension of one vertex with a
+    second 2-simplex on the degenerate edge is weakly 2-Segal at level 3
+    and not at level 4.
     """
     bad = validate(x)
     spiny = (True, None)
-    two = weak = (False, "simplicial identities fail") if bad else (True, None)
+    two = weak = cosk = (False, "simplicial identities fail") if bad else (True, None)
+    if x.K >= 3 and not bad:
+        cosk = is_coskeletal_2(x)
     for n in range(2, x.K + 1):
-        if not (spiny[0] or two[0] or weak[0]):
+        if not (spiny[0] or two[0] or weak[0]) or (n == 4 and spiny[0] and cosk[0]):
             break
         sub = subface_tables(x, n)
         spines = list(zip(*(sub[(i, i + 1)] for i in range(n))))
@@ -417,7 +450,7 @@ def segal(x: TruncatedSSet):
             sp = min((sp for sp, f in families.items() if f > hits[sp]),
                      key=lambda sp: _spine_order(x, sp))
             weak = False, ("unfilled", n, sp)
-    return bad, spiny, two, weak
+    return bad, spiny, two, weak, cosk
 
 
 def boundary_membranes(x: TruncatedSSet, n: int):

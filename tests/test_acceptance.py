@@ -35,7 +35,7 @@ def test_criterion_1_action_partial_group():
     pairs = set(ly.labels[2])
     assert {(1, 1), (2, 1), (1, 2)} <= pairs
     assert (1, 1, 1) not in set(ly.labels[3])
-    *_, (ok, wit) = sset.segal(ly)
+    ok, wit = sset.segal(ly)[3]
     assert not ok and wit[0] == "unfilled" and wit[1] == 3
     assert tuple(wit[2]) == (1, 1, 1)
     # Chermak partial-group validity on the word domain, inversion included
@@ -66,7 +66,7 @@ def test_criterion_2_commutative_nerves():
         assert sset.is_spiny(x)[0], name
         assert sset.is_reduced(x), name
         assert sset.is_coskeletal_2(x)[0], name
-        _, _, (two, wit), weak = sset.segal(x)
+        _, _, (two, wit), weak, _ = sset.segal(x)
         assert weak[0], name
         ok, _ = palg.is_weakly_associative_partial_group(nv.commuting_magma(g), 3)
         assert ok, name

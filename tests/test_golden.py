@@ -118,11 +118,12 @@ BUILDS = {
     "ly-s4.json": ("action-pg", "--group", "s4.json", "--y", Y_S4, "--levels", "4"),
 }
 # the three largest outputs are checked at levels 3 and 4; cn-z4 passes
-# 2-Segal at level 4
+# 2-Segal at level 4; cn-s4 is weakly 2-Segal at level 5
 SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",),
          ("cn-q8.json", "--levels", "4"), ("cn-d4-t2.json", "--levels", "4"),
-         ("ly-s3.json", "--levels", "4"), ("cn-z4.json",), ("twin-tetra.json",))
+         ("ly-s3.json", "--levels", "4"), ("cn-z4.json",), ("twin-tetra.json",),
+         ("cn-s4.json", "--levels", "5"))
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
 # failing batteries, the two narrowed cyclic suites (also below level 3 and
@@ -259,6 +260,10 @@ GOLDEN = {
         (1, "7898573a4aadecf1dfbf74807c0d8d0f7862f274e1fafc92194e486cc73d97d2"),
     'check sset --in twin-tetra.json --json':
         (1, "396854ea29cb75b42d3a82523a0cef4bef4118f686dfd3a0622f1cc365f4c0cb"),
+    'check sset --in cn-s4.json --levels 5':
+        (1, "b15aeda1f77f7883ba5fd0e456bc9073ca671369c063414bccfb3188aa574d39"),
+    'check sset --in cn-s4.json --levels 5 --json':
+        (1, "3116d39e9ca885f29eefb14d1739981fe36202688d1094696f25c8b9b7779447"),
     'check cyclic --in en-l2.json --states --hc1':
         (0, "3117393af17d2461193a9d87e245fb74779f6206f8871355e9b52b611021ff4b"),
     'check cyclic --in en-l2.json --states --hc1 --json':

@@ -181,7 +181,7 @@ def test_two_segal_abelian_nerve():
 
 def test_two_segal_fails_q8_with_jii_witness():
     x = nv.comm_nerve(nv.quaternion_group(), None, 3)
-    _, _, (ok, wit), _ = sset.segal(x)
+    ok, wit = sset.segal(x)[2]
     assert not ok and wit[0] == "unfilled"
     # independent brute-force oracle: the (j, i, i) membrane exists under the
     # 1-3 diagonal (both triangles commute elementwise) but j and i do not
@@ -208,7 +208,7 @@ def test_weakly_two_segal(q8_nerve):
 def test_weakly_two_segal_ly_fails():
     z4 = nv.cyclic_group(4)
     ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 3)
-    *_, (ok, wit) = sset.segal(ly)
+    ok, wit = sset.segal(ly)[3]
     assert not ok
     assert wit[0] == "unfilled" and wit[1] == 3 and tuple(wit[2]) == (1, 1, 1)
 
@@ -216,7 +216,7 @@ def test_weakly_two_segal_ly_fails():
 def test_weakly_two_segal_delta_w3_fails():
     w3 = sset.delta_w3()
     assert sset.validate(w3) == []
-    *_, (ok, wit) = sset.segal(w3)
+    ok, wit = sset.segal(w3)[3]
     assert not ok and wit[0] == "unfilled"
 
 
@@ -225,11 +225,11 @@ def test_two_segal_implies_weakly(q8_nerve):
     instances = [nerve_of(nv.magma_of_group(nv.cyclic_group(3)), 4),
                  nerve_of(l2.magma, 4)]
     for x in instances:
-        _, _, two, weak = sset.segal(x)
+        _, _, two, weak, _ = sset.segal(x)
         assert two[0]
         assert weak[0]
     # converse separation: Q8 nerve is weakly 2-Segal but not 2-Segal
-    _, _, two, weak = sset.segal(q8_nerve)
+    _, _, two, weak, _ = sset.segal(q8_nerve)
     assert weak[0]
     assert not two[0]
 
@@ -344,8 +344,9 @@ def test_segal_counting_matches_enumeration():
     verdicts = set()
     for name, x in _oracle_instances():
         assert sset.validate(x) == [], name
-        bad, spiny, two, weak = sset.segal(x)
+        bad, spiny, two, weak, cosk = sset.segal(x)
         assert bad == [] and spiny == sset.is_spiny(x), name
+        assert cosk == sset.is_coskeletal_2(x), name
         assert two == oracle_two_segal(x), name
         assert weak == oracle_weakly_two_segal(x), name
         verdicts.update({("2", two[0] or two[1][0]), ("w", weak[0] or weak[1][0])})
@@ -378,9 +379,9 @@ def test_hierarchy_census_three_elements():
     tally, extremes = Counter(), Counter()
     for m in three_element_magmas():
         x = nerve_of(m, 4)
-        _, spiny, two, (weak, _) = sset.segal(x)
+        _, spiny, two, (weak, _), (cosk, _) = sset.segal(x)
         assert spiny == sset.is_spiny(x), m.product
-        tally[(palg.classify(m)[0], weak, two[0], sset.is_coskeletal_2(x)[0])] += 1
+        tally[(palg.classify(m)[0], weak, two[0], cosk)] += 1
         inverseless = sset.is_inverseless_sset(x)[0]
         assert inverseless == palg.is_inverseless(m), m.product
         assert two == oracle_two_segal(x), m.product
@@ -397,6 +398,61 @@ def test_hierarchy_census_three_elements():
                         (palg.WEAK_PARTIAL_MONOID, False, True): 2,
                         (palg.WEAK_PARTIAL_MONOID, False, False): 24,
                         (palg.MAGMA, False, False): 160}
+
+
+def hollow_simplex(d, K):
+    """Every face of the standard d-simplex below dimension d, and no d-cell:
+    spiny, and not 2-coskeletal when 3 <= d <= K."""
+    def bd(c):
+        return [(c[:i] + c[i + 1:], tuple(range(len(c) - 1))) for i in range(len(c))]
+
+    cells = [c for r in range(1, d + 1) for c in itertools.combinations(range(d + 1), r)]
+    return sset.from_nondegenerate(K, [(c, len(c) - 1, bd(c) if len(c) > 1 else [])
+                                       for c in cells])
+
+
+def test_segal_stops_at_level_3_only_where_oracles_agree_above_it():
+    """On spiny 2-coskeletal sets the Segal pass answers every level from
+    its level-3 verdicts; above level 3 these agree with the enumeration
+    oracles, and spiny and 2-coskeletal with is_spiny and is_coskeletal_2.
+    Two nerves of each class of the 3-element census and the commutative
+    nerve of S3, at K=5, and that of Z4 at K=4, all stop at level 3.  The
+    L_Y space and the hollow 4-simplex are spiny but not 2-coskeletal, so
+    the per-level loop still decides them above level 3; the hollow simplex
+    first fails both Segal conditions at level 4.  The whole census and Z4
+    at K=5 agree too, but their oracles take about 40 s."""
+    rng = random.Random(15)
+    by_class = {}
+    for m in three_element_magmas():
+        by_class.setdefault(palg.classify(m)[0], []).append(m)
+    gated = [nerve_of(m, 5) for ms in by_class.values() for m in rng.sample(ms, 2)]
+    gated += [nv.comm_nerve(nv.symmetric_group(3), None, 5),
+              nv.comm_nerve(nv.cyclic_group(4), None, 4)]
+    z4 = nv.cyclic_group(4)
+    fallback = [nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 5),
+                hollow_simplex(4, 5)]
+    for x, stops in [(x, True) for x in gated] + [(x, False) for x in fallback]:
+        _, spiny, two, weak, cosk = sset.segal(x)
+        assert spiny == sset.is_spiny(x) and spiny[0], x.counts
+        assert cosk == sset.is_coskeletal_2(x) and cosk[0] == stops, x.counts
+        assert two == oracle_two_segal(x), x.counts
+        assert weak == oracle_weakly_two_segal(x), x.counts
+    _, _, two, weak, _ = sset.segal(fallback[1])
+    assert not two[0] and not weak[0] and two[1][1] == weak[1][1] == 4
+
+
+def test_weak_two_segal_beyond_level_3_needs_spiny():
+    """The 2-coskeletal extension of one vertex with a second 2-simplex on
+    the degenerate edge is 2-coskeletal and weakly 2-Segal at level 3, but
+    not spiny, and not weakly 2-Segal at level 4: the Segal pass may stop at
+    level 3 only on spiny sets."""
+    x2 = sset.from_nondegenerate(2, [("v", 0, []), ("a", 2, [("v", (0, 0))] * 3)])
+    x = sset.cosk2_extend(x2, 4)
+    assert x.counts == [1, 1, 2, 16, 1024]
+    assert sset.segal(sset.truncate(x, 3))[3] == (True, None)
+    _, spiny, _, weak, cosk = sset.segal(x)
+    assert cosk == (True, None) and not spiny[0]
+    assert weak == (False, ("unfilled", 4, (0, 0, 0, 0))) == oracle_weakly_two_segal(x)
 
 
 def test_subface_tables_match_subface():
@@ -427,10 +483,10 @@ def test_segal_checks_need_simplicial_identities():
     x = nv.comm_nerve(nv.quaternion_group(), None, 3)
     x.face[(2, 1)][x.counts[2] - 1] = x.face[(2, 1)][0]
     assert sset.validate(x)
-    bad, spiny, two, weak = sset.segal(x)
+    bad, spiny, two, weak, cosk = sset.segal(x)
     assert bad == sset.validate(x)
     assert spiny == sset.is_spiny(x)
-    assert two == weak == (False, "simplicial identities fail")
+    assert two == weak == cosk == (False, "simplicial identities fail")
     with pytest.raises(StructureError):
         sset.is_coskeletal_2(x)
 
