@@ -9,6 +9,7 @@ Reports are byte-identical across runs for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -37,12 +38,28 @@ def _load_json(path):
         raise InputError(f"{path} is not valid json at line {exc.lineno}") from exc
 
 
-def _emit(text, out):
-    if out:
+@contextlib.contextmanager
+def _output(out):
+    """The --out file, opened for writing, or stdout when out is unset.
+
+    A path that cannot be opened or written is an InputError.  Callers open
+    it only once the output is ready, so a failed run leaves no file.
+    """
+    if not out:
+        yield sys.stdout
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
+
+
+def _emit(text, out):
+    with _output(out) as fh:
+        fh.write(text)
+        if not text.endswith("\n"):
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -198,31 +215,52 @@ def cmd_build(args):
         x = nv.nerve(e.magma, palg.max_associativity_datum(e.magma, K), K)
         body = cyc.effect_nerve_cyclic(e, x).to_json_dict()
     elif recipe == "s1":
-        body = nv.simplicial_circle(K).to_json_dict()
+        x = nv.simplicial_circle(K)
+        body = x.to_json_dict()
     elif recipe == "key-example-witness":
         _emit(json.dumps(_witness_bundle_json(), sort_keys=True, indent=2), args.out)
         return EXIT_OK
     else:
         raise InputError(f"unknown recipe {recipe}")
-    _emit(_int_json(body), args.out)
+    with _output(args.out) as fh:
+        # every id of x and every count is below max(x.counts) + 1
+        _write_int_json(body, fh, max(x.counts) + 1)
     return EXIT_OK
 
 
-def _int_json(value, pad="\n"):
-    """json.dumps(value, sort_keys=True, indent=2) for an int, a list of ints
-    or a str-keyed dict of such values, without the pure-Python encoder that
-    indent forces."""
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items, brackets = [f"{json.dumps(k)}: {_int_json(v, inner)}"
-                           for k, v in sorted(value.items())], "{}"
-    elif isinstance(value, list):
-        items, brackets = list(map(str, value)), "[]"
-    else:
-        return str(value)
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+def _write_int_json(value, fh, size):
+    """Write json.dumps(value, sort_keys=True, indent=2) + "\n" to fh, one
+    list at a time, without the pure-Python encoder that indent forces.
+
+    value is an int, a list of ints or a str-keyed dict of such values.  List
+    entries in range(size) are looked up in one table of decimal strings; a
+    list with any other entry goes through str.
+    """
+    digits = list(map(str, range(size)))
+
+    def write(value, pad):
+        inner = pad + "  "
+        if isinstance(value, dict) and value:
+            for n, (k, v) in enumerate(sorted(value.items())):
+                fh.write(f"{',' if n else '{'}{inner}{json.dumps(k)}: ")
+                write(v, inner)
+            fh.write(pad + "}")
+        elif isinstance(value, list) and value:
+            sep = "," + inner
+            # a negative entry would index digits from its end
+            lookup = digits.__getitem__ if min(value) >= 0 else str
+            try:
+                text = sep.join(map(lookup, value))
+            except IndexError:  # an entry of size or more
+                text = sep.join(map(str, value))
+            fh.write("[" + inner)
+            fh.write(text)
+            fh.write(pad + "]")
+        else:  # an int, [] or {}
+            fh.write(json.dumps(value))
+
+    write(value, "\n")
+    fh.write("\n")
 
 
 def _mat_json(m):

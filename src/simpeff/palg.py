@@ -101,61 +101,27 @@ def bracketings(n: int):
                  for left in bracketings(k) for right in bracketings(n - k))
 
 
-def _interval_tables(m: PartialUnitalMagma, tup):
-    """Interval DP over all bracketings.
-
-    ok[(i,j)] is True iff every bracketing of tup[i..j] is defined;
-    vals[(i,j)] is the set of values reachable by defined bracketings.
-    Equivalent to enumerating Catalan-many trees (tested against that), but
-    shares subinterval work.
-    """
-    n = len(tup)
-    prod = m.product
-    vals = {}
-    ok = {}
-    for i in range(n):
-        vals[(i, i)] = {tup[i]}
-        ok[(i, i)] = True
-    for length in range(2, n + 1):
-        for i in range(0, n - length + 1):
-            j = i + length - 1
-            defined = True
-            out = set()
-            for k in range(i, j):
-                if not (ok[(i, k)] and ok[(k + 1, j)]):
-                    defined = False
-                for a in vals[(i, k)]:
-                    for b in vals[(k + 1, j)]:
-                        c = prod.get((a, b))
-                        if c is None:
-                            defined = False
-                        else:
-                            out.add(c)
-            vals[(i, j)] = out
-            ok[(i, j)] = defined
-    return vals, ok
-
-
-def is_multiplicable(m: PartialUnitalMagma, tup) -> bool:
-    """True iff every binary bracketing of the tuple is defined."""
-    if len(tup) == 0:
-        raise InputError("empty tuple")
-    if len(tup) == 1:
-        return True
-    _, ok = _interval_tables(m, tup)
-    return ok[(0, len(tup) - 1)]
-
-
 def is_fully_associable(m: PartialUnitalMagma, tup) -> bool:
     """Every contiguous subtuple is associable (paper-level notion behind
-    associativity data and nerve levels)."""
-    if len(tup) == 1:
-        return True
-    vals, ok = _interval_tables(m, tup)
-    for i in range(len(tup)):
-        for j in range(i + 1, len(tup)):
-            if not ok[(i, j)] or len(vals[(i, j)]) != 1:
+    associativity data and nerve levels).
+
+    Interval DP from short to long: once every shorter interval has one
+    value, an interval has one iff the products of its splits are all defined
+    and agree, so one value per interval is kept and the first undefined or
+    disagreeing split decides."""
+    prod = m.product
+    rows = [tup]  # rows[d][i] is the value of tup[i..i+d]
+    for d in range(1, len(tup)):
+        row = []
+        for i in range(len(tup) - d):
+            c = prod.get((tup[i], rows[d - 1][i + 1]))
+            if c is None:
                 return False
+            for k in range(1, d):
+                if prod.get((rows[k][i], rows[d - 1 - k][i + k + 1])) != c:
+                    return False
+            row.append(c)
+        rows.append(row)
     return True
 
 

@@ -1,10 +1,13 @@
 """Catalan-enumeration oracles for the palg interval DP and classification.
 
-bracketed_product evaluates a tuple under one explicit bracketing tree;
-is_associable reads the interval DP's table for the whole tuple.  The tests
-compare the DP against every tree of palg.bracketings, and palg.classify
-against classify, which evaluates both trees of every triple.  leaf_count is
-the per-node walk sset.triangulations no longer needs.
+bracketed_product evaluates a tuple under one explicit bracketing tree.
+_interval_tables is the set-valued interval DP that keeps every value any
+defined bracketing of an interval reaches; is_multiplicable and
+is_associable read its table for the whole tuple.  The tests compare that DP
+against every tree of palg.bracketings, palg.is_fully_associable against
+fully_associable, which evaluates every tree of every contiguous subtuple,
+and palg.classify against classify, which evaluates both trees of every
+triple.  leaf_count is the per-node walk sset.triangulations no longer needs.
 """
 
 import itertools
@@ -43,13 +46,68 @@ def bracketed_product(m: palg.PartialUnitalMagma, tup, tree):
     return ev(tree, 0, len(tup))
 
 
+def _interval_tables(m: palg.PartialUnitalMagma, tup):
+    """Interval DP over all bracketings.
+
+    ok[(i,j)] is True iff every bracketing of tup[i..j] is defined;
+    vals[(i,j)] is the set of values reachable by defined bracketings.
+    Equivalent to enumerating Catalan-many trees (tested against that), but
+    shares subinterval work.
+    """
+    n = len(tup)
+    prod = m.product
+    vals = {}
+    ok = {}
+    for i in range(n):
+        vals[(i, i)] = {tup[i]}
+        ok[(i, i)] = True
+    for length in range(2, n + 1):
+        for i in range(0, n - length + 1):
+            j = i + length - 1
+            defined = True
+            out = set()
+            for k in range(i, j):
+                if not (ok[(i, k)] and ok[(k + 1, j)]):
+                    defined = False
+                for a in vals[(i, k)]:
+                    for b in vals[(k + 1, j)]:
+                        c = prod.get((a, b))
+                        if c is None:
+                            defined = False
+                        else:
+                            out.add(c)
+            vals[(i, j)] = out
+            ok[(i, j)] = defined
+    return vals, ok
+
+
+def is_multiplicable(m: palg.PartialUnitalMagma, tup) -> bool:
+    """True iff every binary bracketing of the tuple is defined."""
+    if len(tup) == 0:
+        raise InputError("empty tuple")
+    if len(tup) == 1:
+        return True
+    _, ok = _interval_tables(m, tup)
+    return ok[(0, len(tup) - 1)]
+
+
 def is_associable(m: palg.PartialUnitalMagma, tup) -> bool:
     """Multiplicable with all bracketings agreeing on a single value."""
     if len(tup) == 1:
         return True
-    vals, ok = palg._interval_tables(m, tup)
+    vals, ok = _interval_tables(m, tup)
     key = (0, len(tup) - 1)
     return ok[key] and len(vals[key]) == 1
+
+
+def fully_associable(m: palg.PartialUnitalMagma, tup) -> bool:
+    """Every contiguous subtuple has all its bracketings defined and equal."""
+    for n in range(2, len(tup) + 1):
+        for i in range(len(tup) - n + 1):
+            vals = {bracketed_product(m, tup[i:i + n], t) for t in palg.bracketings(n)}
+            if None in vals or len(vals) != 1:
+                return False
+    return True
 
 
 def classify(m: palg.PartialUnitalMagma):

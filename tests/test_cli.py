@@ -335,9 +335,63 @@ def test_build_writer_matches_json_dumps(argv, tmp_path, monkeypatch):
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
-def test_int_json_edge_cases():
-    for value in (7, [], {}, [3], {"b": [], "a": {"10,0": [1, 2], "2,0": {}}, "c": 0}):
-        assert cli._int_json(value) == json.dumps(value, sort_keys=True, indent=2)
+def _int_json(value, size):
+    buf = io.StringIO()
+    cli._write_int_json(value, buf, size)
+    return buf.getvalue()
+
+
+def test_write_int_json_edge_cases():
+    # the table holds 0, 1 and 2: 3 and 6 lie past its end, and -1 and -6
+    # would index it from the end
+    for value in (7, [], {}, [3], {"b": [], "a": {"10,0": [1, 2], "2,0": {}}, "c": 0},
+                  [2, -1, 0], [0, -6], [6, 1], {"x": [0, 3], "y": -4}):
+        assert _int_json(value, 3) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def int_bodies(draw):
+    """A str-keyed body shaped like a build's: counts, plus tables and
+    nested tables of ids from 0 up to the largest count."""
+    counts = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
+    ids = st.lists(st.integers(0, max(counts)), max_size=8)
+    keys = st.text(max_size=3)
+    body = draw(st.dictionaries(keys, ids | st.integers(0, 40) | st.dictionaries(keys, ids),
+                                max_size=4))
+    body["counts"] = counts
+    return body
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_bodies())
+def test_write_int_json_matches_json_dumps(body):
+    size = max(body["counts"]) + 1
+    assert _int_json(body, size) == json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "s1"),
+    ("build", "key-example-witness"),
+    ("check", "magma", "--in", "l2-magma.json"),
+    ("check", "sset", "--in", "s1.json", "--json"),
+])
+def test_unwritable_out_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l2-magma.json").write_text(
+        json.dumps(palg.interval_effect_algebra(2).magma.to_json_dict()))
+    assert run("build", "s1", "--out", "s1.json") == 0
+    assert run(*argv, "--out", "missing/x.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write missing/x.json: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_build_leaves_no_out_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z2.json").write_text(json.dumps(nv.cyclic_group(2).to_json_dict()))
+    assert run("build", "action-pg", "--group", "z2.json", "--y", "", "--out", "x.json") == 2
+    assert run("build", "comm-nerve", "--group", "missing.json", "--out", "x.json") == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 # ---------------------------------------------------------------------------

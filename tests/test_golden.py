@@ -117,13 +117,14 @@ BUILDS = {
     "cn-s4.json": ("comm-nerve", "--group", "s4.json", "--levels", "5"),
     "ly-s4.json": ("action-pg", "--group", "s4.json", "--y", Y_S4, "--levels", "4"),
 }
-# the three largest outputs are checked at levels 3 and 4; cn-z4 passes
-# 2-Segal at level 4; cn-s4 is weakly 2-Segal at level 5
+# cn-q8, cn-d4-t2 and ly-s3 are checked at levels 3 and 4; cn-z4 passes
+# 2-Segal at level 4; cn-s4 is weakly 2-Segal at level 5; ly-s4, the largest
+# nerve built, fails 2-Segal and passes weak 2-Segal at level 4
 SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",),
          ("cn-q8.json", "--levels", "4"), ("cn-d4-t2.json", "--levels", "4"),
          ("ly-s3.json", "--levels", "4"), ("cn-z4.json",), ("twin-tetra.json",),
-         ("cn-s4.json", "--levels", "5"))
+         ("cn-s4.json", "--levels", "5"), ("ly-s4.json",))
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
 # failing batteries, the two narrowed cyclic suites (also below level 3 and
@@ -264,6 +265,10 @@ GOLDEN = {
         (1, "b15aeda1f77f7883ba5fd0e456bc9073ca671369c063414bccfb3188aa574d39"),
     'check sset --in cn-s4.json --levels 5 --json':
         (1, "3116d39e9ca885f29eefb14d1739981fe36202688d1094696f25c8b9b7779447"),
+    'check sset --in ly-s4.json':
+        (1, "c1f56462ac74245ff65660bf3f9d327e2861b6d1c7d8e50f2cf380d86f318073"),
+    'check sset --in ly-s4.json --json':
+        (1, "3aff8ce5c7c9cecb043329bee2c5b890b88bb04eb800052351f84b32d9213d86"),
     'check cyclic --in en-l2.json --states --hc1':
         (0, "3117393af17d2461193a9d87e245fb74779f6206f8871355e9b52b611021ff4b"),
     'check cyclic --in en-l2.json --states --hc1 --json':

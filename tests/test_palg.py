@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,8 @@ from simpeff import palg
 from simpeff.util import InputError
 
 from conftest import random_magma, three_element_magmas
-from palg_oracles import bracketed_product, classify, is_associable
+from palg_oracles import (bracketed_product, classify, fully_associable, is_associable,
+                          is_multiplicable)
 
 # Q8 element ids (see nerve.quaternion_group): 1,-1,i,-i,j,-j,k,-k
 I, NEG_I, J = 2, 3, 4
@@ -53,9 +55,9 @@ def test_bracketed_product_arity_mismatch(l2):
 
 
 def test_is_multiplicable_l2(l2):
-    assert palg.is_multiplicable(l2.magma, (1, 1))
-    assert not palg.is_multiplicable(l2.magma, (1, 1, 1))
-    assert palg.is_multiplicable(l2.magma, (1,))
+    assert is_multiplicable(l2.magma, (1, 1))
+    assert not is_multiplicable(l2.magma, (1, 1, 1))
+    assert is_multiplicable(l2.magma, (1,))
 
 
 def test_multiplicable_dp_matches_tree_enumeration():
@@ -68,7 +70,7 @@ def test_multiplicable_dp_matches_tree_enumeration():
             tup = tuple(rng.randrange(m.size) for _ in range(n))
             trees = palg.bracketings(n)
             vals = [bracketed_product(m, tup, t) for t in trees]
-            assert palg.is_multiplicable(m, tup) == all(v is not None for v in vals)
+            assert is_multiplicable(m, tup) == all(v is not None for v in vals)
             assert is_associable(m, tup) == (
                 all(v is not None for v in vals) and len(set(vals)) == 1)
 
@@ -79,6 +81,29 @@ def test_fully_associable(l2, q8_magma):
     total = nv.magma_of_group(nv.symmetric_group(3))
     for tup in itertools.product(range(6), repeat=3):
         assert palg.is_fully_associable(total, tup)
+
+
+def test_fully_associable_matches_bracketing_oracle():
+    # one value per interval against every bracketing of every contiguous
+    # subtuple, on seeded magmas of size 2-5 and tuples of arity 1-7; half
+    # the entries are the unit, so that long tuples pass often enough
+    rng = random.Random(13)
+    verdicts = Counter()
+    for _ in range(60):
+        m = random_magma(rng, rng.randrange(2, 6), density=rng.choice((0.5, 0.9)))
+        for _ in range(25):
+            tup = tuple(rng.randrange(m.size) if rng.random() < 0.5 else 0
+                        for _ in range(rng.randrange(1, 8)))
+            got = palg.is_fully_associable(m, tup)
+            assert got == fully_associable(m, tup), (m.product, tup)
+            verdicts[got, len(tup) >= 5] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+    # the left product of the whole tuple is defined, but not 1*2 inside it
+    unit = {(a, 0): a for a in range(3)} | {(0, a): a for a in range(3)}
+    m = palg.PartialUnitalMagma(3, unit | {(1, 1): 2, (2, 2): 0})
+    for tup in ((1, 1, 2), (1, 1, 2, 2), (2, 2, 1, 1, 2)):
+        assert palg.left_product(m, tup) is not None
+        assert not palg.is_fully_associable(m, tup) and not fully_associable(m, tup)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +152,7 @@ def test_weak_bracketing_agreement_property():
         for _ in range(30):
             n = rng.randrange(2, 6)
             tup = tuple(rng.randrange(m.size) for _ in range(n))
-            if palg.is_multiplicable(m, tup):
+            if is_multiplicable(m, tup):
                 vals = {bracketed_product(m, tup, t) for t in palg.bracketings(n)}
                 assert len(vals) == 1
     assert found >= 10
@@ -349,7 +374,7 @@ def test_recursive_vs_bracketing_multiplicability(l2, l3, bool2):
         for n in range(2, 5):
             for tup in itertools.product(range(e.size), repeat=n):
                 assert palg.multiplicable_recursive(e, tup) == \
-                    palg.is_multiplicable(e.magma, tup)
+                    is_multiplicable(e.magma, tup)
 
 
 def test_multiset_multiplicable_order_free(bool2):
@@ -369,7 +394,7 @@ def test_wpm_bracketing_agreement_to_arity_5(q8_magma):
     # carrier 8 weak partial monoid: exhaustive to arity 3, seeded sample at
     # arities 4 and 5; every multiplicable tuple has a single product value
     for tup in itertools.product(range(8), repeat=3):
-        if palg.is_multiplicable(q8_magma, tup):
+        if is_multiplicable(q8_magma, tup):
             vals = {bracketed_product(q8_magma, tup, t) for t in palg.bracketings(3)}
             assert len(vals) == 1
     rng = random.Random(77)
@@ -377,6 +402,6 @@ def test_wpm_bracketing_agreement_to_arity_5(q8_magma):
         trees = palg.bracketings(n)
         for _ in range(400):
             tup = tuple(rng.randrange(8) for _ in range(n))
-            if palg.is_multiplicable(q8_magma, tup):
+            if is_multiplicable(q8_magma, tup):
                 vals = {bracketed_product(q8_magma, tup, t) for t in trees}
                 assert len(vals) == 1

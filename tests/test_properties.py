@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from simpeff import nerve as nv
 from simpeff import palg, sset
 
-from palg_oracles import bracketed_product, is_associable
+from palg_oracles import bracketed_product, is_associable, is_multiplicable
 from sset_oracles import sset_equal
 
 
@@ -37,7 +37,7 @@ def test_dp_agrees_with_tree_enumeration(case):
     m, tup = case
     trees = palg.bracketings(len(tup))
     vals = [bracketed_product(m, tup, t) for t in trees]
-    assert palg.is_multiplicable(m, tup) == all(v is not None for v in vals)
+    assert is_multiplicable(m, tup) == all(v is not None for v in vals)
     assert is_associable(m, tup) == (
         all(v is not None for v in vals) and len(set(vals)) == 1)
 
@@ -46,7 +46,7 @@ def test_dp_agrees_with_tree_enumeration(case):
 @given(magmas_with_tuples())
 def test_weak_partial_monoids_have_unambiguous_products(case):
     m, tup = case
-    if palg.classify(m)[0] == palg.MAGMA or not palg.is_multiplicable(m, tup):
+    if palg.classify(m)[0] == palg.MAGMA or not is_multiplicable(m, tup):
         return
     vals = {bracketed_product(m, tup, t) for t in palg.bracketings(len(tup))}
     assert len(vals) == 1
