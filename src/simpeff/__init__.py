@@ -7,4 +7,6 @@ exact rational states and degree-one cyclic cohomology, and the numerical
 C^9 key example.
 """
 
+__all__ = ["__version__"]
+
 __version__ = "0.1.0"

@@ -8,6 +8,8 @@ Reports are byte-identical across runs for fixed inputs and seeds.
 
 from __future__ import annotations
 
+__all__ = ["main"]
+
 import argparse
 import contextlib
 import json
@@ -73,7 +75,7 @@ def _check_magma(path, args):
     cls, wit = palg.classify(m)
     rep.add(Check("classification", True, cls if wit is None else f"{cls} (witness {wit})"))
     rep.add(Check("inverseless", palg.is_inverseless(m)))
-    wapg, wit = palg.is_weakly_associative_partial_group(m, bound) \
+    wapg, wit = palg.inverse_conditions(m, bound) \
         if cls != palg.MAGMA else (False, ("not-weakly-associative",))
     rep.add(Check(f"weakly-associative-partial-group(arity<={bound})", wapg,
                   None if wapg else wit))

@@ -9,6 +9,9 @@ effect-algebroid conditions.
 
 from __future__ import annotations
 
+__all__ = ["CyclicSSet", "validate_cyclic", "group_nerve_cyclic", "effect_nerve_cyclic",
+           "orthocomplement_laws", "battery"]
+
 from .palg import FiniteEffectAlgebra, left_product
 from .nerve import FiniteGroup
 from .sset import TruncatedSSet, is_inverseless_sset, segal

@@ -12,6 +12,12 @@ spine-canonical on the nose.
 
 from __future__ import annotations
 
+__all__ = ["FiniteGroup", "group_from_table", "cyclic_group", "quaternion_group",
+           "dihedral_group", "symmetric_group", "magma_of_group", "torsion_carrier",
+           "commuting_magma", "tuple_face", "insert_unit", "tuple_nerve", "nerve",
+           "magma_from_sset", "comm_nerve", "translation_action", "action_partial_group",
+           "effect_functor", "simplicial_circle", "effect_circle_iso"]
+
 import itertools
 from dataclasses import dataclass
 
@@ -61,9 +67,6 @@ class FiniteGroup:
         for _ in range(k):
             acc = self.mul[acc][a]
         return acc
-
-    def centralizer(self, a: int):
-        return [b for b in range(self.order) if self.commute(a, b)]
 
     def center(self):
         return [z for z in range(self.order)
@@ -446,21 +449,6 @@ def simplicial_circle(K: int) -> TruncatedSSet:
 
     return from_levels([list(range(n + 1)) for n in range(K + 1)], d, s,
                        {n: ["*"] + [f"theta^{i}" for i in range(1, n + 1)] for n in range(K + 1)})
-
-
-def chain_magma(n: int) -> PartialUnitalMagma:
-    """The interval partial monoid: elements m_ij (i < j) plus the unit,
-    m_ij * m_jk = m_ik.  A noncommutative partial monoid test case."""
-    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
-    idx = {p: k + 1 for k, p in enumerate(pairs)}
-    size = len(pairs) + 1
-    product = {(0, a): a for a in range(size)}
-    product.update({(a, 0): a for a in range(size)})
-    for (i, j) in pairs:
-        for (j2, k) in pairs:
-            if j2 == j:
-                product[(idx[(i, j)], idx[(j2, k)])] = idx[(i, k)]
-    return PartialUnitalMagma(size, product)
 
 
 def effect_circle_iso(e: FiniteEffectAlgebra, K: int):

@@ -10,6 +10,14 @@ variant, inverses, and finite effect algebras.
 
 from __future__ import annotations
 
+__all__ = ["MAGMA", "WEAK_PARTIAL_MONOID", "PARTIAL_MONOID", "PartialUnitalMagma", "LEAF",
+           "bracketings", "is_fully_associable", "left_product", "classify",
+           "AssociativityDatum", "max_associativity_datum", "validate_datum", "PasStructure",
+           "to_pas", "from_pas", "validate_pas", "validate_partial_group", "inverses",
+           "is_inverseless", "is_weakly_associative_partial_group", "inverse_conditions",
+           "FiniteEffectAlgebra", "multiset_multiplicable", "validate_effect_algebra",
+           "interval_effect_algebra", "boolean_effect_algebra"]
+
 import functools
 import itertools
 from dataclasses import dataclass
@@ -395,6 +403,17 @@ def is_weakly_associative_partial_group(m: PartialUnitalMagma, up_to: int):
     cls, wit = classify(m)
     if cls == MAGMA:
         return False, ("not-weakly-associative", wit)
+    return inverse_conditions(m, up_to)
+
+
+def inverse_conditions(m: PartialUnitalMagma, up_to: int):
+    """The rest of is_weakly_associative_partial_group, for a magma already
+    classified as a weak partial monoid or stronger: every element has a
+    two-sided inverse, and every doubled tuple is fully associable.  Returns
+    (bool, witness).
+    """
+    if up_to < 2:
+        raise InputError("up_to must be >= 2")
     inv = []
     for x in m.elements():
         two = inverses(m, x)["two_sided"]
@@ -450,27 +469,23 @@ class FiniteEffectAlgebra:
         return FiniteEffectAlgebra(magma, perp)
 
 
-def multiplicable_recursive(e: FiniteEffectAlgebra, tup) -> bool:
-    """Recursive n-multiplicability: prefix multiplicable and (prefix-sum, last) defined."""
-    return left_product(e.magma, tup) is not None
-
-
 _ORDER_CHECK_LIMIT = 4
 
 
 def multiset_multiplicable(e: FiniteEffectAlgebra, values) -> bool:
     """Multiplicability of an unordered collection of values.
 
-    Uses the recursive criterion on the sorted ordering.  The order-free
-    claim is asserted rather than assumed: for collections of size <= 4 all
-    orderings are tried and any disagreement raises StructureError (it means
-    the input is not actually an effect algebra).
+    Uses the recursive criterion, a defined left fold, on the sorted
+    ordering.  The order-free claim is asserted rather than assumed: for
+    collections of size <= 4 all orderings are tried and any disagreement
+    raises StructureError (it means the input is not actually an effect
+    algebra).
     """
     vals = tuple(sorted(values))
-    ok = multiplicable_recursive(e, vals)
+    ok = left_product(e.magma, vals) is not None
     if len(vals) <= _ORDER_CHECK_LIMIT:
         for perm in itertools.permutations(vals):
-            if multiplicable_recursive(e, perm) != ok:
+            if (left_product(e.magma, perm) is not None) != ok:
                 raise StructureError(
                     f"ordering-dependent multiplicability on {vals}: not an effect algebra")
     return ok

@@ -14,6 +14,14 @@ or measurement is the stack with no leading axis.
 
 from __future__ import annotations
 
+__all__ = ["TOL_EQ", "TOL_PROJ", "NONCOMM_MARGIN", "TRIAL_BLOCK", "D", "DIM", "OMEGA", "frob",
+           "dagger", "commutator_norm", "eigenprojectors", "ProjectiveMeasurement", "face",
+           "degeneracy", "measurement_from_unitaries", "unitaries_from_measurement",
+           "in_key_example", "in_key_example_tuple", "build_witness", "membrane_filler_check",
+           "ginibre", "haar_from_ginibre", "random_density", "validate_density",
+           "degenerate_two_simplex", "inverseless_sample_check", "phi_state",
+           "key_example_state_check"]
+
 import functools
 import itertools
 from dataclasses import dataclass
@@ -149,10 +157,6 @@ class ProjectiveMeasurement:
             s, t = np.unravel_index(np.argmax(not_orth[first]), (n, n))
             raise InputError(f"entries {outs[s]}, {outs[t]} are not orthogonal")
         raise InputError("entries do not sum to the identity")
-
-    def close_to(self, other) -> bool:
-        return (self.arity == other.arity
-                and frob(self.blocks - other.blocks).max() < TOL_EQ)
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,10 +349,6 @@ def haar_from_ginibre(z):
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def haar_unitary(rng, n):
-    return haar_from_ginibre(ginibre(rng, n))
-
-
 def random_density(rng):
     g = ginibre(rng, DIM)
     rho = g @ dagger(g)
@@ -380,17 +380,6 @@ def degenerate_two_simplex():
     m = ProjectiveMeasurement.zeros(2, DIM)
     m[(0, 0)] = _eye(DIM)
     return m
-
-
-def sample_z_two_simplex(rng, ranks=None) -> ProjectiveMeasurement:
-    """Haar-conjugated block pattern on the six allowed labels.
-
-    ranks: optional dict label -> nonnegative rank summing to 9; drawn
-    uniformly from the compositions when omitted.
-    """
-    if ranks is None:
-        ranks = dict(zip(_ALLOWED, _allowed_ranks(rng)))
-    return _allowed_two_simplices(haar_unitary(rng, DIM), [ranks.get(t, 0) for t in _ALLOWED])
 
 
 def _allowed_ranks(rng):
@@ -464,17 +453,6 @@ def inverseless_sample_check(trials: int, seed: int):
 
 # ---------------------------------------------------------------------------
 # states via the Born rule
-
-
-def born_state(rho, m: ProjectiveMeasurement):
-    """p(t) = Tr(rho Pi^t), in outcome-lexicographic order."""
-    if rho.shape[0] != m.dim:
-        raise InputError("dimension mismatch between state and measurement")
-    validate_density(rho)
-    p = [float(np.trace(rho @ b).real) for b in m.blocks]
-    if any(v < -TOL_EQ for v in p) or abs(sum(p) - 1) > TOL_EQ:
-        raise InputError("Born vector failed positivity or normalization")
-    return p
 
 
 def phi_state(rho, edge_ops):

@@ -7,6 +7,8 @@ certificate that callers can re-verify independently.
 
 from __future__ import annotations
 
+__all__ = ["OPTIMAL", "INFEASIBLE", "rref", "rank", "nullspace", "in_span", "BoxLP"]
+
 from fractions import Fraction
 
 OPTIMAL = "optimal"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["EXIT_OK", "EXIT_FAILED", "EXIT_USAGE", "EXIT_INTERNAL", "CheckReport"]
+
 import json
 from dataclasses import dataclass, field
 

@@ -8,6 +8,12 @@ checked up to the truncation bound and reports state that bound.
 
 from __future__ import annotations
 
+__all__ = ["TruncatedSSet", "from_levels", "validate", "subface", "spine", "degenerate_edges",
+           "is_reduced", "is_spiny", "is_inverseless_sset", "Triangulation", "triangulations",
+           "subface_tables", "membrane_counts", "segal", "boundary_membranes",
+           "is_coskeletal_2", "cosk2_extend", "truncate", "canonicalize_spiny",
+           "standard_simplex", "from_nondegenerate"]
+
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -630,46 +636,3 @@ def from_nondegenerate(K: int, generators) -> TruncatedSSet:
         return (name, alpha[: i + 1] + alpha[i:])
 
     return from_levels(levels, face_of, degeneracy_of)
-
-
-def point(K: int) -> TruncatedSSet:
-    return from_nondegenerate(K, [("*", 0, [])])
-
-
-_ID1 = (0, 1)
-
-
-def two_triangles_shared_spine(K: int = 2) -> TruncatedSSet:
-    """Two 2-simplices glued along spine edges 01 and 12 but with distinct
-    long edges: the standard non-spiny example."""
-    gens = [
-        ("v0", 0, []), ("v1", 0, []), ("v2", 0, []),
-        ("e01", 1, [("v1", (0,)), ("v0", (0,))]),
-        ("e12", 1, [("v2", (0,)), ("v1", (0,))]),
-        ("e02a", 1, [("v2", (0,)), ("v0", (0,))]),
-        ("e02b", 1, [("v2", (0,)), ("v0", (0,))]),
-        ("ta", 2, [("e12", _ID1), ("e02a", _ID1), ("e01", _ID1)]),
-        ("tb", 2, [("e12", _ID1), ("e02b", _ID1), ("e01", _ID1)]),
-    ]
-    return from_nondegenerate(K, gens)
-
-
-def delta_w3(K: int = 3) -> TruncatedSSet:
-    """Pushout of the two triangulations of the square over the spine: both
-    triangulation membranes exist on the spine (e01, e12, e23) but carry
-    distinct copies of the long edge, and no 3-simplex fills them."""
-    gens = [
-        ("v0", 0, []), ("v1", 0, []), ("v2", 0, []), ("v3", 0, []),
-        ("e01", 1, [("v1", (0,)), ("v0", (0,))]),
-        ("e12", 1, [("v2", (0,)), ("v1", (0,))]),
-        ("e23", 1, [("v3", (0,)), ("v2", (0,))]),
-        ("e02", 1, [("v2", (0,)), ("v0", (0,))]),
-        ("e13", 1, [("v3", (0,)), ("v1", (0,))]),
-        ("e03a", 1, [("v3", (0,)), ("v0", (0,))]),
-        ("e03b", 1, [("v3", (0,)), ("v0", (0,))]),
-        ("t012", 2, [("e12", _ID1), ("e02", _ID1), ("e01", _ID1)]),
-        ("t023", 2, [("e23", _ID1), ("e03a", _ID1), ("e02", _ID1)]),
-        ("t013", 2, [("e13", _ID1), ("e03b", _ID1), ("e01", _ID1)]),
-        ("t123", 2, [("e23", _ID1), ("e13", _ID1), ("e12", _ID1)]),
-    ]
-    return from_nondegenerate(K, gens)

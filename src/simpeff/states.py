@@ -8,6 +8,8 @@ arithmetic is exact rational.
 
 from __future__ import annotations
 
+__all__ = ["state_system", "StateSearch", "find_state", "hc1", "shifted_states_in_hc1"]
+
 from dataclasses import dataclass
 from fractions import Fraction
 

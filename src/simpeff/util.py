@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["InputError", "StructureError", "Check", "all_ok", "first_failure",
+           "first_collision"]
+
 from dataclasses import dataclass
 
 

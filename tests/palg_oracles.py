@@ -8,6 +8,7 @@ against every tree of palg.bracketings, palg.is_fully_associable against
 fully_associable, which evaluates every tree of every contiguous subtuple,
 and palg.classify against classify, which evaluates both trees of every
 triple.  leaf_count is the per-node walk sset.triangulations no longer needs.
+chain_magma is a noncommutative partial monoid the tests check.
 """
 
 import itertools
@@ -131,3 +132,18 @@ def classify(m: palg.PartialUnitalMagma):
     if segal_wit is not None:
         return palg.WEAK_PARTIAL_MONOID, segal_wit
     return palg.PARTIAL_MONOID, None
+
+
+def chain_magma(n: int) -> palg.PartialUnitalMagma:
+    """The interval partial monoid: elements m_ij (i < j) plus the unit,
+    m_ij * m_jk = m_ik.  A noncommutative partial monoid test case."""
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    idx = {p: k + 1 for k, p in enumerate(pairs)}
+    size = len(pairs) + 1
+    product = {(0, a): a for a in range(size)}
+    product.update({(a, 0): a for a in range(size)})
+    for (i, j) in pairs:
+        for (j2, k) in pairs:
+            if j2 == j:
+                product[(idx[(i, j)], idx[(j2, k)])] = idx[(i, k)]
+    return palg.PartialUnitalMagma(size, product)

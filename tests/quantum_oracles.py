@@ -9,6 +9,9 @@ array versions against them, messages included.
 key_example_state_check and inverseless_sample_check are the per-trial loops
 that simpeff.quantum ran before it checked stacks of trials: each trial draws
 from its own generator and is checked on its own, one measurement at a time.
+sample_z_two_simplex draws its ranks and then its Haar unitary, in the order
+those checks draw theirs.  close_to compares two measurements, and
+born_state is the Born-rule vector of outcome probabilities.
 """
 
 import itertools
@@ -71,6 +74,22 @@ def degeneracy(arity, ops, i):
     return out
 
 
+def close_to(m, other) -> bool:
+    """The same arity, and every block within TOL_EQ in Frobenius norm."""
+    return m.arity == other.arity and frob(m.blocks - other.blocks).max() < TOL_EQ
+
+
+def born_state(rho, m):
+    """p(t) = Tr(rho Pi^t), in outcome-lexicographic order."""
+    if rho.shape[0] != m.dim:
+        raise InputError("dimension mismatch between state and measurement")
+    q.validate_density(rho)
+    p = [float(np.trace(rho @ b).real) for b in m.blocks]
+    if any(v < -TOL_EQ for v in p) or abs(sum(p) - 1) > TOL_EQ:
+        raise InputError("Born vector failed positivity or normalization")
+    return p
+
+
 def unitaries_from_measurement(arity, ops):
     """u_i = sum_t omega^{t_i} Pi^t, one outcome at a time."""
     dim = next(iter(ops.values())).shape[0]
@@ -87,10 +106,15 @@ def unitaries_from_measurement(arity, ops):
 # the sampled checks, one trial at a time
 
 
+def haar_unitary(rng, n):
+    """A Haar-random n x n unitary from one Gaussian matrix drawn from rng."""
+    return q.haar_from_ginibre(q.ginibre(rng, n))
+
+
 def haar_blocks(rng, ranks):
     """u P u^dagger for consecutive diagonal blocks P of the given ranks,
     with one Haar-random u drawn from rng."""
-    u = q.haar_unitary(rng, DIM)
+    u = haar_unitary(rng, DIM)
     edges = np.cumsum([0, *ranks])
     return [u[:, a:b] @ dagger(u[:, a:b]) for a, b in zip(edges, edges[1:])]
 
@@ -113,7 +137,7 @@ def random_subprojector(rng, p):
         return np.zeros_like(p)
     vals, vecs = np.linalg.eigh(p)
     cols = vecs[:, vals > 0.5]
-    w = cols @ q.haar_unitary(rng, r)
+    w = cols @ haar_unitary(rng, r)
     k = int(rng.integers(0, r + 1))
     sel = w[:, :k]
     return sel @ dagger(sel)

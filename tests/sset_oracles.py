@@ -6,7 +6,8 @@ a truncated simplicial set; the Segal checks count and enumerate membranes
 with an interval DP instead, and the tests compare the two.  sset_isomorphic
 searches for a levelwise isomorphism, and sset_equal compares two truncated
 simplicial sets table by table.  triangulations is the per-node leaf count
-walk over palg.bracketings that sset.triangulations replaced.
+walk over palg.bracketings that sset.triangulations replaced.  point,
+two_triangles_shared_spine and delta_w3 are small sets the tests check.
 """
 
 import itertools
@@ -196,3 +197,50 @@ def sset_isomorphic(x, y):
         if res is not None:
             return res
     return None
+
+
+# ---------------------------------------------------------------------------
+# fixtures: small sets the tests check, built by sset.from_nondegenerate
+
+
+def point(K: int) -> sset.TruncatedSSet:
+    return sset.from_nondegenerate(K, [("*", 0, [])])
+
+
+_ID1 = (0, 1)
+
+
+def two_triangles_shared_spine(K: int = 2) -> sset.TruncatedSSet:
+    """Two 2-simplices glued along spine edges 01 and 12 but with distinct
+    long edges: the standard non-spiny example."""
+    gens = [
+        ("v0", 0, []), ("v1", 0, []), ("v2", 0, []),
+        ("e01", 1, [("v1", (0,)), ("v0", (0,))]),
+        ("e12", 1, [("v2", (0,)), ("v1", (0,))]),
+        ("e02a", 1, [("v2", (0,)), ("v0", (0,))]),
+        ("e02b", 1, [("v2", (0,)), ("v0", (0,))]),
+        ("ta", 2, [("e12", _ID1), ("e02a", _ID1), ("e01", _ID1)]),
+        ("tb", 2, [("e12", _ID1), ("e02b", _ID1), ("e01", _ID1)]),
+    ]
+    return sset.from_nondegenerate(K, gens)
+
+
+def delta_w3(K: int = 3) -> sset.TruncatedSSet:
+    """Pushout of the two triangulations of the square over the spine: both
+    triangulation membranes exist on the spine (e01, e12, e23) but carry
+    distinct copies of the long edge, and no 3-simplex fills them."""
+    gens = [
+        ("v0", 0, []), ("v1", 0, []), ("v2", 0, []), ("v3", 0, []),
+        ("e01", 1, [("v1", (0,)), ("v0", (0,))]),
+        ("e12", 1, [("v2", (0,)), ("v1", (0,))]),
+        ("e23", 1, [("v3", (0,)), ("v2", (0,))]),
+        ("e02", 1, [("v2", (0,)), ("v0", (0,))]),
+        ("e13", 1, [("v3", (0,)), ("v1", (0,))]),
+        ("e03a", 1, [("v3", (0,)), ("v0", (0,))]),
+        ("e03b", 1, [("v3", (0,)), ("v0", (0,))]),
+        ("t012", 2, [("e12", _ID1), ("e02", _ID1), ("e01", _ID1)]),
+        ("t023", 2, [("e23", _ID1), ("e03a", _ID1), ("e02", _ID1)]),
+        ("t013", 2, [("e13", _ID1), ("e03b", _ID1), ("e01", _ID1)]),
+        ("t123", 2, [("e23", _ID1), ("e13", _ID1), ("e12", _ID1)]),
+    ]
+    return sset.from_nondegenerate(K, gens)

@@ -2,10 +2,10 @@ import pytest
 
 from simpeff import cyclic as cyc
 from simpeff import nerve as nv
-from simpeff import palg, sset
+from simpeff import palg
 from simpeff.util import InputError
 
-from sset_oracles import sset_equal
+from sset_oracles import point, sset_equal
 
 
 def nerve_of(magma, K=4):
@@ -63,7 +63,7 @@ def test_identity_tau2_breaks_relations(z2_cyclic_z1):
 
 
 def test_point_with_identity_tau():
-    p = sset.point(3)
+    p = point(3)
     c = cyc.CyclicSSet(p, {n: [0] for n in range(1, 4)})
     assert all_ok(cyc.validate_cyclic(c))
 

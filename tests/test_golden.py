@@ -32,6 +32,9 @@ from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import quantum as q
 
+from palg_oracles import chain_magma
+from sset_oracles import point, two_triangles_shared_spine
+
 # S3 (sorted permutations, identity first) acting on {0, 1, 2} from the right
 S3_ACTION = {"z_size": 3, "table": [[0, 1, 2], [0, 2, 1], [1, 0, 2],
                                     [2, 0, 1], [1, 2, 0], [2, 1, 0]]}
@@ -74,9 +77,9 @@ def _inputs():
         "bool2.json": palg.boolean_effect_algebra(2).to_json_dict(),
         "q8-magma.json": nv.commuting_magma(q8).to_json_dict(),
         "d4-t2-magma.json": nv.commuting_magma(d4, 2).to_json_dict(),
-        "chain-magma.json": nv.chain_magma(2).to_json_dict(),
+        "chain-magma.json": chain_magma(2).to_json_dict(),
         # a cyclic set with an empty state polytope
-        "pt-cyclic.json": cyc.CyclicSSet(sset.point(3), {n: [0] for n in (1, 2, 3)}).to_json_dict(),
+        "pt-cyclic.json": cyc.CyclicSSet(point(3), {n: [0] for n in (1, 2, 3)}).to_json_dict(),
         # fails inverseless and (Z)
         "z2-cyclic.json": cyc.group_nerve_cyclic(z2, 1, nv.comm_nerve(z2, None, 4)).to_json_dict(),
         # fails 2-Segal with a triangulation witness, and weak 2-Segal
@@ -91,7 +94,7 @@ def _inputs():
         # fails the simplicial identities and spiny
         "spine-clash-l2.json": clash,
         # fails spiny with a collision witness
-        "split-spine.json": sset.cosk2_extend(sset.two_triangles_shared_spine(2), 3).to_json_dict(),
+        "split-spine.json": sset.cosk2_extend(two_triangles_shared_spine(2), 3).to_json_dict(),
         # fails 2-coskeletality with a "multiple" witness
         "twin-tetra.json": _twin_tetra().to_json_dict(),
         "l2-perp-not-involution.json": dict(l2.to_json_dict(), orthocomplement=[2, 0, 1]),

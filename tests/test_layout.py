@@ -1,9 +1,14 @@
-"""Dead-code guard over the package source.
+"""Layout guards over the package source.
 
-Every module-level function and class in src/simpeff must be named somewhere
-in src/ or tests/ outside its own definition, every non-dunder method of a
-class in src/simpeff must be read as an attribute there, and every name a
-module in src/ imports must be used in that module.
+Every module in src/simpeff declares its API in __all__, and every name
+there exists in the module.  A module-level function or class outside
+__all__ must be named somewhere in src/ outside its own definition; tests
+do not count as callers, so a fixture or check that only tests use belongs
+in tests/.  Every non-dunder method of a class in src/simpeff must be read
+as an attribute in src/ or tests/, and a method name that more than one
+class defines must be one of PROTOCOL, so that a dead method cannot hide
+behind a live one of the same name.  Every name a module in src/ imports
+must be used in that module.
 """
 
 import ast
@@ -12,6 +17,9 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "simpeff").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+# method names that several classes implement as one protocol
+PROTOCOL = {"check_shape", "from_json_dict", "to_json_dict", "validate"}
 
 
 def _names(node):
@@ -29,26 +37,75 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _declared(tree):
+    """The names listed in the module's __all__, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _bound(tree):
+    """The names the module binds at top level."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return out
+
+
+def test_every_module_declares_its_api():
+    missing, unknown = [], []
+    for path in SRC:
+        tree = _parse(path)
+        declared = _declared(tree)
+        if declared is None:
+            missing.append(path.name)
+            continue
+        unknown += [f"{path.name} {name}" for name in declared if name not in _bound(tree)]
+    assert not missing
+    assert not unknown
+
+
 def test_every_definition_is_used():
-    trees = {path: _parse(path) for path in SRC + TESTS}
+    trees = {path: _parse(path) for path in SRC}
     uses = {}
     for tree in trees.values():
         for name in _names(tree):
             uses[name] = uses.get(name, 0) + 1
-    attrs = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
-             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
     unused = []
-    for path in SRC:
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+    for path, tree in trees.items():
+        api = set(_declared(tree) or ())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in api:
                 own = _names(node).count(node.name)  # recursive calls
                 if uses.get(node.name, 0) == own:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
-            if isinstance(node, ast.ClassDef):
-                unused += [f"{path.name}:{fn.lineno} {node.name}.{fn.name}" for fn in node.body
-                           if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
-                           and fn.name not in attrs]
     assert not unused
+
+
+def test_every_method_is_read_and_named_by_one_class():
+    attrs = {sub.attr for path in SRC + TESTS for sub in ast.walk(_parse(path))
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    owners, unread = {}, []
+    for path in SRC:
+        for node in _parse(path).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    owners.setdefault(fn.name, []).append(node.name)
+                    if fn.name not in attrs:
+                        unread.append(f"{path.name}:{fn.lineno} {node.name}.{fn.name}")
+    shared = {name: classes for name, classes in owners.items()
+              if len(classes) > 1 and name not in PROTOCOL}
+    assert not unread
+    assert not shared
 
 
 def test_every_import_is_used():

@@ -10,8 +10,8 @@ from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
 from conftest import random_magma, three_element_magmas
-from sset_oracles import (BOUNDARY, SPINE, membrane_set, sset_equal, sset_isomorphic,
-                          triangulations)
+from sset_oracles import (BOUNDARY, SPINE, delta_w3, membrane_set, point, sset_equal,
+                          sset_isomorphic, triangulations, two_triangles_shared_spine)
 from test_golden import _twin_tetra
 
 I, J = 2, 4  # Q8 ids for i and j
@@ -81,12 +81,12 @@ def test_from_nondegenerate_circle_matches_formulas():
 def test_spiny(q8_nerve, z2_nerve):
     assert sset.is_spiny(q8_nerve)[0]
     assert sset.is_spiny(z2_nerve)[0]
-    ok, wit = sset.is_spiny(sset.two_triangles_shared_spine())
+    ok, wit = sset.is_spiny(two_triangles_shared_spine())
     assert not ok and wit[0] == 2
 
 
 def test_reduced():
-    assert sset.is_reduced(sset.point(3))
+    assert sset.is_reduced(point(3))
     assert not sset.is_reduced(sset.standard_simplex(1, 2))
     assert sset.is_reduced(nv.comm_nerve(nv.symmetric_group(3), None, 3))
 
@@ -96,7 +96,7 @@ def test_inverseless_sset(z2_nerve):
     assert sset.is_inverseless_sset(nerve_of(l2.magma))[0]
     ok, wit = sset.is_inverseless_sset(z2_nerve)
     assert not ok and z2_nerve.labels[2][wit] == (1, 1)
-    assert sset.is_inverseless_sset(sset.point(3))[0]
+    assert sset.is_inverseless_sset(point(3))[0]
 
 
 def test_inverseless_transport():
@@ -162,8 +162,8 @@ def test_membrane_boundary_matches_tuple_enumeration(q8_nerve):
     face tuples in lexicographic order, at every level it accepts."""
     z4 = nv.cyclic_group(4)
     for x in (q8_nerve, nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 4),
-              _twin_tetra(), sset.delta_w3(4),
-              sset.cosk2_extend(sset.two_triangles_shared_spine(2), 4)):
+              _twin_tetra(), delta_w3(4),
+              sset.cosk2_extend(two_triangles_shared_spine(2), 4)):
         for n in range(2, x.K + 2):
             keys = sorted(tuple(m[tuple(v for v in range(n + 1) if v != i)] for i in range(n + 1))
                           for m in membrane_set(x, n, BOUNDARY))
@@ -214,7 +214,7 @@ def test_weakly_two_segal_ly_fails():
 
 
 def test_weakly_two_segal_delta_w3_fails():
-    w3 = sset.delta_w3()
+    w3 = delta_w3()
     assert sset.validate(w3) == []
     ok, wit = sset.segal(w3)[3]
     assert not ok and wit[0] == "unfilled"
@@ -333,9 +333,9 @@ def _oracle_instances():
                 g, g.order, nv.translation_action(g), y, K)
     for K in (3, 4):
         # neither spiny nor reduced
-        yield f"cosk-ttss{K}", sset.cosk2_extend(sset.two_triangles_shared_spine(2), K)
+        yield f"cosk-ttss{K}", sset.cosk2_extend(two_triangles_shared_spine(2), K)
         yield f"simplex{K}", sset.standard_simplex(3, K)
-    yield "delta_w3", sset.delta_w3()
+    yield "delta_w3", delta_w3()
     yield "twin", two_tetrahedra(False)
     yield "split", two_tetrahedra(True)
 
@@ -456,7 +456,7 @@ def test_weak_two_segal_beyond_level_3_needs_spiny():
 
 
 def test_subface_tables_match_subface():
-    for x in (sset.cosk2_extend(sset.two_triangles_shared_spine(2), 4), sset.delta_w3()):
+    for x in (sset.cosk2_extend(two_triangles_shared_spine(2), 4), delta_w3()):
         for n in range(2, x.K + 1):
             tables = sset.subface_tables(x, n)
             assert len(tables) == 2 ** (n + 1) - n - 2
@@ -541,7 +541,7 @@ def test_cosk2_extend_q8(q8_nerve):
 
 
 def test_cosk2_extend_point():
-    p2 = sset.truncate(sset.point(2), 2)
+    p2 = sset.truncate(point(2), 2)
     ext = sset.cosk2_extend(p2, 4)
     assert ext.counts == [1, 1, 1, 1, 1]
     assert sset.validate(ext) == []

@@ -6,7 +6,9 @@ import pytest
 
 from simpeff import cyclic as cyc
 from simpeff import nerve as nv
-from simpeff import palg, ratlp, sset, states
+from simpeff import palg, ratlp, states
+
+from sset_oracles import point
 
 
 def nerve_of(magma, K=4):
@@ -139,7 +141,7 @@ def test_point_state():
     # the unique edge is tau_1-fixed, so phi(e) = 1 - phi(e) clashes with the
     # degenerate-simplex additivity phi(e) = 2 phi(e): no states, like the
     # one-element effect algebra
-    p = sset.point(3)
+    p = point(3)
     c = cyc.CyclicSSet(p, {n: [0] for n in range(1, 4)})
     found = states.find_state(c)
     assert not found.feasible
@@ -186,8 +188,47 @@ def test_polytope_dim_at_most_hc1():
 
 
 def test_bool3_evaluation_states():
-    # Boolean algebra on 3 atoms: states = convex hull of the three
-    # evaluation states, so dimension 2
-    c = effect_cyclic(palg.boolean_effect_algebra(3))
-    assert states.find_state(c).dim == 2
+    # Boolean algebra on k atoms: states = convex hull of the k evaluation
+    # states (point masses), so dimension k - 1, and the probe vertices are
+    # exactly the point masses: the mass at atom i is 1 on the elements
+    # (bitmasks) that contain i
+    for k in (1, 2, 3):
+        c = effect_cyclic(palg.boolean_effect_algebra(k))
+        found = states.find_state(c)
+        masses = {tuple(Fraction(a >> i & 1) for a in c.base.labels[1]) for i in range(k)}
+        assert {tuple(v) for v in found.vertices} == masses
+    assert found.dim == 2
     assert states.hc1(c)[0] == 2
+
+
+def product_effect_algebra(e, f):
+    """E x F with componentwise sum and orthocomplement; the pair (a, b) has
+    id a * |F| + b, so (0, 0) is id 0."""
+    n = f.size
+    product = {(a * n + b, c * n + d): ac * n + bd
+               for (a, c), ac in e.magma.product.items()
+               for (b, d), bd in f.magma.product.items()}
+    perp = tuple(e.orthocomplement[a] * n + f.orthocomplement[b]
+                 for a in range(e.size) for b in range(n))
+    return palg.FiniteEffectAlgebra(palg.PartialUnitalMagma(e.size * n, product), perp)
+
+
+FACTORS = {"L1": palg.interval_effect_algebra(1), "L2": palg.interval_effect_algebra(2),
+           "L3": palg.interval_effect_algebra(3), "bool2": palg.boolean_effect_algebra(2)}
+
+
+@pytest.mark.parametrize("left, right, dim", [
+    ("L1", "L1", 1), ("L2", "L1", 1), ("L2", "L2", 1), ("L2", "bool2", 2), ("L3", "L1", 1),
+    ("bool2", "L1", 2)])
+def test_product_effect_algebra_states(left, right, dim):
+    # a state of E x F is a convex combination of states of the two factors,
+    # so dim S(E x F) = dim S(E) + dim S(F) + 1; HC^1 has the same dimension
+    e, f = FACTORS[left], FACTORS[right]
+    ef = product_effect_algebra(e, f)
+    assert all(ch.ok for ch in palg.validate_effect_algebra(ef))
+    c = effect_cyclic(ef, K=3)
+    assert all(ch.ok for ch in cyc.battery(c))
+    found = states.find_state(c)
+    factor_dims = [states.find_state(effect_cyclic(g, K=3)).dim for g in (e, f)]
+    assert found.dim == sum(factor_dims) + 1 == dim
+    assert states.hc1(c, found.A)[0] == dim
