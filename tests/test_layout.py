@@ -1,10 +1,10 @@
 """Layout guards over the package source.
 
 Every module in src/simpeff declares its API in __all__, and every name
-there exists in the module.  A module-level function or class outside
-__all__ must be named somewhere in src/ outside its own definition; tests
-do not count as callers, so a fixture or check that only tests use belongs
-in tests/.  Every non-dunder method of a class in src/simpeff must be read
+there exists in the module.  A module-level function or class in __all__
+must be named somewhere in src/ or tests/ outside its own definition; one
+outside __all__ must be named in src/, since tests do not count as its
+callers, so a fixture or check that only tests use belongs in tests/.  Every non-dunder method of a class in src/simpeff must be read
 as an attribute in src/ or tests/, and a method name that more than one
 class defines must be one of PROTOCOL, so that a dead method cannot hide
 behind a live one of the same name.  Every name a module in src/ imports
@@ -72,17 +72,24 @@ def test_every_module_declares_its_api():
     assert not unknown
 
 
-def test_every_definition_is_used():
-    trees = {path: _parse(path) for path in SRC}
+def _uses(paths):
+    """How often each identifier is read across the given files."""
     uses = {}
-    for tree in trees.values():
-        for name in _names(tree):
+    for path in paths:
+        for name in _names(_parse(path)):
             uses[name] = uses.get(name, 0) + 1
+    return uses
+
+
+def test_every_definition_is_used():
+    in_src, anywhere = _uses(SRC), _uses(SRC + TESTS)
     unused = []
-    for path, tree in trees.items():
+    for path in SRC:
+        tree = _parse(path)
         api = set(_declared(tree) or ())
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in api:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses = anywhere if node.name in api else in_src
                 own = _names(node).count(node.name)  # recursive calls
                 if uses.get(node.name, 0) == own:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
