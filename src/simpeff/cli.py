@@ -382,20 +382,15 @@ def cmd_quantum_demo(args):
 # ---------------------------------------------------------------------------
 
 
-def positive_int(text):
-    """argparse type for counts that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def nonnegative_int(text):
-    """argparse type for seeds, which SeedSequence takes from 0 up."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def at_least(low):
+    """argparse type for integers of at least low: 1 for --trials, 0 for
+    --seed (SeedSequence takes seeds from 0 up) and 2 for --levels."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _parser():
@@ -432,11 +427,11 @@ def _parser():
     s.set_defaults(func=cmd_states)
 
     q = sub.add_parser("quantum-demo", help="key-example witness and sampled checks")
-    q.add_argument("--trials", type=positive_int, default=20)
-    q.add_argument("--seed", type=nonnegative_int, default=0)
+    q.add_argument("--trials", type=at_least(1), default=20)
+    q.add_argument("--seed", type=at_least(0), default=0)
     q.set_defaults(func=cmd_quantum_demo)
     for sp in (c, b):
-        sp.add_argument("--levels", type=positive_int, default=4,
+        sp.add_argument("--levels", type=at_least(2), default=4,
                         help="truncation bound for quantified checks (default 4)")
     for sp in (c, s, q):
         sp.add_argument("--json", action="store_true")

@@ -17,10 +17,9 @@ from __future__ import annotations
 __all__ = ["TOL_EQ", "TOL_PROJ", "NONCOMM_MARGIN", "TRIAL_BLOCK", "D", "DIM", "OMEGA", "frob",
            "dagger", "commutator_norm", "eigenprojectors", "ProjectiveMeasurement", "face",
            "degeneracy", "measurement_from_unitaries", "unitaries_from_measurement",
-           "in_key_example", "in_key_example_tuple", "build_witness", "membrane_filler_check",
-           "ginibre", "haar_from_ginibre", "random_density", "validate_density",
-           "degenerate_two_simplex", "inverseless_sample_check", "phi_state",
-           "key_example_state_check"]
+           "in_key_example", "in_key_example_tuple", "build_witness", "ginibre",
+           "haar_from_ginibre", "random_density", "validate_density", "degenerate_two_simplex",
+           "inverseless_sample_check", "phi_state", "key_example_state_check"]
 
 import functools
 import itertools
@@ -266,7 +265,8 @@ def build_witness():
     Pi has the rank-4 block at outcome 01 and zeros at 11, 21, 12; Psi glues
     onto d_1(Pi) along d_2(Psi) and involves the entangled +/- projectors.
     A, B, C are the unitaries of d_2(Pi), d_0(Pi), d_0(Psi); (A, B) commute,
-    (B, C) do not, so the glued pair of triangles has no filler.
+    (B, C) do not, so the glued pair of triangles has no filler; the checks
+    are floats, and tests/quantum_exact.py proves the same facts exactly.
     """
     e = _eye(DIM)
     basis = {(a, b): np.outer(e[3 * a + b], e[3 * a + b]) for a in range(D) for b in range(D)}
@@ -298,37 +298,12 @@ def build_witness():
         "pi_in_key_example": bool(in_key_example(pi)[0]),
         "psi_in_key_example": bool(in_key_example(psi)[0]),
         "pi01_rank": int(round(np.trace(pi01).real)),
-        "d2psi_eq_d1pi_residual": _glue_residual(pi, psi),
+        "d2psi_eq_d1pi_residual": float(frob(face(psi, 2).blocks - face(pi, 1).blocks).max()),
         "AB_commutator": commutator_norm(a_mat, b_mat),
         "BC_commutator": commutator_norm(b_mat, c_mat),
         "AC_commutator": commutator_norm(a_mat, c_mat),
     }
     return {"Pi": pi, "Psi": psi, "A": a_mat, "B": b_mat, "C": c_mat, "checks": checks}
-
-
-def _glue_residual(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement) -> float:
-    """Largest Frobenius distance between d_2(psi) and d_1(pi), outcome by outcome."""
-    return float(frob(face(psi, 2).blocks - face(pi, 1).blocks).max())
-
-
-def membrane_filler_check(pi: ProjectiveMeasurement, psi: ProjectiveMeasurement):
-    """Whether the triangulated-square membrane (pi on 012, psi on 023) has
-    a 3-simplex filler in the key example.
-
-    A filler is a commuting triple (u1, u2, u3) with d_3 = pi and d_1 = psi;
-    the faces force u1, u2 from pi and u3 from psi, so the only obstruction
-    data are the remaining commutators and the 2-face membership.
-    """
-    if _glue_residual(pi, psi) > TOL_EQ:
-        raise InputError("pi and psi do not share the gluing edge")
-    u1, u2 = unitaries_from_measurement(pi)
-    u3 = unitaries_from_measurement(psi)[1]
-    norms = {"12": commutator_norm(u1, u2), "13": commutator_norm(u1, u3),
-             "23": commutator_norm(u2, u3)}
-    if max(norms.values()) > TOL_PROJ:
-        return False, norms
-    ok, wit = in_key_example_tuple([u1, u2, u3])
-    return ok, norms if ok else (norms, wit)
 
 
 # ---------------------------------------------------------------------------

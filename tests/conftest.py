@@ -37,6 +37,11 @@ def one_element_magma():
     return palg.PartialUnitalMagma(1, {(0, 0): 0})
 
 
+def nerve_of(magma, K=4):
+    """The nerve of a magma at its maximal associativity datum, truncated at K."""
+    return nv.nerve(magma, palg.max_associativity_datum(magma, K), K)
+
+
 def random_magma(rng: random.Random, size: int, density: float = 0.5) -> palg.PartialUnitalMagma:
     """A random partial unital magma: unit row/column forced, the rest coin-flipped."""
     product = {(0, m): m for m in range(size)}

@@ -15,16 +15,13 @@ from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import palg, quantum, sset, states
 
-from conftest import random_magma
+from conftest import nerve_of, random_magma
+from quantum_exact import certify_no_filler
 from sset_oracles import membrane_set, sset_equal
 
 
 def report(number, message):
     print(f"ACCEPTANCE {number}: PASS ({message})")
-
-
-def nerve_of(magma, K=4):
-    return nv.nerve(magma, palg.max_associativity_datum(magma, K), K)
 
 
 def test_criterion_1_action_partial_group():
@@ -211,14 +208,13 @@ def test_criterion_7_key_example_witness():
     assert checks["d2psi_eq_d1pi_residual"] < 1e-9
     assert checks["AB_commutator"] < 1e-9
     assert checks["BC_commutator"] > 0.1
-    filler, norms = quantum.membrane_filler_check(pi, psi)
-    assert not filler and norms["23"] > 0.1
+    certify_no_filler(w)
     inv = quantum.inverseless_sample_check(trials=100, seed=20240)
     assert inv["passed"] == 100
     assert all(r["collapse_residual"] < 1e-9 for r in inv["results"])
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
-    report(7, f"witness bundle + membrane obstruction + 100/100 collapses, {elapsed:.2f}s")
+    report(7, f"witness bundle + exact no-filler certificate + 100/100 collapses, {elapsed:.2f}s")
 
 
 def test_criterion_8_state_formula_on_z():

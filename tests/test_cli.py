@@ -218,6 +218,9 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("check", "magma", "--in", "clash-str-b.json"),
     ("check", "magma", "--in", "unit-1.json"),
     ("check", "magma", "--in", "unit-x.json"),
+    ("check", "magma", "--in", "z2-magma.json", "--levels", "1"),
+    ("check", "effect-algebra", "--in", "l2-ea.json", "--levels", "1"),
+    ("check", "sset", "--in", "s1.json", "--levels", "1"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -232,6 +235,10 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         (tmp_path / f"unit-{name}.json").write_text(
             json.dumps({"size": 2, "unit": unit, "products": UNIT_ROWS}))
     (tmp_path / "z2.json").write_text(json.dumps(nv.cyclic_group(2).to_json_dict()))
+    (tmp_path / "z2-magma.json").write_text(
+        json.dumps(nv.commuting_magma(nv.cyclic_group(2)).to_json_dict()))
+    (tmp_path / "l2-ea.json").write_text(
+        json.dumps(palg.interval_effect_algebra(2).to_json_dict()))
     (tmp_path / "order-0.json").write_text(json.dumps({"order": 0, "mul": []}))
     assert run("build", "s1", "--levels", "3", "--out", "s1.json") == 0
     assert run("build", "effect-nerve", "--family", "l2", "--out", "l2.json") == 0
@@ -256,6 +263,8 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    if argv[-2:] == ("--levels", "1"):
+        assert "argument --levels:" in err
 
 
 def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys):

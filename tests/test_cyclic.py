@@ -5,11 +5,8 @@ from simpeff import nerve as nv
 from simpeff import palg
 from simpeff.util import InputError
 
+from conftest import nerve_of
 from sset_oracles import point, sset_equal
-
-
-def nerve_of(magma, K=4):
-    return nv.nerve(magma, palg.max_associativity_datum(magma, K), K)
 
 
 @pytest.fixture(scope="module")

@@ -2,17 +2,23 @@
 
 Every module in src/simpeff declares its API in __all__, and every name
 there exists in the module.  A module-level function or class in __all__
-must be named somewhere in src/ or tests/ outside its own definition; one
-outside __all__ must be named in src/, since tests do not count as its
-callers, so a fixture or check that only tests use belongs in tests/.  Every non-dunder method of a class in src/simpeff must be read
-as an attribute in src/ or tests/, and a method name that more than one
-class defines must be one of PROTOCOL, so that a dead method cannot hide
-behind a live one of the same name.  Every name a module in src/ imports
-must be used in that module.
+must be used somewhere in src/ or tests/ outside its own definition; one
+outside __all__ must be used in src/, since tests do not count as its
+callers, so a fixture or check that only tests use belongs in tests/.  A
+use is keyed by module: a bare name counts only in the defining module, and
+elsewhere only an attribute of that module's import alias or a
+`from simpeff.<module> import` of the name counts, so a dead function
+cannot hide behind an attribute of the same name read off another object.
+Every non-dunder method of a class in src/simpeff must be read as an
+attribute in src/ or tests/, and a method name that more than one class
+defines must be one of PROTOCOL, so that a dead method cannot hide behind a
+live one of the same name.  Every name a module in src/ imports must be
+used in that module.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "simpeff").glob("*.py"))
@@ -20,17 +26,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # method names that several classes implement as one protocol
 PROTOCOL = {"check_shape", "from_json_dict", "to_json_dict", "validate"}
-
-
-def _names(node):
-    """Every identifier the node reads, as a bare name or an attribute."""
-    out = []
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.append(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.append(sub.attr)
-    return out
 
 
 def _parse(path):
@@ -72,28 +67,81 @@ def test_every_module_declares_its_api():
     assert not unknown
 
 
-def _uses(paths):
-    """How often each identifier is read across the given files."""
-    uses = {}
-    for path in paths:
-        for name in _names(_parse(path)):
-            uses[name] = uses.get(name, 0) + 1
-    return uses
+def _package_module(node):
+    """The simpeff module an ImportFrom node reads from: '' for the package
+    itself, None for a module outside it.  Relative imports occur only in src/."""
+    if node.level:
+        return node.module or ""
+    package, _, module = (node.module or "").partition(".")
+    return module if package == "simpeff" else None
 
 
-def test_every_definition_is_used():
-    in_src, anywhere = _uses(SRC), _uses(SRC + TESTS)
+def _uses(path, module=None):
+    """The (module, name) pairs the file reads, one per occurrence: a bare
+    name counts for module, the file's own when it is in src/; an attribute
+    of an imported simpeff module counts for that module, and so does each
+    name of a `from simpeff.<module> import`."""
+    tree = _parse(path)
+    aliases, out = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (mod := _package_module(node)) is not None:
+            for alias in node.names:
+                if mod:
+                    out.append((mod, alias.name))
+                else:  # from simpeff import nerve as nv
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            aliases.update((alias.asname, alias.name[len("simpeff."):]) for alias in node.names
+                           if alias.asname and alias.name.startswith("simpeff."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module:
+            out.append((module, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            out.append((aliases[node.value.id], node.attr))
+    return out
+
+
+def _unused_definitions(src, tests):
+    """The module-level functions and classes of the src/ files that nothing
+    uses by the rules in the module docstring, as "file:line name"."""
+    in_src = Counter(use for path in src for use in _uses(path, path.stem))
+    anywhere = in_src + Counter(use for path in tests for use in _uses(path))
     unused = []
-    for path in SRC:
+    for path in src:
         tree = _parse(path)
         api = set(_declared(tree) or ())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 uses = anywhere if node.name in api else in_src
-                own = _names(node).count(node.name)  # recursive calls
-                if uses.get(node.name, 0) == own:
+                own = sum(1 for sub in ast.walk(node)  # recursive calls
+                          if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                          and sub.id == node.name)
+                if uses[(path.stem, node.name)] == own:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
-    assert not unused
+    return unused
+
+
+def test_every_definition_is_used():
+    assert not _unused_definitions(SRC, TESTS)
+
+
+def test_a_use_counts_only_for_its_own_module(tmp_path):
+    """A dead function is reported although another module reads an
+    attribute of the same name; an attribute of the defining module's
+    import alias is a use."""
+    (tmp_path / "src").mkdir()
+    cli, cyclic = tmp_path / "src" / "cli.py", tmp_path / "src" / "cyclic.py"
+    test = tmp_path / "t.py"
+    cli.write_text('__all__ = ["main"]\n\nfrom . import cyclic as cyc\n\n\n'
+                   'def main(x):\n    return cyc.show(x)\n\n\n'
+                   'def label(n):\n    return str(n)\n')
+    test.write_text("from simpeff import cli\n\ncli.main(None)\n")
+    cyclic.write_text('__all__ = ["show"]\n\n\ndef show(x):\n    return x.label(0)\n')
+    assert _unused_definitions([cli, cyclic], [test]) == ["cli.py:10 label"]
+    cyclic.write_text('__all__ = ["show"]\n\nfrom . import cli\n\n\n'
+                      'def show(x):\n    return cli.label(x)\n')
+    assert _unused_definitions([cli, cyclic], [test]) == []
 
 
 def test_every_method_is_read_and_named_by_one_class():

@@ -8,13 +8,9 @@ from simpeff import nerve as nv
 from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
-from conftest import random_magma
+from conftest import nerve_of, random_magma
 from palg_oracles import chain_magma
 from sset_oracles import point, sset_equal, two_triangles_shared_spine
-
-
-def nerve_of(magma, K=4):
-    return nv.nerve(magma, palg.max_associativity_datum(magma, K), K)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import quantum_oracles as oracle
+from quantum_exact import certify_no_filler
 from simpeff import cli
 from simpeff import quantum as q
 from simpeff.util import InputError
@@ -179,9 +180,6 @@ def test_in_key_example_tuple_arity_three():
     assert norm == pytest.approx(3.0, abs=1e-12)
     ok, (face, _) = q.in_key_example_tuple([eye, q.OMEGA * eye, q.OMEGA * eye])
     assert not ok and face == (0, 2, 3)
-    flat = q.measurement_from_unitaries([eye, eye])
-    ok, norms = q.membrane_filler_check(flat, flat)
-    assert ok and max(norms.values()) <= 1e-12
 
 
 def test_tau2_label_action_preserves_condition_set():
@@ -214,9 +212,9 @@ def test_build_witness_checks(witness):
 
 
 def test_membrane_has_no_filler(witness):
-    ok, norms = q.membrane_filler_check(witness["Pi"], witness["Psi"])
-    assert not ok
-    assert norms["23"] > q.NONCOMM_MARGIN
+    """The exact certificate: no tolerance in the proof, and the float
+    witness within TOL_EQ of it."""
+    certify_no_filler(witness)
 
 
 def test_sample_z_two_simplex_valid():

@@ -9,16 +9,12 @@ from simpeff import nerve as nv
 from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
-from conftest import random_magma, three_element_magmas
+from conftest import nerve_of, random_magma, three_element_magmas
 from sset_oracles import (BOUNDARY, SPINE, delta_w3, membrane_set, point, sset_equal,
                           sset_isomorphic, triangulations, two_triangles_shared_spine)
 from test_golden import _twin_tetra
 
 I, J = 2, 4  # Q8 ids for i and j
-
-
-def nerve_of(magma, K=4):
-    return nv.nerve(magma, palg.max_associativity_datum(magma, K), K)
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,8 @@ from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import palg, ratlp, states
 
+from conftest import nerve_of
 from sset_oracles import point
-
-
-def nerve_of(magma, K=4):
-    return nv.nerve(magma, palg.max_associativity_datum(magma, K), K)
 
 
 def effect_cyclic(e, K=4):
