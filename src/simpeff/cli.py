@@ -13,6 +13,7 @@ __all__ = ["main"]
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -44,11 +45,19 @@ def _load_json(path):
 def _output(out):
     """The --out file, opened for writing, or stdout when out is unset.
 
-    A path that cannot be opened or written is an InputError.  Callers open
-    it only once the output is ready, so a failed run leaves no file.
+    A path that cannot be opened or written, or a stdout whose reader has
+    closed it, is an InputError.  Callers open it only once the output is
+    ready, so a failed run leaves no file.
     """
     if not out:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader is gone: send what is still buffered, and the flush
+            # at exit, to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InputError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -148,7 +157,14 @@ def _check_effect_algebra(path, args):
     return rep
 
 
+# the flags only check cyclic reads
+_CYCLIC_FLAGS = ("states", "hc1", "simplicial_effect", "effect_algebroid")
+
+
 def cmd_check(args):
+    given = [flag for flag in _CYCLIC_FLAGS if getattr(args, flag)]
+    if given and args.kind != "cyclic":
+        raise InputError(f"--{given[0].replace('_', '-')} applies only to check cyclic")
     runner = {
         "magma": _check_magma,
         "sset": _check_sset,
@@ -408,7 +424,6 @@ def _parser():
                    help="restrict the cyclic battery to the effect-algebroid suite")
     c.add_argument("--states", action="store_true")
     c.add_argument("--hc1", action="store_true")
-    c.set_defaults(func=cmd_check)
 
     b = sub.add_parser("build", help="construct a structure and write its json")
     b.add_argument("recipe", choices=["comm-nerve", "action-pg", "effect-nerve",
@@ -419,17 +434,14 @@ def _parser():
     b.add_argument("--y", default=None)
     b.add_argument("--effect-algebra", default=None)
     b.add_argument("--family", default=None)
-    b.set_defaults(func=cmd_build)
 
     s = sub.add_parser("states", help="exact states and HC^1 of a cyclic set")
     s.add_argument("--cyclic", required=True)
     s.add_argument("--hc1", action="store_true")
-    s.set_defaults(func=cmd_states)
 
     q = sub.add_parser("quantum-demo", help="key-example witness and sampled checks")
     q.add_argument("--trials", type=at_least(1), default=20)
     q.add_argument("--seed", type=at_least(0), default=0)
-    q.set_defaults(func=cmd_quantum_demo)
     for sp in (c, b):
         sp.add_argument("--levels", type=at_least(2), default=4,
                         help="truncation bound for quantified checks (default 4)")
@@ -440,10 +452,15 @@ def _parser():
     return p
 
 
+_PARSER = _parser()
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command = {"check": cmd_check, "build": cmd_build, "states": cmd_states,
+               "quantum-demo": cmd_quantum_demo}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (InputError, StructureError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

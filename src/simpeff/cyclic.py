@@ -19,11 +19,13 @@ from .util import Check, InputError, first_collision, first_failure
 
 
 class CyclicSSet:
-    """A truncated simplicial set with cyclic automorphisms tau_n, 1 <= n <= K."""
+    """A truncated simplicial set with cyclic automorphisms tau_n, 1 <= n <= K.
+
+    Like the base's tables, the tau lists are kept and handed out uncopied."""
 
     def __init__(self, base: TruncatedSSet, tau: dict):
         self.base = base
-        self.tau = {n: list(t) for n, t in tau.items()}
+        self.tau = dict(tau)
 
     def t(self, n, s):
         return self.tau[n][s] if n >= 1 else s
@@ -42,7 +44,7 @@ class CyclicSSet:
 
     def to_json_dict(self):
         d = self.base.to_json_dict()
-        d["tau"] = {str(n): list(t) for n, t in sorted(self.tau.items())}
+        d["tau"] = {str(n): t for n, t in sorted(self.tau.items())}
         return d
 
     @staticmethod

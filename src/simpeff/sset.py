@@ -15,6 +15,7 @@ __all__ = ["TruncatedSSet", "from_levels", "validate", "subface", "spine", "dege
            "standard_simplex", "from_nondegenerate"]
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,14 +29,15 @@ class TruncatedSSet:
     deg[(n, i)]  : X_n -> X_{n+1} for 0 <= n < K, 0 <= i <= n
     and no other keys (check_shape rejects any outside the truncation).
     labels is optional per-level metadata for readable witnesses; it is
-    ignored by equality and serialization.
+    ignored by equality and serialization.  The tables are kept as given,
+    not copied, and to_json_dict hands them out the same way.
     """
 
     def __init__(self, K, counts, face, deg, labels=None):
         self.K = K
         self.counts = list(counts)
-        self.face = {k: list(v) for k, v in face.items()}
-        self.deg = {k: list(v) for k, v in deg.items()}
+        self.face = dict(face)
+        self.deg = dict(deg)
         self.labels = labels or {}
 
     def simplices(self, n):
@@ -68,8 +70,8 @@ class TruncatedSSet:
         return {
             "truncation": self.K,
             "counts": list(self.counts),
-            "faces": {f"{n},{i}": list(v) for (n, i), v in sorted(self.face.items())},
-            "degeneracies": {f"{n},{i}": list(v) for (n, i), v in sorted(self.deg.items())},
+            "faces": {f"{n},{i}": v for (n, i), v in sorted(self.face.items())},
+            "degeneracies": {f"{n},{i}": v for (n, i), v in sorted(self.deg.items())},
         }
 
     @staticmethod
@@ -355,7 +357,8 @@ def segal(x: TruncatedSSet):
     """The one pass over restrictions of simplices to vertex subsets:
     (bad, spiny, two, weak, cosk), with bad = validate(x) and the rest
     (ok, witness).  cosk is is_coskeletal_2(x), run once when K >= 3 and the
-    simplicial identities hold; otherwise it reads as the Segal verdicts do.
+    simplicial identities hold, on the pass's subface tables of levels 2
+    and 3; otherwise it reads as the Segal verdicts do.
 
     Each level n = 2..K builds its subface tables once.  Spiny: the spines,
     read off the tables of the edges (i, i+1), do not collide; the witness
@@ -420,12 +423,13 @@ def segal(x: TruncatedSSet):
     bad = validate(x)
     spiny = (True, None)
     two = weak = cosk = (False, "simplicial identities fail") if bad else (True, None)
-    if x.K >= 3 and not bad:
-        cosk = is_coskeletal_2(x)
+    tables = {}
     for n in range(2, x.K + 1):
         if not (spiny[0] or two[0] or weak[0]) or (n == 4 and spiny[0] and cosk[0]):
             break
-        sub = subface_tables(x, n)
+        sub = tables[n] = subface_tables(x, n)
+        if n == 3 and not bad:
+            cosk = _coskeletal_2(x, tables, checked=True)
         spines = list(zip(*(sub[(i, i + 1)] for i in range(n))))
         if spiny[0]:
             pair = first_collision(spines)
@@ -486,20 +490,96 @@ def is_coskeletal_2(x: TruncatedSSet):
 
     Raises StructureError when the faces of a simplex are not a compatible
     boundary, which happens only if the simplicial identities fail.
+
+    Where X is spiny at level 2, that is (d_2, d_0) is injective on X_2,
+    comp(e, f), the d_1 of the 2-simplex over (e, f), is a partial map, and
+    levels n = 3..K are decided in order from pairs.  Level n has unique
+    fillers iff no two n-simplices share (d_n, d_0) and the qualifying pairs
+    number |X_n|.  A pair (u, v) of (n-1)-simplices qualifies when
+    d_0 u = d_{n-1} v, e_0n = comp(e_01(u), e_1n(v)) is defined and
+    comp(e_0b(u), e_bn(v)) = e_0n for every 2 <= b <= n-1; here e_ab is the
+    edge on the vertices a < b of an n-simplex y with d_n y = u and
+    d_0 y = v.  Proof, for a level n whose levels 3..n-1 have passed:
+    - A compatible boundary of Delta^n is the same as its restriction to the
+      2-skeleton sk_2 Delta^n.  At n = 3 the two complexes are equal.  At
+      n >= 4 each face of dimension 3..n-1 is the one simplex over its
+      boundary, so, by induction on dimension, over its 2-skeleton.
+    - Spiny at level 2 makes a map sk_2 Delta^n -> X the same as a family of
+      edges e_ab with comp(e_ab, e_bc) = e_ac for all a < b < c.  Its
+      restrictions to the vertices 0..n-1 and 1..n are a pair (u, v) with
+      d_0 u = d_{n-1} v that fixes every edge but e_0n, and the triangles
+      (0, b, n) force e_0n.  So the qualifying pairs are in bijection with
+      the compatible boundaries, through their faces d_n and d_0.
+    - The faces of an n-simplex form a compatible boundary, so the boundary
+      map of X_n is bijective iff it is injective, which its faces d_n and
+      d_0 decide, and both sets have the same size.
+    A level that fails, and every level of a set not spiny at level 2, is
+    decided by listing its compatible boundaries with boundary_membranes and
+    counting each boundary's fillers, so the witness is the least boundary,
+    in lexicographic order, with no filler ("unfilled") or more than one
+    ("multiple").
     """
+    return _coskeletal_2(x, {}, checked=False)
+
+
+def _coskeletal_2(x: TruncatedSSet, tables, checked):
+    """is_coskeletal_2, reading edges from tables (level -> subface_tables
+    of that level), which it builds where absent.  checked says the simplicial
+    identities are known to hold, so the faces of every simplex form a
+    compatible boundary; otherwise each level checks this first."""
     if x.K < 3:
         raise InputError("coskeletality check needs K >= 3")
+    comp = dict(zip(zip(x.face[(2, 2)], x.face[(2, 0)]), x.face[(2, 1)]))
     for n in range(3, x.K + 1):
+        faces = [x.face[(n, i)] for i in range(n + 1)]
+        if not checked:
+            left = zip(*(map(x.face[(n - 1, j - 1)].__getitem__, faces[i])
+                         for j in range(n + 1) for i in range(j)))
+            right = zip(*(map(x.face[(n - 1, i)].__getitem__, faces[j])
+                          for j in range(n + 1) for i in range(j)))
+            bad = list(map(operator.ne, left, right))
+            if True in bad:
+                s = bad.index(True)
+                raise StructureError(f"faces {tuple(f[s] for f in faces)} of {n}-simplex {s} "
+                                     "are not a compatible boundary; the simplicial "
+                                     "identities fail")
+        if len(comp) == x.counts[2] and _pairs_fill(
+                x, n, comp, tables.get(n - 1) or subface_tables(x, n - 1)):
+            continue
         fillers = dict.fromkeys(boundary_membranes(x, n), 0)
-        for s, b in enumerate(zip(*(x.face[(n, i)] for i in range(n + 1)))):
-            if b not in fillers:
-                raise StructureError(f"faces {b} of {n}-simplex {s} are not a compatible "
-                                     "boundary; the simplicial identities fail")
+        for b in zip(*faces):
             fillers[b] += 1
         for b, count in fillers.items():
             if count != 1:
                 return False, ("unfilled" if not count else "multiple", n, b)
     return True, None
+
+
+def _pairs_fill(x: TruncatedSSet, n: int, comp, sub):
+    """Whether level n has unique fillers, decided from pairs of
+    (n-1)-simplices as is_coskeletal_2 says; sub is subface_tables(x, n-1)."""
+    m = n - 1
+    if len(set(zip(x.face[(n, n)], x.face[(n, 0)]))) != x.counts[n]:
+        return False
+    by_last = {}
+    for v, h in enumerate(x.face[(m, m)]):
+        by_last.setdefault(h, []).append(v)
+    us, vs = [], []  # the pairs with d_0 u = d_m v, as two columns
+    for u, t in enumerate(x.face[(m, 0)]):
+        joined = by_last.get(t, ())
+        us += [u] * len(joined)
+        vs += joined
+
+    def composites(b):
+        # comp(e_0b(u), e_bn(v)) over the pairs; e_bn(v) is v's edge (b-1, m)
+        heads, tails = sub[(0, b)], sub[(b - 1, m)]
+        return list(map(comp.get, zip(map(heads.__getitem__, us), map(tails.__getitem__, vs))))
+
+    long = composites(1)
+    for b in range(2, n):
+        keep = list(map(operator.eq, composites(b), long))
+        us, vs, long = (list(itertools.compress(col, keep)) for col in (us, vs, long))
+    return len(long) - long.count(None) == x.counts[n]
 
 
 def cosk2_extend(x2: TruncatedSSet, target: int) -> TruncatedSSet:

@@ -3,11 +3,13 @@
 membrane_set is a generic backtracker over the simplicial maps from a
 subcomplex of the n-simplex (the spine, the boundary or a triangulation) into
 a truncated simplicial set; the Segal checks count and enumerate membranes
-with an interval DP instead, and the tests compare the two.  sset_isomorphic
-searches for a levelwise isomorphism, and sset_equal compares two truncated
-simplicial sets table by table.  triangulations is the per-node leaf count
-walk over palg.bracketings that sset.triangulations replaced.  point,
-two_triangles_shared_spine and delta_w3 are small sets the tests check.
+with an interval DP instead, and the tests compare the two.  coskeletal_2
+lists every boundary of every level, which sset.is_coskeletal_2 does only
+where its pair count fails.  sset_isomorphic searches for a levelwise
+isomorphism, and sset_equal compares two truncated simplicial sets table by
+table.  triangulations is the per-node leaf count walk over palg.bracketings
+that sset.triangulations replaced.  point, two_triangles_shared_spine,
+delta_w3, hollow_simplices and hollow_simplex are small sets the tests check.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import itertools
 from palg_oracles import leaf_count
 from simpeff import sset
 from simpeff.palg import LEAF, bracketings
-from simpeff.util import InputError
+from simpeff.util import InputError, StructureError
 
 SPINE = "spine"
 BOUNDARY = "boundary"
@@ -124,6 +126,27 @@ def membrane_set(x, n: int, subset):
     rec_safe(0, {})
     out.sort(key=lambda m: tuple(sorted(m.items())))
     return out
+
+
+def coskeletal_2(x):
+    """Unique boundary fillers at every level 3..K, decided by listing every
+    compatible boundary of every level with sset.boundary_membranes and
+    counting its fillers; witness the least bad boundary.  Raises
+    StructureError when the faces of a simplex are not a compatible boundary.
+    sset.is_coskeletal_2 decides spiny levels from pairs instead."""
+    if x.K < 3:
+        raise InputError("coskeletality check needs K >= 3")
+    for n in range(3, x.K + 1):
+        fillers = dict.fromkeys(sset.boundary_membranes(x, n), 0)
+        for s, b in enumerate(zip(*(x.face[(n, i)] for i in range(n + 1)))):
+            if b not in fillers:
+                raise StructureError(f"faces {b} of {n}-simplex {s} are not a compatible "
+                                     "boundary; the simplicial identities fail")
+            fillers[b] += 1
+        for b, count in fillers.items():
+            if count != 1:
+                return False, ("unfilled" if not count else "multiple", n, b)
+    return True, None
 
 
 def sset_isomorphic(x, y):
@@ -244,3 +267,24 @@ def delta_w3(K: int = 3) -> sset.TruncatedSSet:
         ("t123", 2, [("e23", _ID1), ("e13", _ID1), ("e12", _ID1)]),
     ]
     return sset.from_nondegenerate(K, gens)
+
+
+def hollow_simplices(tops, K: int, fillers) -> sset.TruncatedSSet:
+    """Every proper face of the d-simplices tops (vertex tuples of length
+    d + 1), and fillers[i] d-cells on the boundary of tops[i]."""
+    def bd(c):
+        return [(c[:i] + c[i + 1:], tuple(range(len(c) - 1))) for i in range(len(c))]
+
+    cells = sorted({c for top in tops for r in range(1, len(top))
+                    for c in itertools.combinations(top, r)}, key=lambda c: (len(c), c))
+    return sset.from_nondegenerate(K, [(c, len(c) - 1, bd(c) if len(c) > 1 else [])
+                                       for c in cells]
+                                   + [((top, k), len(top) - 1, bd(top))
+                                      for top, f in zip(tops, fillers) for k in range(f)])
+
+
+def hollow_simplex(d: int, K: int, fillers: int = 0) -> sset.TruncatedSSet:
+    """The boundary of the standard d-simplex with fillers d-cells on it:
+    spiny, and not 2-coskeletal when 3 <= d <= K and fillers != 1 (an
+    "unfilled" boundary with none, a "multiple" one with two or more)."""
+    return hollow_simplices([tuple(range(d + 1))], K, [fillers])

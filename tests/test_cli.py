@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -221,6 +222,10 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("check", "magma", "--in", "z2-magma.json", "--levels", "1"),
     ("check", "effect-algebra", "--in", "l2-ea.json", "--levels", "1"),
     ("check", "sset", "--in", "s1.json", "--levels", "1"),
+    ("check", "magma", "--in", "z2-magma.json", "--states"),
+    ("check", "sset", "--in", "s1.json", "--hc1"),
+    ("check", "effect-algebra", "--in", "l2-ea.json", "--simplicial-effect"),
+    ("check", "sset", "--in", "s1.json", "--effect-algebroid"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -265,16 +270,18 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     if argv[-2:] == ("--levels", "1"):
         assert "argument --levels:" in err
+    if argv[-1] in ("--states", "--hc1", "--simplicial-effect", "--effect-algebroid"):
+        assert f"error: {argv[-1]} applies only to check cyclic" in err
 
 
 def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys):
     """check sset and check cyclic --states --hc1 validate the structure, the
-    cyclic relations and inverselessness once, list each level's boundary
-    tuples once (the Segal pass decides 2-coskeletality), build each level's
-    subface tables at most once, count each triangulation's membranes at most
-    once and never walk spines one simplex at a time (the Segal pass decides
+    cyclic relations and inverselessness once, build each level's subface
+    tables at most once, count each triangulation's membranes at most once
+    and never walk spines one simplex at a time (the Segal pass decides
     spiny).  Both sets are spiny and 2-coskeletal, so the pass stops after
-    level 3."""
+    level 3, and 2-coskeletality is decided from pairs on its subface tables
+    without listing any boundary tuple."""
     calls = Counter()
 
     def counting(name, fn):
@@ -296,7 +303,6 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
     assert run("build", "effect-nerve", "--family", "l2", "--out", str(l2)) == 0
     per_level = {("subface_tables", n) for n in (2, 3)}
     per_triangulation = {("membrane_counts", 3, tri) for tri in sset.triangulations(3)}
-    boundaries = {("boundary_membranes", n) for n in (3, 4)}
     # both sets are 2-Segal, so every triangulation at level 3 is visited
     for argv, two_segal in (
             (("check", "sset", "--in", str(cz4)), "  2-segal: pass"),
@@ -306,10 +312,46 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
         run(*argv)
         assert two_segal in capsys.readouterr().out, argv
         assert {k: c for k, c in calls.items() if len(k) > 1} == dict.fromkeys(
-            per_level | per_triangulation | boundaries, 1), argv
+            per_level | per_triangulation, 1), argv
         assert calls[("validate",)] == 1, argv
         assert calls[("is_spiny",)] == 0, argv
     assert calls[("validate_cyclic",)] == calls[("is_inverseless_sset",)] == 1
+
+
+def test_main_calls_do_not_share_state(tmp_path, monkeypatch, capsys):
+    """main parses with one parser built at import: interleaved calls print
+    what each call prints alone, in a fresh interpreter."""
+    monkeypatch.chdir(tmp_path)
+    assert run("build", "s1", "--levels", "3", "--out", "s1.json") == 0
+    calls = (("check", "sset", "--in", "s1.json", "--json"), ("check", "sset", "--in", "s1.json"),
+             ("check", "sset", "--in", "s1.json", "--levels", "x"), ("quantum-demo",))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    alone = [subprocess.run([sys.executable, "-m", "simpeff.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in calls]
+    capsys.readouterr()
+    for k in (0, 1, 2, 3, 2, 1, 0, 3):
+        try:
+            code = run(*calls[k])
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (alone[k].returncode, alone[k].stdout, alone[k].stderr), \
+            calls[k]
+
+
+def test_closed_stdout_exits_2(z4_file):
+    """A reader that closes stdout after one line is an unwritable output,
+    not a bug, and interpreter shutdown prints nothing more."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    # about 480 kB, several times a pipe buffer
+    with subprocess.Popen([sys.executable, "-m", "simpeff.cli", "build", "comm-nerve",
+                           "--group", z4_file, "--levels", "6"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

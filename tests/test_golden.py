@@ -18,9 +18,9 @@ the validated 2-simplices per sampled check, to SAMPLE_TOL.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
-import itertools
 import json
 import os
 
@@ -33,22 +33,11 @@ from simpeff import nerve as nv
 from simpeff import quantum as q
 
 from palg_oracles import chain_magma
-from sset_oracles import point, two_triangles_shared_spine
+from sset_oracles import hollow_simplex, point, two_triangles_shared_spine
 
 # S3 (sorted permutations, identity first) acting on {0, 1, 2} from the right
 S3_ACTION = {"z_size": 3, "table": [[0, 1, 2], [0, 2, 1], [1, 0, 2],
                                     [2, 0, 1], [1, 2, 0], [2, 1, 0]]}
-
-
-def _twin_tetra():
-    """Two 3-simplices on the boundary of one tetrahedron: not 2-coskeletal."""
-    def bd(s):
-        return [(s[:i] + s[i + 1:], tuple(range(len(s) - 1))) for i in range(len(s))]
-
-    cells = ["".join(c) for r in (1, 2, 3) for c in itertools.combinations("0123", r)]
-    gens = [(c, len(c) - 1, bd(c) if len(c) > 1 else []) for c in cells]
-    gens += [("0123" + tag, 3, bd("0123")) for tag in "ab"]
-    return sset.from_nondegenerate(3, gens)
 
 
 def _inputs():
@@ -61,10 +50,11 @@ def _inputs():
     tau2[0], tau2[1] = tau2[1], tau2[0]
     l2_nerve = cyc.effect_nerve_cyclic(
         l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 4), 4))
-    corrupt = l2_nerve.to_json_dict()
+    # to_json_dict hands out the nerve's own tables, so each variant edits a copy
+    corrupt = copy.deepcopy(l2_nerve.to_json_dict())
     faces = corrupt["faces"]["2,1"]
     faces[-1] = (faces[-1] + 1) % corrupt["counts"][1]
-    clash = l2_nerve.to_json_dict()
+    clash = copy.deepcopy(l2_nerve.to_json_dict())
     for key in ("2,0", "2,2"):
         clash["faces"][key][1] = clash["faces"][key][2]
     return {
@@ -96,7 +86,11 @@ def _inputs():
         # fails spiny with a collision witness
         "split-spine.json": sset.cosk2_extend(two_triangles_shared_spine(2), 3).to_json_dict(),
         # fails 2-coskeletality with a "multiple" witness
-        "twin-tetra.json": _twin_tetra().to_json_dict(),
+        "twin-tetra.json": hollow_simplex(3, 3, 2).to_json_dict(),
+        # fail 2-coskeletality at level 4, with an "unfilled" and a "multiple"
+        # witness; both fail 2-Segal and weak 2-Segal at level 4 too
+        "hollow-4.json": hollow_simplex(4, 4).to_json_dict(),
+        "twin-4.json": hollow_simplex(4, 4, 2).to_json_dict(),
         "l2-perp-not-involution.json": dict(l2.to_json_dict(), orthocomplement=[2, 0, 1]),
     }
 
@@ -122,12 +116,13 @@ BUILDS = {
 }
 # cn-q8, cn-d4-t2 and ly-s3 are checked at levels 3 and 4; cn-z4 passes
 # 2-Segal at level 4; cn-s4 is weakly 2-Segal at level 5; ly-s4, the largest
-# nerve built, fails 2-Segal and passes weak 2-Segal at level 4
+# nerve built, fails 2-Segal and passes weak 2-Segal at level 4; hollow-4 and
+# twin-4 fail 2-coskeletality at level 4
 SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",),
          ("cn-q8.json", "--levels", "4"), ("cn-d4-t2.json", "--levels", "4"),
          ("ly-s3.json", "--levels", "4"), ("cn-z4.json",), ("twin-tetra.json",),
-         ("cn-s4.json", "--levels", "5"), ("ly-s4.json",))
+         ("cn-s4.json", "--levels", "5"), ("ly-s4.json",), ("hollow-4.json",), ("twin-4.json",))
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
 MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
 # failing batteries, the two narrowed cyclic suites (also below level 3 and
@@ -272,6 +267,14 @@ GOLDEN = {
         (1, "c1f56462ac74245ff65660bf3f9d327e2861b6d1c7d8e50f2cf380d86f318073"),
     'check sset --in ly-s4.json --json':
         (1, "3aff8ce5c7c9cecb043329bee2c5b890b88bb04eb800052351f84b32d9213d86"),
+    'check sset --in hollow-4.json':
+        (1, "b06be95a70beb6e60caf8c1c40933b54d4d88bd8f62c1b4e8f82825c03c62698"),
+    'check sset --in hollow-4.json --json':
+        (1, "69cb7a0fbdec6b98797451549726bb8e11d0b202c025bdbed9cc4656d2df3766"),
+    'check sset --in twin-4.json':
+        (1, "62760b1a54cd73dead14a2e9aa962ab2703b1614c737edafae5964e482f28cde"),
+    'check sset --in twin-4.json --json':
+        (1, "d9f099fbcd74f8d22b8dab3d293705dd59da6326a64a0d6aef5d11b5594e46fe"),
     'check cyclic --in en-l2.json --states --hc1':
         (0, "3117393af17d2461193a9d87e245fb74779f6206f8871355e9b52b611021ff4b"),
     'check cyclic --in en-l2.json --states --hc1 --json':

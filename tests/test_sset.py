@@ -10,9 +10,9 @@ from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
 from conftest import nerve_of, random_magma, three_element_magmas
-from sset_oracles import (BOUNDARY, SPINE, delta_w3, membrane_set, point, sset_equal,
-                          sset_isomorphic, triangulations, two_triangles_shared_spine)
-from test_golden import _twin_tetra
+from sset_oracles import (BOUNDARY, SPINE, coskeletal_2, delta_w3, hollow_simplex,
+                          hollow_simplices, membrane_set, point, sset_equal, sset_isomorphic,
+                          triangulations, two_triangles_shared_spine)
 
 I, J = 2, 4  # Q8 ids for i and j
 
@@ -158,7 +158,7 @@ def test_membrane_boundary_matches_tuple_enumeration(q8_nerve):
     face tuples in lexicographic order, at every level it accepts."""
     z4 = nv.cyclic_group(4)
     for x in (q8_nerve, nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 4),
-              _twin_tetra(), delta_w3(4),
+              hollow_simplex(3, 3, 2), delta_w3(4),
               sset.cosk2_extend(two_triangles_shared_spine(2), 4)):
         for n in range(2, x.K + 2):
             keys = sorted(tuple(m[tuple(v for v in range(n + 1) if v != i)] for i in range(n + 1))
@@ -396,17 +396,6 @@ def test_hierarchy_census_three_elements():
                         (palg.MAGMA, False, False): 160}
 
 
-def hollow_simplex(d, K):
-    """Every face of the standard d-simplex below dimension d, and no d-cell:
-    spiny, and not 2-coskeletal when 3 <= d <= K."""
-    def bd(c):
-        return [(c[:i] + c[i + 1:], tuple(range(len(c) - 1))) for i in range(len(c))]
-
-    cells = [c for r in range(1, d + 1) for c in itertools.combinations(range(d + 1), r)]
-    return sset.from_nondegenerate(K, [(c, len(c) - 1, bd(c) if len(c) > 1 else [])
-                                       for c in cells])
-
-
 def test_segal_stops_at_level_3_only_where_oracles_agree_above_it():
     """On spiny 2-coskeletal sets the Segal pass answers every level from
     its level-3 verdicts; above level 3 these agree with the enumeration
@@ -496,23 +485,81 @@ def test_coskeletal_comm_nerve(q8_nerve):
 
 
 def test_coskeletal_fails_on_hollow_simplex():
-    gens = [
-        ("v0", 0, []), ("v1", 0, []), ("v2", 0, []), ("v3", 0, []),
-        ("e01", 1, [("v1", (0,)), ("v0", (0,))]),
-        ("e12", 1, [("v2", (0,)), ("v1", (0,))]),
-        ("e23", 1, [("v3", (0,)), ("v2", (0,))]),
-        ("e02", 1, [("v2", (0,)), ("v0", (0,))]),
-        ("e13", 1, [("v3", (0,)), ("v1", (0,))]),
-        ("e03", 1, [("v3", (0,)), ("v0", (0,))]),
-        ("t012", 2, [("e12", (0, 1)), ("e02", (0, 1)), ("e01", (0, 1))]),
-        ("t023", 2, [("e23", (0, 1)), ("e03", (0, 1)), ("e02", (0, 1))]),
-        ("t013", 2, [("e13", (0, 1)), ("e03", (0, 1)), ("e01", (0, 1))]),
-        ("t123", 2, [("e23", (0, 1)), ("e13", (0, 1)), ("e12", (0, 1))]),
-    ]
-    hollow = sset.from_nondegenerate(3, gens)
+    hollow = hollow_simplex(3, 3)
     assert sset.validate(hollow) == []
     ok, wit = sset.is_coskeletal_2(hollow)
     assert not ok and wit[0] == "unfilled"
+
+
+def _coskeletal_census():
+    """The 829 sets the pair count of is_coskeletal_2 is checked on: every
+    3-element magma nerve at K = 3, 4 and 5, 40 seeded random size-4 magma
+    nerves, 12 L_Y spaces of Z4, Q8 and S3 for random Y, two sets that are
+    not spiny at level 2, delta_w3, and hollow and doubled simplices that
+    fail at level 3 or 4."""
+    for m in three_element_magmas():
+        for K in (3, 4, 5):
+            yield nerve_of(m, K)
+    rng = random.Random(19)
+    for k in range(40):
+        yield nerve_of(random_magma(rng, 4, density=rng.uniform(0.2, 0.9)), 3 + k % 3)
+    for g, K in ((nv.cyclic_group(4), 5), (nv.quaternion_group(), 4),
+                 (nv.symmetric_group(3), 4)):
+        for _ in range(4):
+            y = sorted(rng.sample(range(g.order), rng.randrange(1, g.order + 1)))
+            yield nv.action_partial_group(g, g.order, nv.translation_action(g), y, K)
+    yield sset.cosk2_extend(two_triangles_shared_spine(2), 4)
+    yield sset.cosk2_extend(sset.from_nondegenerate(
+        2, [("v", 0, []), ("a", 2, [("v", (0, 0))] * 3)]), 4)
+    yield delta_w3(4)
+    for d, K, fillers in ((3, 4, 0), (3, 3, 2), (4, 5, 0), (4, 4, 2), (4, 5, 3)):
+        yield hollow_simplex(d, K, fillers)
+    # the tetrahedra 0123, with two 3-cells, and 0124, with none, on a common
+    # triangle: the pairs number |X_3|, but two 3-simplices share a boundary
+    yield hollow_simplices([(0, 1, 2, 3), (0, 1, 2, 4)], 3, [2, 0])
+
+
+def test_coskeletal_pairs_match_the_listing(monkeypatch):
+    """is_coskeletal_2 gives the verdict and witness of the boundary listing
+    on the whole census.  It lists boundaries only at the level where its
+    pair count fails, or at every level it reaches on a set that is not
+    spiny at level 2."""
+    listed = []
+    listing = sset.boundary_membranes
+
+    def counting(x, n):
+        listed.append(n)
+        return listing(x, n)
+
+    seen = Counter()
+    for x in _coskeletal_census():
+        want = coskeletal_2(x)
+        listed.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(sset, "boundary_membranes", counting)
+            assert sset.is_coskeletal_2(x) == want, x.counts
+        spiny2 = len(set(zip(x.face[(2, 2)], x.face[(2, 0)]))) == x.counts[2]
+        last = x.K if want[0] else want[1][1]
+        assert listed == (list(range(3, last + 1)) if not spiny2 else [] if want[0] else [last])
+        seen[(spiny2, want[0] or want[1][:2])] += 1
+    assert seen == {(True, True): 817, (True, ("unfilled", 3)): 5, (True, ("unfilled", 4)): 1,
+                    (True, ("multiple", 3)): 2, (True, ("multiple", 4)): 2,
+                    (False, True): 2}, seen
+
+
+def test_coskeletal_raises_like_the_listing():
+    """Where the faces of a simplex are not a compatible boundary,
+    is_coskeletal_2 raises the listing's StructureError, naming the same
+    simplex, whether the bad face lies at level 2, 3 or 4."""
+    for n, i in ((2, 1), (3, 2), (4, 0), (4, 3)):
+        x = nv.comm_nerve(nv.quaternion_group(), None, 4)
+        x.face[(n, i)][-1] = x.face[(n, i)][0]
+        errors = []
+        for check in (sset.is_coskeletal_2, coskeletal_2):
+            with pytest.raises(StructureError) as exc:
+                check(x)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1], (n, i)
 
 
 def test_spiny_weakly_two_segal_implies_coskeletal(q8_nerve):
