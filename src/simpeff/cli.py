@@ -160,11 +160,19 @@ def _check_effect_algebra(path, args):
 # the flags only check cyclic reads
 _CYCLIC_FLAGS = ("states", "hc1", "simplicial_effect", "effect_algebroid")
 
+# --levels when check or build is not given it; the parser defaults to None,
+# so that check effect-algebra, which has no levels, can refuse a given one
+_LEVELS = 4
+
 
 def cmd_check(args):
     given = [flag for flag in _CYCLIC_FLAGS if getattr(args, flag)]
     if given and args.kind != "cyclic":
         raise InputError(f"--{given[0].replace('_', '-')} applies only to check cyclic")
+    if args.levels is None:
+        args.levels = _LEVELS
+    elif args.kind == "effect-algebra":
+        raise InputError("--levels does not apply to check effect-algebra")
     runner = {
         "magma": _check_magma,
         "sset": _check_sset,
@@ -195,7 +203,7 @@ def _need(cond, msg):
 
 def cmd_build(args):
     recipe = args.recipe
-    K = args.levels
+    K = _LEVELS if args.levels is None else args.levels
     if recipe == "comm-nerve":
         _need(args.group, "comm-nerve needs --group")
         g = nv.FiniteGroup.from_json_dict(_load_json(args.group))
@@ -443,8 +451,8 @@ def _parser():
     q.add_argument("--trials", type=at_least(1), default=20)
     q.add_argument("--seed", type=at_least(0), default=0)
     for sp in (c, b):
-        sp.add_argument("--levels", type=at_least(2), default=4,
-                        help="truncation bound for quantified checks (default 4)")
+        sp.add_argument("--levels", type=at_least(2), default=None,
+                        help=f"truncation bound for quantified checks (default {_LEVELS})")
     for sp in (c, s, q):
         sp.add_argument("--json", action="store_true")
     for sp in (c, b, s, q):

@@ -1,7 +1,15 @@
 """Exact rational linear algebra and a small tableau simplex.
 
-Everything runs over fractions.Fraction.  The simplex uses Bland's rule, so
-it terminates without any perturbation; infeasibility comes with a Farkas
+Every matrix and tableau is held as rows of Python ints, each row with one
+positive denominator: row i stands for rows[i][k] / dens[i].  Rationals (ints
+or Fractions) are read in once, each row scaled by the lcm of its
+denominators, and results go out as Fractions.  After each update a row and
+its denominator are divided by their gcd, which keeps the ints small.
+Scaling a row by a positive number keeps the sign of every entry, every zero
+and the ratio of any two entries in the row, and these are all the pivot
+rules read; so every pivot is the one a tableau of Fractions would choose,
+and every result has the same value.  The simplex uses Bland's rule, so it
+terminates without any perturbation; infeasibility comes with a Farkas
 certificate that callers can re-verify independently.
 """
 
@@ -10,6 +18,7 @@ from __future__ import annotations
 __all__ = ["OPTIMAL", "INFEASIBLE", "rref", "rank", "nullspace", "in_span", "BoxLP"]
 
 from fractions import Fraction
+from math import gcd, lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -18,23 +27,48 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _pivot(rows, r, c):
+def _ints(rows):
+    """Rows of ints or Fractions as (int rows, dens), each row scaled by the
+    lcm of its denominators, which leaves it in lowest terms."""
+    dens = [lcm(*[v.denominator for v in row]) for row in rows]
+    return [[v.numerator * (den // v.denominator) for v in row]
+            for row, den in zip(rows, dens)], dens
+
+
+def _lowest(row, den):
+    """row / den with the ints and den divided by their gcd."""
+    g = gcd(den, *row)
+    return (row, den) if g == 1 else ([v // g for v in row], den // g)
+
+
+def _pivot(rows, dens, r, c):
     """The one elimination step: scale row r to a one in column c, then clear
-    column c from every other row.  In place; rows are lists of Fractions."""
-    pv = rows[r][c]
-    rows[r] = [v / pv for v in rows[r]]
+    column c from every other row.  In place on int rows with positive
+    per-row denominators; rows are replaced, never mutated.
+
+    Row r divided by its column-c entry is its ints over that entry (the
+    old denominator cancels), with the sign moved into the ints; a row with
+    entry f in column c becomes (row * pv - f * pivot_row) / (den * pv).
+    """
+    prow, pv = rows[r], rows[r][c]
+    if pv < 0:
+        prow, pv = [-v for v in prow], -pv
+    prow, pv = _lowest(prow, pv)
+    rows[r], dens[r] = prow, pv
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        f = row[c]
+        if f and i != r:
+            rows[i], dens[i] = _lowest([a * pv - f * b for a, b in zip(row, prow)],
+                                       dens[i] * pv)
 
 
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns).
 
-    rows are lists of Fractions (any width); input is not mutated.
+    rows are lists of ints or Fractions (any width); input is not mutated.
+    The new rows are Fractions.
     """
-    mat = [list(map(Fraction, r)) for r in rows]
+    mat, dens = _ints(rows)
     pivots = []
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
@@ -44,9 +78,11 @@ def rref(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        _pivot(mat, r, c)
+        dens[r], dens[pivot] = dens[pivot], dens[r]
+        _pivot(mat, dens, r, c)
         pivots.append(c)
-    return mat, pivots
+    return [[Fraction(v, den) if v else _ZERO for v in row]
+            for row, den in zip(mat, dens)], pivots
 
 
 def rank(rows) -> int:
@@ -84,66 +120,75 @@ class BoxLP:
     last row holds the reduced costs, so every step is one `_pivot`.  Phase 1
     runs once, in the constructor; its artificial columns end up holding
     B^-1, so the duals (a Farkas certificate) fall out.  Each solve runs
-    phase 2 from a copy of the feasible basis phase 1 leaves.
+    phase 2 from a copy of the feasible basis phase 1 leaves.  A, b and the
+    objectives are ints or Fractions; x, values and certificates are
+    Fractions.
     """
 
     def __init__(self, A, b):
         n = self.n = len(A[0]) if A else 0
-        self._rows = [[Fraction(v) for v in row] + [_ZERO] * n for row in A]
-        self._rows += [[_ONE if k in (j, n + j) else _ZERO for k in range(2 * n)]
-                       for j in range(n)]
-        self._b = [Fraction(v) for v in b] + [_ONE] * n
+        self._rows = [list(row) + [0] * n for row in A]
+        self._rows += [[int(k in (j, n + j)) for k in range(2 * n)] for j in range(n)]
+        self._b = list(b) + [1] * n
         nrows, width = len(self._rows), 2 * n
         signs = [-1 if v < 0 else 1 for v in self._b]
-        tab = [[sg * v for v in row] + [_ONE if k == i else _ZERO for k in range(nrows)]
-               + [abs(r)] for i, (row, r, sg) in enumerate(zip(self._rows, self._b, signs))]
+        ints, dens = _ints([row + [r] for row, r in zip(self._rows, self._b)])
+        tab = [[sg * v for v in row[:-1]] + [den if k == i else 0 for k in range(nrows)]
+               + [sg * row[-1]] for i, (row, den, sg) in enumerate(zip(ints, dens, signs))]
         basis = list(range(width, width + nrows))
-        self._price(tab, basis, [_ZERO] * width + [Fraction(-1)] * nrows)
-        self._simplex(tab, basis)
-        reduced = tab.pop()
+        self._price(tab, dens, basis, [0] * width + [-1] * nrows)
+        self._simplex(tab, dens, basis)
+        reduced, rden = tab.pop(), dens.pop()
         self._farkas = None
         if reduced[-1] > 0:
             # the infeasibility is left as the objective's right-hand side;
             # the duals y sit under the artificial columns as -1 - y, and the
             # signs undo the flips that made the right-hand sides nonnegative
-            self._farkas = [(1 + d) * sg for d, sg in zip(reduced[width:-1], signs)]
+            self._farkas = [Fraction((rden + d) * sg, rden)
+                            for d, sg in zip(reduced[width:-1], signs)]
             return
         # drive leftover artificials out of the basis
         for r in range(nrows):
             if basis[r] >= width and tab[r][-1] == 0:
                 c = next((j for j in range(width) if tab[r][j] != 0), None)
                 if c is not None:
-                    _pivot(tab, r, c)
+                    _pivot(tab, dens, r, c)
                     basis[r] = c
         live = [r for r in range(nrows) if basis[r] < width]
         self._tab = [tab[r][:width] + tab[r][-1:] for r in live]
+        self._dens = [dens[r] for r in live]
         self._basis = [basis[r] for r in live]
 
     @staticmethod
-    def _price(tab, basis, cost):
+    def _price(tab, dens, basis, cost):
         """Append the reduced costs c - c_B B^-1 A, with -c_B x_B as their
-        right-hand side."""
-        reduced = list(cost) + [_ZERO]
-        for row, bvar in zip(tab, basis):
-            if cost[bvar] != 0:
-                reduced = [d - cost[bvar] * v for d, v in zip(reduced, row)]
-        tab.append(reduced)
+        right-hand side: the cost row, with each basic column cleared by a
+        pivot on the row that holds its one."""
+        (row,), (den,) = _ints([list(cost) + [0]])
+        tab.append(row)
+        dens.append(den)
+        for r, bvar in enumerate(basis):
+            if tab[-1][bvar]:
+                _pivot(tab, dens, r, bvar)
 
     @staticmethod
-    def _simplex(tab, basis):
+    def _simplex(tab, dens, basis):
         """Maximize over a priced tableau; Bland's rule; in place.  Both
-        phases are bounded, so an entering column always has a leaving row."""
+        phases are bounded, so an entering column always has a leaving row.
+        A row's denominator cancels from its ratio rhs / a, and a > 0, so
+        ratios compare by cross-multiplying the ints; ties go to the lowest
+        basic variable."""
         while True:
             enter = next((j for j, d in enumerate(tab[-1][:-1]) if d > 0), None)
             if enter is None:
                 return
-            leave, best = None, None
-            for i in range(len(basis)):
-                if tab[i][enter] > 0:
-                    ratio = tab[i][-1] / tab[i][enter]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
-            _pivot(tab, leave, enter)
+            leave = None
+            for i, row in enumerate(tab[:-1]):
+                a = row[enter]
+                if a > 0 and (leave is None
+                              or (row[-1] * best_a, basis[i]) < (best_rhs * a, basis[leave])):
+                    leave, best_rhs, best_a = i, row[-1], a
+            _pivot(tab, dens, leave, enter)
             basis[leave] = enter
 
     def solve(self, objective=None, maximize=True):
@@ -156,19 +201,18 @@ class BoxLP:
         """
         if self._farkas is not None:
             return INFEASIBLE, None, None, self._farkas
-        sign = _ONE if maximize else Fraction(-1)
-        cost = [_ZERO] * (2 * self.n)
+        cost = [0] * (2 * self.n)
         if objective is not None:
-            cost[:self.n] = [sign * Fraction(v) for v in objective]
-        tab = [list(row) for row in self._tab]
-        basis = list(self._basis)
-        self._price(tab, basis, cost)
-        self._simplex(tab, basis)
+            cost[:self.n] = objective if maximize else [-v for v in objective]
+        tab, dens, basis = list(self._tab), list(self._dens), list(self._basis)
+        self._price(tab, dens, basis, cost)
+        self._simplex(tab, dens, basis)
         x = [_ZERO] * self.n
-        for row, bvar in zip(tab, basis):
+        for row, den, bvar in zip(tab, dens, basis):
             if bvar < self.n:
-                x[bvar] = row[-1]
-        return OPTIMAL, x, -sign * tab[-1][-1], None
+                x[bvar] = Fraction(row[-1], den)
+        value = tab[-1][-1]
+        return OPTIMAL, x, Fraction(-value if maximize else value, dens[-1]), None
 
     def verify_farkas(self, farkas) -> bool:
         """Independent exact check that the certificate proves emptiness."""

@@ -11,37 +11,34 @@ from __future__ import annotations
 __all__ = ["state_system", "StateSearch", "find_state", "hc1", "shifted_states_in_hc1"]
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ratlp
 from .cyclic import CyclicSSet
 from .util import StructureError
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
-
 
 def state_system(c: CyclicSSet):
     """(A, b) over variables indexed by the 1-simplices: one row per edge
     (phi(tau x) + phi(x) = 1) and per 2-simplex (additivity); redundant
-    rows are kept."""
+    rows are kept.  The coefficients are ints, which ratlp reads as they
+    are."""
     x = c.base
     n = x.counts[1]
     A, b = [], []
     t1 = c.tau[1]
     for e in x.simplices(1):
-        row = [_ZERO] * n
-        row[t1[e]] += _ONE
-        row[e] += _ONE
+        row = [0] * n
+        row[t1[e]] += 1
+        row[e] += 1
         A.append(row)
-        b.append(_ONE)
+        b.append(1)
     for sig in x.simplices(2):
-        row = [_ZERO] * n
-        row[x.face[(2, 1)][sig]] += _ONE
-        row[x.face[(2, 2)][sig]] -= _ONE
-        row[x.face[(2, 0)][sig]] -= _ONE
+        row = [0] * n
+        row[x.face[(2, 1)][sig]] += 1
+        row[x.face[(2, 2)][sig]] -= 1
+        row[x.face[(2, 0)][sig]] -= 1
         A.append(row)
-        b.append(_ZERO)
+        b.append(0)
     return A, b
 
 
@@ -87,8 +84,8 @@ def find_state(c: CyclicSSet) -> StateSearch:
     n = lp.n
     forced, vertices = [], []
     for j in range(n):
-        obj = [_ZERO] * n
-        obj[j] = _ONE
+        obj = [0] * n
+        obj[j] = 1
         _, xmax, vmax, _ = lp.solve(obj, maximize=True)
         _, xmin, vmin, _ = lp.solve(obj, maximize=False)
         vertices.extend([xmax, xmin])
@@ -109,7 +106,7 @@ def hc1(c: CyclicSSet, A=None):
         A, _ = state_system(c)
     basis = ratlp.nullspace(A, c.base.counts[1])
     for vec in basis:
-        if not _solves(A, [_ZERO] * len(A), vec):
+        if not _solves(A, [0] * len(A), vec):
             raise StructureError("kernel vector fails exact re-substitution")
     return len(basis), basis
 

@@ -226,6 +226,7 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("check", "sset", "--in", "s1.json", "--hc1"),
     ("check", "effect-algebra", "--in", "l2-ea.json", "--simplicial-effect"),
     ("check", "sset", "--in", "s1.json", "--effect-algebroid"),
+    ("check", "effect-algebra", "--in", "l2-ea.json", "--levels", "3"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -272,6 +273,8 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         assert "argument --levels:" in err
     if argv[-1] in ("--states", "--hc1", "--simplicial-effect", "--effect-algebroid"):
         assert f"error: {argv[-1]} applies only to check cyclic" in err
+    if argv[1] == "effect-algebra" and argv[-2:] == ("--levels", "3"):
+        assert "error: --levels does not apply to check effect-algebra" in err
 
 
 def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys):

@@ -148,8 +148,24 @@ def _random_box_lps(count=40, seed=97):
         yield A, b, objectives
 
 
+def _random_rational_box_lps(count=40, seed=61):
+    """(A, b, objectives) whose A entries have denominators 2 to 6, so that
+    each tableau row starts with its own denominator; objectives come from a
+    second stream, as in _random_box_lps."""
+    rng, orng = random.Random(seed), random.Random(seed + 1)
+    for _ in range(count):
+        n = rng.randrange(1, 5)
+        m = rng.randrange(1, 4)
+        A = [[Fraction(rng.randrange(-6, 7), rng.randrange(2, 7)) for _ in range(n)]
+             for _ in range(m)]
+        b = [Fraction(rng.randrange(-2, 5), rng.randrange(1, 5)) for _ in range(m)]
+        objectives = [[Fraction(orng.randrange(-2, 3), orng.randrange(1, 4)) for _ in range(n)]
+                      for _ in range(3)]
+        yield A, b, objectives
+
+
 def test_box_lp_against_floating_point_solver():
-    for A, b, objectives in _random_box_lps():
+    for A, b, objectives in itertools.chain(_random_box_lps(), _random_rational_box_lps()):
         n = len(A[0])
         lp = ratlp.BoxLP(A, b)
         status, _, _, farkas = lp.solve()
@@ -172,10 +188,10 @@ def test_box_lp_against_floating_point_solver():
 
 
 def test_box_lp_matches_from_scratch_solver():
-    # random systems, then the state systems of the L2, L3 and bool2 effect
-    # nerves with every coordinate as objective; a state system only reads
-    # levels 1 and 2
-    cases = list(_random_box_lps())
+    # random systems with integer and with rational A, then the state
+    # systems of the L2, L3 and bool2 effect nerves with every coordinate as
+    # objective; a state system only reads levels 1 and 2
+    cases = list(_random_box_lps()) + list(_random_rational_box_lps())
     for e in (palg.interval_effect_algebra(2), palg.interval_effect_algebra(3),
               palg.boolean_effect_algebra(2)):
         x = nv.nerve(e.magma, palg.max_associativity_datum(e.magma, 2), 2)

@@ -8,6 +8,7 @@ from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import palg, ratlp, states
 
+import ratlp_oracles
 from conftest import nerve_of
 from sset_oracles import point
 
@@ -84,6 +85,52 @@ def test_rref_rank_nullspace_on_random_matrices():
             assert np.linalg.matrix_rank(np.array(basis, dtype=float)) == len(basis)
 
 
+def _random_rational_matrices(seed=23):
+    """Rows of rationals with denominators 1 to 6 and either sign, some
+    scaled copies of others, some matrices with a row or a column zeroed;
+    then the empty shapes."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    for nrows, ncols in [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3), (3, 6), (6, 6)] * 8:
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.3:
+                rows.append([rng.choice([-2, -1, 1, 2]) * v for v in rng.choice(rows)])
+            else:
+                rows.append([entry() for _ in range(ncols)])
+        if rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+        if rng.random() < 0.3:
+            c = rng.randrange(ncols)
+            for row in rows:
+                row[c] = Fraction(0)
+        yield rows, ncols
+    yield from (([], 3), ([[], [], []], 0), ([], 0))
+
+
+def test_rref_rank_nullspace_match_fraction_tableau():
+    # exact equality with the Fraction elimination the integer rows replaced;
+    # the tally makes sure some matrices have three or more denominators, a
+    # negative first pivot, a zero row and a zero column
+    seen = {"mixed denominators": 0, "negative pivot": 0, "zero row": 0, "zero column": 0}
+    for rows, ncols in _random_rational_matrices():
+        want_mat, want_pivots = ratlp_oracles.rref(rows)
+        assert ratlp.rref(rows) == (want_mat, want_pivots), rows
+        assert ratlp.rank(rows) == ratlp_oracles.rank(rows) == len(want_pivots)
+        assert ratlp.nullspace(rows, ncols) == ratlp_oracles.nullspace(rows, ncols), rows
+        if not rows or not ncols:
+            continue
+        column = [next((row[c] for row in rows if row[c]), 0) for c in range(ncols)]
+        seen["mixed denominators"] += len({v.denominator for row in rows for v in row}) > 2
+        seen["negative pivot"] += next((v < 0 for v in column if v), False)
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["zero column"] += not all(column)
+    assert all(seen.values()), seen
+
+
 def test_boxlp_feasible_vertex():
     # x0 + x1 = 1 inside the unit box
     lp = ratlp.BoxLP([[1, 1]], [1])
@@ -132,6 +179,17 @@ def test_l2_unique_state(l2_cyclic):
 def test_l2_hc1_trivial(l2_cyclic):
     dim, basis = states.hc1(l2_cyclic)
     assert dim == 0 and basis == []
+
+
+@pytest.mark.parametrize("K", [3, 4])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_interval_effect_algebra_unique_state(n, K):
+    # L_n has exactly one state, i -> i/n, and no degree-one cocycles
+    c = effect_cyclic(palg.interval_effect_algebra(n), K)
+    found = states.find_state(c)
+    assert found.feasible and found.dim == 0
+    assert dict(zip(c.base.labels[1], found.state)) == {i: Fraction(i, n) for i in range(n + 1)}
+    assert states.hc1(c, found.A) == (0, [])
 
 
 def test_point_state():
