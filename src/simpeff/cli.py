@@ -1,7 +1,9 @@
 """Batch front-end: load structures, run checker suites, emit reports.
 
-Subcommands: check, build, states, quantum-demo.  Exit codes: 0 all
-requested checks pass, 1 some check failed, 2 input or usage error, 3
+Subcommands: check, build, states, quantum-demo.  check takes one
+subparser per kind and build one per recipe, and each declares only the
+flags its runner reads, so argparse rejects any other flag.  Exit codes: 0
+all requested checks pass, 1 some check failed, 2 input or usage error, 3
 internal error (a bug: one "internal error:" line on stderr).
 Reports are byte-identical across runs for fixed inputs and seeds.
 """
@@ -23,7 +25,7 @@ from . import cyclic as cyc
 from . import nerve as nv
 from . import palg, quantum, sset, states
 from .report import EXIT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, CheckReport
-from .util import Check, InputError, StructureError
+from .util import Check, InputError, StructureError, json_int, json_ints
 
 
 def _read(path):
@@ -91,11 +93,21 @@ def _check_magma(path, args):
     return rep
 
 
-def _sset_battery(x, rep):
+def _segal_witness(wit):
+    if wit[0] == "unfilled":
+        return f"unfilled spine {wit[-1]} at level {wit[1]}"
+    return wit
+
+
+def _check_sset(path, args):
+    x = sset.TruncatedSSet.from_json_dict(_load_json(path))
+    if args.levels < x.K:
+        x = sset.truncate(x, args.levels)
+    rep = CheckReport(subject=f"sset {path}", bound=x.K)
     bad, (ok, wit), two, weak, cosk = sset.segal(x)
     rep.add(Check("simplicial-identities", not bad, bad[0] if bad else None))
     if bad:
-        return
+        return rep
     rep.add(Check("spiny", ok, None if ok else wit))
     reduced = sset.is_reduced(x)
     rep.add(Check("reduced", reduced, None if reduced else f"{x.counts[0]} vertices"))
@@ -108,32 +120,14 @@ def _sset_battery(x, rep):
             rep.add(Check(name, True, "truncation below 3", skipped=True))
     ok, wit = sset.is_inverseless_sset(x)
     rep.add(Check("inverseless", ok, None if ok else wit))
-
-
-def _segal_witness(wit):
-    if wit[0] == "unfilled":
-        return f"unfilled spine {wit[-1]} at level {wit[1]}"
-    return wit
-
-
-def _check_sset(path, args):
-    x = sset.TruncatedSSet.from_json_dict(_load_json(path))
-    if args.levels < x.K:
-        x = sset.truncate(x, args.levels)
-    rep = CheckReport(subject=f"sset {path}", bound=x.K)
-    _sset_battery(x, rep)
     return rep
-
-
-def _truncate_cyclic(c, K):
-    base = sset.truncate(c.base, K)
-    return cyc.CyclicSSet(base, {n: t for n, t in c.tau.items() if n <= K})
 
 
 def _check_cyclic(path, args):
     c = cyc.CyclicSSet.from_json_dict(_load_json(path))
     if args.levels < c.base.K:
-        c = _truncate_cyclic(c, args.levels)
+        c = cyc.CyclicSSet(sset.truncate(c.base, args.levels),
+                           {n: t for n, t in c.tau.items() if n <= args.levels})
     rep = CheckReport(subject=f"cyclic {path}", bound=c.base.K)
     narrowed = args.simplicial_effect or args.effect_algebroid
     rep.extend(cyc.battery(c, effect=args.simplicial_effect or not narrowed,
@@ -157,29 +151,16 @@ def _check_effect_algebra(path, args):
     return rep
 
 
-# the flags only check cyclic reads
-_CYCLIC_FLAGS = ("states", "hc1", "simplicial_effect", "effect_algebroid")
-
-# --levels when check or build is not given it; the parser defaults to None,
-# so that check effect-algebra, which has no levels, can refuse a given one
-_LEVELS = 4
+_KINDS = {
+    "magma": _check_magma,
+    "sset": _check_sset,
+    "cyclic": _check_cyclic,
+    "effect-algebra": _check_effect_algebra,
+}
 
 
 def cmd_check(args):
-    given = [flag for flag in _CYCLIC_FLAGS if getattr(args, flag)]
-    if given and args.kind != "cyclic":
-        raise InputError(f"--{given[0].replace('_', '-')} applies only to check cyclic")
-    if args.levels is None:
-        args.levels = _LEVELS
-    elif args.kind == "effect-algebra":
-        raise InputError("--levels does not apply to check effect-algebra")
-    runner = {
-        "magma": _check_magma,
-        "sset": _check_sset,
-        "cyclic": _check_cyclic,
-        "effect-algebra": _check_effect_algebra,
-    }[args.kind]
-    rep = runner(args.infile, args)
+    rep = _KINDS[args.kind](args.infile, args)
     _emit(rep.to_json() if args.json else rep.to_text(), args.out)
     return rep.exit_code()
 
@@ -188,70 +169,11 @@ def cmd_check(args):
 # build
 
 
-_FAMILIES = {
-    "l2": lambda: palg.interval_effect_algebra(2),
-    "l3": lambda: palg.interval_effect_algebra(3),
-    "l4": lambda: palg.interval_effect_algebra(4),
-    "bool2": lambda: palg.boolean_effect_algebra(2),
-}
-
-
-def _need(cond, msg):
-    if not cond:
-        raise InputError(msg)
-
-
-def cmd_build(args):
-    recipe = args.recipe
-    K = _LEVELS if args.levels is None else args.levels
-    if recipe == "comm-nerve":
-        _need(args.group, "comm-nerve needs --group")
-        g = nv.FiniteGroup.from_json_dict(_load_json(args.group))
-        x = nv.comm_nerve(g, args.torsion, K)
-        body = x.to_json_dict()
-    elif recipe == "action-pg":
-        _need(args.group, "action-pg needs --group")
-        _need(args.y is not None, "action-pg needs --y")
-        g = nv.FiniteGroup.from_json_dict(_load_json(args.group))
-        if args.action:
-            raw = _load_json(args.action)
-            try:
-                z_size = int(raw["z_size"])
-                action = [[int(v) for v in row] for row in raw["table"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"bad action json: {exc}") from exc
-        else:
-            z_size, action = g.order, nv.translation_action(g)
-        try:
-            y = [int(v) for v in args.y.split(",") if v != ""]
-        except ValueError as exc:
-            raise InputError(f"--y must list integers: {exc}") from exc
-        x = nv.action_partial_group(g, z_size, action, y, K)
-        body = x.to_json_dict()
-    elif recipe == "effect-nerve":
-        if args.family:
-            _need(args.family in _FAMILIES, f"unknown family {args.family}")
-            e = _FAMILIES[args.family]()
-        else:
-            _need(args.effect_algebra, "effect-nerve needs --family or --effect-algebra")
-            e = palg.FiniteEffectAlgebra.from_json_dict(_load_json(args.effect_algebra))
-        bad = [c for c in palg.validate_effect_algebra(e) if not c.ok]
-        if bad:
-            raise InputError(f"input is not an effect algebra: {bad[0].name}")
-        x = nv.nerve(e.magma, palg.max_associativity_datum(e.magma, K), K)
-        body = cyc.effect_nerve_cyclic(e, x).to_json_dict()
-    elif recipe == "s1":
-        x = nv.simplicial_circle(K)
-        body = x.to_json_dict()
-    elif recipe == "key-example-witness":
-        _emit(json.dumps(_witness_bundle_json(), sort_keys=True, indent=2), args.out)
-        return EXIT_OK
-    else:
-        raise InputError(f"unknown recipe {recipe}")
-    with _output(args.out) as fh:
-        # every id of x and every count is below max(x.counts) + 1
-        _write_int_json(body, fh, max(x.counts) + 1)
-    return EXIT_OK
+def _write_structure(x, out):
+    body = x.to_json_dict()
+    with _output(out) as fh:
+        # every id and every count is below max(counts) + 1
+        _write_int_json(body, fh, max(body["counts"]) + 1)
 
 
 def _write_int_json(value, fh, size):
@@ -289,13 +211,60 @@ def _write_int_json(value, fh, size):
     fh.write("\n")
 
 
+def _build_comm_nerve(args):
+    g = nv.FiniteGroup.from_json_dict(_load_json(args.group))
+    _write_structure(nv.comm_nerve(g, args.torsion, args.levels), args.out)
+
+
+def _build_action_pg(args):
+    g = nv.FiniteGroup.from_json_dict(_load_json(args.group))
+    if args.action:
+        raw = _load_json(args.action)
+        try:
+            z_size = json_int(raw["z_size"])
+            action = [json_ints(row) for row in raw["table"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad action json: {exc}") from exc
+    else:
+        z_size, action = g.order, nv.translation_action(g)
+    try:
+        y = [int(v) for v in args.y.split(",") if v != ""]
+    except ValueError as exc:
+        raise InputError(f"--y must list integers: {exc}") from exc
+    _write_structure(nv.action_partial_group(g, z_size, action, y, args.levels), args.out)
+
+
+_FAMILIES = {
+    "l2": lambda: palg.interval_effect_algebra(2),
+    "l3": lambda: palg.interval_effect_algebra(3),
+    "l4": lambda: palg.interval_effect_algebra(4),
+    "bool2": lambda: palg.boolean_effect_algebra(2),
+}
+
+
+def _build_effect_nerve(args):
+    if args.family:
+        e = _FAMILIES[args.family]()
+    else:
+        e = palg.FiniteEffectAlgebra.from_json_dict(_load_json(args.effect_algebra))
+    bad = [c for c in palg.validate_effect_algebra(e) if not c.ok]
+    if bad:
+        raise InputError(f"input is not an effect algebra: {bad[0].name}")
+    x = nv.nerve(e.magma, palg.max_associativity_datum(e.magma, args.levels), args.levels)
+    _write_structure(cyc.effect_nerve_cyclic(e, x), args.out)
+
+
+def _build_s1(args):
+    _write_structure(nv.simplicial_circle(args.levels), args.out)
+
+
 def _mat_json(m):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
-def _witness_bundle_json():
+def _build_key_example_witness(args):
     w = quantum.build_witness()
-    return {
+    body = {
         "dim": quantum.DIM,
         "Pi": {".".join(map(str, t)): _mat_json(w["Pi"][t]) for t in w["Pi"].outcomes()},
         "Psi": {".".join(map(str, t)): _mat_json(w["Psi"][t]) for t in w["Psi"].outcomes()},
@@ -305,6 +274,21 @@ def _witness_bundle_json():
         "checks": {k: (v if isinstance(v, (bool, int)) else float(v))
                    for k, v in sorted(w["checks"].items())},
     }
+    _emit(json.dumps(body, sort_keys=True, indent=2), args.out)
+
+
+_RECIPES = {
+    "comm-nerve": _build_comm_nerve,
+    "action-pg": _build_action_pg,
+    "effect-nerve": _build_effect_nerve,
+    "s1": _build_s1,
+    "key-example-witness": _build_key_example_witness,
+}
+
+
+def cmd_build(args):
+    _RECIPES[args.recipe](args)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -423,25 +407,29 @@ def _parser():
                                             "simplicial effects")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", help="run a checker battery on a structure file")
-    c.add_argument("kind", choices=["magma", "sset", "cyclic", "effect-algebra"])
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--simplicial-effect", action="store_true",
-                   help="restrict the cyclic battery to the simplicial-effect suite")
-    c.add_argument("--effect-algebroid", action="store_true",
-                   help="restrict the cyclic battery to the effect-algebroid suite")
-    c.add_argument("--states", action="store_true")
-    c.add_argument("--hc1", action="store_true")
+    kinds = sub.add_parser("check", help="run a checker battery on a structure file") \
+        .add_subparsers(dest="kind", required=True)
+    magma, simplicial, cyclic, ea = (kinds.add_parser(kind) for kind in _KINDS)
+    for k in (magma, simplicial, cyclic, ea):
+        k.add_argument("--in", dest="infile", required=True)
+    cyclic.add_argument("--simplicial-effect", action="store_true",
+                        help="restrict the cyclic battery to the simplicial-effect suite")
+    cyclic.add_argument("--effect-algebroid", action="store_true",
+                        help="restrict the cyclic battery to the effect-algebroid suite")
+    cyclic.add_argument("--states", action="store_true")
+    cyclic.add_argument("--hc1", action="store_true")
 
-    b = sub.add_parser("build", help="construct a structure and write its json")
-    b.add_argument("recipe", choices=["comm-nerve", "action-pg", "effect-nerve",
-                                      "s1", "key-example-witness"])
-    b.add_argument("--group", default=None)
-    b.add_argument("--torsion", type=int, default=None)
-    b.add_argument("--action", default=None)
-    b.add_argument("--y", default=None)
-    b.add_argument("--effect-algebra", default=None)
-    b.add_argument("--family", default=None)
+    recipes = sub.add_parser("build", help="construct a structure and write its json") \
+        .add_subparsers(dest="recipe", required=True)
+    comm, action, effect, s1, witness = (recipes.add_parser(recipe) for recipe in _RECIPES)
+    for r in (comm, action):
+        r.add_argument("--group", required=True)
+    comm.add_argument("--torsion", type=int, default=None)
+    action.add_argument("--action", default=None)
+    action.add_argument("--y", required=True)
+    family = effect.add_mutually_exclusive_group(required=True)
+    family.add_argument("--family", choices=_FAMILIES)
+    family.add_argument("--effect-algebra")
 
     s = sub.add_parser("states", help="exact states and HC^1 of a cyclic set")
     s.add_argument("--cyclic", required=True)
@@ -450,12 +438,12 @@ def _parser():
     q = sub.add_parser("quantum-demo", help="key-example witness and sampled checks")
     q.add_argument("--trials", type=at_least(1), default=20)
     q.add_argument("--seed", type=at_least(0), default=0)
-    for sp in (c, b):
-        sp.add_argument("--levels", type=at_least(2), default=None,
-                        help=f"truncation bound for quantified checks (default {_LEVELS})")
-    for sp in (c, s, q):
+    for sp in (magma, simplicial, cyclic, comm, action, effect, s1):
+        sp.add_argument("--levels", type=at_least(2), default=4,
+                        help="truncation bound of the checks or level of the build (default 4)")
+    for sp in (magma, simplicial, cyclic, ea, s, q):
         sp.add_argument("--json", action="store_true")
-    for sp in (c, b, s, q):
+    for sp in (magma, simplicial, cyclic, ea, comm, action, effect, s1, witness, s, q):
         sp.add_argument("--out", default=None)
     return p
 

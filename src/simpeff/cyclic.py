@@ -15,7 +15,7 @@ __all__ = ["CyclicSSet", "validate_cyclic", "group_nerve_cyclic", "effect_nerve_
 from .palg import FiniteEffectAlgebra, left_product
 from .nerve import FiniteGroup
 from .sset import TruncatedSSet, is_inverseless_sset, segal
-from .util import Check, InputError, first_collision, first_failure
+from .util import Check, InputError, first_collision, first_failure, json_ints
 
 
 class CyclicSSet:
@@ -51,7 +51,7 @@ class CyclicSSet:
     def from_json_dict(d) -> "CyclicSSet":
         base = TruncatedSSet.from_json_dict(d)
         try:
-            tau = {int(n): [int(v) for v in t] for n, t in d["tau"].items()}
+            tau = {int(n): json_ints(t) for n, t in d["tau"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad cyclic json: {exc}") from exc
         c = CyclicSSet(base, tau)

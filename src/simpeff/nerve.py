@@ -25,7 +25,7 @@ from . import palg
 from .palg import (AssociativityDatum, FiniteEffectAlgebra, PartialUnitalMagma,
                    left_product, max_associativity_datum, multiset_multiplicable)
 from .sset import TruncatedSSet, from_levels, is_reduced, is_spiny, spine
-from .util import InputError, StructureError
+from .util import InputError, StructureError, json_int, json_ints
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,8 @@ class FiniteGroup:
     @staticmethod
     def from_json_dict(d) -> "FiniteGroup":
         try:
-            g = FiniteGroup(int(d["order"]), tuple(tuple(int(v) for v in r) for r in d["mul"]))
+            g = FiniteGroup(json_int(d["order"]),
+                            tuple(tuple(json_ints(r)) for r in d["mul"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad group json: {exc}") from exc
         g.validate()

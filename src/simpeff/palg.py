@@ -22,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .util import Check, InputError, StructureError, first_failure
+from .util import Check, InputError, StructureError, first_failure, json_int, json_ints
 
 MAGMA = "magma"
 WEAK_PARTIAL_MONOID = "weak-partial-monoid"
@@ -70,12 +70,12 @@ class PartialUnitalMagma:
     @staticmethod
     def from_json_dict(d) -> "PartialUnitalMagma":
         try:
-            size = int(d["size"])
-            if int(d.get("unit", 0)) != 0:
+            size = json_int(d["size"])
+            if json_int(d.get("unit", 0)) != 0:
                 raise InputError("magma unit must be element 0")
             product = {}
             for a, b, c in d["products"]:
-                a, b, c = int(a), int(b), int(c)
+                a, b, c = json_int(a), json_int(b), json_int(c)
                 if product.setdefault((a, b), c) != c:
                     raise InputError(f"conflicting products for pair {(a, b)}")
         except (KeyError, TypeError, ValueError) as exc:
@@ -205,7 +205,7 @@ class AssociativityDatum:
     def from_json_dict(d) -> "AssociativityDatum":
         try:
             levels = {
-                int(n): frozenset(tuple(int(x) for x in t) for t in tuples)
+                int(n): frozenset(tuple(json_ints(t)) for t in tuples)
                 for n, tuples in d["levels"].items()
             }
         except (KeyError, TypeError, ValueError) as exc:
@@ -459,7 +459,7 @@ class FiniteEffectAlgebra:
     def from_json_dict(d) -> "FiniteEffectAlgebra":
         magma = PartialUnitalMagma.from_json_dict(d)
         try:
-            perp = tuple(int(x) for x in d["orthocomplement"])
+            perp = tuple(json_ints(d["orthocomplement"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad effect algebra json: {exc}") from exc
         if len(perp) != magma.size:

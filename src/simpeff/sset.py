@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .palg import LEAF, bracketings
-from .util import InputError, StructureError, first_collision, first_failure
+from .util import InputError, StructureError, first_collision, first_failure, json_int, json_ints
 
 class TruncatedSSet:
     """Level-by-level simplicial set, truncated at level K >= 2.
@@ -77,16 +77,16 @@ class TruncatedSSet:
     @staticmethod
     def from_json_dict(d) -> "TruncatedSSet":
         try:
-            K = int(d["truncation"])
-            counts = [int(c) for c in d["counts"]]
+            K = json_int(d["truncation"])
+            counts = json_ints(d["counts"])
             face = {}
             for key, tab in d["faces"].items():
                 n, i = (int(t) for t in key.split(","))
-                face[(n, i)] = [int(v) for v in tab]
+                face[(n, i)] = json_ints(tab)
             deg = {}
             for key, tab in d["degeneracies"].items():
                 n, i = (int(t) for t in key.split(","))
-                deg[(n, i)] = [int(v) for v in tab]
+                deg[(n, i)] = json_ints(tab)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad sset json: {exc}") from exc
         x = TruncatedSSet(K, counts, face, deg)

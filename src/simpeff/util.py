@@ -1,10 +1,11 @@
-"""Shared plumbing: error types and check records."""
+"""Shared plumbing: error types, the strict JSON integer reader and check records."""
 
 from __future__ import annotations
 
-__all__ = ["InputError", "StructureError", "Check", "all_ok", "first_failure",
-           "first_collision"]
+__all__ = ["InputError", "StructureError", "json_int", "json_ints", "Check", "all_ok",
+           "first_failure", "first_collision"]
 
+import json
 from dataclasses import dataclass
 
 
@@ -14,6 +15,23 @@ class InputError(ValueError):
 
 class StructureError(RuntimeError):
     """An invariant the construction relies on failed on the given data."""
+
+
+def json_int(value) -> int:
+    """A JSON value read as an integer: an int, or a string of one such as
+    "2".  A float or a boolean is an InputError, where int() would read 2.5
+    as 2 and true as 1; anything else fails as int() fails."""
+    if isinstance(value, (bool, float)):
+        raise InputError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def json_ints(values) -> list:
+    """The JSON list values read by json_int, entry by entry; a list of ints
+    only, as simpeff writes them, is copied without a call per entry."""
+    if set(map(type, values)) == {int}:
+        return list(values)
+    return [json_int(v) for v in values]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ against every tree of palg.bracketings, palg.is_fully_associable against
 fully_associable, which evaluates every tree of every contiguous subtuple,
 and palg.classify against classify, which evaluates both trees of every
 triple.  leaf_count is the per-node walk sset.triangulations no longer needs.
-chain_magma is a noncommutative partial monoid the tests check.
+chain_magma is a noncommutative partial monoid the tests check, and
+horizontal_sum the orthoalgebra MO_n that separates 2-Segal from weak
+2-Segal on the effect functor of a simplex.
 """
 
 import itertools
@@ -147,3 +149,16 @@ def chain_magma(n: int) -> palg.PartialUnitalMagma:
             if j2 == j:
                 product[(idx[(i, j)], idx[(j2, k)])] = idx[(i, k)]
     return palg.PartialUnitalMagma(size, product)
+
+
+def horizontal_sum(n: int) -> palg.FiniteEffectAlgebra:
+    """MO_n: n copies of the four-element Boolean algebra bool2, glued at 0
+    and 1.  Ids: 0 is 0, copy k has the atoms 2k + 1 and 2k + 2, each the
+    other's orthocomplement, and 2n + 1 is 1.  For n >= 2 an orthoalgebra
+    that is not Boolean."""
+    top = 2 * n + 1
+    product = {(0, a): a for a in range(top + 1)}
+    product.update({(a, 0): a for a in range(top + 1)})
+    perp = [top] + [a + 1 if a % 2 else a - 1 for a in range(1, top)] + [0]
+    product.update({(a, perp[a]): top for a in range(1, top)})
+    return palg.FiniteEffectAlgebra(palg.PartialUnitalMagma(top + 1, product), tuple(perp))

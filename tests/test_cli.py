@@ -185,6 +185,27 @@ def test_check_levels_cap(q8_file, tmp_path, capsys):
 
 UNIT_ROWS = [[0, 0, 0], [0, 1, 1], [1, 0, 1]]
 L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocomplement=[7, 1, 0])
+# argv -> the flag that argparse's one error line names: a flag the command
+# does not take, a value outside the flag's range or choices, or a required
+# flag left out
+REJECTED_FLAGS = {
+    ("check", "effect-algebra", "--in", "l2-ea.json", "--levels", "1"): "--levels",
+    ("check", "sset", "--in", "s1.json", "--levels", "1"): "--levels",
+    ("check", "magma", "--in", "z2-magma.json", "--states"): "--states",
+    ("check", "sset", "--in", "s1.json", "--hc1"): "--hc1",
+    ("check", "effect-algebra", "--in", "l2-ea.json", "--simplicial-effect"):
+        "--simplicial-effect",
+    ("check", "sset", "--in", "s1.json", "--effect-algebroid"): "--effect-algebroid",
+    ("check", "effect-algebra", "--in", "l2-ea.json", "--levels", "3"): "--levels",
+    ("build", "s1", "--group", "z2.json"): "--group",
+    ("build", "key-example-witness", "--levels", "3"): "--levels",
+    ("build", "comm-nerve", "--group", "z2.json", "--y", "0"): "--y",
+    ("build", "effect-nerve", "--family", "l2", "--effect-algebra", "missing.json"):
+        "--effect-algebra",
+    ("build", "effect-nerve", "--family", "l5"): "--family",
+    ("build", "comm-nerve"): "--group",
+    ("build", "action-pg", "--group", "z2.json"): "--y",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -220,13 +241,16 @@ L2_BAD_PERP = dict(palg.interval_effect_algebra(2).to_json_dict(), orthocompleme
     ("check", "magma", "--in", "unit-1.json"),
     ("check", "magma", "--in", "unit-x.json"),
     ("check", "magma", "--in", "z2-magma.json", "--levels", "1"),
-    ("check", "effect-algebra", "--in", "l2-ea.json", "--levels", "1"),
-    ("check", "sset", "--in", "s1.json", "--levels", "1"),
-    ("check", "magma", "--in", "z2-magma.json", "--states"),
-    ("check", "sset", "--in", "s1.json", "--hc1"),
-    ("check", "effect-algebra", "--in", "l2-ea.json", "--simplicial-effect"),
-    ("check", "sset", "--in", "s1.json", "--effect-algebroid"),
-    ("check", "effect-algebra", "--in", "l2-ea.json", "--levels", "3"),
+    *REJECTED_FLAGS,
+    # JSON integers are read strictly: no float, no boolean
+    ("check", "magma", "--in", "size-2.5.json"),
+    ("check", "magma", "--in", "unit-false.json"),
+    ("check", "effect-algebra", "--in", "perp-1.0.json"),
+    ("check", "sset", "--in", "face-0.7.json"),
+    ("check", "sset", "--in", "truncation-3.5.json"),
+    ("check", "cyclic", "--in", "tau-0.0.json"),
+    ("build", "comm-nerve", "--group", "mul-true.json"),
+    ("build", "action-pg", "--group", "z3.json", "--action", "z-size-3.0.json", "--y", "0"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -261,6 +285,19 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "z3.json").write_text(json.dumps(nv.cyclic_group(3).to_json_dict()))
     (tmp_path / "bad-action.json").write_text(
         json.dumps({"z_size": 3, "table": [[0, 1, 2], [1, 7, 0], [2, 0, 1]]}))
+    s1 = json.loads((tmp_path / "s1.json").read_text())
+    z2_group = nv.cyclic_group(2).to_json_dict()
+    for name, body in (
+            ("size-2.5", {"size": 2.5, "unit": 0, "products": UNIT_ROWS}),
+            ("unit-false", {"size": 2, "unit": False, "products": UNIT_ROWS}),
+            ("perp-1.0", dict(palg.interval_effect_algebra(2).to_json_dict(),
+                              orthocomplement=[2, 1.0, 0])),
+            ("face-0.7", dict(s1, faces=dict(s1["faces"], **{"1,0": [0.7, 0]}))),
+            ("truncation-3.5", dict(s1, truncation=3.5)),
+            ("tau-0.0", dict(l2, tau=dict(l2["tau"], **{"1": [0.0, 1, 2]}))),
+            ("mul-true", dict(z2_group, mul=[[0, 1], [True, 0]])),
+            ("z-size-3.0", {"z_size": 3.0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(body))
     try:
         code = run(*argv)
     except SystemExit as exc:  # argparse rejects the arguments
@@ -268,13 +305,12 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
-    if argv[-2:] == ("--levels", "1"):
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    if argv[-2:] == ("--levels", "1") and argv[1] != "effect-algebra":
         assert "argument --levels:" in err
-    if argv[-1] in ("--states", "--hc1", "--simplicial-effect", "--effect-algebroid"):
-        assert f"error: {argv[-1]} applies only to check cyclic" in err
-    if argv[1] == "effect-algebra" and argv[-2:] == ("--levels", "3"):
-        assert "error: --levels does not apply to check effect-algebra" in err
+    if argv in REJECTED_FLAGS:
+        assert REJECTED_FLAGS[argv] in errors[0]
 
 
 def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys):

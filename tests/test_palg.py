@@ -390,6 +390,16 @@ def test_magma_json_roundtrip(l2):
     assert palg.AssociativityDatum.from_json_dict(datum.to_json_dict()).levels == datum.levels
 
 
+def test_datum_json_reads_integers_strictly():
+    """Digit strings read as integers; floats and booleans are refused, not
+    truncated."""
+    read = palg.AssociativityDatum.from_json_dict
+    assert read({"levels": {"2": [["1", 2]]}}).levels == {2: frozenset({(1, 2)})}
+    for bad in (0.7, 2.0, True, False):
+        with pytest.raises(InputError, match="expected an integer"):
+            read({"levels": {"2": [[1, bad]]}})
+
+
 def test_wpm_bracketing_agreement_to_arity_5(q8_magma):
     # carrier 8 weak partial monoid: exhaustive to arity 3, seeded sample at
     # arities 4 and 5; every multiplicable tuple has a single product value

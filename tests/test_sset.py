@@ -10,6 +10,7 @@ from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
 from conftest import nerve_of, random_magma, three_element_magmas
+from palg_oracles import horizontal_sum
 from sset_oracles import (BOUNDARY, SPINE, coskeletal_2, delta_w3, hollow_simplex,
                           hollow_simplices, membrane_set, point, sset_equal, sset_isomorphic,
                           triangulations, two_triangles_shared_spine)
@@ -438,6 +439,26 @@ def test_weak_two_segal_beyond_level_3_needs_spiny():
     _, spiny, _, weak, cosk = sset.segal(x)
     assert cosk == (True, None) and not spiny[0]
     assert weak == (False, ("unfilled", 4, (0, 0, 0, 0))) == oracle_weakly_two_segal(x)
+
+
+@pytest.mark.parametrize("n, counts, spine", [
+    (2, [15, 66, 190, 435], (49, 30, 11)), (3, [21, 96, 280, 645], (69, 42, 13))])
+def test_effect_functor_of_mo_n_on_simplex_is_weakly_but_not_two_segal(n, counts, spine):
+    """E_MOn(Delta^2), for the horizontal sum MOn of n copies of bool2, is
+    spiny, inverseless, weakly 2-Segal and 2-coskeletal, but not 2-Segal: it
+    passes the simplicial-effect checks that need no cyclic structure and
+    fails the 2-Segal condition of effect algebroids."""
+    e = horizontal_sum(n)
+    assert all(ch.ok for ch in palg.validate_effect_algebra(e))
+    x = nv.effect_functor(e, sset.standard_simplex(2, 3))
+    assert x.counts == counts
+    assert sset.validate(x) == []
+    bad, spiny, two, weak, cosk = sset.segal(x)
+    assert bad == [] and spiny == weak == cosk == (True, None)
+    assert sset.is_inverseless_sset(x) == (True, None)
+    tri = sset.Triangulation(3, ((0, 1, 2), (0, 2, 3)))
+    assert two == (False, ("unfilled", 3, tri, spine)) == oracle_two_segal(x)
+    assert weak == oracle_weakly_two_segal(x)
 
 
 def test_subface_tables_match_subface():
