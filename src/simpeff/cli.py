@@ -2,7 +2,8 @@
 
 Subcommands: check, build, states, quantum-demo.  check takes one
 subparser per kind and build one per recipe, and each declares only the
-flags its runner reads, so argparse rejects any other flag.  Exit codes: 0
+flags its runner reads.  Any other flag is rejected by that subparser, whose
+usage line lists the flags it takes.  Exit codes: 0
 all requested checks pass, 1 some check failed, 2 input or usage error, 3
 internal error (a bug: one "internal error:" line on stderr).
 Reports are byte-identical across runs for fixed inputs and seeds.
@@ -445,6 +446,7 @@ def _parser():
         sp.add_argument("--json", action="store_true")
     for sp in (magma, simplicial, cyclic, ea, comm, action, effect, s1, witness, s, q):
         sp.add_argument("--out", default=None)
+        sp.set_defaults(leaf=sp)
     return p
 
 
@@ -452,7 +454,9 @@ _PARSER = _parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
+    if extra:  # the command's own parser names them, with its own usage line
+        args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     command = {"check": cmd_check, "build": cmd_build, "states": cmd_states,
                "quantum-demo": cmd_quantum_demo}[args.command]
     try:

@@ -5,9 +5,11 @@ spiny reduced simplicial set, commutative (d-torsion) nerves of groups,
 action partial groups, the effect-algebra functor applied to a simplicial
 set, and the simplicial circle.
 
-Nerve levels carry the underlying tuples as labels: level 1 ids equal the
+Nerve levels are labelled by the underlying tuples: level 1 ids equal the
 carrier ids and level n >= 2 is sorted lexicographically, which makes nerves
-spine-canonical on the nose.
+spine-canonical on the nose.  Commutative nerves and action partial groups
+are grown as id columns and never build a tuple; their labels are built
+from the columns on first read.
 """
 
 from __future__ import annotations
@@ -201,24 +203,48 @@ def tuple_nerve(levels, mul) -> TruncatedSSet:
     levels[n] lists the level-n tuples in id order for n = 0..K, with
     levels[0] = [()].  They must be closed under the nerve's faces (see
     tuple_face) and degeneracies (insert_unit), or StructureError is raised.
-    Level 1 is labelled by the bare elements, level 0 by "*".
-
-    Tables are computed on ids.  Writing t = p + (b,) with parent p, d_n t
-    is p, d_{n-1} t is parent(p) + (p[-1] * b,), and d_i t (i < n-1) and
-    s_i t (i < n) are d_i p + (b,) and s_i p + (b,); s_n t is t + (0,).
-    child[n][p * order + b] is the level-n id of p + (b,), or -1.
+    The tuples are the labels, except that level 1 is labelled by the bare
+    elements and level 0 by "*".  The tables are computed on ids, from each
+    tuple's parent (itself without its last element), which a dict of the
+    level below looks up: that lookup is the check of closure under d_n.
     """
-    K, order = len(levels) - 1, len(mul)
-    parent, last, child = [None], [None], [None]
-    for n in range(1, K + 1):
+    columns = []
+    for n in range(1, len(levels)):
         ids = {t: i for i, t in enumerate(levels[n - 1])}
         try:
-            parent.append([ids[t[:-1]] for t in levels[n]])
+            parent = [ids[t[:-1]] for t in levels[n]]
         except KeyError as exc:
             raise StructureError(f"levels are not closed under d_{n} at level {n}: "
                                  f"{exc} is missing") from None
-        last.append([t[-1] for t in levels[n]])
-        table = [-1] * (len(levels[n - 1]) * order)
+        columns.append((parent, [t[-1] for t in levels[n]]))
+    labels = dict(enumerate(levels))
+    labels[0] = ["*"]
+    labels[1] = [t[0] for t in levels[1]]
+    return _column_nerve(columns, mul, labels)
+
+
+def _column_nerve(columns, mul, labels=None) -> TruncatedSSet:
+    """The sub-simplicial set of a nerve given by its levels as id columns.
+
+    columns[n - 1] = (parent, last) for n = 1..K: the level-n simplex i is
+    the tuple of simplex parent[i] at level n - 1 followed by the element
+    last[i], and level 0 is the empty tuple.  Levels must be closed under
+    the faces and degeneracies, or StructureError is raised.  Without
+    labels, the tuples are built only when the labels are first read, as
+    tuple_nerve labels them.
+
+    Writing t = p + (b,) with parent p, d_n t is p, d_{n-1} t is
+    parent(p) + (p[-1] * b,), and d_i t (i < n-1) and s_i t (i < n) are
+    d_i p + (b,) and s_i p + (b,); s_n t is t + (0,).  child[n][p * order + b]
+    is the level-n id of p + (b,), or -1.
+    """
+    K, order = len(columns), len(mul)
+    parent = [None] + [p for p, _ in columns]
+    last = [None] + [b for _, b in columns]
+    counts = [1] + [len(p) for p in parent[1:]]
+    child = [None]
+    for n in range(1, K + 1):
+        table = [-1] * (counts[n - 1] * order)
         for i, (p, b) in enumerate(zip(parent[n], last[n])):
             table[p * order + b] = i
         child.append(table)
@@ -236,7 +262,7 @@ def tuple_nerve(levels, mul) -> TruncatedSSet:
     def of_parent(index, n):
         return map(index.__getitem__, parent[n])
 
-    face, deg = {(1, 0): [0] * len(levels[1]), (1, 1): parent[1]}, {}
+    face, deg = {(1, 0): [0] * counts[1], (1, 1): parent[1]}, {}
     for n in range(2, K + 1):
         for i in range(n - 1):
             face[(n, i)] = lift("d", n, i, of_parent(face[(n - 1, i)], n), last[n], child[n - 1])
@@ -247,11 +273,17 @@ def tuple_nerve(levels, mul) -> TruncatedSSet:
     for n in range(K):
         for i in range(n):
             deg[(n, i)] = lift("s", n, i, of_parent(deg[(n - 1, i)], n), last[n], child[n + 1])
-        deg[(n, n)] = lift("s", n, n, range(len(levels[n])), itertools.repeat(0), child[n + 1])
-    labels = dict(enumerate(levels))
-    labels[0] = ["*"]
-    labels[1] = [t[0] for t in levels[1]]
-    return TruncatedSSet(K, [len(lev) for lev in levels], face, deg, labels)
+        deg[(n, n)] = lift("s", n, n, range(counts[n]), itertools.repeat(0), child[n + 1])
+
+    def tuples():
+        """"*", the bare elements, then the tuples of levels 2..K."""
+        grown, level = {0: ["*"]}, [()]
+        for n in range(1, K + 1):
+            level = grown[n] = [level[p] + (b,) for p, b in zip(parent[n], last[n])]
+        grown[1] = list(last[1])
+        return grown
+
+    return TruncatedSSet(K, counts, face, deg, tuples if labels is None else labels)
 
 
 def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet:
@@ -310,7 +342,8 @@ def magma_from_sset(x: TruncatedSSet):
 
 
 def _grow_levels(K, elements, start, step):
-    """Tuple levels 0..K grown one element at a time.
+    """The (parent ids, last elements) columns of levels 1..K of tuples
+    grown one element at a time, as _column_nerve reads them.
 
     Every tuple carries a state: the empty tuple has start, and t + (b,) has
     step(state of t, b), or is dropped when that is None.  Elements listed
@@ -318,20 +351,20 @@ def _grow_levels(K, elements, start, step):
     """
     if K < 2:
         raise InputError("nerve needs K >= 2")
-    levels, states, rows = [[()]], [start], {}
+    columns, states, rows = [], [start], {}
     for _ in range(K):
-        tuples, nxt = [], []
-        for t, state in zip(levels[-1], states):
+        parent, last, nxt = [], [], []
+        for p, state in enumerate(states):
             row = rows.get(state)
             if row is None:  # few states occur, so step runs once per (state, b)
-                row = rows[state] = [(b, new) for b in elements
-                                     if (new := step(state, b)) is not None]
-            for b, new in row:
-                tuples.append(t + (b,))
-                nxt.append(new)
-        levels.append(tuples)
+                grown = [(b, new) for b in elements if (new := step(state, b)) is not None]
+                row = rows[state] = ([b for b, _ in grown], [new for _, new in grown])
+            parent.extend(itertools.repeat(p, len(row[0])))
+            last += row[0]
+            nxt += row[1]
+        columns.append((parent, last))
         states = nxt
-    return levels
+    return columns
 
 
 def comm_nerve(g: FiniteGroup, torsion=None, K: int = 4) -> TruncatedSSet:
@@ -348,7 +381,7 @@ def comm_nerve(g: FiniteGroup, torsion=None, K: int = 4) -> TruncatedSSet:
     def step(mask, b):
         return mask & commuting[b] if mask >> b & 1 else None
 
-    return tuple_nerve(_grow_levels(K, carrier, commuting[0], step), g.mul)
+    return _column_nerve(_grow_levels(K, carrier, commuting[0], step), g.mul)
 
 
 def _validate_action(g: FiniteGroup, z_size: int, action):
@@ -395,7 +428,7 @@ def action_partial_group(g: FiniteGroup, z_size: int, action, y_subset, K: int =
                 ends |= 1 << action[a][y]
         return ends & ymask or None
 
-    return tuple_nerve(_grow_levels(K, range(g.order), ymask, step), g.mul)
+    return _column_nerve(_grow_levels(K, range(g.order), ymask, step), g.mul)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ class TruncatedSSet:
     deg[(n, i)]  : X_n -> X_{n+1} for 0 <= n < K, 0 <= i <= n
     and no other keys (check_shape rejects any outside the truncation).
     labels is optional per-level metadata for readable witnesses; it is
-    ignored by equality and serialization.  The tables are kept as given,
-    not copied, and to_json_dict hands them out the same way.
+    ignored by equality and serialization.  It is given as a dict, or as a
+    zero-argument callable returning one, which the labels property calls
+    once, on first read.  The tables are kept as given, not copied, and
+    to_json_dict hands them out the same way.
     """
 
     def __init__(self, K, counts, face, deg, labels=None):
@@ -38,7 +40,13 @@ class TruncatedSSet:
         self.counts = list(counts)
         self.face = dict(face)
         self.deg = dict(deg)
-        self.labels = labels or {}
+        self._labels = labels or {}
+
+    @property
+    def labels(self):
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
 
     def simplices(self, n):
         return range(self.counts[n])

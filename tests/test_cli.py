@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -311,6 +312,8 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         assert "argument --levels:" in err
     if argv in REJECTED_FLAGS:
         assert REJECTED_FLAGS[argv] in errors[0]
+        # the usage line is the command's own, listing the flags it takes
+        assert err.startswith(f"usage: simpeff {argv[0]} {argv[1]} ")
 
 
 def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys):
@@ -376,6 +379,25 @@ def test_main_calls_do_not_share_state(tmp_path, monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert (code, out, err) == (alone[k].returncode, alone[k].stdout, alone[k].stderr), \
             calls[k]
+
+
+def test_build_action_pg_traced_memory_stays_small(tmp_path):
+    """build action-pg grows its levels as id columns and never builds the
+    tuples, which it does not write: the traced peak of L_Y(S4) at K=4 with
+    |Y| = 12 (59616 level-4 simplices) stays within 10240 KB (about 13.0 MB
+    with the tuples built, and 8.8 MB without)."""
+    group = tmp_path / "s4.json"
+    group.write_text(json.dumps(nv.symmetric_group(4).to_json_dict()))
+    argv = ["build", "action-pg", "--group", str(group), "--y", ",".join(map(str, range(12))),
+            "--levels", "4", "--out", str(tmp_path / "ly.json")]
+    assert cli.main(argv) == 0  # imports and caches are not counted
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10240 * 1024
 
 
 def test_closed_stdout_exits_2(z4_file):

@@ -315,6 +315,44 @@ def test_tuple_nerve_rejects_undefined_product():
 
 
 # ---------------------------------------------------------------------------
+# labels built on first read
+
+
+def test_labels_callable_is_called_at_most_once():
+    x = sset.standard_simplex(2, 3)
+    calls = []
+
+    def labels():
+        calls.append(1)
+        return {2: ["edge"] * x.counts[2]}
+
+    y = sset.TruncatedSSet(x.K, x.counts, x.face, x.deg, labels)
+    assert y.to_json_dict() == x.to_json_dict()
+    assert calls == []
+    assert y.label(2, 0) == "edge"
+    assert y.labels == {2: ["edge"] * x.counts[2]}
+    assert y.label(1, 0) == 0
+    assert calls == [1]
+
+
+def test_truncated_comm_nerve_keeps_its_labels():
+    truncated = sset.truncate(nv.comm_nerve(Q8, None, 4), 3)
+    assert truncated.labels == nv.comm_nerve(Q8, None, 3).labels
+
+
+def test_canonicalize_spiny_keeps_labels_of_grown_action_partial_group():
+    """A grown L_Y(S3), whose labels canonicalize_spiny reads first, and its
+    copy from tuple_nerve, labelled eagerly by its tuples, have the same
+    canonical form, labels included."""
+    grown = _translation_pg(S3, 1, 4)
+    tuples = [[()]] + [_level(_translation_pg(S3, 1, 4), n) for n in range(1, 5)]
+    got = sset.canonicalize_spiny(grown)
+    want = sset.canonicalize_spiny(nv.tuple_nerve(tuples, S3.mul))
+    assert got.face == want.face
+    assert got.labels == want.labels
+
+
+# ---------------------------------------------------------------------------
 # effect functor and circle
 
 
