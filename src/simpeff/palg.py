@@ -74,8 +74,8 @@ class PartialUnitalMagma:
             if json_int(d.get("unit", 0)) != 0:
                 raise InputError("magma unit must be element 0")
             product = {}
-            for a, b, c in d["products"]:
-                a, b, c = json_int(a), json_int(b), json_int(c)
+            for row in d["products"]:
+                a, b, c = json_ints(row)
                 if product.setdefault((a, b), c) != c:
                     raise InputError(f"conflicting products for pair {(a, b)}")
         except (KeyError, TypeError, ValueError) as exc:

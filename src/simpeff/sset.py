@@ -120,46 +120,53 @@ def from_levels(levels, face_key, deg_key, labels=None) -> TruncatedSSet:
     return TruncatedSSet(K, [len(lev) for lev in levels], face, deg, labels)
 
 
+def _composite(outer, inner):
+    """The table of outer after inner: outer[inner[s]] for each s."""
+    return list(map(outer.__getitem__, inner))
+
+
 def validate(x: TruncatedSSet):
     """All simplicial identity instances within the truncation.
 
     Violations are (identity, level, indices, simplex) tuples; empty list
-    means the structure is a genuine K-truncated simplicial set.
+    means the structure is a genuine K-truncated simplicial set.  Each
+    instance builds the composite tables of its two sides whole and compares
+    them, and scans simplex by simplex only where they differ, so the
+    violations come in instance order, then simplex order.
     """
     x.check_shape()
+    face, deg = x.face, x.deg
     bad = []
+
+    def compare(name, n, ij, lhs, rhs):
+        if lhs != rhs:
+            bad.extend((name, n, ij, s) for s, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
     for n in range(2, x.K + 1):
         for j in range(n + 1):
             for i in range(j):
-                fi, fj = x.face[(n, i)], x.face[(n, j)]
-                gi, gj1 = x.face[(n - 1, i)], x.face[(n - 1, j - 1)]
-                for s in x.simplices(n):
-                    if gj1[fi[s]] != gi[fj[s]]:
-                        bad.append(("d_i d_j = d_{j-1} d_i", n, (i, j), s))
+                compare("d_i d_j = d_{j-1} d_i", n, (i, j),
+                        _composite(face[(n - 1, j - 1)], face[(n, i)]),
+                        _composite(face[(n - 1, i)], face[(n, j)]))
     for n in range(x.K):
+        ids = list(x.simplices(n))
         for j in range(n + 1):
-            sj = x.deg[(n, j)]
             for i in range(n + 2):
-                di = x.face[(n + 1, i)]
+                lhs = _composite(face[(n + 1, i)], deg[(n, j)])
                 if i == j or i == j + 1:
-                    for s in x.simplices(n):
-                        if di[sj[s]] != s:
-                            bad.append(("d_i s_j = id", n, (i, j), s))
+                    compare("d_i s_j = id", n, (i, j), lhs, ids)
                 elif i < j:
-                    for s in x.simplices(n):
-                        if di[sj[s]] != x.deg[(n - 1, j - 1)][x.face[(n, i)][s]]:
-                            bad.append(("d_i s_j = s_{j-1} d_i", n, (i, j), s))
+                    compare("d_i s_j = s_{j-1} d_i", n, (i, j), lhs,
+                            _composite(deg[(n - 1, j - 1)], face[(n, i)]))
                 else:
-                    for s in x.simplices(n):
-                        if di[sj[s]] != x.deg[(n - 1, j)][x.face[(n, i - 1)][s]]:
-                            bad.append(("d_i s_j = s_j d_{i-1}", n, (i, j), s))
+                    compare("d_i s_j = s_j d_{i-1}", n, (i, j), lhs,
+                            _composite(deg[(n - 1, j)], face[(n, i - 1)]))
     for n in range(x.K - 1):
         for i in range(n + 1):
             for j in range(i, n + 1):
-                si, sj = x.deg[(n, i)], x.deg[(n, j)]
-                for s in x.simplices(n):
-                    if x.deg[(n + 1, j + 1)][si[s]] != x.deg[(n + 1, i)][sj[s]]:
-                        bad.append(("s_i s_j = s_{j+1} s_i", n, (i, j), s))
+                compare("s_i s_j = s_{j+1} s_i", n, (i, j),
+                        _composite(deg[(n + 1, j + 1)], deg[(n, i)]),
+                        _composite(deg[(n + 1, i)], deg[(n, j)]))
     return bad
 
 

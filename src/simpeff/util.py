@@ -28,7 +28,11 @@ def json_int(value) -> int:
 
 def json_ints(values) -> list:
     """The JSON list values read by json_int, entry by entry; a list of ints
-    only, as simpeff writes them, is copied without a call per entry."""
+    only, as simpeff writes them, is copied without a call per entry.  Any
+    other JSON value is an InputError, where iterating would read the string
+    "12" or the object {"1": 0, "2": 0} as [1, 2]."""
+    if not isinstance(values, list):
+        raise InputError(f"expected a list of integers, got {type(values).__name__}")
     if set(map(type, values)) == {int}:
         return list(values)
     return [json_int(v) for v in values]

@@ -128,6 +128,46 @@ def membrane_set(x, n: int, subset):
     return out
 
 
+def validate(x):
+    """The simplicial identity violations, one simplex at a time, in the
+    order sset.validate lists them."""
+    x.check_shape()
+    bad = []
+    for n in range(2, x.K + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                fi, fj = x.face[(n, i)], x.face[(n, j)]
+                gi, gj1 = x.face[(n - 1, i)], x.face[(n - 1, j - 1)]
+                for s in x.simplices(n):
+                    if gj1[fi[s]] != gi[fj[s]]:
+                        bad.append(("d_i d_j = d_{j-1} d_i", n, (i, j), s))
+    for n in range(x.K):
+        for j in range(n + 1):
+            sj = x.deg[(n, j)]
+            for i in range(n + 2):
+                di = x.face[(n + 1, i)]
+                if i == j or i == j + 1:
+                    for s in x.simplices(n):
+                        if di[sj[s]] != s:
+                            bad.append(("d_i s_j = id", n, (i, j), s))
+                elif i < j:
+                    for s in x.simplices(n):
+                        if di[sj[s]] != x.deg[(n - 1, j - 1)][x.face[(n, i)][s]]:
+                            bad.append(("d_i s_j = s_{j-1} d_i", n, (i, j), s))
+                else:
+                    for s in x.simplices(n):
+                        if di[sj[s]] != x.deg[(n - 1, j)][x.face[(n, i - 1)][s]]:
+                            bad.append(("d_i s_j = s_j d_{i-1}", n, (i, j), s))
+    for n in range(x.K - 1):
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                si, sj = x.deg[(n, i)], x.deg[(n, j)]
+                for s in x.simplices(n):
+                    if x.deg[(n + 1, j + 1)][si[s]] != x.deg[(n + 1, i)][sj[s]]:
+                        bad.append(("s_i s_j = s_{j+1} s_i", n, (i, j), s))
+    return bad
+
+
 def coskeletal_2(x):
     """Unique boundary fillers at every level 3..K, decided by listing every
     compatible boundary of every level with sset.boundary_membranes and

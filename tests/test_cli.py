@@ -252,6 +252,13 @@ REJECTED_FLAGS = {
     ("check", "cyclic", "--in", "tau-0.0.json"),
     ("build", "comm-nerve", "--group", "mul-true.json"),
     ("build", "action-pg", "--group", "z3.json", "--action", "z-size-3.0.json", "--y", "0"),
+    # a JSON array is read from an array only, not from a string or an object
+    ("check", "sset", "--in", "counts-str.json"),
+    ("check", "sset", "--in", "counts-obj.json"),
+    ("check", "sset", "--in", "face-str.json"),
+    ("check", "effect-algebra", "--in", "perp-str.json"),
+    ("check", "effect-algebra", "--in", "product-str.json"),
+    ("build", "comm-nerve", "--group", "mul-row-str.json"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -288,6 +295,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         json.dumps({"z_size": 3, "table": [[0, 1, 2], [1, 7, 0], [2, 0, 1]]}))
     s1 = json.loads((tmp_path / "s1.json").read_text())
     z2_group = nv.cyclic_group(2).to_json_dict()
+    l1_ea = palg.interval_effect_algebra(1).to_json_dict()
     for name, body in (
             ("size-2.5", {"size": 2.5, "unit": 0, "products": UNIT_ROWS}),
             ("unit-false", {"size": 2, "unit": False, "products": UNIT_ROWS}),
@@ -297,7 +305,13 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
             ("truncation-3.5", dict(s1, truncation=3.5)),
             ("tau-0.0", dict(l2, tau=dict(l2["tau"], **{"1": [0.0, 1, 2]}))),
             ("mul-true", dict(z2_group, mul=[[0, 1], [True, 0]])),
-            ("z-size-3.0", {"z_size": 3.0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})):
+            ("z-size-3.0", {"z_size": 3.0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
+            ("counts-str", dict(s1, counts="1234")),
+            ("counts-obj", dict(s1, counts={"1": 0, "2": 0, "3": 0, "4": 0})),
+            ("face-str", dict(s1, faces=dict(s1["faces"], **{"2,1": "011"}))),
+            ("perp-str", dict(l1_ea, orthocomplement="10")),
+            ("product-str", dict(l1_ea, products=[[0, 0, 0], "011", [1, 0, 1]])),
+            ("mul-row-str", dict(z2_group, mul=["01", [1, 0]]))):
         (tmp_path / f"{name}.json").write_text(json.dumps(body))
     try:
         code = run(*argv)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -416,6 +417,99 @@ def test_stacked_validate_names_the_first_bad_measurement(k):
         with pytest.raises(InputError) as fast:
             q.ProjectiveMeasurement(2, mixed).validate()
         assert str(fast.value) == str(slow.value)
+
+
+def validate_message(arity, blocks):
+    """validate's message on a stack of blocks, or None when it passes."""
+    try:
+        q.ProjectiveMeasurement(arity, blocks).validate()
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def oracle_message(arity, blocks):
+    """The per-outcome oracle's message on the first failing measurement of a
+    stack, or None when every measurement passes."""
+    for m in blocks.reshape(-1, *blocks.shape[-3:]):
+        try:
+            oracle.validate(arity, dict(zip(itertools.product(range(3), repeat=arity), m)))
+        except InputError as exc:
+            return str(exc)
+    return None
+
+
+def perturbed(rng, stack, hermitian):
+    """The stack with one block of one measurement moved by a random
+    direction, Hermitian or not, of Frobenius norm between 1e-9 and 1e-3:
+    past TOL_PROJ the block is no projector, and below it the sum is off the
+    identity."""
+    z = q.ginibre(rng, stack.shape[-1])
+    if hermitian:
+        z = z + q.dagger(z)
+    out = stack.copy()
+    k, o = rng.integers(len(stack)), rng.integers(stack.shape[1])
+    out[k, o] += 10 ** rng.uniform(-9, -3) * z / q.frob(z)
+    return out
+
+
+def turned_rank_one(rng, arity, k):
+    """A stack of k measurements on C^(3^arity) whose blocks are the basis
+    projectors in a random order, with one block of one measurement turned
+    toward another block by an angle between 10^-7.5 and 10^-5.  The pair
+    then has |P_s P_t|_F = sin cos of the angle, which straddles TOL_PROJ and
+    the screen's threshold sqrt(1e-13); below TOL_PROJ the sum is still off
+    the identity by more than TOL_EQ."""
+    dim = 3 ** arity
+    eye = np.eye(dim, dtype=complex)
+    stack = np.array([[np.outer(eye[b], eye[b]) for b in rng.permutation(dim)]
+                      for _ in range(k)])
+    j = rng.integers(k)
+    s, t = rng.choice(dim, 2, replace=False)
+    theta = 10 ** rng.uniform(-7.5, -5)
+    v = np.cos(theta) * stack[j, s].diagonal() + np.sin(theta) * stack[j, t].diagonal()
+    stack[j, s] = np.outer(v, v)
+    return stack
+
+
+def test_validate_screen_matches_oracle_near_tolerance(monkeypatch):
+    """validate, with its Gram screen and exact fallback, gives the oracle's
+    message on valid stacks of one to five measurements, on perturbed ones,
+    and on turned rank-one projectors.  The screen alone clears every pair of
+    the valid stacks; the turned pairs above its threshold reach the fallback
+    product, which both clears and rejects some of them."""
+    rng = np.random.default_rng(89)
+    decide = q._products_not_orthogonal
+    fallback = Counter()
+
+    def recording(p, pairs):
+        verdicts = decide(p, pairs)
+        fallback.update(kind + (" rejects" if v else " clears") for v in verdicts.tolist())
+        return verdicts
+
+    monkeypatch.setattr(q, "_products_not_orthogonal", recording)
+    messages = Counter()
+    for case in range(600):
+        arity, k = 1 + case % 2, int(rng.integers(1, 6))
+        kind = ("valid", "hermitian", "general", "turned")[case // 2 % 4]
+        if kind == "turned":
+            stack = turned_rank_one(rng, arity, k)
+        else:
+            stack = np.array([sampled_measurement(rng, arity).blocks for _ in range(k)])
+            if kind != "valid":
+                stack = perturbed(rng, stack, kind == "hermitian")
+        if k == 1 and rng.random() < 0.5:
+            stack = stack[0]  # a single measurement, with no stack axis
+        got = validate_message(arity, stack)
+        assert got == oracle_message(arity, stack), (case, kind)
+        messages[kind, got and got.split()[-1]] += 1
+    assert messages["valid", None] == 150
+    assert fallback["valid clears"] == fallback["valid rejects"] == 0
+    assert fallback["turned clears"] >= 10 and fallback["turned rejects"] >= 10
+    for kind, last_word in (("hermitian", "projector"), ("hermitian", "identity"),
+                            ("general", "projector"), ("general", "identity"),
+                            ("turned", "orthogonal"), ("turned", "identity")):
+        assert messages[kind, last_word] >= 40, (kind, last_word, messages)
 
 
 def assert_reports_close(fast, slow):

@@ -14,6 +14,7 @@ from palg_oracles import horizontal_sum
 from sset_oracles import (BOUNDARY, SPINE, coskeletal_2, delta_w3, hollow_simplex,
                           hollow_simplices, membrane_set, point, sset_equal, sset_isomorphic,
                           triangulations, two_triangles_shared_spine)
+from sset_oracles import validate as validate_oracle
 
 I, J = 2, 4  # Q8 ids for i and j
 
@@ -46,6 +47,39 @@ def test_validate_detects_corruption():
 
 def test_validate_comm_nerve_torsion():
     assert sset.validate(nv.comm_nerve(nv.quaternion_group(), 2, 4)) == []
+
+
+def corrupted(x, rng, entries):
+    """A copy of x with the given number of face or degeneracy table entries
+    set to random in-range values, so that check_shape still passes."""
+    face = {k: list(t) for k, t in x.face.items()}
+    deg = {k: list(t) for k, t in x.deg.items()}
+    keys = [(face, k, -1) for k in sorted(face)] + [(deg, k, 1) for k in sorted(deg)]
+    for _ in range(entries):
+        tables, (n, i), step = rng.choice(keys)
+        tab = tables[(n, i)]
+        tab[rng.randrange(len(tab))] = rng.randrange(x.counts[n + step])
+    return sset.TruncatedSSet(x.K, x.counts, face, deg)
+
+
+def test_validate_tables_match_the_per_simplex_oracle():
+    """The same violations in the same order as the simplex-by-simplex loop,
+    on seeded corruptions of commutative nerves and the L2 effect nerve;
+    most of them break some identity."""
+    bases = [nv.comm_nerve(nv.quaternion_group(), None, 4),
+             nv.comm_nerve(nv.dihedral_group(5), None, 3),
+             nv.comm_nerve(nv.cyclic_group(6), None, 3),
+             nerve_of(palg.interval_effect_algebra(2).magma, 4)]
+    rng = random.Random(23)
+    broken = 0
+    for x in bases:
+        assert sset.validate(x) == validate_oracle(x) == []
+        for _ in range(25):
+            y = corrupted(x, rng, rng.choice((1, 2, 3, 5, 13, 40)))
+            bad = sset.validate(y)
+            assert bad == validate_oracle(y)
+            broken += bool(bad)
+    assert broken >= 90
 
 
 def test_from_nondegenerate_matches_standard_simplex():
