@@ -14,7 +14,7 @@ __all__ = ["CyclicSSet", "validate_cyclic", "group_nerve_cyclic", "effect_nerve_
 
 from .palg import FiniteEffectAlgebra, left_product
 from .nerve import FiniteGroup
-from .sset import TruncatedSSet, is_inverseless_sset, segal
+from .sset import TruncatedSSet, composite, differences, is_inverseless_sset, segal
 from .util import Check, InputError, first_collision, first_failure, json_ints
 
 
@@ -26,9 +26,6 @@ class CyclicSSet:
     def __init__(self, base: TruncatedSSet, tau: dict):
         self.base = base
         self.tau = dict(tau)
-
-    def t(self, n, s):
-        return self.tau[n][s] if n >= 1 else s
 
     def check_shape(self):
         self.base.check_shape()
@@ -65,33 +62,34 @@ def validate_cyclic(c: CyclicSSet):
     Relations (tau_0 = id): d_0 tau_n = d_n, d_i tau_n = tau_{n-1} d_{i-1}
     for 1 <= i <= n, s_0 tau_n = tau_{n+1}^2 s_n, s_i tau_n = tau_{n+1} s_{i-1}
     for 1 <= i <= n.  These are locked against the printed Z/2 formulas by
-    tests.
+    tests.  Each relation compares the composite tables of its two sides;
+    the witness is the first simplex where they differ.
     """
     c.check_shape()
     x = c.base
+    face, deg = x.face, x.deg
+    tau = {0: list(x.simplices(0)), **c.tau}
     checks = []
+
+    def check(name, lhs, rhs):
+        checks.append(first_failure(name, differences(lhs, rhs)))
+
     for n in range(1, x.K + 1):
-        t = c.tau[n]
         power = list(x.simplices(n))
         for _ in range(n + 1):
-            power = [t[s] for s in power]
-        checks.append(first_failure(f"tau^{n + 1}=id@{n}", (
-            s for s in x.simplices(n) if power[s] != s)))
-        checks.append(first_failure(f"d0.tau=dn@{n}", (
-            s for s in x.simplices(n) if x.face[(n, 0)][t[s]] != x.face[(n, n)][s])))
+            power = composite(tau[n], power)
+        check(f"tau^{n + 1}=id@{n}", power, list(x.simplices(n)))
+        check(f"d0.tau=dn@{n}", composite(face[(n, 0)], tau[n]), face[(n, n)])
         for i in range(1, n + 1):
-            checks.append(first_failure(f"d{i}.tau=tau.d{i - 1}@{n}", (
-                s for s in x.simplices(n)
-                if x.face[(n, i)][t[s]] != c.t(n - 1, x.face[(n, i - 1)][s]))))
+            check(f"d{i}.tau=tau.d{i - 1}@{n}", composite(face[(n, i)], tau[n]),
+                  composite(tau[n - 1], face[(n, i - 1)]))
     for n in range(x.K):
-        tn1 = c.tau[n + 1]
-        checks.append(first_failure(f"s0.tau=tau^2.sn@{n}", (
-            s for s in x.simplices(n)
-            if x.deg[(n, 0)][c.t(n, s)] != tn1[tn1[x.deg[(n, n)][s]]])))
+        up = tau[n + 1]
+        check(f"s0.tau=tau^2.sn@{n}", composite(deg[(n, 0)], tau[n]),
+              composite(up, composite(up, deg[(n, n)])))
         for i in range(1, n + 1):
-            checks.append(first_failure(f"s{i}.tau=tau.s{i - 1}@{n}", (
-                s for s in x.simplices(n)
-                if x.deg[(n, i)][c.t(n, s)] != tn1[x.deg[(n, i - 1)][s]])))
+            check(f"s{i}.tau=tau.s{i - 1}@{n}", composite(deg[(n, i)], tau[n]),
+                  composite(up, deg[(n, i - 1)]))
     return checks
 
 
@@ -154,21 +152,22 @@ def orthocomplement_laws(c: CyclicSSet):
 
     (1) rotation: tau_2 of a witness to f.g = h witnesses g.(h-perp) = f-perp;
     (2) tau_1 is an involution; (3) (1_x)-perp = 0_x; (4) f.g = 1_x forces
-    f = g-perp.
+    f = g-perp.  Clauses 1-3 compare composite tables, as validate_cyclic
+    does; clause 4 holds only over composites equal to a 1_x, so it scans.
     """
     x = c.base
     t1, t2 = c.tau[1], c.tau[2]
     d0, d1, d2 = (x.face[(2, i)] for i in range(3))
     s0 = x.deg[(0, 0)]
-    ones = {t1[s0[v]] for v in x.simplices(0)}
+    ones = set(composite(t1, s0))
     return [
-        first_failure("ortho-1-rotation", (
-            sig for sig in x.simplices(2)
-            if (d0[t2[sig]] != d2[sig] or d2[t2[sig]] != t1[d1[sig]]
-                or d1[t2[sig]] != t1[d0[sig]]))),
-        first_failure("ortho-2-involution", (e for e in x.simplices(1) if t1[t1[e]] != e)),
-        first_failure("ortho-3-one-perp-is-zero", (
-            v for v in x.simplices(0) if t1[t1[s0[v]]] != s0[v])),
+        first_failure("ortho-1-rotation", differences(
+            list(zip(composite(d0, t2), composite(d2, t2), composite(d1, t2))),
+            list(zip(d2, composite(t1, d1), composite(t1, d0))))),
+        first_failure("ortho-2-involution",
+                      differences(composite(t1, t1), list(x.simplices(1)))),
+        first_failure("ortho-3-one-perp-is-zero",
+                      differences(composite(t1, composite(t1, s0)), s0)),
         first_failure("ortho-4-composite-one-forces-perp", (
             sig for sig in x.simplices(2) if d1[sig] in ones and d0[sig] != t1[d2[sig]])),
     ]

@@ -7,7 +7,8 @@ set, and the simplicial circle.
 
 Nerve levels are labelled by the underlying tuples: level 1 ids equal the
 carrier ids and level n >= 2 is sorted lexicographically, which makes nerves
-spine-canonical on the nose.  Commutative nerves and action partial groups
+spine-canonical on the nose.  The nerve of a magma is built from its levels
+of tuples by sset.from_levels.  Commutative nerves and action partial groups
 are grown as id columns and never build a tuple; their labels are built
 from the columns on first read.
 """
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 __all__ = ["FiniteGroup", "group_from_table", "cyclic_group", "quaternion_group",
            "dihedral_group", "symmetric_group", "magma_of_group", "torsion_carrier",
-           "commuting_magma", "tuple_face", "insert_unit", "tuple_nerve", "nerve",
+           "commuting_magma", "tuple_face", "insert_unit", "nerve",
            "magma_from_sset", "comm_nerve", "translation_action", "action_partial_group",
            "effect_functor", "simplicial_circle", "effect_circle_iso"]
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -197,41 +199,15 @@ def insert_unit(n, i, t):
     return t[:i] + (0,) + t[i:]
 
 
-def tuple_nerve(levels, mul) -> TruncatedSSet:
-    """The sub-simplicial set of a nerve given by its levels of tuples.
-
-    levels[n] lists the level-n tuples in id order for n = 0..K, with
-    levels[0] = [()].  They must be closed under the nerve's faces (see
-    tuple_face) and degeneracies (insert_unit), or StructureError is raised.
-    The tuples are the labels, except that level 1 is labelled by the bare
-    elements and level 0 by "*".  The tables are computed on ids, from each
-    tuple's parent (itself without its last element), which a dict of the
-    level below looks up: that lookup is the check of closure under d_n.
-    """
-    columns = []
-    for n in range(1, len(levels)):
-        ids = {t: i for i, t in enumerate(levels[n - 1])}
-        try:
-            parent = [ids[t[:-1]] for t in levels[n]]
-        except KeyError as exc:
-            raise StructureError(f"levels are not closed under d_{n} at level {n}: "
-                                 f"{exc} is missing") from None
-        columns.append((parent, [t[-1] for t in levels[n]]))
-    labels = dict(enumerate(levels))
-    labels[0] = ["*"]
-    labels[1] = [t[0] for t in levels[1]]
-    return _column_nerve(columns, mul, labels)
-
-
-def _column_nerve(columns, mul, labels=None) -> TruncatedSSet:
+def _column_nerve(columns, mul) -> TruncatedSSet:
     """The sub-simplicial set of a nerve given by its levels as id columns.
 
     columns[n - 1] = (parent, last) for n = 1..K: the level-n simplex i is
     the tuple of simplex parent[i] at level n - 1 followed by the element
-    last[i], and level 0 is the empty tuple.  Levels must be closed under
-    the faces and degeneracies, or StructureError is raised.  Without
-    labels, the tuples are built only when the labels are first read, as
-    tuple_nerve labels them.
+    last[i], and level 0 is the empty tuple; a parent of -1 is one not
+    listed.  Levels must be closed under the faces and degeneracies, or
+    StructureError is raised.  The labels are built when first read, as
+    nerve labels its levels: "*", the bare elements, then the tuples.
 
     Writing t = p + (b,) with parent p, d_n t is p, d_{n-1} t is
     parent(p) + (p[-1] * b,), and d_i t (i < n-1) and s_i t (i < n) are
@@ -244,6 +220,8 @@ def _column_nerve(columns, mul, labels=None) -> TruncatedSSet:
     counts = [1] + [len(p) for p in parent[1:]]
     child = [None]
     for n in range(1, K + 1):
+        if -1 in parent[n]:
+            raise StructureError(f"levels are not closed under d_{n} at level {n}")
         table = [-1] * (counts[n - 1] * order)
         for i, (p, b) in enumerate(zip(parent[n], last[n])):
             table[p * order + b] = i
@@ -283,7 +261,7 @@ def _column_nerve(columns, mul, labels=None) -> TruncatedSSet:
         grown[1] = list(last[1])
         return grown
 
-    return TruncatedSSet(K, counts, face, deg, tuples if labels is None else labels)
+    return TruncatedSSet(K, counts, face, deg, tuples)
 
 
 def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet:
@@ -303,7 +281,9 @@ def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet
     levels = [[()], [(x,) for x in m.elements()]]
     levels += [sorted(a.level(n)) for n in range(2, K + 1)]
     mul = [[m.mul(x, y) for y in m.elements()] for x in m.elements()]
-    return tuple_nerve(levels, mul)
+    labels = dict(enumerate(levels))
+    labels[0], labels[1] = ["*"], list(m.elements())
+    return from_levels(levels, functools.partial(tuple_face, mul), insert_unit, labels)
 
 
 def magma_from_sset(x: TruncatedSSet):

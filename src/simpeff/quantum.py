@@ -75,17 +75,17 @@ def eigenprojectors(u):
     (..., D, d, d), via the finite Fourier sum P_a = (1/D) sum_k omega^{-ak} u^k;
     reconstruction sum_a omega^a P_a = u."""
     eye = _eye(u.shape[-1])
-    if (frob(u @ dagger(u) - eye) > TOL_PROJ).any():
+    if not (frob(u @ dagger(u) - eye) <= TOL_PROJ).all():
         raise InputError("input is not unitary within tolerance")
     powers = [np.broadcast_to(eye, u.shape), u, u @ u]
-    if (frob(powers[-1] @ u - eye) > TOL_PROJ).any():
+    if not (frob(powers[-1] @ u - eye) <= TOL_PROJ).all():
         raise InputError(f"input is not {D}-torsion within tolerance")
     k = np.arange(D)
     # the powers' entries as rows, so that each sum over k is one matmul
     flat = np.stack(powers, -3).reshape(*u.shape[:-2], D, -1)
     projs = (OMEGA ** -np.outer(k, k) @ flat / D).reshape(*u.shape[:-2], D, *u.shape[-2:])
     rebuilt = (OMEGA ** k @ projs.reshape(flat.shape)).reshape(u.shape)
-    if (frob(rebuilt - u) > TOL_EQ).any():
+    if not (frob(rebuilt - u) <= TOL_EQ).all():
         raise InputError("spectral reconstruction failed")
     return projs
 
@@ -131,6 +131,8 @@ class ProjectiveMeasurement:
         """Raise the first failure of the first failing measurement in the
         stack: a non-projector, then a non-orthogonal pair in
         itertools.combinations order, then a sum other than the identity.
+        Each test fails on NaN, so a block with a non-finite entry is not a
+        projector.
 
         A pair s < t is not orthogonal when |p[s] p[t]|_F > TOL_PROJ.  Since
         |AB|_F^2 = <A^dag A, B B^dag>_F, one product of the flattened stacks
@@ -151,14 +153,14 @@ class ProjectiveMeasurement:
         if p.ndim < 3 or p.shape[-3] != n or p.shape[-2] != p.shape[-1]:
             raise InputError("measurement must be indexed by all outcome tuples")
         outs = _outcomes(self.arity)[0]
-        not_proj = (frob(dagger(p) - p) > TOL_PROJ) | (frob(p @ p - p) > TOL_PROJ)
+        not_proj = ~(frob(dagger(p) - p) <= TOL_PROJ) | ~(frob(p @ p - p) <= TOL_PROJ)
         flat = p.shape[:-2] + (-1,)
         squares = ((dagger(p) @ p).reshape(flat) @ dagger((p @ dagger(p)).reshape(flat))).real
         not_orth = np.triu(squares > TOL_PROJ ** 2 / 10, 1)
         open_pairs = np.nonzero(not_orth)
         if open_pairs[0].size:
             not_orth[open_pairs] = _products_not_orthogonal(p, open_pairs)
-        not_unit = frob(p.sum(-3) - _eye(p.shape[-1])) > TOL_EQ
+        not_unit = ~(frob(p.sum(-3) - _eye(p.shape[-1])) <= TOL_EQ)
         bad = not_proj.any(-1) | not_orth.any((-2, -1)) | not_unit
         if not bad.any():
             return
@@ -354,9 +356,9 @@ def random_density(rng):
 
 def validate_density(rho):
     """Positive semidefinite and trace one, within tolerance."""
-    if frob(dagger(rho) - rho) > TOL_PROJ:
+    if not frob(dagger(rho) - rho) <= TOL_PROJ:
         raise InputError("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1) > TOL_PROJ:
+    if not abs(np.trace(rho).real - 1) <= TOL_PROJ:
         raise InputError("density operator does not have unit trace")
     if np.linalg.eigvalsh(rho).min() < -TOL_PROJ:
         raise InputError("density operator is not positive semidefinite")

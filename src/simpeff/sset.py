@@ -8,11 +8,11 @@ checked up to the truncation bound and reports state that bound.
 
 from __future__ import annotations
 
-__all__ = ["TruncatedSSet", "from_levels", "validate", "subface", "spine", "degenerate_edges",
-           "is_reduced", "is_spiny", "is_inverseless_sset", "Triangulation", "triangulations",
-           "subface_tables", "membrane_counts", "segal", "boundary_membranes",
-           "is_coskeletal_2", "cosk2_extend", "truncate", "canonicalize_spiny",
-           "standard_simplex", "from_nondegenerate"]
+__all__ = ["TruncatedSSet", "from_levels", "composite", "differences", "validate", "subface",
+           "spine", "degenerate_edges", "is_reduced", "is_spiny", "is_inverseless_sset",
+           "Triangulation", "triangulations", "subface_tables", "membrane_counts", "segal",
+           "boundary_membranes", "is_coskeletal_2", "cosk2_extend", "truncate",
+           "canonicalize_spiny", "standard_simplex", "from_nondegenerate"]
 
 import itertools
 import operator
@@ -120,9 +120,16 @@ def from_levels(levels, face_key, deg_key, labels=None) -> TruncatedSSet:
     return TruncatedSSet(K, [len(lev) for lev in levels], face, deg, labels)
 
 
-def _composite(outer, inner):
+def composite(outer, inner):
     """The table of outer after inner: outer[inner[s]] for each s."""
     return list(map(outer.__getitem__, inner))
+
+
+def differences(lhs, rhs):
+    """The positions where the tables lhs and rhs differ, in order; equal
+    tables are found equal whole, without a scan."""
+    if lhs != rhs:
+        yield from (s for s, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def validate(x: TruncatedSSet):
@@ -139,34 +146,33 @@ def validate(x: TruncatedSSet):
     bad = []
 
     def compare(name, n, ij, lhs, rhs):
-        if lhs != rhs:
-            bad.extend((name, n, ij, s) for s, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        bad.extend((name, n, ij, s) for s in differences(lhs, rhs))
 
     for n in range(2, x.K + 1):
         for j in range(n + 1):
             for i in range(j):
                 compare("d_i d_j = d_{j-1} d_i", n, (i, j),
-                        _composite(face[(n - 1, j - 1)], face[(n, i)]),
-                        _composite(face[(n - 1, i)], face[(n, j)]))
+                        composite(face[(n - 1, j - 1)], face[(n, i)]),
+                        composite(face[(n - 1, i)], face[(n, j)]))
     for n in range(x.K):
         ids = list(x.simplices(n))
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = _composite(face[(n + 1, i)], deg[(n, j)])
+                lhs = composite(face[(n + 1, i)], deg[(n, j)])
                 if i == j or i == j + 1:
                     compare("d_i s_j = id", n, (i, j), lhs, ids)
                 elif i < j:
                     compare("d_i s_j = s_{j-1} d_i", n, (i, j), lhs,
-                            _composite(deg[(n - 1, j - 1)], face[(n, i)]))
+                            composite(deg[(n - 1, j - 1)], face[(n, i)]))
                 else:
                     compare("d_i s_j = s_j d_{i-1}", n, (i, j), lhs,
-                            _composite(deg[(n - 1, j)], face[(n, i - 1)]))
+                            composite(deg[(n - 1, j)], face[(n, i - 1)]))
     for n in range(x.K - 1):
         for i in range(n + 1):
             for j in range(i, n + 1):
                 compare("s_i s_j = s_{j+1} s_i", n, (i, j),
-                        _composite(deg[(n + 1, j + 1)], deg[(n, i)]),
-                        _composite(deg[(n + 1, i)], deg[(n, j)]))
+                        composite(deg[(n + 1, j + 1)], deg[(n, i)]),
+                        composite(deg[(n + 1, i)], deg[(n, j)]))
     return bad
 
 
@@ -444,7 +450,7 @@ def segal(x: TruncatedSSet):
             break
         sub = tables[n] = subface_tables(x, n)
         if n == 3 and not bad:
-            cosk = _coskeletal_2(x, tables, checked=True)
+            cosk = _coskeletal_2(x, tables)
         spines = list(zip(*(sub[(i, i + 1)] for i in range(n))))
         if spiny[0]:
             pair = first_collision(spines)
@@ -504,7 +510,8 @@ def is_coskeletal_2(x: TruncatedSSet):
     """Unique boundary fillers at every level 3..K; witness the least bad boundary.
 
     Raises StructureError when the faces of a simplex are not a compatible
-    boundary, which happens only if the simplicial identities fail.
+    boundary, naming the least such simplex at the lowest level n >= 3,
+    unless a level below n fails first.
 
     Where X is spiny at level 2, that is (d_2, d_0) is injective on X_2,
     comp(e, f), the d_1 of the 2-simplex over (e, f), is a partial map, and
@@ -534,30 +541,29 @@ def is_coskeletal_2(x: TruncatedSSet):
     in lexicographic order, with no filler ("unfilled") or more than one
     ("multiple").
     """
-    return _coskeletal_2(x, {}, checked=False)
-
-
-def _coskeletal_2(x: TruncatedSSet, tables, checked):
-    """is_coskeletal_2, reading edges from tables (level -> subface_tables
-    of that level), which it builds where absent.  checked says the simplicial
-    identities are known to hold, so the faces of every simplex form a
-    compatible boundary; otherwise each level checks this first."""
     if x.K < 3:
         raise InputError("coskeletality check needs K >= 3")
+    bad = min(((n, s) for name, n, _, s in validate(x)
+               if name == "d_i d_j = d_{j-1} d_i" and n >= 3), default=None)
+    if bad is None:
+        return _coskeletal_2(x, {})
+    n, s = bad
+    below = _coskeletal_2(truncate(x, n - 1), {}) if n > 3 else (True, None)
+    if not below[0]:
+        return below
+    raise StructureError(f"faces {tuple(x.face[(n, i)][s] for i in range(n + 1))} of "
+                         f"{n}-simplex {s} are not a compatible boundary; the simplicial "
+                         "identities fail")
+
+
+def _coskeletal_2(x: TruncatedSSet, tables):
+    """is_coskeletal_2 on a set whose simplicial identities hold, so that the
+    faces of every simplex form a compatible boundary, reading edges from
+    tables (level -> subface_tables of that level), which it builds where
+    absent."""
     comp = dict(zip(zip(x.face[(2, 2)], x.face[(2, 0)]), x.face[(2, 1)]))
     for n in range(3, x.K + 1):
         faces = [x.face[(n, i)] for i in range(n + 1)]
-        if not checked:
-            left = zip(*(map(x.face[(n - 1, j - 1)].__getitem__, faces[i])
-                         for j in range(n + 1) for i in range(j)))
-            right = zip(*(map(x.face[(n - 1, i)].__getitem__, faces[j])
-                          for j in range(n + 1) for i in range(j)))
-            bad = list(map(operator.ne, left, right))
-            if True in bad:
-                s = bad.index(True)
-                raise StructureError(f"faces {tuple(f[s] for f in faces)} of {n}-simplex {s} "
-                                     "are not a compatible boundary; the simplicial "
-                                     "identities fail")
         if len(comp) == x.counts[2] and _pairs_fill(
                 x, n, comp, tables.get(n - 1) or subface_tables(x, n - 1)):
             continue

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
+import cyclic_oracles as oracle
 from simpeff import cyclic as cyc
 from simpeff import nerve as nv
-from simpeff import palg
+from simpeff import palg, sset
 from simpeff.util import InputError
 
 from conftest import nerve_of
@@ -130,6 +133,77 @@ def test_ortho_laws_pass_on_all_generated_instances(z2_cyclic_z1):
     ]
     for c in instances:
         assert all_ok(cyc.orthocomplement_laws(c))
+
+
+# ---------------------------------------------------------------------------
+# the table comparisons against the per-simplex oracles
+
+
+def _cyclic_sets():
+    """The cyclic sets built by the tests above and by the golden corpus."""
+    z2, z3, z4, q8 = (nv.cyclic_group(2), nv.cyclic_group(3), nv.cyclic_group(4),
+                      nv.quaternion_group())
+    ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 4)
+    effects = ((palg.interval_effect_algebra(2), 4), (palg.interval_effect_algebra(3), 3),
+               (palg.interval_effect_algebra(4), 3), (palg.boolean_effect_algebra(2), 3))
+    return [cyc.group_nerve_cyclic(z2, 1, nerve_of(nv.magma_of_group(z2), 4)),
+            cyc.group_nerve_cyclic(z2, 1, nv.comm_nerve(z2, None, 4)),
+            cyc.group_nerve_cyclic(z3, 0, nerve_of(nv.magma_of_group(z3), 4)),
+            cyc.group_nerve_cyclic(q8, 1, nv.comm_nerve(q8, None, 3)),
+            cyc.group_nerve_cyclic(z4, 0, ly),
+            cyc.CyclicSSet(point(3), {n: [0] for n in (1, 2, 3)})] + [
+        cyc.effect_nerve_cyclic(e, nerve_of(e.magma, K)) for e, K in effects]
+
+
+def _corrupted(c, kind, key, rng):
+    """A copy of c with one or two changes to one table: a swap of two
+    entries of tau_key, or an entry of the face or degeneracy table key
+    sent to a random simplex."""
+    x = c.base
+    tau = {n: list(t) for n, t in c.tau.items()}
+    face = {k: list(t) for k, t in x.face.items()}
+    deg = {k: list(t) for k, t in x.deg.items()}
+    for _ in range(rng.randint(1, 2)):
+        if kind == "tau":
+            t = tau[key]
+            a, b = rng.randrange(len(t)), rng.randrange(len(t))
+            t[a], t[b] = t[b], t[a]
+        elif kind == "face":
+            face[key][rng.randrange(x.counts[key[0]])] = rng.randrange(x.counts[key[0] - 1])
+        else:
+            deg[key][rng.randrange(x.counts[key[0]])] = rng.randrange(x.counts[key[0] + 1])
+    return cyc.CyclicSSet(sset.TruncatedSSet(x.K, x.counts, face, deg), tau)
+
+
+def _family(name):
+    """The relation family of a validate_cyclic check: tau^{n+1}, d0, d_i
+    (i >= 1), s0 or s_i (i >= 1)."""
+    return next(f for f in ("tau^", "d0.", "s0.", "d", "s") if name.startswith(f))
+
+
+def test_table_checks_match_the_per_simplex_oracles():
+    """validate_cyclic and orthocomplement_laws give the per-simplex
+    oracles' checks, names, verdicts and witnesses alike, on each cyclic set
+    and on three seeded corruptions of each of its tau, face and degeneracy
+    tables.  531 of the 700 cases fail some check, and together they break
+    every relation family and every law."""
+    rng = random.Random(24)
+    broken, cases, failing = set(), 0, 0
+    for c in _cyclic_sets():
+        tables = ([("tau", n) for n in c.tau] + [("face", k) for k in c.base.face]
+                  + [("deg", k) for k in c.base.deg])
+        for kind, key in [(None, None)] + tables * 3:
+            bad = c if kind is None else _corrupted(c, kind, key, rng)
+            rels, laws = cyc.validate_cyclic(bad), cyc.orthocomplement_laws(bad)
+            assert rels == oracle.validate_cyclic(bad), (kind, key)
+            assert laws == oracle.orthocomplement_laws(bad), (kind, key)
+            broken |= {_family(r.name) for r in rels if not r.ok}
+            broken |= {law.name for law in laws if not law.ok}
+            cases += 1
+            failing += not all(ch.ok for ch in rels + laws)
+    assert (cases, failing) == (700, 531)
+    assert broken == {"tau^", "d0.", "d", "s0.", "s", "ortho-1-rotation", "ortho-2-involution",
+                      "ortho-3-one-perp-is-zero", "ortho-4-composite-one-forces-perp"}, broken
 
 
 # ---------------------------------------------------------------------------

@@ -236,12 +236,13 @@ def test_action_invalid_table():
 
 
 # ---------------------------------------------------------------------------
-# tuple_nerve tables against the key-based builder
+# tuple nerves against the key-based builder
 
 
 def _key_based_nerve(levels, mul):
-    """Oracle: the builder tuple_nerve replaced, which hashes the tuple of
-    every face and degeneracy."""
+    """Oracle: the nerve of levels of tuples, built by sset.from_levels,
+    which hashes the tuple of every face and degeneracy, and labelled as
+    nerve labels it."""
     x = sset.from_levels(levels, functools.partial(nv.tuple_face, mul), nv.insert_unit)
     x.labels[0] = ["*"]
     x.labels[1] = [t[0] for t in levels[1]]
@@ -250,6 +251,16 @@ def _key_based_nerve(levels, mul):
 
 def _magma_table(m):
     return [[m.mul(a, b) for b in m.elements()] for a in m.elements()]
+
+
+def _columns(levels):
+    """The (parent, last) id columns of levels of tuples, as _column_nerve
+    reads them; a parent not listed one level down is -1."""
+    columns = []
+    for below, level in zip(levels, levels[1:]):
+        ids = {t: i for i, t in enumerate(below)}
+        columns.append(([ids.get(t[:-1], -1) for t in level], [t[-1] for t in level]))
+    return columns
 
 
 def _seeded_y(size, seed):
@@ -304,14 +315,14 @@ def test_tuple_nerve_rejects_levels_not_closed(missing, op):
         if missing == "inner face":
             levels[3] = [t for t in levels[3] if t[:2] != (1, 2)]
     with pytest.raises(StructureError, match=f"not closed under {op} "):
-        nv.tuple_nerve(levels, nv.cyclic_group(3).mul)
+        nv._column_nerve(_columns(levels), nv.cyclic_group(3).mul)
 
 
 def test_tuple_nerve_rejects_undefined_product():
     l2 = palg.interval_effect_algebra(2).magma
     levels = [[()], [(0,), (1,), (2,)], [(a, b) for a in range(3) for b in range(3)]]
     with pytest.raises(StructureError):
-        nv.tuple_nerve(levels, _magma_table(l2))
+        nv._column_nerve(_columns(levels), _magma_table(l2))
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +353,12 @@ def test_truncated_comm_nerve_keeps_its_labels():
 
 def test_canonicalize_spiny_keeps_labels_of_grown_action_partial_group():
     """A grown L_Y(S3), whose labels canonicalize_spiny reads first, and its
-    copy from tuple_nerve, labelled eagerly by its tuples, have the same
-    canonical form, labels included."""
+    copy from the key-based builder, labelled eagerly by its tuples, have
+    the same canonical form, labels included."""
     grown = _translation_pg(S3, 1, 4)
     tuples = [[()]] + [_level(_translation_pg(S3, 1, 4), n) for n in range(1, 5)]
     got = sset.canonicalize_spiny(grown)
-    want = sset.canonicalize_spiny(nv.tuple_nerve(tuples, S3.mul))
+    want = sset.canonicalize_spiny(_key_based_nerve(tuples, S3.mul))
     assert got.face == want.face
     assert got.labels == want.labels
 

@@ -65,6 +65,34 @@ def test_eigenprojectors_reject_bad_input():
         q.eigenprojectors(np.diag([1, -1, 1]).astype(complex))  # 2-torsion, not 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_validators_reject_non_finite_input(bad):
+    """A NaN or infinite entry fails every tolerance test it meets, so each
+    validator raises InputError, wholly or at one entry.  numpy's warnings
+    about the arithmetic on such entries are not what is tested here."""
+    basis = np.stack([np.diag(row) for row in np.eye(3, dtype=complex)])
+    one_entry = basis.copy()
+    one_entry[1, 0, 0] = bad
+    diag = np.diag([1, q.OMEGA, bad])
+    state = np.eye(q.DIM, dtype=complex) / q.DIM
+    state[4, 4] = bad
+    cases = [
+        (lambda: q.ProjectiveMeasurement(1, np.full((3, 3, 3), bad, dtype=complex)).validate(),
+         r"entry \(0,\) is not a projector"),
+        (lambda: q.ProjectiveMeasurement(1, one_entry).validate(),
+         r"entry \(1,\) is not a projector"),
+        (lambda: q.eigenprojectors(np.full((3, 3), bad, dtype=complex)), "not unitary"),
+        (lambda: q.eigenprojectors(diag), "not unitary"),
+        (lambda: q.validate_density(np.full((q.DIM, q.DIM), bad, dtype=complex)),
+         "not Hermitian"),
+        (lambda: q.validate_density(state), "not Hermitian"),
+    ]
+    q.ProjectiveMeasurement(1, basis).validate()
+    for call, message in cases:
+        with np.errstate(all="ignore"), pytest.raises(InputError, match=message):
+            call()
+
+
 def test_witness_b_eigenprojector_is_pi01(witness):
     # the omega-eigenprojector of B is the rank-4 block at outcome 01
     projs = q.eigenprojectors(witness["B"])

@@ -617,6 +617,16 @@ def test_coskeletal_raises_like_the_listing():
         assert errors[0] == errors[1], (n, i)
 
 
+def test_coskeletal_decides_lower_levels_before_raising():
+    """A set that fails at level 3 and breaks a face identity at level 4
+    gets the listing's level-3 verdict, not the level-4 error."""
+    x = hollow_simplex(3, 4, 0)
+    x.face[(4, 0)][-1] = (x.face[(4, 0)][-1] + 1) % x.counts[3]
+    assert sset.validate(x)
+    want = (False, ("unfilled", 3, (19, 18, 17, 16)))
+    assert sset.is_coskeletal_2(x) == coskeletal_2(x) == want
+
+
 def test_spiny_weakly_two_segal_implies_coskeletal(q8_nerve):
     for x in (q8_nerve,
               nerve_of(palg.interval_effect_algebra(2).magma, 4),
