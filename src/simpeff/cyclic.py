@@ -12,9 +12,9 @@ from __future__ import annotations
 __all__ = ["CyclicSSet", "validate_cyclic", "group_nerve_cyclic", "effect_nerve_cyclic",
            "orthocomplement_laws", "battery"]
 
-from .palg import FiniteEffectAlgebra, left_product
+from .palg import FiniteEffectAlgebra
 from .nerve import FiniteGroup
-from .sset import TruncatedSSet, composite, differences, is_inverseless_sset, segal
+from .sset import TruncatedSSet, composite, differences, is_inverseless_sset, segal, subface
 from .util import Check, InputError, first_collision, first_failure, json_ints
 
 
@@ -93,58 +93,56 @@ def validate_cyclic(c: CyclicSSet):
     return checks
 
 
-def _level_tuples(x: TruncatedSSet, n: int):
-    """Level labels as id tuples (nerve-style ssets carry these)."""
-    lab = x.labels.get(n)
+def _cyclic_from_edges(x: TruncatedSSet, perp) -> CyclicSSet:
+    """The cyclic structure on a spiny set x whose tau_1 sends the edge of
+    each element a, read from the level-1 labels, to the edge of perp[a].
+
+    In a cyclic set d_0 tau_n = d_n and d_n tau_n = tau_{n-1} d_{n-1}, so
+    tau_n s is the t with (d_n t, d_0 t) = (tau_{n-1} d_{n-1} s, d_n s), and
+    by induction the spine of tau_n s is tau_1 of the long edge (0, n) of s,
+    then the spine of d_n s.  On a set spiny below level n, (d_n, d_0) tells
+    n-simplices apart as the spine does.  So on a spiny set tau_1 fixes tau,
+    and where no simplex has the image spine no cyclic tau extends tau_1.
+    """
+    lab = x.labels.get(1)
     if lab is None:
         raise InputError("cyclic constructions need tuple labels on the nerve")
-    if n == 1:
-        return [(v,) if not isinstance(v, tuple) else v for v in lab]
-    return lab
+    elem = [v[0] if isinstance(v, tuple) else v for v in lab]
+    edge = {a: e for e, a in enumerate(elem)}
 
+    def check_images(n):
+        if None in tau[n]:
+            s = tau[n].index(None)
+            sp = tuple(elem[subface(x, n, s, (i, i + 1))] for i in range(n))
+            img = (perp[elem[subface(x, n, s, (0, n))]],) + sp[:-1]
+            raise InputError(f"cyclic image {img} of {sp} leaves level {n}")
 
-def _cyclic_from_tuple_map(x: TruncatedSSet, tau_tuple) -> CyclicSSet:
-    tau = {}
-    for n in range(1, x.K + 1):
-        tuples = _level_tuples(x, n)
-        ids = {t: i for i, t in enumerate(tuples)}
-        tab = []
-        for t in tuples:
-            img = tau_tuple(n, t)
-            if img not in ids:
-                raise InputError(f"cyclic image {img} of {t} leaves level {n}")
-            tab.append(ids[img])
-        tau[n] = tab
+    tau = {1: [edge.get(perp[a]) for a in elem]}
+    check_images(1)
+    for n in range(2, x.K + 1):
+        faces = list(zip(x.face[(n, n)], x.face[(n, 0)]))
+        ids = dict(zip(faces, x.simplices(n)))
+        if len(ids) < len(faces):
+            raise InputError(f"{n}-simplices {first_collision(faces)} share a spine; "
+                             "tau_1 fixes tau only on a spiny set")
+        tau[n] = list(map(ids.get, zip(composite(tau[n - 1], x.face[(n, n - 1)]),
+                                       x.face[(n, n)])))
+        check_images(n)
     return CyclicSSet(x, tau)
 
 
 def group_nerve_cyclic(g: FiniteGroup, z: int, x: TruncatedSSet) -> CyclicSSet:
     """tau_n(g_1..g_n) = (z * (g_1...g_n)^-1, g_1, .., g_{n-1}) on a (sub)nerve
-    of g whose labels are element tuples.  z must be central."""
+    of g whose level-1 labels are its elements.  z must be central."""
     if z not in g.center():
         raise InputError(f"element {z} is not central")
-
-    def tau_tuple(n, t):
-        prod = 0
-        for a in t:
-            prod = g.mul[prod][a]
-        return (g.mul[z][g.inv(prod)],) + t[:-1]
-
-    return _cyclic_from_tuple_map(x, tau_tuple)
+    return _cyclic_from_edges(x, [g.mul[z][g.inv(a)] for a in range(g.order)])
 
 
 def effect_nerve_cyclic(e: FiniteEffectAlgebra, x: TruncatedSSet) -> CyclicSSet:
     """tau_n(a_1..a_n) = ((a_1+..+a_n)-perp, a_1, .., a_{n-1}) on the nerve
     of the effect algebra; tau_1 is the orthocomplement."""
-    perp = e.orthocomplement
-
-    def tau_tuple(n, t):
-        s = left_product(e.magma, t)
-        if s is None:
-            raise InputError(f"nerve level tuple {t} is not summable")
-        return (perp[s],) + t[:-1]
-
-    return _cyclic_from_tuple_map(x, tau_tuple)
+    return _cyclic_from_edges(x, e.orthocomplement)
 
 
 def orthocomplement_laws(c: CyclicSSet):

@@ -317,36 +317,30 @@ def from_pas(p: PasStructure):
 
 
 def validate_pas(p: PasStructure):
-    """The four word-domain conditions, checked on the stored finite set."""
-    checks = []
-    c1 = all((x,) in p.domain for x in range(p.size)) and () in p.domain
-    checks.append(Check("pas-cond1-carrier-in-domain", c1))
-    c2, w2 = True, None
-    for w in p.domain:
-        for i in range(1, len(w)):
-            if w[:i] not in p.domain or w[i:] not in p.domain:
-                c2, w2 = False, w
-                break
-    checks.append(Check("pas-cond2-split-closure", c2, w2))
-    c3 = all(p.pi[(x,)] == x for x in range(p.size) if (x,) in p.domain)
-    checks.append(Check("pas-cond3-pi-identity-on-carrier", c3))
-    c4, w4 = True, None
-    for w in sorted(p.domain):
-        if len(w) < 2:
-            continue
-        for i in range(len(w)):
-            for j in range(i + 1, len(w) + 1):
-                mid = w[i:j]
-                if mid not in p.domain:
-                    c4, w4 = False, (w, mid)
-                    continue
-                contr = w[:i] + (p.pi[mid],) + w[j:]
-                if contr not in p.domain or p.pi[contr] != p.pi[w]:
-                    c4, w4 = False, (w, contr)
-        if not c4:
-            break
-    checks.append(Check("pas-cond4-contraction", c4, w4))
-    return checks
+    """The four word-domain conditions, checked on the stored finite set.
+
+    Each row's witness is its first failure, words in sorted order: the
+    empty or a one-letter word missing from the domain, a word with a split
+    outside it, a one-letter word (x,) with pi(x,) != x, and (w, v) for the
+    first failing interval of w, v the interval if it is missing, else its
+    contraction.
+    """
+    words = sorted(p.domain)
+    return [
+        first_failure("pas-cond1-carrier-in-domain", (
+            w for w in [()] + [(x,) for x in range(p.size)] if w not in p.domain)),
+        first_failure("pas-cond2-split-closure", (
+            w for w in words if any(w[:i] not in p.domain or w[i:] not in p.domain
+                                    for i in range(1, len(w))))),
+        first_failure("pas-cond3-pi-identity-on-carrier", (
+            (x,) for x in range(p.size) if (x,) in p.domain and p.pi[(x,)] != x)),
+        first_failure("pas-cond4-contraction", (
+            (w, mid) if mid not in p.domain else (w, contr)
+            for w in words if len(w) >= 2
+            for i in range(len(w)) for j in range(i + 1, len(w) + 1)
+            if (mid := w[i:j]) not in p.domain
+            or (contr := w[:i] + (p.pi[mid],) + w[j:]) not in p.domain or p.pi[contr] != p.pi[w])),
+    ]
 
 
 def validate_partial_group(p: PasStructure, inv):
@@ -354,22 +348,18 @@ def validate_partial_group(p: PasStructure, inv):
 
     inv is a total involution on the carrier.  Condition (5) doubles word
     lengths, so it is checked for words with 2*len at most the longest
-    stored word, and the bound is recorded in the check name.
+    stored word, and the bound is recorded in the check name.  The
+    inversion row's witness is the first element it fails on; condition
+    (5)'s is the first word in sorted order.
     """
-    checks = list(validate_pas(p))
     maxlen = p.max_word_length
-    inv_ok = all(0 <= inv[x] < p.size and inv[inv[x]] == x for x in range(p.size))
-    checks.append(Check("inversion-is-involution", inv_ok))
-    c5, w5 = True, None
-    for w in sorted(p.domain):
-        if 2 * len(w) > maxlen or len(w) == 0:
-            continue
-        doubled = w + tuple(inv[x] for x in reversed(w))
-        if doubled not in p.domain or p.pi[doubled] != 0:
-            c5, w5 = False, w
-            break
-    checks.append(Check(f"partial-group-cond5-inversion(len<={maxlen // 2})", c5, w5))
-    return checks
+    return validate_pas(p) + [
+        first_failure("inversion-is-involution", (
+            x for x in range(p.size) if not (0 <= inv[x] < p.size and inv[inv[x]] == x))),
+        first_failure(f"partial-group-cond5-inversion(len<={maxlen // 2})", (
+            w for w in sorted(p.domain) if 0 < 2 * len(w) <= maxlen
+            and ((d := w + tuple(inv[x] for x in reversed(w))) not in p.domain or p.pi[d] != 0))),
+    ]
 
 
 # ---------------------------------------------------------------------------

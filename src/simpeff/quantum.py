@@ -245,7 +245,8 @@ def in_key_example(m: ProjectiveMeasurement):
 
     Returns (ok, witness): ok has the measurement's stack shape, and the
     witness names the first forbidden label carrying a nonzero projector in
-    the first failing measurement, with its norm.
+    the first failing measurement, with its norm.  A NaN norm counts as
+    nonzero, so a block with a NaN entry is not in the key example.
     """
     if m.dim != DIM:
         raise InputError(f"key example lives on C^{DIM}")
@@ -253,7 +254,7 @@ def in_key_example(m: ProjectiveMeasurement):
         raise InputError("in_key_example takes 2-simplices; use in_key_example_tuple")
     index = _outcomes(2)[1]
     norms = frob(m.blocks[..., [index[t] for t in _FORBIDDEN], :, :])
-    nonzero = norms > TOL_EQ
+    nonzero = ~(norms <= TOL_EQ)
     ok = ~nonzero.any(-1)
     if ok.all():
         return ok, None

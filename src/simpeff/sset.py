@@ -148,12 +148,8 @@ def validate(x: TruncatedSSet):
     def compare(name, n, ij, lhs, rhs):
         bad.extend((name, n, ij, s) for s in differences(lhs, rhs))
 
-    for n in range(2, x.K + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                compare("d_i d_j = d_{j-1} d_i", n, (i, j),
-                        composite(face[(n - 1, j - 1)], face[(n, i)]),
-                        composite(face[(n - 1, i)], face[(n, j)]))
+    for n, ij, lhs, rhs in _face_identities(x, 2):
+        compare("d_i d_j = d_{j-1} d_i", n, ij, lhs, rhs)
     for n in range(x.K):
         ids = list(x.simplices(n))
         for j in range(n + 1):
@@ -174,6 +170,17 @@ def validate(x: TruncatedSSet):
                         composite(deg[(n + 1, j + 1)], deg[(n, i)]),
                         composite(deg[(n + 1, i)], deg[(n, j)]))
     return bad
+
+
+def _face_identities(x: TruncatedSSet, low: int):
+    """(n, (i, j), lhs, rhs) for each instance of d_i d_j = d_{j-1} d_i at
+    levels n = low..K, i < j: the composite tables of its two sides."""
+    face = x.face
+    for n in range(low, x.K + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                yield (n, (i, j), composite(face[(n - 1, j - 1)], face[(n, i)]),
+                       composite(face[(n - 1, i)], face[(n, j)]))
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +550,9 @@ def is_coskeletal_2(x: TruncatedSSet):
     """
     if x.K < 3:
         raise InputError("coskeletality check needs K >= 3")
-    bad = min(((n, s) for name, n, _, s in validate(x)
-               if name == "d_i d_j = d_{j-1} d_i" and n >= 3), default=None)
+    x.check_shape()
+    bad = min(((n, s) for n, _, lhs, rhs in _face_identities(x, 3) for s in differences(lhs, rhs)),
+              default=None)
     if bad is None:
         return _coskeletal_2(x, {})
     n, s = bad

@@ -1,11 +1,19 @@
-"""Per-simplex oracles for the cyclic checkers.
+"""Per-simplex oracles for the cyclic checkers and constructions.
 
 validate_cyclic and orthocomplement_laws scan simplex by simplex, as
 simpeff.cyclic did before it compared the composite tables of each relation
-whole.  The tests assert that both give the same checks, witnesses included.
+whole.  group_nerve_cyclic and effect_nerve_cyclic compute tau_n of every
+simplex from its tuple label, the product or sum of the whole tuple, as
+simpeff.cyclic did before it read tau_n off tau_1 and the spines.  The tests
+assert that both sides give the same checks, witnesses included, and the
+same tau tables or errors.
 """
 
-from simpeff.util import first_failure
+from simpeff.cyclic import CyclicSSet
+from simpeff.nerve import FiniteGroup
+from simpeff.palg import FiniteEffectAlgebra, left_product
+from simpeff.sset import TruncatedSSet
+from simpeff.util import InputError, first_failure
 
 
 def _t(c, n, s):
@@ -71,3 +79,57 @@ def orthocomplement_laws(c):
         first_failure("ortho-4-composite-one-forces-perp", (
             sig for sig in x.simplices(2) if d1[sig] in ones and d0[sig] != t1[d2[sig]])),
     ]
+
+
+def _level_tuples(x: TruncatedSSet, n: int):
+    """Level labels as id tuples (nerve-style ssets carry these)."""
+    lab = x.labels.get(n)
+    if lab is None:
+        raise InputError("cyclic constructions need tuple labels on the nerve")
+    if n == 1:
+        return [(v,) if not isinstance(v, tuple) else v for v in lab]
+    return lab
+
+
+def _cyclic_from_tuple_map(x: TruncatedSSet, tau_tuple) -> CyclicSSet:
+    tau = {}
+    for n in range(1, x.K + 1):
+        tuples = _level_tuples(x, n)
+        ids = {t: i for i, t in enumerate(tuples)}
+        tab = []
+        for t in tuples:
+            img = tau_tuple(n, t)
+            if img not in ids:
+                raise InputError(f"cyclic image {img} of {t} leaves level {n}")
+            tab.append(ids[img])
+        tau[n] = tab
+    return CyclicSSet(x, tau)
+
+
+def group_nerve_cyclic(g: FiniteGroup, z: int, x: TruncatedSSet) -> CyclicSSet:
+    """tau_n(g_1..g_n) = (z * (g_1...g_n)^-1, g_1, .., g_{n-1}) on a (sub)nerve
+    of g whose labels are element tuples.  z must be central."""
+    if z not in g.center():
+        raise InputError(f"element {z} is not central")
+
+    def tau_tuple(n, t):
+        prod = 0
+        for a in t:
+            prod = g.mul[prod][a]
+        return (g.mul[z][g.inv(prod)],) + t[:-1]
+
+    return _cyclic_from_tuple_map(x, tau_tuple)
+
+
+def effect_nerve_cyclic(e: FiniteEffectAlgebra, x: TruncatedSSet) -> CyclicSSet:
+    """tau_n(a_1..a_n) = ((a_1+..+a_n)-perp, a_1, .., a_{n-1}) on the nerve
+    of the effect algebra; tau_1 is the orthocomplement."""
+    perp = e.orthocomplement
+
+    def tau_tuple(n, t):
+        s = left_product(e.magma, t)
+        if s is None:
+            raise InputError(f"nerve level tuple {t} is not summable")
+        return (perp[s],) + t[:-1]
+
+    return _cyclic_from_tuple_map(x, tau_tuple)

@@ -10,6 +10,7 @@ from simpeff.util import InputError
 
 from conftest import nerve_of
 from sset_oracles import point, sset_equal
+from test_states import product_effect_algebra
 
 
 @pytest.fixture(scope="module")
@@ -139,20 +140,30 @@ def test_ortho_laws_pass_on_all_generated_instances(z2_cyclic_z1):
 # the table comparisons against the per-simplex oracles
 
 
-def _cyclic_sets():
-    """The cyclic sets built by the tests above and by the golden corpus."""
-    z2, z3, z4, q8 = (nv.cyclic_group(2), nv.cyclic_group(3), nv.cyclic_group(4),
-                      nv.quaternion_group())
-    ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 4)
+def _ly_z4():
+    z4 = nv.cyclic_group(4)
+    return z4, nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 4)
+
+
+def _constructions():
+    """The group-nerve and effect-nerve constructions of the tests above and
+    of the golden corpus, as (name, arguments)."""
+    z2, z3, q8 = nv.cyclic_group(2), nv.cyclic_group(3), nv.quaternion_group()
+    z4, ly = _ly_z4()
     effects = ((palg.interval_effect_algebra(2), 4), (palg.interval_effect_algebra(3), 3),
                (palg.interval_effect_algebra(4), 3), (palg.boolean_effect_algebra(2), 3))
-    return [cyc.group_nerve_cyclic(z2, 1, nerve_of(nv.magma_of_group(z2), 4)),
-            cyc.group_nerve_cyclic(z2, 1, nv.comm_nerve(z2, None, 4)),
-            cyc.group_nerve_cyclic(z3, 0, nerve_of(nv.magma_of_group(z3), 4)),
-            cyc.group_nerve_cyclic(q8, 1, nv.comm_nerve(q8, None, 3)),
-            cyc.group_nerve_cyclic(z4, 0, ly),
-            cyc.CyclicSSet(point(3), {n: [0] for n in (1, 2, 3)})] + [
-        cyc.effect_nerve_cyclic(e, nerve_of(e.magma, K)) for e, K in effects]
+    return [("group_nerve_cyclic", (z2, 1, nerve_of(nv.magma_of_group(z2), 4))),
+            ("group_nerve_cyclic", (z2, 1, nv.comm_nerve(z2, None, 4))),
+            ("group_nerve_cyclic", (z3, 0, nerve_of(nv.magma_of_group(z3), 4))),
+            ("group_nerve_cyclic", (q8, 1, nv.comm_nerve(q8, None, 3))),
+            ("group_nerve_cyclic", (z4, 0, ly))] + [
+        ("effect_nerve_cyclic", (e, nerve_of(e.magma, K))) for e, K in effects]
+
+
+def _cyclic_sets():
+    """The cyclic sets built by the tests above and by the golden corpus."""
+    built = [getattr(cyc, name)(*args) for name, args in _constructions()]
+    return built[:5] + [cyc.CyclicSSet(point(3), {n: [0] for n in (1, 2, 3)})] + built[5:]
 
 
 def _corrupted(c, kind, key, rng):
@@ -204,6 +215,78 @@ def test_table_checks_match_the_per_simplex_oracles():
     assert (cases, failing) == (700, 531)
     assert broken == {"tau^", "d0.", "d", "s0.", "s", "ortho-1-rotation", "ortho-2-involution",
                       "ortho-3-one-perp-is-zero", "ortho-4-composite-one-forces-perp"}, broken
+
+
+def _tau_or_error(construct, *args):
+    """The tau tables of a construction, or the message of its InputError."""
+    try:
+        return construct(*args).tau
+    except InputError as exc:
+        return str(exc)
+
+
+def _same_as_tuple_map(name, *args):
+    """The construction of simpeff.cyclic and its tuple-map oracle agree on
+    args; returns their common tau tables or error message."""
+    got = _tau_or_error(getattr(cyc, name), *args)
+    assert got == _tau_or_error(getattr(oracle, name), *args), (name, args)
+    return got
+
+
+def test_edge_construction_matches_the_tuple_map_oracle():
+    """tau read off tau_1 and the spines is the tau of the old construction,
+    which maps every tuple label whole: on every construction above, on the
+    K = 4, 5 effect nerves of L2-L4, bool2, bool3 and L2 x L2, and on the
+    K = 3..5 commutative nerves of Q8 and D4 at torsion 2 and 4 with every
+    central z.  None of these fails."""
+    for name, args in _constructions():
+        assert isinstance(_same_as_tuple_map(name, *args), dict)
+    l2 = palg.interval_effect_algebra(2)
+    effects = [palg.interval_effect_algebra(n) for n in (2, 3, 4)] + [
+        palg.boolean_effect_algebra(n) for n in (2, 3)] + [product_effect_algebra(l2, l2)]
+    for e in effects:
+        for K in (4, 5):
+            assert isinstance(_same_as_tuple_map("effect_nerve_cyclic", e, nerve_of(e.magma, K)),
+                              dict)
+    for g in (nv.quaternion_group(), nv.dihedral_group(4)):
+        for torsion in (2, 4):
+            for K in (3, 4, 5):
+                x = nv.comm_nerve(g, torsion, K)
+                for z in sorted(g.center()):
+                    assert isinstance(_same_as_tuple_map("group_nerve_cyclic", g, z, x), dict)
+
+
+def test_edge_construction_errors_match_the_tuple_map_oracle():
+    """On L_Y(Z4) only z = 0 keeps tau inside; z = 1, 2, 3 fail with the
+    same message on both sides."""
+    z4, ly = _ly_z4()
+    got = {z: _same_as_tuple_map("group_nerve_cyclic", z4, z, ly) for z in range(4)}
+    assert isinstance(got[0], dict)
+    assert got[1] == "cyclic image (1, 1, 1) of (1, 1, 2) leaves level 3"
+    assert all(isinstance(got[z], str) and "leaves level" in got[z] for z in (2, 3)), got
+
+
+def test_edge_construction_reads_labels_of_level_1_only():
+    """Labels above level 1 play no part, and level-1 labels may be bare
+    elements or 1-tuples; with no level-1 labels there is no tau_1."""
+    e = palg.interval_effect_algebra(3)
+    x = nerve_of(e.magma, 4)
+    labels = {n: [("junk", s) for s in x.simplices(n)] for n in range(x.K + 1)}
+    labels[1] = [(v,) for v in x.labels[1]]
+    relabelled = sset.TruncatedSSet(x.K, x.counts, x.face, x.deg, labels)
+    assert cyc.effect_nerve_cyclic(e, relabelled).tau == cyc.effect_nerve_cyclic(e, x).tau
+    del labels[1]
+    with pytest.raises(InputError, match="need tuple labels"):
+        cyc.effect_nerve_cyclic(e, relabelled)
+
+
+def test_edge_construction_rejects_a_non_spiny_set():
+    """A second 2-simplex on the degenerate edge shares its spine with
+    s_0 s_0 v, so tau_2 is not fixed by tau_1."""
+    x = sset.from_nondegenerate(2, [("v", 0, []), ("a", 2, [("v", (0, 0))] * 3)])
+    x = sset.TruncatedSSet(x.K, x.counts, x.face, x.deg, {1: [0]})
+    with pytest.raises(InputError, match="^2-simplices .* share a spine"):
+        cyc.group_nerve_cyclic(nv.cyclic_group(1), 0, x)
 
 
 # ---------------------------------------------------------------------------

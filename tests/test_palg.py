@@ -283,6 +283,36 @@ def test_to_pas_rejects_broken_datum(l2):
         palg.to_pas(l2.magma, broken)
 
 
+def test_pas_rows_name_their_first_failure(l2):
+    """Each failing row of validate_pas and validate_partial_group names its
+    first failure, words in sorted order, on L2's arity-3 PAS with one
+    change: (1,) or () left out of the domain, or pi moving (1,); the
+    inversion [0, 2, 2] is not an involution at 1 and doubles (1,) and (2,)
+    out of the domain.  Under the moved pi the contraction row names the
+    first failing interval of (0, 0, 1), the whole word, with contraction
+    (1,), and not the last, (1,), with contraction (0, 0, 2)."""
+    p = palg.to_pas(l2.magma, palg.max_associativity_datum(l2.magma, 3))
+
+    def without(word):
+        return palg.PasStructure(3, p.domain - {word}, {w: v for w, v in p.pi.items() if w != word})
+
+    def failures(q):
+        return [(c.name, c.witness) for c in palg.validate_partial_group(q, [0, 2, 2]) if not c.ok]
+
+    inversion = [("inversion-is-involution", 1)]
+    assert failures(without((1,))) == [
+        ("pas-cond1-carrier-in-domain", (1,)), ("pas-cond2-split-closure", (0, 0, 1)),
+        ("pas-cond4-contraction", ((0, 0, 1), (1,)))] + inversion + [
+        ("partial-group-cond5-inversion(len<=1)", (2,))]
+    assert failures(without(())) == [("pas-cond1-carrier-in-domain", ())] + inversion + [
+        ("partial-group-cond5-inversion(len<=1)", (1,))]
+    moved = palg.PasStructure(3, p.domain, {**p.pi, (1,): 2})
+    assert failures(moved) == [
+        ("pas-cond3-pi-identity-on-carrier", (1,)),
+        ("pas-cond4-contraction", ((0, 0, 1), (1,)))] + inversion + [
+        ("partial-group-cond5-inversion(len<=1)", (1,))]
+
+
 def test_validate_partial_group_ly():
     z4 = nv.cyclic_group(4)
     ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 6)

@@ -188,6 +188,16 @@ def test_in_key_example_generic_pair_fails():
     assert hits >= 8  # only rank patterns avoiding all three labels pass
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_in_key_example_rejects_non_finite_input(bad):
+    """A block with NaN or infinite entries has no norm at most TOL_EQ, so an
+    all-NaN or all-inf 2-simplex fails at the first forbidden label."""
+    m = q.ProjectiveMeasurement(2, np.full((9, q.DIM, q.DIM), bad, dtype=complex))
+    with np.errstate(all="ignore"):
+        ok, (label, norm) = q.in_key_example(m)
+    assert not ok and label == (1, 1) and not np.isfinite(norm)
+
+
 def test_in_key_example_dimension_guard():
     bad = q.ProjectiveMeasurement.zeros(2, 3)
     with pytest.raises(InputError):
