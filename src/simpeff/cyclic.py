@@ -14,8 +14,9 @@ __all__ = ["CyclicSSet", "validate_cyclic", "group_nerve_cyclic", "effect_nerve_
 
 from .palg import FiniteEffectAlgebra
 from .nerve import FiniteGroup
-from .sset import TruncatedSSet, composite, differences, is_inverseless_sset, segal, subface
-from .util import Check, InputError, first_collision, first_failure, json_ints
+from .sset import (TruncatedSSet, composite, differences, face_pair_index, is_inverseless_sset,
+                   segal, subface)
+from .util import Check, InputError, first_failure, json_ints
 
 
 class CyclicSSet:
@@ -100,8 +101,8 @@ def _cyclic_from_edges(x: TruncatedSSet, perp) -> CyclicSSet:
     In a cyclic set d_0 tau_n = d_n and d_n tau_n = tau_{n-1} d_{n-1}, so
     tau_n s is the t with (d_n t, d_0 t) = (tau_{n-1} d_{n-1} s, d_n s), and
     by induction the spine of tau_n s is tau_1 of the long edge (0, n) of s,
-    then the spine of d_n s.  On a set spiny below level n, (d_n, d_0) tells
-    n-simplices apart as the spine does.  So on a spiny set tau_1 fixes tau,
+    then the spine of d_n s.  On a set spiny below level n, face_pair_index
+    tells n-simplices apart as the spine does.  So on a spiny set tau_1 fixes tau,
     and where no simplex has the image spine no cyclic tau extends tau_1.
     """
     lab = x.labels.get(1)
@@ -120,10 +121,9 @@ def _cyclic_from_edges(x: TruncatedSSet, perp) -> CyclicSSet:
     tau = {1: [edge.get(perp[a]) for a in elem]}
     check_images(1)
     for n in range(2, x.K + 1):
-        faces = list(zip(x.face[(n, n)], x.face[(n, 0)]))
-        ids = dict(zip(faces, x.simplices(n)))
-        if len(ids) < len(faces):
-            raise InputError(f"{n}-simplices {first_collision(faces)} share a spine; "
+        ids, clash = face_pair_index(x, n)
+        if clash is not None:
+            raise InputError(f"{n}-simplices {clash} share a spine; "
                              "tau_1 fixes tau only on a spiny set")
         tau[n] = list(map(ids.get, zip(composite(tau[n - 1], x.face[(n, n - 1)]),
                                        x.face[(n, n)])))
@@ -202,7 +202,7 @@ def battery(c: CyclicSSet, effect=True, algebroid=True):
         checks.append(Check("simplicial-effect", not failed,
                             f"failed: {failed}" if failed else None))
     if algebroid:
-        u_wit = first_collision(zip(x.face[(2, 2)], x.face[(2, 0)]))
+        u_wit = face_pair_index(x, 2)[1]
         conds = [Check("two_segal", *two), Check("U", u_wit is None, u_wit),
                  Check("Z", inv_ok, inv_wit), Check("cyclic_valid", not badrel)]
         checks += [Check(f"effect-algebroid/{ch.name}", ch.ok, ch.witness) for ch in conds[:3]]

@@ -9,8 +9,8 @@ Nerve levels are labelled by the underlying tuples: level 1 ids equal the
 carrier ids and level n >= 2 is sorted lexicographically, which makes nerves
 spine-canonical on the nose.  The nerve of a magma is built from its levels
 of tuples by sset.from_levels.  Commutative nerves and action partial groups
-are grown as id columns and never build a tuple; their labels are built
-from the columns on first read.
+are grown as id columns and never build a tuple; each level of their labels
+is built from the columns on first read.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ __all__ = ["FiniteGroup", "group_from_table", "cyclic_group", "quaternion_group"
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import palg
 from .palg import (AssociativityDatum, FiniteEffectAlgebra, PartialUnitalMagma,
                    left_product, max_associativity_datum, multiset_multiplicable)
-from .sset import TruncatedSSet, from_levels, is_reduced, is_spiny, spine
+from .sset import (TruncatedSSet, face_pair_extend, face_pair_index, from_levels, is_reduced,
+                   spiny_face_pairs)
 from .util import InputError, StructureError, json_int, json_ints
 
 
@@ -206,8 +208,8 @@ def _column_nerve(columns, mul) -> TruncatedSSet:
     the tuple of simplex parent[i] at level n - 1 followed by the element
     last[i], and level 0 is the empty tuple; a parent of -1 is one not
     listed.  Levels must be closed under the faces and degeneracies, or
-    StructureError is raised.  The labels are built when first read, as
-    nerve labels its levels: "*", the bare elements, then the tuples.
+    StructureError is raised.  The labels are _GrownLabels, each level
+    built when first read.
 
     Writing t = p + (b,) with parent p, d_n t is p, d_{n-1} t is
     parent(p) + (p[-1] * b,), and d_i t (i < n-1) and s_i t (i < n) are
@@ -253,15 +255,29 @@ def _column_nerve(columns, mul) -> TruncatedSSet:
             deg[(n, i)] = lift("s", n, i, of_parent(deg[(n - 1, i)], n), last[n], child[n + 1])
         deg[(n, n)] = lift("s", n, n, range(counts[n]), itertools.repeat(0), child[n + 1])
 
-    def tuples():
-        """"*", the bare elements, then the tuples of levels 2..K."""
-        grown, level = {0: ["*"]}, [()]
-        for n in range(1, K + 1):
-            level = grown[n] = [level[p] + (b,) for p, b in zip(parent[n], last[n])]
-        grown[1] = list(last[1])
-        return grown
+    return TruncatedSSet(K, counts, face, deg, _GrownLabels(parent, last))
 
-    return TruncatedSSet(K, counts, face, deg, tuples)
+
+class _GrownLabels(Mapping):
+    """The labels of a grown nerve, as nerve labels its levels: "*", the bare
+    elements, then tuples; reading level n builds levels 2..n, once."""
+
+    def __init__(self, parent, last):
+        self.parent, self.last, self.built = parent, last, [["*"], list(last[1])]
+
+    def __getitem__(self, n):
+        if n not in range(len(self.parent)):
+            raise KeyError(n)
+        for k in range(len(self.built), n + 1):
+            below = self.built[k - 1] if k > 2 else [(b,) for b in self.last[1]]
+            self.built.append([below[p] + (b,) for p, b in zip(self.parent[k], self.last[k])])
+        return self.built[n]
+
+    def __iter__(self):
+        return iter(range(len(self.parent)))
+
+    def __len__(self):
+        return len(self.parent)
 
 
 def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet:
@@ -290,30 +306,24 @@ def magma_from_sset(x: TruncatedSSet):
     """Recover (magma, datum) from a spiny reduced simplicial set.
 
     Carrier = X_1 relabeled so the degenerate edge is 0; the product of
-    (a, b) is d_1 of the unique 2-simplex with spine (a, b); the datum level
-    n is the image of the 1-Segal embedding.
+    (a, b) is d_1 of the 2-simplex with faces (d_2, d_0) = (a, b); the datum
+    level n is the image of the 1-Segal embedding: the spine of s is that of
+    d_n s and the last edge of d_0 s where spiny_face_pairs holds.
     """
-    ok, wit = is_spiny(x)
-    if not ok:
-        raise InputError(f"input is not spiny: collision {wit}")
+    indexes = spiny_face_pairs(x)
     if not is_reduced(x):
         raise InputError("input is not reduced")
     unit_edge = x.deg[(0, 0)][0]
-    relabel = list(range(x.counts[1]))
-    if unit_edge != 0:
-        relabel[0], relabel[unit_edge] = unit_edge, 0
-    edge2id = {e: relabel.index(e) for e in x.simplices(1)}
-    product = {}
-    for sig in x.simplices(2):
-        a = edge2id[x.face[(2, 2)][sig]]
-        b = edge2id[x.face[(2, 0)][sig]]
-        product[(a, b)] = edge2id[x.face[(2, 1)][sig]]
-    magma = PartialUnitalMagma(x.counts[1], product)
+    relabel = list(range(x.counts[1]))  # a transposition, so its own inverse
+    relabel[0], relabel[unit_edge] = unit_edge, 0
+    d1 = x.face[(2, 1)]
+    magma = PartialUnitalMagma(x.counts[1], {(relabel[a], relabel[b]): relabel[d1[s]]
+                                             for (a, b), s in indexes[2].items()})
     magma.validate()
-    levels = {}
+    tuples, levels = [(a,) for a in relabel], {}
     for n in range(2, x.K + 1):
-        levels[n] = frozenset(tuple(edge2id[e] for e in spine(x, n, s))
-                              for s in x.simplices(n))
+        tuples = [tuples[a] + tuples[b][-1:] for a, b in indexes[n]]
+        levels[n] = frozenset(tuples)
     return magma, AssociativityDatum(levels)
 
 
@@ -467,15 +477,11 @@ def simplicial_circle(K: int) -> TruncatedSSet:
 
 def effect_circle_iso(e: FiniteEffectAlgebra, K: int):
     """The explicit levelwise bijection E(S^1) -> N(e) sending a function to
-    its (theta^1..theta^n) readout.  Returns (E(S^1), N(e), maps)."""
-    circle = simplicial_circle(K)
-    ex = effect_functor(e, circle)
+    its (theta^1..theta^n) readout, which fixes levels n >= 2 by
+    face_pair_extend.  Returns (E(S^1), N(e), maps)."""
+    ex = effect_functor(e, simplicial_circle(K))
     ne = nerve(e.magma, max_associativity_datum(e.magma, K), K)
-    maps = {0: [0]}
-    for n in range(1, K + 1):
-        tab = []
-        for t in ex.labels[n]:
-            tup = t[1: n + 1]  # values on theta^1..theta^n; t[0] is the star
-            tab.append(ne.labels[n].index(tup) if n >= 2 else tup[0])
-        maps[n] = tab
+    maps = {0: [0], 1: [t[1] for t in ex.labels[1]]}  # t[1] is the value on theta^1
+    for n in range(2, K + 1):
+        maps[n], _ = face_pair_extend(ex, n, maps[n - 1], face_pair_index(ne, n)[0])
     return ex, ne, maps

@@ -9,10 +9,11 @@ checked up to the truncation bound and reports state that bound.
 from __future__ import annotations
 
 __all__ = ["TruncatedSSet", "from_levels", "composite", "differences", "validate", "subface",
-           "spine", "degenerate_edges", "is_reduced", "is_spiny", "is_inverseless_sset",
-           "Triangulation", "triangulations", "subface_tables", "membrane_counts", "segal",
-           "boundary_membranes", "is_coskeletal_2", "cosk2_extend", "truncate",
-           "canonicalize_spiny", "standard_simplex", "from_nondegenerate"]
+           "spine", "face_pair_index", "face_pair_extend", "spiny_face_pairs", "degenerate_edges",
+           "is_reduced", "is_spiny", "is_inverseless_sset", "Triangulation", "triangulations",
+           "subface_tables", "membrane_counts", "segal", "boundary_membranes", "is_coskeletal_2",
+           "cosk2_extend", "truncate", "canonicalize_spiny", "standard_simplex",
+           "from_nondegenerate"]
 
 import itertools
 import operator
@@ -28,11 +29,10 @@ class TruncatedSSet:
     face[(n, i)] : X_n -> X_{n-1} for 1 <= n <= K, 0 <= i <= n
     deg[(n, i)]  : X_n -> X_{n+1} for 0 <= n < K, 0 <= i <= n
     and no other keys (check_shape rejects any outside the truncation).
-    labels is optional per-level metadata for readable witnesses; it is
-    ignored by equality and serialization.  It is given as a dict, or as a
-    zero-argument callable returning one, which the labels property calls
-    once, on first read.  The tables are kept as given, not copied, and
-    to_json_dict hands them out the same way.
+    labels is optional per-level metadata for readable witnesses, a mapping
+    from level to list; it is ignored by equality and serialization.  The
+    tables are kept as given, not copied, and to_json_dict hands them out
+    the same way.
     """
 
     def __init__(self, K, counts, face, deg, labels=None):
@@ -40,13 +40,7 @@ class TruncatedSSet:
         self.counts = list(counts)
         self.face = dict(face)
         self.deg = dict(deg)
-        self._labels = labels or {}
-
-    @property
-    def labels(self):
-        if callable(self._labels):
-            self._labels = self._labels()
-        return self._labels
+        self.labels = labels or {}
 
     def simplices(self, n):
         return range(self.counts[n])
@@ -204,6 +198,44 @@ def subface(x: TruncatedSSet, n: int, s: int, vertices):
 def spine(x: TruncatedSSet, n: int, s: int):
     """The edge readout (s restricted to (i, i+1) for each i)."""
     return tuple(subface(x, n, s, (i, i + 1)) for i in range(n))
+
+
+def face_pair_index(x: TruncatedSSet, n: int):
+    """({(d_n s, d_0 s): s} over level n, clash), clash the first pair (s1, s2)
+    with one face pair or None; without a clash the keys come in id order.
+
+    The one index of what a spiny set fixes by its edges.  Where the
+    simplicial identities hold, spine(s) is spine(d_n s) followed by the last
+    edge of d_0 s, and spine(d_0 s) is spine(s) less its first edge.  So on a
+    set spiny below level n, clash is is_spiny's witness at level n.
+    """
+    pairs = list(zip(x.face[(n, n)], x.face[(n, 0)]))
+    index = dict(zip(pairs, x.simplices(n)))
+    return index, first_collision(pairs) if len(index) < len(pairs) else None
+
+
+def face_pair_extend(x: TruncatedSSet, n: int, below, index):
+    """Level n of the map that below, a map of level n-1 into a spiny target,
+    fixes through index, the target's face_pair_index at level n: s goes to
+    index[(below[d_n s], below[d_0 s])].  Returns (table, the first s with
+    no image, where table holds None, or None)."""
+    table = list(map(index.get, zip(composite(below, x.face[(n, n)]),
+                                    composite(below, x.face[(n, 0)]))))
+    return table, table.index(None) if None in table else None
+
+
+def spiny_face_pairs(x: TruncatedSSet):
+    """{n: face_pair_index(x, n)[0]} for n = 2..K; InputError names the first
+    failed simplicial identity, or else is_spiny's collision (n, s1, s2)."""
+    bad = validate(x)
+    if bad:
+        raise InputError("simplicial identity {} fails at level {} {}, simplex {}".format(*bad[0]))
+    indexes = {}
+    for n in range(2, x.K + 1):
+        indexes[n], clash = face_pair_index(x, n)
+        if clash is not None:
+            raise InputError(f"input is not spiny: collision {(n,) + clash}")
+    return indexes
 
 
 def degenerate_edges(x: TruncatedSSet):
@@ -569,10 +601,11 @@ def _coskeletal_2(x: TruncatedSSet, tables):
     faces of every simplex form a compatible boundary, reading edges from
     tables (level -> subface_tables of that level), which it builds where
     absent."""
-    comp = dict(zip(zip(x.face[(2, 2)], x.face[(2, 0)]), x.face[(2, 1)]))
+    index, clash = face_pair_index(x, 2)
+    comp = dict(zip(index, composite(x.face[(2, 1)], index.values())))
     for n in range(3, x.K + 1):
         faces = [x.face[(n, i)] for i in range(n + 1)]
-        if len(comp) == x.counts[2] and _pairs_fill(
+        if clash is None and _pairs_fill(
                 x, n, comp, tables.get(n - 1) or subface_tables(x, n - 1)):
             continue
         fillers = dict.fromkeys(boundary_membranes(x, n), 0)
@@ -588,7 +621,7 @@ def _pairs_fill(x: TruncatedSSet, n: int, comp, sub):
     """Whether level n has unique fillers, decided from pairs of
     (n-1)-simplices as is_coskeletal_2 says; sub is subface_tables(x, n-1)."""
     m = n - 1
-    if len(set(zip(x.face[(n, n)], x.face[(n, 0)]))) != x.counts[n]:
+    if face_pair_index(x, n)[1] is not None:
         return False
     by_last = {}
     for v, h in enumerate(x.face[(m, m)]):
@@ -661,13 +694,17 @@ def canonicalize_spiny(x: TruncatedSSet) -> TruncatedSSet:
     """Relabel levels >= 2 by lexicographic spine order (levels 0, 1 fixed).
 
     Two spiny sets with the same 1-truncation are isomorphic over it iff
-    their canonical forms are equal tables.
+    their canonical forms are equal tables.  Level n is sorted by the ranks
+    of (d_n s, d_0 s) in the new order of level n-1, which is spine order
+    where spiny_face_pairs holds: spine(s) is spine(d_n s) and one edge, and
+    where d_n agrees, the spines of d_0 differ in that edge alone.
     """
-    ok, wit = is_spiny(x)
-    if not ok:
-        raise InputError(f"canonicalize_spiny needs a spiny set, collision {wit}")
-    # spines order level n >= 2 and leave levels 0 and 1 as they are
-    levels = [sorted(x.simplices(n), key=lambda s: spine(x, n, s)) for n in range(x.K + 1)]
+    indexes = spiny_face_pairs(x)
+    levels = [list(x.simplices(0)), list(x.simplices(1))]
+    for n in range(2, x.K + 1):
+        rank = {s: r for r, s in enumerate(levels[-1])}
+        pairs = sorted(indexes[n], key=lambda pair: (rank[pair[0]], rank[pair[1]]))
+        levels.append(list(map(indexes[n].get, pairs)))
     return from_levels(levels, lambda n, i, s: x.face[(n, i)][s], lambda n, i, s: x.deg[(n, i)][s],
                        {n: [lab[s] for s in levels[n]] for n, lab in x.labels.items()})
 

@@ -8,7 +8,10 @@ lists every boundary of every level, which sset.is_coskeletal_2 does only
 where its pair count fails.  sset_isomorphic searches for a levelwise
 isomorphism, and sset_equal compares two truncated simplicial sets table by
 table.  triangulations is the per-node leaf count walk over palg.bracketings
-that sset.triangulations replaced.  point, two_triangles_shared_spine,
+that sset.triangulations replaced.  canonicalize_spiny, magma_from_sset and
+circle_readout are the spine walks and the label readout that the face-pair
+index replaced in sset.canonicalize_spiny, nerve.magma_from_sset and
+nerve.effect_circle_iso.  point, two_triangles_shared_spine,
 delta_w3, hollow_simplices and hollow_simplex are small sets the tests check.
 """
 
@@ -16,7 +19,7 @@ import itertools
 
 from palg_oracles import leaf_count
 from simpeff import sset
-from simpeff.palg import LEAF, bracketings
+from simpeff.palg import LEAF, AssociativityDatum, PartialUnitalMagma, bracketings
 from simpeff.util import InputError, StructureError
 
 SPINE = "spine"
@@ -260,6 +263,58 @@ def sset_isomorphic(x, y):
         if res is not None:
             return res
     return None
+
+
+def canonicalize_spiny(x):
+    """is_spiny, then levels >= 2 sorted by spine, one simplex at a time."""
+    ok, wit = sset.is_spiny(x)
+    if not ok:
+        raise InputError(f"canonicalize_spiny needs a spiny set, collision {wit}")
+    # spines order level n >= 2 and leave levels 0 and 1 as they are
+    levels = [sorted(x.simplices(n), key=lambda s: sset.spine(x, n, s)) for n in range(x.K + 1)]
+    return sset.from_levels(levels, lambda n, i, s: x.face[(n, i)][s],
+                            lambda n, i, s: x.deg[(n, i)][s],
+                            {n: [lab[s] for s in levels[n]] for n, lab in x.labels.items()})
+
+
+def magma_from_sset(x):
+    """is_spiny, then the magma of the 2-simplices and the datum of the
+    spines, one simplex at a time."""
+    ok, wit = sset.is_spiny(x)
+    if not ok:
+        raise InputError(f"input is not spiny: collision {wit}")
+    if not sset.is_reduced(x):
+        raise InputError("input is not reduced")
+    unit_edge = x.deg[(0, 0)][0]
+    relabel = list(range(x.counts[1]))
+    if unit_edge != 0:
+        relabel[0], relabel[unit_edge] = unit_edge, 0
+    edge2id = {e: relabel.index(e) for e in x.simplices(1)}
+    product = {}
+    for sig in x.simplices(2):
+        a = edge2id[x.face[(2, 2)][sig]]
+        b = edge2id[x.face[(2, 0)][sig]]
+        product[(a, b)] = edge2id[x.face[(2, 1)][sig]]
+    magma = PartialUnitalMagma(x.counts[1], product)
+    magma.validate()
+    levels = {}
+    for n in range(2, x.K + 1):
+        levels[n] = frozenset(tuple(edge2id[e] for e in sset.spine(x, n, s))
+                              for s in x.simplices(n))
+    return magma, AssociativityDatum(levels)
+
+
+def circle_readout(ex, ne):
+    """The maps of effect_circle_iso, each function on the circle sent to the
+    nerve simplex whose tuple label is its values on theta^1..theta^n."""
+    maps = {0: [0]}
+    for n in range(1, ex.K + 1):
+        tab = []
+        for t in ex.labels[n]:
+            tup = t[1: n + 1]  # values on theta^1..theta^n; t[0] is the star
+            tab.append(ne.labels[n].index(tup) if n >= 2 else tup[0])
+        maps[n] = tab
+    return maps
 
 
 # ---------------------------------------------------------------------------

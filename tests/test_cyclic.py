@@ -280,6 +280,17 @@ def test_edge_construction_reads_labels_of_level_1_only():
         cyc.effect_nerve_cyclic(e, relabelled)
 
 
+def test_edge_construction_builds_no_label_above_level_1():
+    """On a grown nerve, whose labels are built level by level when read,
+    tau reads the level-1 elements and builds no tuple label."""
+    s4 = nv.symmetric_group(4)
+    for x in (nv.comm_nerve(s4, None, 5),
+              nv.action_partial_group(s4, 24, nv.translation_action(s4), [0, 5, 7], 4)):
+        c = cyc.group_nerve_cyclic(s4, 0, x)
+        assert len(x.labels.built) == 2
+        assert all_ok(cyc.validate_cyclic(c))
+
+
 def test_edge_construction_rejects_a_non_spiny_set():
     """A second 2-simplex on the degenerate edge shares its spine with
     s_0 s_0 v, so tau_2 is not fixed by tau_1."""

@@ -329,21 +329,21 @@ def test_tuple_nerve_rejects_undefined_product():
 # labels built on first read
 
 
-def test_labels_callable_is_called_at_most_once():
-    x = sset.standard_simplex(2, 3)
-    calls = []
-
-    def labels():
-        calls.append(1)
-        return {2: ["edge"] * x.counts[2]}
-
-    y = sset.TruncatedSSet(x.K, x.counts, x.face, x.deg, labels)
-    assert y.to_json_dict() == x.to_json_dict()
-    assert calls == []
-    assert y.label(2, 0) == "edge"
-    assert y.labels == {2: ["edge"] * x.counts[2]}
-    assert y.label(1, 0) == 0
-    assert calls == [1]
+def test_grown_labels_build_levels_on_first_read():
+    """Reading level n of a grown nerve's labels builds the tuples of levels
+    2..n once, and no level above; a level past K is missing.  Labels play
+    no part in the json, and a level without labels labels s by s."""
+    read = nv.comm_nerve(Q8, None, 4)
+    want = _key_based_nerve([[()]] + [_level(read, n) for n in range(1, 5)], Q8.mul).labels
+    x = nv.comm_nerve(Q8, None, 4)
+    labels = x.labels
+    assert x.to_json_dict() == read.to_json_dict() and len(labels.built) == 2
+    assert labels.get(1) == want[1] and len(labels.built) == 2
+    assert x.label(3, 5) == want[3][5] and len(labels.built) == 4
+    assert labels[3] is labels[3] and labels.get(5) is None and 5 not in labels
+    assert labels == want and list(labels) == [0, 1, 2, 3, 4]
+    y = sset.TruncatedSSet(x.K, x.counts, x.face, x.deg, {2: want[2]})
+    assert y.label(2, 7) == want[2][7] and y.label(1, 7) == 7
 
 
 def test_truncated_comm_nerve_keeps_its_labels():

@@ -1,10 +1,14 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 
+import cyclic_oracles
+import sset_oracles
+from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
@@ -693,3 +697,131 @@ def test_membrane_boundary_above_truncation(q8_nerve):
     assert len(mems) == q8_nerve.counts[4]
     with pytest.raises(InputError):
         membrane_set(x, 4, SPINE)
+
+
+# ---------------------------------------------------------------------------
+# the face-pair index against the spine walks it replaced
+
+
+def _relabelled(x, seed):
+    """x with the ids of each level >= 2 moved by a seeded permutation, its
+    labels moved with them."""
+    rng = random.Random(seed)
+    new_id = [list(x.simplices(n)) for n in range(x.K + 1)]
+    for n in range(2, x.K + 1):
+        rng.shuffle(new_id[n])
+
+    def moved(n, tab, step):
+        out = [None] * len(tab)
+        for s, v in enumerate(tab):
+            out[new_id[n][s]] = v if step is None else new_id[n + step][v]
+        return out
+
+    return sset.TruncatedSSet(x.K, x.counts,
+                              {(n, i): moved(n, t, -1) for (n, i), t in x.face.items()},
+                              {(n, i): moved(n, t, 1) for (n, i), t in x.deg.items()},
+                              {n: moved(n, lab, None) for n, lab in x.labels.items()})
+
+
+def _same_as_spine_walks(x):
+    """The canonical form of x, after checking it, labels included, and the
+    magma and datum read off x against the spine walks."""
+    canon = sset.canonicalize_spiny(x)
+    want = sset_oracles.canonicalize_spiny(x)
+    assert sset_equal(canon, want) and canon.labels == want.labels, x.counts
+    m, d = nv.magma_from_sset(x)
+    m0, d0 = sset_oracles.magma_from_sset(x)
+    assert m == m0 and d.levels == d0.levels, x.counts
+    return canon
+
+
+def _same_tau(name, *args):
+    """The cyclic construction name gives the tuple-map oracle's tau or message."""
+    def run(module):
+        try:
+            return getattr(module, name)(*args).tau
+        except InputError as exc:
+            return str(exc)
+    assert run(cyc) == run(cyclic_oracles), (name, args[-1].counts)
+
+
+def test_face_pair_constructions_match_the_spine_walks():
+    """canonicalize_spiny, magma_from_sset, the cyclic constructions and
+    effect_circle_iso, which read face pairs, agree with the spine walks, the
+    tuple-map tau and the label readout: on the K=4 nerves of all 256 magmas
+    on three elements, whose magma and datum also round trip, and on seeded
+    relabellings of their levels >= 2, which keep the canonical form; on the
+    Q8 and S4 commutative nerves and L_Y(S3) at K=5; and on the K=5 effect
+    nerves of L1-L4, bool2 and bool3."""
+    for seed, m in enumerate(three_element_magmas()):
+        x = nerve_of(m, 4)
+        canon = _same_as_spine_walks(x)
+        assert nv.magma_from_sset(x) == (m, palg.max_associativity_datum(m, 4))
+        moved = _same_as_spine_walks(_relabelled(x, seed))
+        assert sset_equal(moved, canon) and moved.labels == canon.labels
+    s3 = nv.symmetric_group(3)
+    groups = [(g, nv.comm_nerve(g, None, 5)) for g in (nv.quaternion_group(), nv.symmetric_group(4))]
+    groups.append((s3, nv.action_partial_group(s3, 6, nv.translation_action(s3), [0, 1, 2], 5)))
+    for g, x in groups:
+        _same_as_spine_walks(x)
+        for z in range(g.order):
+            _same_tau("group_nerve_cyclic", g, z, x)
+    effects = [palg.interval_effect_algebra(n) for n in (1, 2, 3, 4)] + [
+        palg.boolean_effect_algebra(n) for n in (2, 3)]
+    for e in effects:
+        x = nerve_of(e.magma, 5)
+        _same_as_spine_walks(x)
+        _same_tau("effect_nerve_cyclic", e, x)
+        _same_tau("effect_nerve_cyclic", e, _relabelled(x, e.size))
+        ex, ne, maps = nv.effect_circle_iso(e, 5)
+        assert maps == sset_oracles.circle_readout(ex, ne)
+
+
+def test_face_pair_extend_names_the_first_simplex_without_image():
+    """On the L2 nerve the identity of the edges extends to the identity,
+    and swapping the edges 1 and 2 sends (1, 1), simplex 4, to (2, 2),
+    which is not a 2-simplex."""
+    x = nerve_of(palg.interval_effect_algebra(2).magma, 3)
+    below = [0, 1, 2]
+    for n in (2, 3):
+        below, miss = sset.face_pair_extend(x, n, below, sset.face_pair_index(x, n)[0])
+        assert below == list(x.simplices(n)) and miss is None
+    table, miss = sset.face_pair_extend(x, 2, [0, 2, 1], sset.face_pair_index(x, 2)[0])
+    assert x.labels[2][miss] == (1, 1) and miss == 4
+    assert [x.labels[2][t] if t is not None else None for t in table] == [
+        (0, 0), (0, 2), (0, 1), (2, 0), None, (1, 0)]
+
+
+def _broken_identities(x, seed, count):
+    """count copies of x, each with one face entry at a seeded place moved to
+    another simplex, that break the simplicial identities."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randrange(2, x.K + 1)
+        i, s = rng.randrange(n + 1), rng.randrange(x.counts[n])
+        face = dict(x.face)
+        face[(n, i)] = list(face[(n, i)])
+        face[(n, i)][s] = (face[(n, i)][s] + rng.randrange(1, x.counts[n - 1])) % x.counts[n - 1]
+        y = sset.TruncatedSSet(x.K, x.counts, face, x.deg, x.labels)
+        if sset.validate(y):
+            out.append(y)
+    return out
+
+
+def test_face_pair_constructions_need_the_simplicial_identities():
+    """Face pairs tell simplices apart as spines do only where the simplicial
+    identities hold, so canonicalize_spiny and magma_from_sset name the first
+    failed identity; on a non-spiny set they keep is_spiny's witness."""
+    for y in _broken_identities(nerve_of(palg.interval_effect_algebra(2).magma, 4), 5, 60):
+        want = "simplicial identity {} fails at level {} {}, simplex {}".format(
+            *sset.validate(y)[0])
+        for build in (sset.canonicalize_spiny, nv.magma_from_sset):
+            with pytest.raises(InputError) as err:
+                build(y)
+            assert str(err.value) == want
+    for x in (two_triangles_shared_spine(), sset.cosk2_extend(two_triangles_shared_spine(2), 3)):
+        assert sset.is_spiny(x) == (False, (2, 11, 12))
+        for build in (sset.canonicalize_spiny, nv.magma_from_sset):
+            with pytest.raises(InputError, match=re.escape("collision (2, 11, 12)")):
+                build(x)
