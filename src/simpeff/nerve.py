@@ -139,12 +139,11 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    elems = sorted(itertools.permutations(range(n)))
-
     def mul(p, q):  # (p*q)(x) = p(q(x))
         return tuple(p[q[x]] for x in range(n))
 
-    g, _ = group_from_table(elems, mul)
+    # ids are lexicographic ranks: the order permutations emits, identity first
+    g, _ = group_from_table(itertools.permutations(range(n)), mul)
     return g
 
 

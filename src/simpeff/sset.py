@@ -9,11 +9,10 @@ checked up to the truncation bound and reports state that bound.
 from __future__ import annotations
 
 __all__ = ["TruncatedSSet", "from_levels", "composite", "differences", "validate", "subface",
-           "spine", "face_pair_index", "face_pair_extend", "spiny_face_pairs", "degenerate_edges",
-           "is_reduced", "is_spiny", "is_inverseless_sset", "Triangulation", "triangulations",
-           "subface_tables", "membrane_counts", "segal", "boundary_membranes", "is_coskeletal_2",
-           "cosk2_extend", "truncate", "canonicalize_spiny", "standard_simplex",
-           "from_nondegenerate"]
+           "spine", "face_pair_index", "face_pair_extend", "spiny_face_pairs", "is_reduced",
+           "is_spiny", "is_inverseless_sset", "Triangulation", "triangulations", "subface_tables",
+           "membrane_counts", "segal", "boundary_membranes", "is_coskeletal_2", "cosk2_extend",
+           "truncate", "canonicalize_spiny", "standard_simplex", "from_nondegenerate"]
 
 import itertools
 import operator
@@ -238,11 +237,6 @@ def spiny_face_pairs(x: TruncatedSSet):
     return indexes
 
 
-def degenerate_edges(x: TruncatedSSet):
-    """edge -> vertex map for edges of the form s_0(v)."""
-    return {x.deg[(0, 0)][v]: v for v in x.simplices(0)}
-
-
 def is_reduced(x: TruncatedSSet) -> bool:
     return x.counts[0] == 1
 
@@ -259,7 +253,7 @@ def is_spiny(x: TruncatedSSet):
 def is_inverseless_sset(x: TruncatedSSet):
     """The degenerate-long-edge square is a pullback; witness otherwise."""
     # a degenerate edge s_0 v -> the only 2-simplex allowed over it, s_0 s_0 v
-    filler = {e: x.deg[(1, 0)][e] for e in degenerate_edges(x)}
+    filler = {e: x.deg[(1, 0)][e] for e in x.deg[(0, 0)]}
     check = first_failure("inverseless", (
         sig for sig in x.simplices(2) if filler.get(x.face[(2, 1)][sig], sig) != sig))
     return check.ok, check.witness
@@ -682,7 +676,7 @@ def truncate(x: TruncatedSSet, K: int) -> TruncatedSSet:
         raise InputError("bad truncation level")
     face = {(n, i): v for (n, i), v in x.face.items() if n <= K}
     deg = {(n, i): v for (n, i), v in x.deg.items() if n < K}
-    labels = {n: v for n, v in x.labels.items() if n <= K}
+    labels = {n: x.labels[n] for n in x.labels if n <= K}
     return TruncatedSSet(K, x.counts[: K + 1], face, deg, labels)
 
 
@@ -716,9 +710,8 @@ def canonicalize_spiny(x: TruncatedSSet) -> TruncatedSSet:
 def standard_simplex(n: int, K: int) -> TruncatedSSet:
     """The standard n-simplex truncated at K: level k is the monotone maps
     [k] -> [n] in lexicographic order."""
-    levels = []
-    for k in range(K + 1):
-        levels.append(sorted(itertools.combinations_with_replacement(range(n + 1), k + 1)))
+    levels = [list(itertools.combinations_with_replacement(range(n + 1), k + 1))
+              for k in range(K + 1)]
     return from_levels(levels, lambda k, i, t: t[:i] + t[i + 1:],
                        lambda k, i, t: t[: i + 1] + t[i:])
 
@@ -735,33 +728,31 @@ def from_nondegenerate(K: int, generators) -> TruncatedSSet:
     generators: ordered list of (name, dim, faces) where faces lists, for
     each 0 <= i <= dim, the i-th face as (other_name, alpha) with alpha a
     monotone surjection value tuple (identity tuple for a nondegenerate
-    face).  Level-k simplices are the pairs (name, alpha: [k] ->> [dim]);
-    faces are computed by epi-mono factorization through the generator's
-    face table.
+    face); anything else raises InputError.  Level-k simplices are the pairs
+    (name, alpha: [k] ->> [dim]), generators in list order and each one's
+    alphas in lexicographic order; faces are computed by epi-mono
+    factorization through the generator's face table.
     """
     dims = {}
     gen_faces = {}
-    order = []
     for name, dim, faces in generators:
         if name in dims:
             raise InputError(f"duplicate generator {name}")
         if dim > K:
             raise InputError(f"generator {name} above truncation")
-        if len(faces) != (dim + 1 if dim > 0 else 0):
-            raise InputError(f"generator {name} needs {dim + 1} faces")
+        n_faces = dim + 1 if dim > 0 else 0
+        if len(faces) != n_faces:
+            raise InputError(f"generator {name} needs {n_faces} faces")
         dims[name] = dim
         gen_faces[name] = list(faces)
-        order.append(name)
-    rank = {name: i for i, name in enumerate(order)}
+    for name, faces in gen_faces.items():
+        for i, (g2, alpha) in enumerate(faces):
+            if g2 not in dims or alpha not in _surjections(dims[name] - 1, dims[g2]):
+                raise InputError(f"generator {name} face {i}: {(g2, alpha)} is no monotone "
+                                 f"surjection from [{dims[name] - 1}] onto a listed generator")
 
-    levels = []
-    for k in range(K + 1):
-        lev = []
-        for name in order:
-            for alpha in _surjections(k, dims[name]):
-                lev.append((name, alpha))
-        lev.sort(key=lambda p: (rank[p[0]], p[1]))
-        levels.append(lev)
+    levels = [[(name, alpha) for name, dim in dims.items() for alpha in _surjections(k, dim)]
+              for k in range(K + 1)]
 
     def compose(gamma, beta):
         return tuple(gamma[b] for b in beta)

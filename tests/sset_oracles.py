@@ -11,8 +11,10 @@ table.  triangulations is the per-node leaf count walk over palg.bracketings
 that sset.triangulations replaced.  canonicalize_spiny, magma_from_sset and
 circle_readout are the spine walks and the label readout that the face-pair
 index replaced in sset.canonicalize_spiny, nerve.magma_from_sset and
-nerve.effect_circle_iso.  point, two_triangles_shared_spine,
-delta_w3, hollow_simplices and hollow_simplex are small sets the tests check.
+nerve.effect_circle_iso.  standard_simplex and from_nondegenerate sort each
+level into the order that sset's builders now list it in without a sort.
+point, two_triangles_shared_spine, delta_w3, hollow_simplices and
+hollow_simplex are small sets the tests check.
 """
 
 import itertools
@@ -315,6 +317,76 @@ def circle_readout(ex, ne):
             tab.append(ne.labels[n].index(tup) if n >= 2 else tup[0])
         maps[n] = tab
     return maps
+
+
+# ---------------------------------------------------------------------------
+# the construction helpers that sorted each level into the order the
+# generators already emit
+
+
+def standard_simplex(n: int, K: int) -> sset.TruncatedSSet:
+    """The standard n-simplex truncated at K: level k is the monotone maps
+    [k] -> [n] in lexicographic order."""
+    levels = []
+    for k in range(K + 1):
+        levels.append(sorted(itertools.combinations_with_replacement(range(n + 1), k + 1)))
+    return sset.from_levels(levels, lambda k, i, t: t[:i] + t[i + 1:],
+                            lambda k, i, t: t[: i + 1] + t[i:])
+
+
+def from_nondegenerate(K: int, generators) -> sset.TruncatedSSet:
+    """Free degenerate completion of a finite set of nondegenerate cells.
+
+    generators: ordered list of (name, dim, faces) where faces lists, for
+    each 0 <= i <= dim, the i-th face as (other_name, alpha) with alpha a
+    monotone surjection value tuple (identity tuple for a nondegenerate
+    face).  Level-k simplices are the pairs (name, alpha: [k] ->> [dim]);
+    faces are computed by epi-mono factorization through the generator's
+    face table.
+    """
+    dims = {}
+    gen_faces = {}
+    order = []
+    for name, dim, faces in generators:
+        if name in dims:
+            raise InputError(f"duplicate generator {name}")
+        if dim > K:
+            raise InputError(f"generator {name} above truncation")
+        if len(faces) != (dim + 1 if dim > 0 else 0):
+            raise InputError(f"generator {name} needs {dim + 1} faces")
+        dims[name] = dim
+        gen_faces[name] = list(faces)
+        order.append(name)
+    rank = {name: i for i, name in enumerate(order)}
+
+    levels = []
+    for k in range(K + 1):
+        lev = []
+        for name in order:
+            for alpha in sset._surjections(k, dims[name]):
+                lev.append((name, alpha))
+        lev.sort(key=lambda p: (rank[p[0]], p[1]))
+        levels.append(lev)
+
+    def compose(gamma, beta):
+        return tuple(gamma[b] for b in beta)
+
+    def face_of(k, i, simplex):
+        name, alpha = simplex
+        beta = alpha[:i] + alpha[i + 1:]
+        d = dims[name]
+        if len(set(beta)) == d + 1:
+            return (name, beta)
+        j = alpha[i]
+        beta1 = tuple(v if v < j else v - 1 for v in beta)
+        g2, gamma = gen_faces[name][j]
+        return (g2, compose(gamma, beta1))
+
+    def degeneracy_of(k, i, simplex):
+        name, alpha = simplex
+        return (name, alpha[: i + 1] + alpha[i:])
+
+    return sset.from_levels(levels, face_of, degeneracy_of)
 
 
 # ---------------------------------------------------------------------------

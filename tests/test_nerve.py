@@ -23,6 +23,15 @@ def test_group_builders_validate():
         g.validate()
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_group_lists_permutations_in_lexicographic_order(n):
+    def mul(p, q):
+        return tuple(p[q[x]] for x in range(n))
+
+    g, _ = nv.group_from_table(sorted(itertools.permutations(range(n))), mul)
+    assert nv.symmetric_group(n).mul == g.mul
+
+
 def test_q8_structure():
     q8 = nv.quaternion_group()
     assert q8.order == 8
@@ -349,6 +358,14 @@ def test_grown_labels_build_levels_on_first_read():
 def test_truncated_comm_nerve_keeps_its_labels():
     truncated = sset.truncate(nv.comm_nerve(Q8, None, 4), 3)
     assert truncated.labels == nv.comm_nerve(Q8, None, 3).labels
+
+
+def test_truncate_builds_only_the_labels_it_keeps():
+    s4 = nv.symmetric_group(4)
+    x = nv.comm_nerve(s4, None, 5)
+    truncated = sset.truncate(x, 3)
+    assert len(x.labels.built) == 4
+    assert truncated.labels == nv.comm_nerve(s4, None, 3).labels
 
 
 def test_canonicalize_spiny_keeps_labels_of_grown_action_partial_group():

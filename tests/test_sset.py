@@ -86,27 +86,90 @@ def test_validate_tables_match_the_per_simplex_oracle():
     assert broken >= 90
 
 
+DELTA2_CELLS = [
+    ("v0", 0, []), ("v1", 0, []), ("v2", 0, []),
+    ("e01", 1, [("v1", (0,)), ("v0", (0,))]),
+    ("e12", 1, [("v2", (0,)), ("v1", (0,))]),
+    ("e02", 1, [("v2", (0,)), ("v0", (0,))]),
+    ("t", 2, [("e12", (0, 1)), ("e02", (0, 1)), ("e01", (0, 1))]),
+]
+CIRCLE_CELLS = [("*", 0, []), ("loop", 1, [("*", (0,)), ("*", (0,))])]
+# one vertex and a 2-cell on its degenerate edge, beside s_0 s_0 v
+DEGENERATE_TRIANGLE_CELLS = [("v", 0, []), ("a", 2, [("v", (0, 0))] * 3)]
+
+
 def test_from_nondegenerate_matches_standard_simplex():
-    gens = [
-        ("v0", 0, []), ("v1", 0, []), ("v2", 0, []),
-        ("e01", 1, [("v1", (0,)), ("v0", (0,))]),
-        ("e12", 1, [("v2", (0,)), ("v1", (0,))]),
-        ("e02", 1, [("v2", (0,)), ("v0", (0,))]),
-        ("t", 2, [("e12", (0, 1)), ("e02", (0, 1)), ("e01", (0, 1))]),
-    ]
-    built = sset.from_nondegenerate(3, gens)
+    built = sset.from_nondegenerate(3, DELTA2_CELLS)
     assert sset.validate(built) == []
     assert built.counts == sset.standard_simplex(2, 3).counts
     assert sset_isomorphic(built, sset.standard_simplex(2, 3)) is not None
 
 
 def test_from_nondegenerate_circle_matches_formulas():
-    built = sset.from_nondegenerate(4, [("*", 0, []),
-                                        ("loop", 1, [("*", (0,)), ("*", (0,))])])
+    built = sset.from_nondegenerate(4, CIRCLE_CELLS)
     circle = nv.simplicial_circle(4)
     assert sset.validate(built) == []
     assert built.counts == circle.counts
     assert sset_isomorphic(built, circle) is not None
+
+
+@pytest.mark.parametrize("cells, match", [
+    # a face on a generator that is not listed
+    ([("v", 0, []), ("e", 1, [("v", (0,)), ("w", (0,))])], "generator e face 1: "),
+    # a face on a generator of the same dimension
+    ([("v", 0, []), ("f", 1, [("v", (0,)), ("v", (0,))]), ("e", 1, [("f", (0, 1)), ("v", (0,))])],
+     "generator e face 0: "),
+    # a value outside [dim] of the face's generator
+    ([("v", 0, []), ("e", 1, [("v", (1,)), ("v", (0,))])], "generator e face 0: "),
+    # a tuple too long for a face of an edge
+    ([("v", 0, []), ("e", 1, [("v", (0,)), ("v", (0, 0))])], "generator e face 1: "),
+    # a vertex takes no faces
+    ([("v", 0, [("v", (0,))])], "generator v needs 0 faces"),
+], ids=["unlisted", "same-dimension", "out-of-range", "too-long", "vertex-with-a-face"])
+def test_from_nondegenerate_rejects_a_bad_face(cells, match):
+    with pytest.raises(InputError, match=f"^{re.escape(match)}"):
+        sset.from_nondegenerate(3, cells)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_standard_simplex_keeps_the_sorted_order(n):
+    for K in range(2, 6):
+        built, ordered = sset.standard_simplex(n, K), sset_oracles.standard_simplex(n, K)
+        assert built.to_json_dict() == ordered.to_json_dict()
+        assert built.labels == ordered.labels
+
+
+PRESENTATIONS = {
+    "point": lambda: point(4),
+    "two-triangles": two_triangles_shared_spine,
+    "delta-w3": delta_w3,
+    "delta2": lambda: sset.from_nondegenerate(3, DELTA2_CELLS),
+    "circle": lambda: sset.from_nondegenerate(4, CIRCLE_CELLS),
+    "degenerate-triangle": lambda: sset.from_nondegenerate(2, DEGENERATE_TRIANGLE_CELLS),
+    "twin": lambda: two_tetrahedra(False),
+    "split": lambda: two_tetrahedra(True),
+    "two-tops": lambda: hollow_simplices([(0, 1, 2, 3), (0, 1, 2, 4)], 3, [2, 0]),
+    **{f"hollow{d}-{f}": (lambda d=d, f=f: hollow_simplex(d, d, f))
+       for d in (3, 4) for f in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_from_nondegenerate_keeps_the_sorted_order(name, monkeypatch):
+    """Every presentation the tests build gives the tables and labels of the
+    builder that sorted each level by (generator rank, surjection)."""
+    built = PRESENTATIONS[name]()
+    calls = []
+
+    def sorting(K, cells):
+        calls.append(K)
+        return sset_oracles.from_nondegenerate(K, cells)
+
+    monkeypatch.setattr(sset, "from_nondegenerate", sorting)
+    ordered = PRESENTATIONS[name]()
+    assert calls
+    assert built.to_json_dict() == ordered.to_json_dict()
+    assert built.labels == ordered.labels
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +533,7 @@ def test_weak_two_segal_beyond_level_3_needs_spiny():
     the degenerate edge is 2-coskeletal and weakly 2-Segal at level 3, but
     not spiny, and not weakly 2-Segal at level 4: the Segal pass may stop at
     level 3 only on spiny sets."""
-    x2 = sset.from_nondegenerate(2, [("v", 0, []), ("a", 2, [("v", (0, 0))] * 3)])
-    x = sset.cosk2_extend(x2, 4)
+    x = sset.cosk2_extend(sset.from_nondegenerate(2, DEGENERATE_TRIANGLE_CELLS), 4)
     assert x.counts == [1, 1, 2, 16, 1024]
     assert sset.segal(sset.truncate(x, 3))[3] == (True, None)
     _, spiny, _, weak, cosk = sset.segal(x)
@@ -568,8 +630,7 @@ def _coskeletal_census():
             y = sorted(rng.sample(range(g.order), rng.randrange(1, g.order + 1)))
             yield nv.action_partial_group(g, g.order, nv.translation_action(g), y, K)
     yield sset.cosk2_extend(two_triangles_shared_spine(2), 4)
-    yield sset.cosk2_extend(sset.from_nondegenerate(
-        2, [("v", 0, []), ("a", 2, [("v", (0, 0))] * 3)]), 4)
+    yield sset.cosk2_extend(sset.from_nondegenerate(2, DEGENERATE_TRIANGLE_CELLS), 4)
     yield delta_w3(4)
     for d, K, fillers in ((3, 4, 0), (3, 3, 2), (4, 5, 0), (4, 4, 2), (4, 5, 3)):
         yield hollow_simplex(d, K, fillers)
