@@ -173,17 +173,23 @@ def cmd_check(args):
 def _write_structure(x, out):
     body = x.to_json_dict()
     with _output(out) as fh:
-        # every id and every count is below max(counts) + 1
-        _write_int_json(body, fh, max(body["counts"]) + 1)
+        # ids below level K are below max(counts[:-1]); only the top
+        # degeneracies and tau_K hold level-K ids, and those go through str
+        _write_int_json(body, fh, max(body["counts"][:-1], default=0) + 1)
+
+
+# list entries joined and written at a time
+_SLICE = 4096
 
 
 def _write_int_json(value, fh, size):
     """Write json.dumps(value, sort_keys=True, indent=2) + "\n" to fh, one
-    list at a time, without the pure-Python encoder that indent forces.
+    slice of a list at a time, without the pure-Python encoder that indent
+    forces.
 
     value is an int, a list of ints or a str-keyed dict of such values.  List
     entries in range(size) are looked up in one table of decimal strings; a
-    list with any other entry goes through str.
+    slice of _SLICE entries with any other entry goes through str.
     """
     digits = list(map(str, range(size)))
 
@@ -198,12 +204,16 @@ def _write_int_json(value, fh, size):
             sep = "," + inner
             # a negative entry would index digits from its end
             lookup = digits.__getitem__ if min(value) >= 0 else str
-            try:
-                text = sep.join(map(lookup, value))
-            except IndexError:  # an entry of size or more
-                text = sep.join(map(str, value))
             fh.write("[" + inner)
-            fh.write(text)
+            for start in range(0, len(value), _SLICE):
+                part = value[start:start + _SLICE]
+                try:
+                    text = sep.join(map(lookup, part))
+                except IndexError:  # an entry of size or more
+                    text = sep.join(map(str, part))
+                if start:
+                    fh.write(sep)
+                fh.write(text)
             fh.write(pad + "]")
         else:  # an int, [] or {}
             fh.write(json.dumps(value))

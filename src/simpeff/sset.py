@@ -735,21 +735,33 @@ def from_nondegenerate(K: int, generators) -> TruncatedSSet:
     """
     dims = {}
     gen_faces = {}
-    for name, dim, faces in generators:
+    for gen in generators:
+        try:
+            name, dim, faces = gen
+            hash(name)
+            faces = list(faces)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"generator {gen!r} is no (name, dim, faces) triple") from exc
         if name in dims:
             raise InputError(f"duplicate generator {name}")
-        if dim > K:
-            raise InputError(f"generator {name} above truncation")
+        if isinstance(dim, bool) or not isinstance(dim, int) or not 0 <= dim <= K:
+            raise InputError(f"generator {name} dimension {dim!r} is no int from 0 to {K}")
         n_faces = dim + 1 if dim > 0 else 0
         if len(faces) != n_faces:
             raise InputError(f"generator {name} needs {n_faces} faces")
         dims[name] = dim
-        gen_faces[name] = list(faces)
+        gen_faces[name] = faces
     for name, faces in gen_faces.items():
-        for i, (g2, alpha) in enumerate(faces):
-            if g2 not in dims or alpha not in _surjections(dims[name] - 1, dims[g2]):
-                raise InputError(f"generator {name} face {i}: {(g2, alpha)} is no monotone "
-                                 f"surjection from [{dims[name] - 1}] onto a listed generator")
+        for i, face in enumerate(faces):
+            try:
+                g2, alpha = face
+                ok = g2 in dims and alpha in _surjections(dims[name] - 1, dims[g2])
+            except (TypeError, ValueError):  # no pair, or an unhashable name
+                ok = False
+            if not ok:
+                raise InputError(f"generator {name} face {i}: {face!r} is no (name, alpha) with "
+                                 f"alpha a monotone surjection from [{dims[name] - 1}] onto a "
+                                 f"listed generator")
 
     levels = [[(name, alpha) for name, dim in dims.items() for alpha in _surjections(k, dim)]
               for k in range(K + 1)]

@@ -131,6 +131,23 @@ def test_from_nondegenerate_rejects_a_bad_face(cells, match):
         sset.from_nondegenerate(3, cells)
 
 
+@pytest.mark.parametrize("cells, match", [
+    ([("v", 0, []), ("e", 1, ["v", "v"])], "generator e face 0: 'v' is no (name, alpha) "),
+    ([("v", 0)], "generator ('v', 0) is no (name, dim, faces) triple"),
+    ([("v", 0, []), ("e", 1, [(["v"], (0,)), ("v", (0,))])], "generator e face 0: (['v'], (0,))"),
+    ([(["v"], 0, [])], "generator (['v'], 0, []) is no (name, dim, faces) triple"),
+    ([("v", 0, 5)], "generator ('v', 0, 5) is no (name, dim, faces) triple"),
+    ([("e", "1", [])], "generator e dimension '1' is no int from 0 to 3"),
+    ([("v", -1, [])], "generator v dimension -1 is no int from 0 to 3"),
+    ([("v", True, [])], "generator v dimension True is no int from 0 to 3"),
+    ([("t", 4, [])], "generator t dimension 4 is no int from 0 to 3"),
+], ids=["face-not-a-pair", "two-tuple", "unhashable-face-name", "unhashable-name",
+        "faces-not-a-list", "string-dim", "negative-dim", "bool-dim", "above-truncation"])
+def test_from_nondegenerate_rejects_a_malformed_generator(cells, match):
+    with pytest.raises(InputError, match=f"^{re.escape(match)}"):
+        sset.from_nondegenerate(3, cells)
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_standard_simplex_keeps_the_sorted_order(n):
     for K in range(2, 6):
