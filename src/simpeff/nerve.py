@@ -7,21 +7,20 @@ set, and the simplicial circle.
 
 Nerve levels are labelled by the underlying tuples: level 1 ids equal the
 carrier ids and level n >= 2 is sorted lexicographically, which makes nerves
-spine-canonical on the nose.  The nerve of a magma is built from its levels
-of tuples by sset.from_levels.  Commutative nerves and action partial groups
-are grown as id columns and never build a tuple; each level of their labels
-is built from the columns on first read.
+spine-canonical on the nose.  Every nerve, of a magma, a commutative nerve or
+an action partial group, is grown one element at a time as id columns and
+built from them by one builder, _column_nerve; each level of its labels is
+built from the columns on first read.
 """
 
 from __future__ import annotations
 
 __all__ = ["FiniteGroup", "group_from_table", "cyclic_group", "quaternion_group",
            "dihedral_group", "symmetric_group", "magma_of_group", "torsion_carrier",
-           "commuting_magma", "tuple_face", "insert_unit", "nerve",
+           "commuting_magma", "nerve",
            "magma_from_sset", "comm_nerve", "translation_action", "action_partial_group",
            "effect_functor", "simplicial_circle", "effect_circle_iso"]
 
-import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -185,21 +184,6 @@ def commuting_magma(g: FiniteGroup, torsion=None) -> PartialUnitalMagma:
 # nerve and reconstruction
 
 
-def tuple_face(mul, n, i, t):
-    """d_i of the nerve n-tuple t: drop an end, or multiply the adjacent pair
-    at positions i-1, i through the square table mul[a][b]."""
-    if i == 0:
-        return t[1:]
-    if i == n:
-        return t[:-1]
-    return t[:i - 1] + (mul[t[i - 1]][t[i]],) + t[i + 1:]
-
-
-def insert_unit(n, i, t):
-    """s_i of the nerve n-tuple t: the unit 0 inserted at position i."""
-    return t[:i] + (0,) + t[i:]
-
-
 def _column_nerve(columns, mul) -> TruncatedSSet:
     """The sub-simplicial set of a nerve given by its levels as id columns.
 
@@ -284,7 +268,9 @@ def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet
 
     Inner faces multiply an adjacent pair, outer faces drop an end,
     degeneracies insert the unit.  The datum must be stored to arity K and
-    closed under the face formulas (automatic for maximal data).
+    closed under the face formulas (automatic for maximal data).  Level n is
+    grown from level n - 1, which holds the prefix of every tuple of A_n by
+    split closure, so it is A_n in lexicographic order.
     """
     if K < 2:
         raise InputError("nerve needs K >= 2")
@@ -293,12 +279,13 @@ def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet
     bad = [c for c in palg.validate_datum(m, a) if not c.ok]
     if bad:
         raise InputError(f"invalid datum: {bad[0].name} witness {bad[0].witness}")
-    levels = [[()], [(x,) for x in m.elements()]]
-    levels += [sorted(a.level(n)) for n in range(2, K + 1)]
-    mul = [[m.mul(x, y) for y in m.elements()] for x in m.elements()]
-    labels = dict(enumerate(levels))
-    labels[0], labels[1] = ["*"], list(m.elements())
-    return from_levels(levels, functools.partial(tuple_face, mul), insert_unit, labels)
+
+    def step(t, b):  # a tuple is its own state, kept where the datum lists it
+        t += (b,)
+        return t if len(t) == 1 or t in a.level(len(t)) else None
+
+    return _column_nerve(_grow_levels(K, m.elements(), (), step),
+                         [[m.mul(x, y) for y in m.elements()] for x in m.elements()])
 
 
 def magma_from_sset(x: TruncatedSSet):
@@ -345,7 +332,7 @@ def _grow_levels(K, elements, start, step):
         parent, last, nxt = [], [], []
         for p, state in enumerate(states):
             row = rows.get(state)
-            if row is None:  # few states occur, so step runs once per (state, b)
+            if row is None:  # a state seen before reuses its row
                 grown = [(b, new) for b in elements if (new := step(state, b)) is not None]
                 row = rows[state] = ([b for b, _ in grown], [new for _, new in grown])
             parent.extend(itertools.repeat(p, len(row[0])))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nerve import insert_unit, tuple_face
+from .nerve import comm_nerve, cyclic_group
 from .util import InputError
 
 TOL_EQ = 1e-9        # operator equality, Frobenius norm
@@ -40,8 +40,6 @@ TRIAL_BLOCK = 10
 D = 3
 DIM = 9
 OMEGA = np.exp(2j * np.pi / 3)
-# outcome labels add in Z/3, so face maps multiply through this table
-_Z3_ADD = tuple(tuple((a + b) % D for b in range(D)) for a in range(D))
 
 
 def frob(a):
@@ -182,18 +180,25 @@ def _products_not_orthogonal(p, pairs):
 
 
 @functools.lru_cache(maxsize=None)
+def _outcome_nerve(n):
+    """N(Z/3) to level max(2, n + 1), in which outcome labels add: its level
+    k lists (Z/3)^k in _outcomes order."""
+    return comm_nerve(cyclic_group(D), None, max(2, n + 1))
+
+
+@functools.lru_cache(maxsize=None)
 def _face_fibres(n, i):
     """The arity-n outcome ranks sorted by the rank of their image under
     d_i, rank order kept within a fibre; every fibre has D elements."""
-    ranks = _outcomes(n - 1)[1]
-    order = np.argsort([ranks[tuple_face(_Z3_ADD, n, i, t)] for t in _outcomes(n)[0]],
-                       kind="stable")
+    order = np.argsort(_outcome_nerve(n).face[(n, i)], kind="stable")
     order.flags.writeable = False
     return order
 
 
 def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """Fibre-sum face map: (d_i m)^c = sum of m^t over t with d_i(t) = c."""
+    if m.arity == 0 or not 0 <= i <= m.arity:
+        raise InputError(f"d_{i} is not defined on arity {m.arity}")
     fibres = m.blocks[..., _face_fibres(m.arity, i), :, :]
     return ProjectiveMeasurement(
         m.arity - 1, fibres.reshape(*fibres.shape[:-3], -1, D, m.dim, m.dim).sum(-3))
@@ -201,10 +206,10 @@ def face(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
 
 def degeneracy(m: ProjectiveMeasurement, i: int) -> ProjectiveMeasurement:
     """(s_i m)^t = m^{t minus position i} when t[i] = 0, else the zero block."""
-    n = m.arity
-    out = ProjectiveMeasurement.zeros(n + 1, m.dim)
-    ranks = _outcomes(n + 1)[1]
-    out.blocks[[ranks[insert_unit(n, i, c)] for c in _outcomes(n)[0]]] = m.blocks
+    if not 0 <= i <= m.arity:
+        raise InputError(f"s_{i} is not defined on arity {m.arity}")
+    out = ProjectiveMeasurement.zeros(m.arity + 1, m.dim)
+    out.blocks[_outcome_nerve(m.arity).deg[(m.arity, i)]] = m.blocks
     return out
 
 

@@ -19,9 +19,10 @@ import itertools
 import numpy as np
 
 from simpeff import quantum as q
-from simpeff.nerve import insert_unit, tuple_face
 from simpeff.quantum import D, DIM, OMEGA, TOL_EQ, TOL_PROJ, dagger, frob
 from simpeff.util import InputError
+
+from sset_oracles import insert_unit, tuple_face
 
 Z3_ADD = tuple(tuple((a + b) % D for b in range(D)) for a in range(D))
 

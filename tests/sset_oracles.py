@@ -13,8 +13,10 @@ circle_readout are the spine walks and the label readout that the face-pair
 index replaced in sset.canonicalize_spiny, nerve.magma_from_sset and
 nerve.effect_circle_iso.  standard_simplex and from_nondegenerate sort each
 level into the order that sset's builders now list it in without a sort.
-point, two_triangles_shared_spine, delta_w3, hollow_simplices and
-hollow_simplex are small sets the tests check.
+tuple_face and insert_unit are the face and degeneracy rules of a nerve on
+its tuples, which nerve.nerve and quantum's face maps applied before every
+nerve was grown as id columns.  point, two_triangles_shared_spine, delta_w3,
+hollow_simplices and hollow_simplex are small sets the tests check.
 """
 
 import itertools
@@ -32,6 +34,21 @@ def sset_equal(x: sset.TruncatedSSet, y: sset.TruncatedSSet) -> bool:
     """The same truncation, counts and face and degeneracy tables."""
     return (x.K == y.K and x.counts == y.counts
             and x.face == y.face and x.deg == y.deg)
+
+
+def tuple_face(mul, n, i, t):
+    """d_i of the nerve n-tuple t: drop an end, or multiply the adjacent pair
+    at positions i-1, i through the square table mul[a][b]."""
+    if i == 0:
+        return t[1:]
+    if i == n:
+        return t[:-1]
+    return t[:i - 1] + (mul[t[i - 1]][t[i]],) + t[i + 1:]
+
+
+def insert_unit(n, i, t):
+    """s_i of the nerve n-tuple t: the unit 0 inserted at position i."""
+    return t[:i] + (0,) + t[i:]
 
 
 def triangulations(n: int):

@@ -10,7 +10,7 @@ from simpeff.util import InputError, StructureError
 
 from conftest import nerve_of, random_magma
 from palg_oracles import chain_magma
-from sset_oracles import point, sset_equal, two_triangles_shared_spine
+from sset_oracles import insert_unit, point, sset_equal, tuple_face, two_triangles_shared_spine
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,21 @@ def test_nerve_roundtrip_random():
         m2, d2 = nv.magma_from_sset(x)
         assert m2 == m and d2.levels == datum.levels
         assert sset_equal(nv.nerve(m2, d2, 4), x)
+
+
+@pytest.mark.parametrize("name, y, counts", [("z4", [0, 1, 2], [1, 4, 16, 58, 196]),
+                                              ("s4", [2, 3, 8, 15, 18], [1, 14, 100, 572, 3016])])
+def test_nerve_of_a_non_maximal_datum_rebuilds_the_action_partial_group(name, y, counts):
+    """The datum magma_from_sset reads off L_Y(G) under right translation is
+    not maximal, and nerve rebuilds L_Y(G) from it table for table."""
+    g = nv.cyclic_group(4) if name == "z4" else GROUPS[name]
+    x = nv.action_partial_group(g, g.order, nv.translation_action(g), y, 4)
+    m, datum = nv.magma_from_sset(x)
+    assert datum != palg.max_associativity_datum(m, 4)
+    got = nv.nerve(m, datum, 4)
+    assert got.counts == x.counts == counts
+    assert got.face == x.face
+    assert got.deg == x.deg
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +267,7 @@ def _key_based_nerve(levels, mul):
     """Oracle: the nerve of levels of tuples, built by sset.from_levels,
     which hashes the tuple of every face and degeneracy, and labelled as
     nerve labels it."""
-    x = sset.from_levels(levels, functools.partial(nv.tuple_face, mul), nv.insert_unit)
+    x = sset.from_levels(levels, functools.partial(tuple_face, mul), insert_unit)
     x.labels[0] = ["*"]
     x.labels[1] = [t[0] for t in levels[1]]
     return x

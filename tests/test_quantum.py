@@ -156,6 +156,15 @@ def test_degeneracies_are_sections_of_faces(witness):
         assert oracle.close_to(q.face(s, i), pi) and oracle.close_to(q.face(s, i + 1), pi)
 
 
+@pytest.mark.parametrize("op, arity, i", [("d", 2, 3), ("d", 2, -1), ("d", 0, 0),
+                                         ("s", 2, 3), ("s", 2, 5), ("s", 2, -1)])
+def test_maps_reject_an_index_outside_the_arity(op, arity, i):
+    """d_i needs 0 <= i <= arity and arity >= 1, s_i needs 0 <= i <= arity."""
+    m = q.ProjectiveMeasurement.zeros(arity, q.DIM)
+    with pytest.raises(InputError, match=f"^{op}_{i} is not defined on arity {arity}$"):
+        {"d": q.face, "s": q.degeneracy}[op](m, i)
+
+
 # ---------------------------------------------------------------------------
 # key-example membership
 
