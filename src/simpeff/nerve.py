@@ -8,9 +8,10 @@ set, and the simplicial circle.
 Nerve levels are labelled by the underlying tuples: level 1 ids equal the
 carrier ids and level n >= 2 is sorted lexicographically, which makes nerves
 spine-canonical on the nose.  Every nerve, of a magma, a commutative nerve or
-an action partial group, is grown one element at a time as id columns and
-built from them by one builder, _column_nerve; each level of its labels is
-built from the columns on first read.
+an action partial group, is given as id columns and built from them by one
+builder, _column_nerve; each level of its labels is built from the columns
+on first read.  The nerve of a magma reads its columns off the sorted datum
+levels; the others are grown one element at a time.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet
     Inner faces multiply an adjacent pair, outer faces drop an end,
     degeneracies insert the unit.  The datum must be stored to arity K and
     closed under the face formulas (automatic for maximal data).  Level n is
-    grown from level n - 1, which holds the prefix of every tuple of A_n by
-    split closure, so it is A_n in lexicographic order.
+    A_n in lexicographic order, and the parent of a tuple is its prefix, in
+    level n - 1 by split closure.
     """
     if K < 2:
         raise InputError("nerve needs K >= 2")
@@ -280,12 +281,12 @@ def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet
     if bad:
         raise InputError(f"invalid datum: {bad[0].name} witness {bad[0].witness}")
 
-    def step(t, b):  # a tuple is its own state, kept where the datum lists it
-        t += (b,)
-        return t if len(t) == 1 or t in a.level(len(t)) else None
-
-    return _column_nerve(_grow_levels(K, m.elements(), (), step),
-                         [[m.mul(x, y) for y in m.elements()] for x in m.elements()])
+    columns, ids = [], {(): 0}
+    for n in range(1, K + 1):
+        level = [(x,) for x in m.elements()] if n == 1 else sorted(a.level(n))
+        columns.append(([ids.get(t[:-1], -1) for t in level], [t[-1] for t in level]))
+        ids = {t: i for i, t in enumerate(level)}
+    return _column_nerve(columns, m.rows)
 
 
 def magma_from_sset(x: TruncatedSSet):
@@ -414,14 +415,14 @@ def action_partial_group(g: FiniteGroup, z_size: int, action, y_subset, K: int =
 def effect_functor(e: FiniteEffectAlgebra, x: TruncatedSSet) -> TruncatedSSet:
     """E(X): level n is the E-valued functions on X_n with multiplicable
     values summing to the top element; structure maps sum over fibres."""
-    levels = []
+    rows, levels = e.magma.rows, []
     for n in range(x.K + 1):
         # (values so far, their sum), grown one simplex at a time in
         # lexicographic order; prefixes without a sum are dropped
         grown = [((), 0)]
         for _ in range(x.counts[n]):
-            grown = [(vals + (v,), acc) for vals, total in grown for v in range(e.size)
-                     if (acc := e.magma.mul(total, v)) is not None]
+            grown = [(vals + (v,), acc) for vals, total in grown
+                     for v, acc in enumerate(rows[total]) if acc is not None]
         level = [vals for vals, total in grown if total == e.top]
         if not all(multiset_multiplicable(e, vals) for vals in level):
             raise StructureError("prefix-summable but not multiplicable")

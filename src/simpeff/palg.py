@@ -1,8 +1,9 @@
 """Finite partial algebraic structures.
 
 Carriers are dense integer ids 0..k-1 with 0 reserved for the unit.  The
-partial product is a sparse table {(a, b): c}; definedness is membership,
-never a sentinel value.  On top of the bare unital magma this module
+partial product is a sparse table {(a, b): c}; definedness is membership.
+The scans read its dense form, the cached rows[a][b] with None where the
+product is undefined.  On top of the bare unital magma this module
 implements bracketings, multiplicability and full associability,
 associativity data, the word-domain (PAS) presentation and its partial-group
 variant, inverses, and finite effect algebras.
@@ -54,13 +55,24 @@ class PartialUnitalMagma:
         """Product of a and b, or None when the pair is not multiplicable."""
         return self.product.get((a, b))
 
+    @functools.cached_property
+    def rows(self):
+        """The dense table: rows[a][b] is the product of a and b, or None
+        where it is undefined.  Built once from product, which must not
+        change after; an entry outside 0..size-1 raises InputError."""
+        size = self.size
+        rows = [[None] * size for _ in range(size)]
+        for (a, b), c in self.product.items():
+            if not (0 <= a < size and 0 <= b < size and 0 <= c < size):
+                raise InputError(f"product entry {(a, b, c)} out of range")
+            rows[a][b] = c
+        return rows
+
     def validate(self):
         """Check the unit law and table well-formedness; raise InputError."""
-        for (a, b), c in self.product.items():
-            if not (0 <= a < self.size and 0 <= b < self.size and 0 <= c < self.size):
-                raise InputError(f"product entry {(a, b, c)} out of range")
+        rows = self.rows
         for m in self.elements():
-            if self.product.get((0, m)) != m or self.product.get((m, 0)) != m:
+            if rows[0][m] != m or rows[m][0] != m:
                 raise InputError(f"unit law fails at element {m}")
 
     def to_json_dict(self):
@@ -116,20 +128,25 @@ def is_fully_associable(m: PartialUnitalMagma, tup) -> bool:
     Interval DP from short to long: once every shorter interval has one
     value, an interval has one iff the products of its splits are all defined
     and agree, so one value per interval is kept and the first undefined or
-    disagreeing split decides."""
-    prod = m.product
-    rows = [tup]  # rows[d][i] is the value of tup[i..i+d]
+    disagreeing split decides.  No product with an entry off the carrier is
+    defined."""
+    if len(tup) < 2:
+        return True
+    if min(tup) < 0 or max(tup) >= m.size:
+        return False
+    rows = m.rows
+    vals = [tup]  # vals[d][i] is the value of tup[i..i+d]
     for d in range(1, len(tup)):
         row = []
         for i in range(len(tup) - d):
-            c = prod.get((tup[i], rows[d - 1][i + 1]))
+            c = rows[tup[i]][vals[d - 1][i + 1]]
             if c is None:
                 return False
             for k in range(1, d):
-                if prod.get((rows[k][i], rows[d - 1 - k][i + k + 1])) != c:
+                if rows[vals[k][i]][vals[d - 1 - k][i + k + 1]] != c:
                     return False
             row.append(c)
-        rows.append(row)
+        vals.append(row)
     return True
 
 
@@ -137,9 +154,9 @@ def left_product(m: PartialUnitalMagma, values):
     """The left fold ((v_1 v_2) ..) v_n, started from the unit, so () gives
     the unit; None when some partial product is undefined.  On a fully
     associable tuple it is the common value of every bracketing."""
-    acc = 0
+    rows, acc = m.rows, 0
     for v in values:
-        acc = m.product.get((acc, v))
+        acc = rows[acc][v]
         if acc is None:
             return None
     return acc
@@ -154,16 +171,15 @@ def classify(m: PartialUnitalMagma):
     keeps it from being a partial monoid.  Triples are decisive: any two
     bracketings are linked by a(bc) <-> (ab)c moves.
     """
-    prod = m.product
+    rows = m.rows
+    undefined = [None] * m.size
     segal_wit = None
-    rng = range(m.size)
-    for a in rng:
-        for b in rng:
-            ab = prod.get((a, b))
-            for c in rng:
-                bc = prod.get((b, c))
-                left = None if ab is None else prod.get((ab, c))
-                right = None if bc is None else prod.get((a, bc))
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            row_ab = undefined if ab is None else rows[ab]
+            for c, bc in enumerate(rows[b]):
+                left = row_ab[c]
+                right = None if bc is None else row_a[bc]
                 if left != right:
                     if left is not None and right is not None:
                         return MAGMA, (a, b, c)
@@ -203,11 +219,19 @@ class AssociativityDatum:
 
     @staticmethod
     def from_json_dict(d) -> "AssociativityDatum":
+        """Levels as to_json_dict writes them: each key the decimal string of
+        an n >= 2, each of its tuples of length n."""
         try:
-            levels = {
-                int(n): frozenset(tuple(json_ints(t)) for t in tuples)
-                for n, tuples in d["levels"].items()
-            }
+            levels = {}
+            for key, tuples in d["levels"].items():
+                n = int(key)
+                if str(n) != key or n < 2:
+                    raise InputError(f"level key {key!r} is not a decimal integer >= 2")
+                level = [tuple(json_ints(t)) for t in tuples]
+                bad = next((t for t in level if len(t) != n), None)
+                if bad is not None:
+                    raise InputError(f"level {n} holds the {len(bad)}-tuple {list(bad)}")
+                levels[n] = frozenset(level)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad datum json: {exc}") from exc
         return AssociativityDatum(levels)
@@ -216,22 +240,31 @@ class AssociativityDatum:
 def max_associativity_datum(m: PartialUnitalMagma, up_to: int) -> AssociativityDatum:
     """The maximal datum A_n = F_n(m) for 2 <= n <= up_to, by enumeration.
 
-    Level n candidates are grown from level n-1 (both outer faces of a fully
-    associable tuple are fully associable), then checked by the interval DP.
+    Level n candidates t + (x,) are grown from level n-1, keeping those
+    whose other outer face t[1:] + (x,) is kept too: both outer faces of a
+    fully associable tuple are fully associable.  Such a candidate is then
+    decided by its n - 1 splits alone.  Each proper interval of it lies in
+    one of those two faces, so it is fully associable, has one value, and is
+    kept with that value in the map of tuples kept so far.  Every bracketing
+    of the candidate is the product of the values of the two parts of its
+    root split, so the candidate is fully associable, the verdict of
+    is_fully_associable, iff those n - 1 products are defined and agree.
     """
     if up_to < 2:
         raise InputError("up_to must be >= 2")
-    levels = {}
-    prev = [(x,) for x in m.elements()]
+    rows = m.rows
+    value = {(x,): x for x in m.elements()}
+    levels, prev = {}, list(value)
     for n in range(2, up_to + 1):
-        prev_set = set(prev)
         cur = []
         for t in prev:
-            for x in m.elements():
-                if n > 2 and t[1:] + (x,) not in prev_set:
+            for x, c in enumerate(rows[value[t]]):
+                if c is None:
                     continue
                 cand = t + (x,)
-                if is_fully_associable(m, cand):
+                if cand[1:] in value and all(
+                        rows[value[cand[:k]]][value[cand[k:]]] == c for k in range(1, n - 1)):
+                    value[cand] = c
                     cur.append(cand)
         levels[n] = frozenset(cur)
         prev = cur
@@ -260,7 +293,8 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
             if (ins := t[:i] + (0,) + t[i:]) not in a.level(n + 1))),
         first_failure("datum-fully-associable", (
             t for _, t in stored if not is_fully_associable(m, t))),
-        # an undefined product contracts to a word with None, stored nowhere
+        # an undefined product contracts to a word with None, stored nowhere;
+        # mul, not rows, as a stored tuple may hold ids off the carrier
         first_failure("datum-face-closure", (
             (t, contr) for n, t in stored if n >= 3 for i in range(n - 1)
             if (contr := t[:i] + (m.mul(t[i], t[i + 1]),) + t[i + 2:]) not in a.level(n - 1))),
@@ -370,8 +404,8 @@ def inverses(m: PartialUnitalMagma, x: int):
     """Left/right/two-sided inverse sets of x, by table scan."""
     if not 0 <= x < m.size:
         raise InputError(f"element {x} out of range")
-    left = {n for n in m.elements() if m.product.get((n, x)) == 0}
-    right = {n for n in m.elements() if m.product.get((x, n)) == 0}
+    left = {n for n, row in enumerate(m.rows) if row[x] == 0}
+    right = {n for n, c in enumerate(m.rows[x]) if c == 0}
     return {"left": left, "right": right, "two_sided": left & right}
 
 
@@ -485,6 +519,7 @@ def validate_effect_algebra(e: FiniteEffectAlgebra):
     """Axiom battery; each failure carries a witness."""
     m = e.magma
     m.validate()
+    rows = m.rows
     perp = e.orthocomplement
     one = e.top
     cls, cls_wit = classify(m)
@@ -492,11 +527,10 @@ def validate_effect_algebra(e: FiniteEffectAlgebra):
         first_failure("orthocomplement-involution", (
             a for a in m.elements() if perp[perp[a]] != a)),
         first_failure("commutativity", (
-            (a, b) for (a, b), c in sorted(m.product.items()) if m.product.get((b, a)) != c)),
+            (a, b) for (a, b), c in sorted(m.product.items()) if rows[b][a] != c)),
         first_failure("orthocomplement-existence-uniqueness", (
-            (a, partners) for a in m.elements()
-            if (partners := [b for b in m.elements() if m.product.get((a, b)) == one])
-            != [perp[a]])),
+            (a, partners) for a, row in enumerate(rows)
+            if (partners := [b for b, c in enumerate(row) if c == one]) != [perp[a]])),
         first_failure("zero-in-one", (a for a in m.elements() if (a, one) in m.product and a != 0)),
         Check("associativity-partial-monoid", cls == PARTIAL_MONOID, cls_wit),
     ]

@@ -7,7 +7,11 @@ is_associable read its table for the whole tuple.  The tests compare that DP
 against every tree of palg.bracketings, palg.is_fully_associable against
 fully_associable, which evaluates every tree of every contiguous subtuple,
 and palg.classify against classify, which evaluates both trees of every
-triple.  leaf_count is the per-node walk sset.triangulations no longer needs.
+triple.  max_associativity_datum is the datum builder that checks every
+candidate by the interval DP of is_fully_associable, which reads the sparse
+product table; palg.max_associativity_datum, which decides a candidate by
+its splits, is compared against it.  leaf_count is the per-node walk
+sset.triangulations no longer needs.
 chain_magma is a noncommutative partial monoid the tests check, and
 horizontal_sum the orthoalgebra MO_n that separates 2-Segal from weak
 2-Segal on the effect functor of a simplex.
@@ -111,6 +115,56 @@ def fully_associable(m: palg.PartialUnitalMagma, tup) -> bool:
             if None in vals or len(vals) != 1:
                 return False
     return True
+
+
+def is_fully_associable(m: palg.PartialUnitalMagma, tup) -> bool:
+    """Every contiguous subtuple is associable (paper-level notion behind
+    associativity data and nerve levels).
+
+    Interval DP from short to long: once every shorter interval has one
+    value, an interval has one iff the products of its splits are all defined
+    and agree, so one value per interval is kept and the first undefined or
+    disagreeing split decides."""
+    prod = m.product
+    rows = [tup]  # rows[d][i] is the value of tup[i..i+d]
+    for d in range(1, len(tup)):
+        row = []
+        for i in range(len(tup) - d):
+            c = prod.get((tup[i], rows[d - 1][i + 1]))
+            if c is None:
+                return False
+            for k in range(1, d):
+                if prod.get((rows[k][i], rows[d - 1 - k][i + k + 1])) != c:
+                    return False
+            row.append(c)
+        rows.append(row)
+    return True
+
+
+def max_associativity_datum(m: palg.PartialUnitalMagma, up_to: int) -> palg.AssociativityDatum:
+    """The maximal datum A_n = F_n(m) for 2 <= n <= up_to, by enumeration.
+
+    Level n candidates are grown from level n-1 (both outer faces of a fully
+    associable tuple are fully associable), then checked by the interval DP.
+    """
+    if up_to < 2:
+        raise InputError("up_to must be >= 2")
+    levels = {}
+    prev = [(x,) for x in m.elements()]
+    for n in range(2, up_to + 1):
+        prev_set = set(prev)
+        cur = []
+        for t in prev:
+            for x in m.elements():
+                if n > 2 and t[1:] + (x,) not in prev_set:
+                    continue
+                cand = t + (x,)
+                if is_fully_associable(m, cand):
+                    cur.append(cand)
+        levels[n] = frozenset(cur)
+        prev = cur
+    return palg.AssociativityDatum(levels)
+
 
 
 def classify(m: palg.PartialUnitalMagma):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from simpeff.util import InputError
 
 from conftest import random_magma, three_element_magmas
 from palg_oracles import (bracketed_product, classify, fully_associable, is_associable,
-                          is_multiplicable)
+                          is_multiplicable, max_associativity_datum)
 
 # Q8 element ids (see nerve.quaternion_group): 1,-1,i,-i,j,-j,k,-k
 I, NEG_I, J = 2, 3, 4
@@ -188,6 +189,37 @@ def test_max_datum_one_element(one_element_magma):
     datum = palg.max_associativity_datum(one_element_magma, 4)
     for n in range(2, 5):
         assert datum.level(n) == frozenset({(0,) * n})
+
+
+def test_max_datum_matches_interval_dp_oracle(q8_magma):
+    # the split rule against the builder that runs the interval DP on every
+    # candidate: the size-3 census at K=5, seeded magmas of size 4 and 5 at
+    # K=4, the S4 and Q8 commuting magmas at K=5, and L4 and bool3 at K=6
+    rng = random.Random(31)
+    cases = [(m, 5) for m in three_element_magmas()]
+    cases += [(random_magma(rng, size, density=rng.choice((0.5, 0.9))), 4)
+              for size in (4, 5) for _ in range(100)]
+    cases += [(nv.commuting_magma(nv.symmetric_group(4)), 5), (q8_magma, 5),
+              (palg.interval_effect_algebra(4).magma, 6),
+              (palg.boolean_effect_algebra(3).magma, 6)]
+    for m, up_to in cases:
+        assert palg.max_associativity_datum(m, up_to).levels == \
+            max_associativity_datum(m, up_to).levels, m.product
+    assert len(palg.max_associativity_datum(cases[-1][0], 6).level(6)) == 7 ** 3
+
+
+def test_scans_reject_a_product_off_the_carrier():
+    # unvalidated magmas: the dense table is built by the first scan, which
+    # raises validate's error rather than classifying or indexing past a row
+    unit = {(0, 0): 0, (0, 1): 1, (1, 0): 1}
+    for entry in ({(1, 1): 2}, {(1, 1): -1}, {(2, 1): 1}, {(1, -1): 0}):
+        m = palg.PartialUnitalMagma(2, unit | entry)
+        with pytest.raises(InputError, match="out of range"):
+            palg.classify(m)
+        with pytest.raises(InputError, match="out of range"):
+            palg.is_fully_associable(m, (1, 1))
+        with pytest.raises(InputError, match="out of range"):
+            m.validate()
 
 
 def test_max_datum_s3_pairwise_commuting():
@@ -422,12 +454,21 @@ def test_magma_json_roundtrip(l2):
 
 def test_datum_json_reads_integers_strictly():
     """Digit strings read as integers; floats and booleans are refused, not
-    truncated."""
+    truncated.  A level key is the decimal string of an n >= 2, and each of
+    its tuples has length n."""
     read = palg.AssociativityDatum.from_json_dict
     assert read({"levels": {"2": [["1", 2]]}}).levels == {2: frozenset({(1, 2)})}
+    assert read({"levels": {"3": [[0, 0, 0]], "2": []}}).max_arity == 3
     for bad in (0.7, 2.0, True, False):
         with pytest.raises(InputError, match="expected an integer"):
             read({"levels": {"2": [[1, bad]]}})
+    for key in ("3_0", "0", "1", "-3", "02", " 3", "+3", 3):
+        with pytest.raises(InputError, match="is not a decimal integer >= 2"):
+            read({"levels": {key: [[0, 0, 0]]}})
+    for key, tuples, bad in (("3", [[0, 0]], "2-tuple [0, 0]"),
+                             ("2", [[0, 0], [0, 0, 0]], "3-tuple [0, 0, 0]")):
+        with pytest.raises(InputError, match=re.escape(f"level {key} holds the {bad}")):
+            read({"levels": {key: tuples}})
 
 
 def test_wpm_bracketing_agreement_to_arity_5(q8_magma):
