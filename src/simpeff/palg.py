@@ -5,16 +5,16 @@ partial product is a sparse table {(a, b): c}; definedness is membership.
 The scans read its dense form, the cached rows[a][b] with None where the
 product is undefined.  On top of the bare unital magma this module
 implements bracketings, multiplicability and full associability,
-associativity data, the word-domain (PAS) presentation and its partial-group
-variant, inverses, and finite effect algebras.
+associativity data and Chermak's partial-group conditions on them, inverses,
+and finite effect algebras.
 """
 
 from __future__ import annotations
 
 __all__ = ["MAGMA", "WEAK_PARTIAL_MONOID", "PARTIAL_MONOID", "PartialUnitalMagma", "LEAF",
            "bracketings", "is_fully_associable", "left_product", "classify",
-           "AssociativityDatum", "max_associativity_datum", "validate_datum", "PasStructure",
-           "to_pas", "from_pas", "validate_pas", "validate_partial_group", "inverses",
+           "AssociativityDatum", "max_associativity_datum", "validate_datum",
+           "validate_partial_group", "inverses",
            "is_inverseless", "is_weakly_associative_partial_group", "inverse_conditions",
            "FiniteEffectAlgebra", "multiset_multiplicable", "validate_effect_algebra",
            "interval_effect_algebra", "boolean_effect_algebra"]
@@ -40,10 +40,6 @@ class PartialUnitalMagma:
 
     size: int
     product: dict  # (a, b) -> c, exactly the defined pairs
-
-    @property
-    def unit(self) -> int:
-        return 0
 
     def elements(self):
         return range(self.size)
@@ -277,7 +273,7 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
     Conditions: A_2 equals the product domain, closure under outer splits,
     closure under unit insertion (within the stored arity bound), and full
     associability of every stored tuple.  Face closure (contraction of an
-    adjacent pair to its product) is what PAS condition (4) and the nerve
+    adjacent pair to its product) is what Chermak's condition (4) and the nerve
     need; it is extra to the printed conditions and has its own row.
     """
     dom = frozenset(m.product)
@@ -301,98 +297,35 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
     ]
 
 
-# ---------------------------------------------------------------------------
-# PAS / word domains
+def validate_partial_group(m: PartialUnitalMagma, a: AssociativityDatum, inv):
+    """Chermak's partial-group conditions (1)-(5) on (m, a); list of Check rows.
 
-
-@dataclass(frozen=True)
-class PasStructure:
-    """Word-domain presentation: D is a finite set of words, pi: D -> carrier."""
-
-    size: int
-    domain: frozenset  # of tuples, includes () and all length-1 words
-    pi: dict  # word -> element
-
-    @property
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.domain), default=0)
-
-
-def to_pas(m: PartialUnitalMagma, a: AssociativityDatum) -> PasStructure:
-    """D = datum words plus the carrier plus the empty word; pi by any bracketing."""
-    bad = [c for c in validate_datum(m, a) if not c.ok]
-    if bad:
-        raise InputError(f"invalid associativity datum: {bad[0].name} witness {bad[0].witness}")
-    words = {(): m.unit}
-    for x in m.elements():
-        words[(x,)] = x
-    for n in sorted(a.levels):
-        for t in sorted(a.levels[n]):
-            words[t] = left_product(m, t)
-            if words[t] is None:
-                raise StructureError(f"tuple {t} is not left-multiplicable")
-    return PasStructure(m.size, frozenset(words), words)
-
-
-def from_pas(p: PasStructure):
-    """Recover (magma, datum) from a word domain; inverse of to_pas on the nose."""
-    product = {}
-    for w in p.domain:
-        if len(w) == 2:
-            product[w] = p.pi[w]
-    magma = PartialUnitalMagma(p.size, product)
-    magma.validate()
-    levels = {}
-    for w in p.domain:
-        if len(w) >= 2:
-            levels.setdefault(len(w), set()).add(w)
-    datum = AssociativityDatum({n: frozenset(s) for n, s in levels.items()})
-    return magma, datum
-
-
-def validate_pas(p: PasStructure):
-    """The four word-domain conditions, checked on the stored finite set.
-
-    Each row's witness is its first failure, words in sorted order: the
-    empty or a one-letter word missing from the domain, a word with a split
-    outside it, a one-letter word (x,) with pi(x,) != x, and (w, v) for the
-    first failing interval of w, v the interval if it is missing, else its
-    contraction.
+    The words are the empty word, the one-letter words and the stored
+    tuples, with the carrier of m, so (1) and (3) hold by construction.  (2)
+    is the datum's split closure, and (4), contracting a subword to its
+    product, is its face closure with full associability; contracting the
+    empty subword inserts the unit, the unit-insertion row.  So the rows are
+    validate_datum's, then inversion: inv, of length m.size, must be an
+    involution on the carrier, and (5) asks that each word w, one-letter and
+    stored words in sorted order, double to a stored word w + inv(reversed w)
+    with product the unit.  Doubling doubles the length, so (5) is checked
+    for words of at most half the top arity, the bound in the row's name;
+    its witness is the first failing word.
     """
-    words = sorted(p.domain)
-    return [
-        first_failure("pas-cond1-carrier-in-domain", (
-            w for w in [()] + [(x,) for x in range(p.size)] if w not in p.domain)),
-        first_failure("pas-cond2-split-closure", (
-            w for w in words if any(w[:i] not in p.domain or w[i:] not in p.domain
-                                    for i in range(1, len(w))))),
-        first_failure("pas-cond3-pi-identity-on-carrier", (
-            (x,) for x in range(p.size) if (x,) in p.domain and p.pi[(x,)] != x)),
-        first_failure("pas-cond4-contraction", (
-            (w, mid) if mid not in p.domain else (w, contr)
-            for w in words if len(w) >= 2
-            for i in range(len(w)) for j in range(i + 1, len(w) + 1)
-            if (mid := w[i:j]) not in p.domain
-            or (contr := w[:i] + (p.pi[mid],) + w[j:]) not in p.domain or p.pi[contr] != p.pi[w])),
-    ]
-
-
-def validate_partial_group(p: PasStructure, inv):
-    """Chermak conditions (1)-(5): the PAS conditions plus inversion.
-
-    inv is a total involution on the carrier.  Condition (5) doubles word
-    lengths, so it is checked for words with 2*len at most the longest
-    stored word, and the bound is recorded in the check name.  The
-    inversion row's witness is the first element it fails on; condition
-    (5)'s is the first word in sorted order.
-    """
-    maxlen = p.max_word_length
-    return validate_pas(p) + [
+    if len(inv) != m.size:
+        raise InputError(f"inversion has {len(inv)} entries for {m.size} elements")
+    top = a.max_arity
+    # an id off the carrier, or with its inverse off it, doubles to a word
+    # holding None, stored nowhere, so left_product reads only carrier ids
+    inv_of = {x: y for x, y in enumerate(inv) if 0 <= y < m.size}
+    words = sorted(w for n in range(1, top // 2 + 1)
+                   for w in ([(x,) for x in m.elements()] if n == 1 else a.level(n)))
+    return validate_datum(m, a) + [
         first_failure("inversion-is-involution", (
-            x for x in range(p.size) if not (0 <= inv[x] < p.size and inv[inv[x]] == x))),
-        first_failure(f"partial-group-cond5-inversion(len<={maxlen // 2})", (
-            w for w in sorted(p.domain) if 0 < 2 * len(w) <= maxlen
-            and ((d := w + tuple(inv[x] for x in reversed(w))) not in p.domain or p.pi[d] != 0))),
+            x for x in m.elements() if not (0 <= inv[x] < m.size and inv[inv[x]] == x))),
+        first_failure(f"partial-group-cond5-inversion(len<={top // 2})", (
+            w for w in words if (d := w + tuple(inv_of.get(x) for x in reversed(w)))
+            not in a.level(len(d)) or left_product(m, d) != 0)),
     ]
 
 
@@ -486,10 +419,6 @@ class FiniteEffectAlgebra:
             perp = tuple(json_ints(d["orthocomplement"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad effect algebra json: {exc}") from exc
-        if len(perp) != magma.size:
-            raise InputError("orthocomplement table has wrong length")
-        if any(not 0 <= p < magma.size for p in perp):
-            raise InputError(f"orthocomplement values must lie in 0..{magma.size - 1}")
         return FiniteEffectAlgebra(magma, perp)
 
 
@@ -516,11 +445,16 @@ def multiset_multiplicable(e: FiniteEffectAlgebra, values) -> bool:
 
 
 def validate_effect_algebra(e: FiniteEffectAlgebra):
-    """Axiom battery; each failure carries a witness."""
+    """Axiom battery; each failure carries a witness.  A magma or an
+    orthocomplement that is not a table on the carrier raises InputError."""
     m = e.magma
     m.validate()
     rows = m.rows
     perp = e.orthocomplement
+    if len(perp) != m.size:
+        raise InputError("orthocomplement table has wrong length")
+    if any(not 0 <= p < m.size for p in perp):
+        raise InputError(f"orthocomplement values must lie in 0..{m.size - 1}")
     one = e.top
     cls, cls_wit = classify(m)
     return [

@@ -35,22 +35,14 @@ def test_criterion_1_action_partial_group():
     ok, wit = sset.segal(ly)[3]
     assert not ok and wit[0] == "unfilled" and wit[1] == 3
     assert tuple(wit[2]) == (1, 1, 1)
-    # Chermak partial-group validity on the word domain, inversion included
+    # Chermak's partial-group conditions on the magma and datum read back
     ly6 = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 6)
-    words = {(): 0}
-    for n in range(1, 7):
-        for lab in ly6.labels[n]:
-            t = lab if isinstance(lab, tuple) else (lab,)
-            acc = 0
-            for a in t:
-                acc = z4.mul[acc][a]
-            words[t] = acc
-    pas = palg.PasStructure(4, frozenset(words), words)
-    checks = palg.validate_partial_group(pas, [z4.inv(a) for a in range(4)])
+    m, datum = nv.magma_from_sset(ly6)
+    checks = palg.validate_partial_group(m, datum, [z4.inv(a) for a in range(4)])
     assert all(c.ok for c in checks)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
-    report(1, f"L_Y(Z/4) witness spine (1,1,1), PAS conditions 1-5, {elapsed:.2f}s")
+    report(1, f"L_Y(Z/4) witness spine (1,1,1), partial-group conditions 1-5, {elapsed:.2f}s")
 
 
 def test_criterion_2_commutative_nerves():

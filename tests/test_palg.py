@@ -279,86 +279,92 @@ def test_validate_datum_witnesses(l2, l3, q8_magma):
 
 
 # ---------------------------------------------------------------------------
-# PAS
+# partial groups
 
 
-def test_to_pas_one_element(one_element_magma):
-    datum = palg.max_associativity_datum(one_element_magma, 3)
-    p = palg.to_pas(one_element_magma, datum)
-    assert p.domain == frozenset({(), (0,), (0, 0), (0, 0, 0)})
-    assert all(v == 0 for v in p.pi.values())
+def test_partial_group_rows_name_their_first_failure(l2):
+    """Each failing row of validate_partial_group names its first failure on
+    L2's arity-3 maximal datum with one change: (1, 1) left out of level 2,
+    (0, 0, 1) left out of level 3, or (1, 1, 1) stored.  The inversion
+    [0, 2, 2] is not an involution at 1 and doubles (1,) to (1, 2), which is
+    not stored; the identity doubles (1,) to (1, 1), stored with product 2."""
+    full = palg.max_associativity_datum(l2.magma, 3)
+
+    def failures(levels, inv):
+        datum = palg.AssociativityDatum({**full.levels, **levels})
+        return [(c.name, c.witness)
+                for c in palg.validate_partial_group(l2.magma, datum, inv) if not c.ok]
+
+    cond5 = "partial-group-cond5-inversion(len<=1)"
+    assert failures({2: full.level(2) - {(1, 1)}}, [0, 2, 2]) == [
+        ("datum-cond1-a2-is-domain", (1, 1)),
+        ("datum-cond2-split-closure", ((0, 1, 1), (1, 1))),
+        ("datum-face-closure", ((0, 1, 1), (1, 1))),
+        ("inversion-is-involution", 1), (cond5, (1,))]
+    assert failures({3: full.level(3) - {(0, 0, 1)}}, [0, 1, 2]) == [
+        ("datum-cond3-unit-insertion(arity<=3)", ((0, 1), (0, 0, 1))), (cond5, (1,))]
+    assert failures({3: full.level(3) | {(1, 1, 1)}}, [0, 1, 2]) == [
+        ("datum-fully-associable", (1, 1, 1)),
+        ("datum-face-closure", ((1, 1, 1), (2, 1))), (cond5, (1,))]
 
 
-def test_pas_roundtrip(l2, q8_magma):
-    for m in (l2.magma, q8_magma):
-        datum = palg.max_associativity_datum(m, 3)
-        p = palg.to_pas(m, datum)
-        assert all(c.ok for c in palg.validate_pas(p))
-        m2, d2 = palg.from_pas(p)
-        assert m2 == m
-        assert d2.levels == datum.levels
-
-
-def test_pas_roundtrip_random():
-    rng = random.Random(37)
-    for _ in range(20):
-        m = random_magma(rng, rng.randrange(1, 6))
-        datum = palg.max_associativity_datum(m, 3)
-        m2, d2 = palg.from_pas(palg.to_pas(m, datum))
-        assert m2 == m and d2.levels == datum.levels
-
-
-def test_to_pas_rejects_broken_datum(l2):
-    datum = palg.max_associativity_datum(l2.magma, 3)
-    broken = palg.AssociativityDatum({2: datum.level(2) - {(1, 1)}, 3: datum.level(3)})
-    with pytest.raises(InputError):
-        palg.to_pas(l2.magma, broken)
-
-
-def test_pas_rows_name_their_first_failure(l2):
-    """Each failing row of validate_pas and validate_partial_group names its
-    first failure, words in sorted order, on L2's arity-3 PAS with one
-    change: (1,) or () left out of the domain, or pi moving (1,); the
-    inversion [0, 2, 2] is not an involution at 1 and doubles (1,) and (2,)
-    out of the domain.  Under the moved pi the contraction row names the
-    first failing interval of (0, 0, 1), the whole word, with contraction
-    (1,), and not the last, (1,), with contraction (0, 0, 2)."""
-    p = palg.to_pas(l2.magma, palg.max_associativity_datum(l2.magma, 3))
-
-    def without(word):
-        return palg.PasStructure(3, p.domain - {word}, {w: v for w, v in p.pi.items() if w != word})
-
-    def failures(q):
-        return [(c.name, c.witness) for c in palg.validate_partial_group(q, [0, 2, 2]) if not c.ok]
-
-    inversion = [("inversion-is-involution", 1)]
-    assert failures(without((1,))) == [
-        ("pas-cond1-carrier-in-domain", (1,)), ("pas-cond2-split-closure", (0, 0, 1)),
-        ("pas-cond4-contraction", ((0, 0, 1), (1,)))] + inversion + [
-        ("partial-group-cond5-inversion(len<=1)", (2,))]
-    assert failures(without(())) == [("pas-cond1-carrier-in-domain", ())] + inversion + [
-        ("partial-group-cond5-inversion(len<=1)", (1,))]
-    moved = palg.PasStructure(3, p.domain, {**p.pi, (1,): 2})
-    assert failures(moved) == [
-        ("pas-cond3-pi-identity-on-carrier", (1,)),
-        ("pas-cond4-contraction", ((0, 0, 1), (1,)))] + inversion + [
-        ("partial-group-cond5-inversion(len<=1)", (1,))]
+def test_validate_partial_group_reads_no_id_off_the_carrier():
+    """On Z/3, where every row passes, a stored id off the carrier or an
+    inverse off it fails a row and raises nothing; an inversion of the wrong
+    length raises InputError."""
+    z3 = nv.cyclic_group(3)
+    m = nv.commuting_magma(z3)
+    full = palg.max_associativity_datum(m, 4)
+    cond5 = "partial-group-cond5-inversion(len<=2)"
+    for bad in ((1, 7), (-1, 1)):
+        datum = palg.AssociativityDatum({**full.levels, 2: full.level(2) | {bad}})
+        rep = palg.validate_partial_group(m, datum, [z3.inv(a) for a in range(3)])
+        assert [(c.name, c.witness) for c in rep if not c.ok] == [
+            ("datum-cond1-a2-is-domain", bad),
+            ("datum-cond3-unit-insertion(arity<=4)", (bad, (0,) + bad)),
+            ("datum-fully-associable", bad), (cond5, bad)]
+    for inv in ([0, 7, 1], [0, -1, 1]):
+        rep = palg.validate_partial_group(m, full, inv)
+        assert [(c.name, c.witness) for c in rep if not c.ok] == [
+            ("inversion-is-involution", 1), (cond5, (0, 1))]
+    for inv in ([0, 2], [0, 2, 1, 3]):
+        with pytest.raises(InputError):
+            palg.validate_partial_group(m, full, inv)
 
 
 def test_validate_partial_group_ly():
+    """L_Y(Z/4) at K=6, read back through magma_from_sset, is a partial group:
+    its magma is Z/4's product on the pairs Y allows, and every row passes."""
     z4 = nv.cyclic_group(4)
     ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 6)
-    words = {(): 0}
-    for n in range(1, 7):
-        for lab in ly.labels[n]:
-            t = lab if isinstance(lab, tuple) else (lab,)
-            acc = 0
-            for a in t:
-                acc = z4.mul[acc][a]
-            words[t] = acc
-    p = palg.PasStructure(4, frozenset(words), words)
-    inv = [z4.inv(a) for a in range(4)]
-    assert all(c.ok for c in palg.validate_partial_group(p, inv))
+    m, datum = nv.magma_from_sset(ly)
+    assert all(c == z4.mul[a][b] for (a, b), c in m.product.items())
+    rows = palg.validate_partial_group(m, datum, [z4.inv(a) for a in range(4)])
+    assert rows[-1].name == "partial-group-cond5-inversion(len<=3)"
+    assert all(c.ok for c in rows)
+
+
+def test_inversion_row_agrees_with_inverse_conditions(q8_magma):
+    """Row (5) on the maximal datum to arity 2k gives the verdict of
+    inverse_conditions(m, k), for k = 2 and 3: on every size-3 weak partial
+    monoid in which each element has a two-sided inverse, three passing and
+    two failing, and on the commuting magmas of Q8, S3 and D4, which pass."""
+    def has_inverses(m):
+        return all(palg.inverses(m, x)["two_sided"] for x in m.elements())
+
+    small = [m for m in three_element_magmas()
+             if palg.classify(m)[0] != palg.MAGMA and has_inverses(m)]
+    assert len(small) == 5
+    groups = [q8_magma] + [nv.commuting_magma(g) for g in (nv.symmetric_group(3),
+                                                           nv.dihedral_group(4))]
+    verdicts = []
+    for m in small + groups:
+        inv = [min(palg.inverses(m, x)["two_sided"]) for x in m.elements()]
+        for k in (2, 3):
+            row = palg.validate_partial_group(m, palg.max_associativity_datum(m, 2 * k), inv)[-1]
+            assert row.ok == palg.inverse_conditions(m, k)[0]
+            verdicts.append(row.ok)
+    assert verdicts == [True, True, False, False, True, True, False, False, True, True] + [True] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +426,12 @@ def test_validate_effect_algebra_bad_perp(l2):
     rep = {c.name: c for c in palg.validate_effect_algebra(broken)}
     bad = rep["orthocomplement-existence-uniqueness"]
     assert not bad.ok and bad.witness[0] == 1
+
+
+def test_validate_effect_algebra_rejects_a_perp_off_the_carrier(l2):
+    for perp in ((7, 1, 0), (2, 1)):
+        with pytest.raises(InputError, match="orthocomplement"):
+            palg.validate_effect_algebra(palg.FiniteEffectAlgebra(l2.magma, perp))
 
 
 def test_effect_algebra_implies_inverseless():

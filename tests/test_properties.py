@@ -52,14 +52,6 @@ def test_weak_partial_monoids_have_unambiguous_products(case):
     assert len(vals) == 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(magmas(max_size=4))
-def test_pas_roundtrip_is_identity(m):
-    datum = palg.max_associativity_datum(m, 3)
-    m2, d2 = palg.from_pas(palg.to_pas(m, datum))
-    assert m2 == m and d2.levels == datum.levels
-
-
 @settings(max_examples=25, deadline=None)
 @given(magmas(max_size=4))
 def test_nerve_reconstruction_and_transport(m):
