@@ -3,7 +3,9 @@
 Carriers are dense integer ids 0..k-1 with 0 reserved for the unit.  The
 partial product is a sparse table {(a, b): c}; definedness is membership.
 The scans read its dense form, the cached rows[a][b] with None where the
-product is undefined.  On top of the bare unital magma this module
+product is undefined; the interval DP reads the same table as an int array,
+with the absorbing id size where the product is undefined.  On top of the
+bare unital magma this module
 implements bracketings, multiplicability and full associability,
 associativity data and Chermak's partial-group conditions on them, inverses,
 and finite effect algebras.
@@ -12,8 +14,8 @@ and finite effect algebras.
 from __future__ import annotations
 
 __all__ = ["MAGMA", "WEAK_PARTIAL_MONOID", "PARTIAL_MONOID", "PartialUnitalMagma", "LEAF",
-           "bracketings", "is_fully_associable", "left_product", "classify",
-           "AssociativityDatum", "max_associativity_datum", "validate_datum",
+           "bracketings", "fully_associable_mask", "is_fully_associable", "left_product",
+           "classify", "AssociativityDatum", "max_associativity_datum", "validate_datum",
            "validate_partial_group", "inverses",
            "is_inverseless", "is_weakly_associative_partial_group", "inverse_conditions",
            "FiniteEffectAlgebra", "multiset_multiplicable", "validate_effect_algebra",
@@ -22,6 +24,8 @@ __all__ = ["MAGMA", "WEAK_PARTIAL_MONOID", "PARTIAL_MONOID", "PartialUnitalMagma
 import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .util import Check, InputError, StructureError, first_failure, json_int, json_ints
 
@@ -51,24 +55,43 @@ class PartialUnitalMagma:
         """Product of a and b, or None when the pair is not multiplicable."""
         return self.product.get((a, b))
 
+    def _check_entries(self):
+        """An InputError on the first product entry, in product order, with
+        an id outside 0..size-1."""
+        size = self.size
+        for (a, b), c in self.product.items():
+            if not (0 <= a < size and 0 <= b < size and 0 <= c < size):
+                raise InputError(f"product entry {(a, b, c)} out of range")
+
     @functools.cached_property
     def rows(self):
         """The dense table: rows[a][b] is the product of a and b, or None
         where it is undefined.  Built once from product, which must not
         change after; an entry outside 0..size-1 raises InputError."""
-        size = self.size
-        rows = [[None] * size for _ in range(size)]
+        self._check_entries()
+        rows = [[None] * self.size for _ in range(self.size)]
         for (a, b), c in self.product.items():
-            if not (0 <= a < size and 0 <= b < size and 0 <= c < size):
-                raise InputError(f"product entry {(a, b, c)} out of range")
             rows[a][b] = c
         return rows
 
+    @functools.cached_property
+    def table(self):
+        """rows as a (size+1) x (size+1) int array, with the id size where
+        the product is undefined; row and column size hold size too, so an
+        undefined value absorbs every product it enters."""
+        size = self.size
+        table = np.full((size + 1, size + 1), size, dtype=np.intp)
+        table[:size, :size] = [[size if c is None else c for c in row] for row in self.rows]
+        return table
+
     def validate(self):
-        """Check the unit law and table well-formedness; raise InputError."""
-        rows = self.rows
+        """Check the entries' range, then the unit law, on the sparse
+        product, so that a malformed magma fails before the dense table of
+        size**2 entries is built; raise InputError."""
+        self._check_entries()
+        product = self.product
         for m in self.elements():
-            if rows[0][m] != m or rows[m][0] != m:
+            if product.get((0, m)) != m or product.get((m, 0)) != m:
                 raise InputError(f"unit law fails at element {m}")
 
     def to_json_dict(self):
@@ -117,33 +140,64 @@ def bracketings(n: int):
                  for left in bracketings(k) for right in bracketings(n - k))
 
 
-def is_fully_associable(m: PartialUnitalMagma, tup) -> bool:
-    """Every contiguous subtuple is associable (paper-level notion behind
-    associativity data and nerve levels).
+def fully_associable_mask(m: PartialUnitalMagma, tuples) -> np.ndarray:
+    """Full associability of each row of tuples, a (k, L) int array, as a
+    bool array of length k: every contiguous subtuple of the row is
+    associable (paper-level notion behind associativity data and nerve
+    levels).  A tuple of length < 2 is fully associable.
 
-    Interval DP from short to long: once every shorter interval has one
-    value, an interval has one iff the products of its splits are all defined
-    and agree, so one value per interval is kept and the first undefined or
-    disagreeing split decides.  No product with an entry off the carrier is
-    defined."""
-    if len(tup) < 2:
-        return True
-    if min(tup) < 0 or max(tup) >= m.size:
-        return False
-    rows = m.rows
-    vals = [tup]  # vals[d][i] is the value of tup[i..i+d]
-    for d in range(1, len(tup)):
-        row = []
-        for i in range(len(tup) - d):
-            c = rows[tup[i]][vals[d - 1][i + 1]]
-            if c is None:
-                return False
-            for k in range(1, d):
-                if rows[vals[k][i]][vals[d - 1 - k][i + k + 1]] != c:
-                    return False
-            row.append(c)
-        vals.append(row)
-    return True
+    Interval DP from short to long, each step one gather over all k rows:
+    once every shorter interval has one value, an interval has one iff the
+    products of its splits are all defined and agree, so one value per
+    interval is kept, that of its first split, and the other splits are
+    compared with it.  The products are read from m.table, where the id size
+    stands for an undefined value and absorbs every product it enters; an id
+    off the carrier enters as size too, so no product with it is defined."""
+    k, length = tuples.shape
+    ok = np.ones(k, dtype=bool)
+    if length < 2:
+        return ok
+    size = m.size
+    flat, w = m.table.ravel(), size + 1  # flat[a * w + b] is the product of a and b
+    # vals[d][:, i] is the value of the interval i..i+d
+    vals = [np.where((tuples < 0) | (tuples >= size), size, tuples)]
+    for d in range(1, length):
+        c = flat[vals[0][:, :length - d] * w + vals[d - 1][:, 1:]]
+        ok &= (c != size).all(axis=1)
+        for j in range(1, d):
+            ok &= (flat[vals[j][:, :length - d] * w + vals[d - 1 - j][:, j + 1:]] == c).all(axis=1)
+        vals.append(c)
+    return ok
+
+
+def _id_array(m: PartialUnitalMagma, tuples, length: int) -> np.ndarray:
+    """The tuples, each of the given length, as a (k, length) int array; an
+    id too large for it is off the carrier, so it enters as -1."""
+    try:
+        return np.array(tuples, dtype=np.intp).reshape(len(tuples), length)
+    except OverflowError:
+        return np.array([[x if 0 <= x < m.size else -1 for x in t] for t in tuples],
+                        dtype=np.intp).reshape(len(tuples), length)
+
+
+def is_fully_associable(m: PartialUnitalMagma, tup) -> bool:
+    """Full associability of one tuple: fully_associable_mask on the batch
+    of one."""
+    return bool(fully_associable_mask(m, _id_array(m, [tup], len(tup)))[0])
+
+
+def _first_unassociable(m: PartialUnitalMagma, tuples):
+    """The first of the tuples, a list, that is not fully associable, or
+    None; one batch for the tuples of each length."""
+    by_length = {}
+    for i, t in enumerate(tuples):
+        by_length.setdefault(len(t), []).append(i)
+    first = len(tuples)
+    for length, idx in by_length.items():
+        ok = fully_associable_mask(m, _id_array(m, [tuples[i] for i in idx], length))
+        if not ok.all():
+            first = min(first, idx[ok.argmin()])
+    return tuples[first] if first < len(tuples) else None
 
 
 def left_product(m: PartialUnitalMagma, values):
@@ -279,6 +333,7 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
     dom = frozenset(m.product)
     top = a.max_arity
     stored = [(n, t) for n in sorted(a.levels) for t in sorted(a.levels[n])]
+    unassociable = _first_unassociable(m, [t for _, t in stored])
     return [
         first_failure("datum-cond1-a2-is-domain", sorted(dom ^ a.level(2))),
         first_failure("datum-cond2-split-closure", (
@@ -287,8 +342,7 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
         first_failure(f"datum-cond3-unit-insertion(arity<={top})", (
             (t, ins) for n, t in stored if n < top for i in range(n + 1)
             if (ins := t[:i] + (0,) + t[i:]) not in a.level(n + 1))),
-        first_failure("datum-fully-associable", (
-            t for _, t in stored if not is_fully_associable(m, t))),
+        Check("datum-fully-associable", unassociable is None, unassociable),
         # an undefined product contracts to a word with None, stored nowhere;
         # mul, not rows, as a stored tuple may hold ids off the carrier
         first_failure("datum-face-closure", (
@@ -367,7 +421,9 @@ def inverse_conditions(m: PartialUnitalMagma, up_to: int):
     """The rest of is_weakly_associative_partial_group, for a magma already
     classified as a weak partial monoid or stronger: every element has a
     two-sided inverse, and every doubled tuple is fully associable.  Returns
-    (bool, witness).
+    (bool, witness).  The doubled tuples of each arity n are one batch of
+    fully_associable_mask, and the witness is the least tuple of the first
+    arity n whose doubling fails.
     """
     if up_to < 2:
         raise InputError("up_to must be >= 2")
@@ -378,13 +434,13 @@ def inverse_conditions(m: PartialUnitalMagma, up_to: int):
             return False, ("missing-inverse", x)
         inv.append(min(two))
     datum = max_associativity_datum(m, up_to)
-    singles = [(x,) for x in m.elements()]
+    inv = np.array(inv, dtype=np.intp)
     for n in range(1, up_to + 1):
-        tuples = singles if n == 1 else sorted(datum.level(n))
-        for t in tuples:
-            doubled = t + tuple(inv[x] for x in reversed(t))
-            if not is_fully_associable(m, doubled):
-                return False, ("doubled-tuple-fails", t)
+        tuples = np.array(list(datum.level(n)) if n > 1 else m.elements(),
+                          dtype=np.intp).reshape(-1, n)
+        ok = fully_associable_mask(m, np.hstack([tuples, inv[tuples[:, ::-1]]]))
+        if not ok.all():
+            return False, ("doubled-tuple-fails", min(map(tuple, tuples[~ok].tolist())))
     return True, None
 
 

@@ -55,6 +55,31 @@ def random_magma(rng: random.Random, size: int, density: float = 0.5) -> palg.Pa
     return m
 
 
+def involutive_magma(rng: random.Random, size: int,
+                     density: float = 0.5) -> palg.PartialUnitalMagma:
+    """A random partial unital magma in which every element has a two-sided
+    inverse: an involution of 1..size-1 is drawn first and x * inv(x) and
+    inv(x) * x are set to the unit, then the other products are
+    coin-flipped as in random_magma.  Uniform draws almost never have every
+    inverse."""
+    rest = list(range(1, size))
+    rng.shuffle(rest)
+    inv = list(range(size))
+    while len(rest) >= 2 and rng.random() < 0.7:
+        a, b = rest.pop(), rest.pop()
+        inv[a], inv[b] = b, a
+    product = {(0, m): m for m in range(size)}
+    product.update({(m, 0): m for m in range(size)})
+    product.update({(x, inv[x]): 0 for x in range(size)})
+    for a in range(1, size):
+        for b in range(1, size):
+            if (a, b) not in product and rng.random() < density:
+                product[(a, b)] = rng.randrange(size)
+    m = palg.PartialUnitalMagma(size, product)
+    m.validate()
+    return m
+
+
 def three_element_magmas():
     """All 256 partial unital magmas on {0, 1, 2}: each of the four products
     of non-units is undefined or one of the three elements."""

@@ -10,7 +10,9 @@ and palg.classify against classify, which evaluates both trees of every
 triple.  max_associativity_datum is the datum builder that checks every
 candidate by the interval DP of is_fully_associable, which reads the sparse
 product table; palg.max_associativity_datum, which decides a candidate by
-its splits, is compared against it.  leaf_count is the per-node walk
+its splits, is compared against it.  inverse_conditions decides each
+doubled tuple on its own by that interval DP, as the batched DP of
+palg.inverse_conditions is compared against it.  leaf_count is the per-node walk
 sset.triangulations no longer needs.
 chain_magma is a noncommutative partial monoid the tests check, and
 horizontal_sum the orthoalgebra MO_n that separates 2-Segal from weak
@@ -165,6 +167,24 @@ def max_associativity_datum(m: palg.PartialUnitalMagma, up_to: int) -> palg.Asso
         prev = cur
     return palg.AssociativityDatum(levels)
 
+
+def inverse_conditions(m: palg.PartialUnitalMagma, up_to: int):
+    """Two-sided inverses, then each doubled tuple t + inv(reversed t) of
+    the maximal datum, arity by arity and in sorted order, decided one at a
+    time; (bool, witness) as palg.inverse_conditions returns it."""
+    inv = []
+    for x in m.elements():
+        two = palg.inverses(m, x)["two_sided"]
+        if not two:
+            return False, ("missing-inverse", x)
+        inv.append(min(two))
+    datum = max_associativity_datum(m, up_to)
+    for n in range(1, up_to + 1):
+        tuples = [(x,) for x in m.elements()] if n == 1 else sorted(datum.level(n))
+        for t in tuples:
+            if not is_fully_associable(m, t + tuple(inv[x] for x in reversed(t))):
+                return False, ("doubled-tuple-fails", t)
+    return True, None
 
 
 def classify(m: palg.PartialUnitalMagma):

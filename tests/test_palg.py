@@ -1,17 +1,20 @@
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from simpeff import nerve as nv
 from simpeff import palg
 from simpeff.util import InputError
 
-from conftest import random_magma, three_element_magmas
-from palg_oracles import (bracketed_product, classify, fully_associable, is_associable,
-                          is_multiplicable, max_associativity_datum)
+from conftest import involutive_magma, random_magma, three_element_magmas
+from palg_oracles import (bracketed_product, classify, fully_associable, inverse_conditions,
+                          is_associable, is_fully_associable, is_multiplicable,
+                          max_associativity_datum)
 
 # Q8 element ids (see nerve.quaternion_group): 1,-1,i,-i,j,-j,k,-k
 I, NEG_I, J = 2, 3, 4
@@ -105,6 +108,91 @@ def test_fully_associable_matches_bracketing_oracle():
     for tup in ((1, 1, 2), (1, 1, 2, 2), (2, 2, 1, 1, 2)):
         assert palg.left_product(m, tup) is not None
         assert not palg.is_fully_associable(m, tup) and not fully_associable(m, tup)
+
+
+def test_batched_dp_matches_the_oracles():
+    """fully_associable_mask on batches of equal-length tuples, arity 1-7, on
+    seeded magmas of size 2-5, against the one-tuple interval DP of the
+    oracles and against every bracketing of every contiguous subtuple; ids
+    off the carrier, -1, size and above, fail at any length >= 2."""
+    rng = random.Random(32)
+    verdicts = Counter()
+    for _ in range(40):
+        m = random_magma(rng, rng.randrange(2, 6), density=rng.choice((0.5, 0.9)))
+        for length in range(1, 8):
+            batch = [tuple(rng.randrange(m.size) if rng.random() < 0.5 else 0
+                           for _ in range(length)) for _ in range(rng.randrange(1, 12))]
+            if length >= 2 and rng.random() < 0.3:
+                i, j = rng.randrange(len(batch)), rng.randrange(length)
+                batch[i] = batch[i][:j] + (rng.choice((-1, m.size, m.size + 3)),) + batch[i][j + 1:]
+            got = palg.fully_associable_mask(m, np.array(batch, dtype=np.intp))
+            assert got.dtype == bool and got.shape == (len(batch),)
+            want = [is_fully_associable(m, t) for t in batch]
+            assert got.tolist() == want, (m.product, batch)
+            assert want == [fully_associable(m, t) for t in batch]
+            assert want == [palg.is_fully_associable(m, t) for t in batch]
+            verdicts.update(want)
+    assert min(verdicts.values()) >= 200, verdicts
+    m = palg.interval_effect_algebra(2).magma
+    for length in (0, 1, 2, 5):
+        assert palg.fully_associable_mask(m, np.empty((0, length), dtype=np.intp)).shape == (0,)
+    assert palg.fully_associable_mask(m, np.array([[-1], [3], [1]])).tolist() == [True] * 3
+    for bad in (-1, 3, 5, 2 ** 70):
+        assert not palg.is_fully_associable(m, (0, bad))
+        assert not palg.is_fully_associable(m, (bad, 0, 0))
+    assert palg.is_fully_associable(m, (2 ** 70,)) and palg.is_fully_associable(m, ())
+
+
+def test_inverse_conditions_matches_the_per_tuple_oracle():
+    """Verdicts and witnesses of the batched inverse_conditions equal those
+    of the oracle, which decides each doubled tuple on its own in sorted
+    order, at up_to 2, 3 and 4: on all 256 size-3 tables, and on 300 seeded
+    size-4 and size-5 magmas whose inversions are drawn first, so that they
+    pass or fail at a doubled pair, and 30 uniform ones, which mostly lack
+    an inverse."""
+    rng = random.Random(18)
+    seeded = [involutive_magma(rng, rng.choice((4, 5)), density=rng.choice((0.05, 0.1, 0.2, 0.5)))
+              for _ in range(300)]
+    seeded += [random_magma(rng, rng.choice((4, 5))) for _ in range(30)]
+    kinds = Counter()
+    for m in list(three_element_magmas()) + seeded:
+        for up_to in (2, 3, 4):
+            got = palg.inverse_conditions(m, up_to)
+            assert got == inverse_conditions(m, up_to), m.product
+            kinds[m.size > 3, got[1][0] if got[1] else "pass"] += 1
+    assert kinds[True, "pass"] >= 150 and kinds[True, "doubled-tuple-fails"] >= 150, kinds
+    assert kinds[True, "missing-inverse"] >= 60, kinds
+
+
+def test_validate_datum_rows_on_irregular_data(l2, q8_magma):
+    """The full-associability row of validate_datum names the first stored
+    tuple, in sorted order, that the oracle's interval DP rejects, on data
+    built directly: an empty level, levels holding tuples of other lengths
+    (empty and one-letter ones at level 2, longer ones at any level, as face
+    closure indexes a tuple of level n >= 3 up to n), and ids off the
+    carrier, -1, size and 2**70."""
+    def want(m, levels):
+        stored = [t for n in sorted(levels) for t in sorted(levels[n])]
+        return next((t for t in stored if not is_fully_associable(m, t)), None)
+
+    cases = [
+        (l2.magma, {2: frozenset(), 3: frozenset({(1, 1, 0)})}),
+        (l2.magma, {2: frozenset({(1, 1), (1, 1, 1), (1,), ()}), 3: frozenset({(2, 1, 0)})}),
+        (l2.magma, {2: frozenset({(1, 1), (1, 3), (-1, 1)}), 4: frozenset({(0, 0, 0, 0)})}),
+        (l2.magma, {2: frozenset({(1, 1)}), 4: frozenset({(0, 0, 0, 0), (2 ** 70, 0, 0, 0)})}),
+        (l2.magma, {2: frozenset({(1,), (0, 1)}), 3: frozenset({(0, 1, 1, 0), (0, 0, 1)})}),
+        (q8_magma, {2: frozenset({(I, J), (I, 0)}), 3: frozenset({(I, NEG_I, J), (0, 0, 0, I)}),
+                    5: frozenset()}),
+        (q8_magma, {}),
+    ]
+    seen = set()
+    for m, levels in cases:
+        rows = palg.validate_datum(m, palg.AssociativityDatum(levels))
+        row = rows[3]
+        assert row.name == "datum-fully-associable"
+        assert (row.ok, row.witness) == ((w := want(m, levels)) is None, w), levels
+        seen.add(row.witness)
+    assert seen == {None, (1, 1, 1), (-1, 1), (2 ** 70, 0, 0, 0), (I, J)}
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +308,26 @@ def test_scans_reject_a_product_off_the_carrier():
             palg.is_fully_associable(m, (1, 1))
         with pytest.raises(InputError, match="out of range"):
             m.validate()
+
+
+def test_validate_checks_the_sparse_product_before_the_dense_table():
+    """validate reads the entries' range, in product order, and then the
+    unit law off the sparse product, so a magma of 100000 elements with no
+    products fails at once, without the 10**10-entry table."""
+    tracemalloc.start()
+    try:
+        for product, message in (
+                ({}, "unit law fails at element 0"),
+                ({(1, 1): 100000, (0, 0): -1}, r"product entry \(1, 1, 100000\) out of range"),
+                ({(0, 0): 0, (0, 1): 1}, "unit law fails at element 1")):
+            m = palg.PartialUnitalMagma(100000, product)
+            with pytest.raises(InputError, match=message):
+                m.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert "rows" not in vars(m)
 
 
 def test_max_datum_s3_pairwise_commuting():
