@@ -270,7 +270,7 @@ def _build_s1(args):
 
 
 def _mat_json(m):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+    return [[[v.real, v.imag] for v in row] for row in np.asarray(m).tolist()]
 
 
 def _build_key_example_witness(args):

@@ -328,26 +328,33 @@ def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
     closure under unit insertion (within the stored arity bound), and full
     associability of every stored tuple.  Face closure (contraction of an
     adjacent pair to its product) is what Chermak's condition (4) and the nerve
-    need; it is extra to the printed conditions and has its own row.
+    need; it is extra to the printed conditions and has its own row.  A
+    stored tuple whose length is not its level fails the last row, with its
+    level as (n, tuple); the rows that read a tuple as one of its level (the
+    domain, closures and face closure) skip it, and full associability, a
+    property of the tuple alone, reads every stored tuple.
     """
     dom = frozenset(m.product)
     top = a.max_arity
     stored = [(n, t) for n in sorted(a.levels) for t in sorted(a.levels[n])]
+    placed = [(n, t) for n, t in stored if len(t) == n]
     unassociable = _first_unassociable(m, [t for _, t in stored])
     return [
-        first_failure("datum-cond1-a2-is-domain", sorted(dom ^ a.level(2))),
+        first_failure("datum-cond1-a2-is-domain",
+                      sorted(dom ^ {t for t in a.level(2) if len(t) == 2})),
         first_failure("datum-cond2-split-closure", (
-            (t, part) for n, t in stored for i in range(1, n) for part in (t[:i], t[i:])
+            (t, part) for n, t in placed for i in range(1, n) for part in (t[:i], t[i:])
             if len(part) >= 2 and part not in a.level(len(part)))),
         first_failure(f"datum-cond3-unit-insertion(arity<={top})", (
-            (t, ins) for n, t in stored if n < top for i in range(n + 1)
+            (t, ins) for n, t in placed if n < top for i in range(n + 1)
             if (ins := t[:i] + (0,) + t[i:]) not in a.level(n + 1))),
         Check("datum-fully-associable", unassociable is None, unassociable),
         # an undefined product contracts to a word with None, stored nowhere;
         # mul, not rows, as a stored tuple may hold ids off the carrier
         first_failure("datum-face-closure", (
-            (t, contr) for n, t in stored if n >= 3 for i in range(n - 1)
+            (t, contr) for n, t in placed if n >= 3 for i in range(n - 1)
             if (contr := t[:i] + (m.mul(t[i], t[i + 1]),) + t[i + 2:]) not in a.level(n - 1))),
+        first_failure("datum-level-lengths", ((n, t) for n, t in stored if len(t) != n)),
     ]
 
 

@@ -40,6 +40,10 @@ TRIAL_BLOCK = 10
 D = 3
 DIM = 9
 OMEGA = np.exp(2j * np.pi / 3)
+# omega^a and omega^{-ak} for a, k in Z/3: eigenprojectors' phases and Fourier sum
+_PHASES = OMEGA ** np.arange(D)
+_FOURIER = OMEGA ** -np.outer(np.arange(D), np.arange(D))
+_PHASES.flags.writeable = _FOURIER.flags.writeable = False
 
 
 def frob(a):
@@ -78,11 +82,10 @@ def eigenprojectors(u):
     powers = [np.broadcast_to(eye, u.shape), u, u @ u]
     if not (frob(powers[-1] @ u - eye) <= TOL_PROJ).all():
         raise InputError(f"input is not {D}-torsion within tolerance")
-    k = np.arange(D)
     # the powers' entries as rows, so that each sum over k is one matmul
     flat = np.stack(powers, -3).reshape(*u.shape[:-2], D, -1)
-    projs = (OMEGA ** -np.outer(k, k) @ flat / D).reshape(*u.shape[:-2], D, *u.shape[-2:])
-    rebuilt = (OMEGA ** k @ projs.reshape(flat.shape)).reshape(u.shape)
+    projs = (_FOURIER @ flat / D).reshape(*u.shape[:-2], D, *u.shape[-2:])
+    rebuilt = (_PHASES @ projs.reshape(flat.shape)).reshape(u.shape)
     if not (frob(rebuilt - u) <= TOL_EQ).all():
         raise InputError("spectral reconstruction failed")
     return projs
@@ -132,29 +135,43 @@ class ProjectiveMeasurement:
         Each test fails on NaN, so a block with a non-finite entry is not a
         projector.
 
-        A pair s < t is not orthogonal when |p[s] p[t]|_F > TOL_PROJ.  Since
-        |AB|_F^2 = <A^dag A, B B^dag>_F, one product of the flattened stacks
-        of p[s]^dag p[s] and p[t] p[t]^dag gives that square for every pair
-        of a measurement.  This screen clears a pair whose square is at most
-        TOL_PROJ^2 / 10 = 1e-13, and every other pair is decided by its own
-        product.  The screen changes no verdict and no message.  A
-        measurement with a block that fails a projector test is bad whatever
-        its pairs give, and that failure is named first.  On one whose blocks
-        pass both tests, a block of size d <= 9 (every measurement here is on
-        C^9 or smaller) has |p[s]|_F <= 3 (1 + eps), so the rounding error of
-        a screened square stays below about 2e-13.  A cleared pair therefore
-        has a true norm below sqrt(3e-13) < 5.5e-7, and its own product would
-        have cleared it too.
+        A pair s < t is not orthogonal when |p[s] p[t]|_F > TOL_PROJ.  A
+        screen bounds that square from the Gram of the flattened blocks and
+        the projector residuals the tests above compute.  For a block A with
+        e_A = |A^2 - A|_F + |A^dag - A|_F |A|_F, the identity
+        A^dag A - A = (A^2 - A) + (A^dag - A) A gives |A^dag A - A|_F <= e_A,
+        and likewise |B B^dag - B|_F <= e_B.  So
+        |AB|_F^2 = <A^dag A, B B^dag>_F <= Re<A, B>_F + slack, with
+        slack = e_A |B|_F + |A|_F e_B + e_A e_B.  The screen clears a pair
+        whose bound is at most TOL_PROJ^2 / 10 = 1e-13, and every other pair
+        is decided by its own product.
+
+        The screen changes no verdict and no message.  A measurement with a
+        block that fails a projector test is bad whatever its pairs give, and
+        that failure is named first.  On one whose blocks pass both tests, a
+        block of size d <= 9 (every measurement here is on C^9 or smaller)
+        has |p[s]|_F <= 3 (1 + 1e-5).  Re<A, B>_F sums 2 d^2 <= 162 real
+        products, so its rounding error is below 162 * 2^-53 * 9.0002 <
+        1.7e-13.  The rounding of A @ A moves e_A by less than 2e-14, and so
+        the slack by less than 1.1e-13; the norms, read off the Gram's
+        diagonal, are off by a relative 1e-14.  A cleared pair therefore has
+        a true square below 3.8e-13 and a true norm below 6.2e-7, and its own
+        product would have cleared it too.
         """
         p = self.blocks
         n = D ** self.arity
         if p.ndim < 3 or p.shape[-3] != n or p.shape[-2] != p.shape[-1]:
             raise InputError("measurement must be indexed by all outcome tuples")
         outs = _outcomes(self.arity)[0]
-        not_proj = ~(frob(dagger(p) - p) <= TOL_PROJ) | ~(frob(p @ p - p) <= TOL_PROJ)
-        flat = p.shape[:-2] + (-1,)
-        squares = ((dagger(p) @ p).reshape(flat) @ dagger((p @ dagger(p)).reshape(flat))).real
-        not_orth = np.triu(squares > TOL_PROJ ** 2 / 10, 1)
+        herm, idem = frob(dagger(p) - p), frob(p @ p - p)
+        not_proj = ~(herm <= TOL_PROJ) | ~(idem <= TOL_PROJ)
+        flat = p.reshape(p.shape[:-2] + (-1,))
+        gram = (flat.conj() @ np.swapaxes(flat, -2, -1)).real
+        norm = np.sqrt(np.diagonal(gram, 0, -2, -1))
+        err = idem + herm * norm
+        bound = (gram + err[..., :, None] * norm[..., None, :]
+                 + norm[..., :, None] * err[..., None, :] + err[..., :, None] * err[..., None, :])
+        not_orth = np.triu(bound > TOL_PROJ ** 2 / 10, 1)
         open_pairs = np.nonzero(not_orth)
         if open_pairs[0].size:
             not_orth[open_pairs] = _products_not_orthogonal(p, open_pairs)
@@ -342,7 +359,10 @@ def build_witness():
 def ginibre(rng, n):
     """An n x n complex Gaussian matrix, real parts drawn before imaginary."""
     real, imag = rng.standard_normal((2, n, n))
-    return real + 1j * imag
+    z = np.empty((n, n), complex)
+    z.real = real
+    z.imag = imag
+    return z
 
 
 def haar_from_ginibre(z):
@@ -361,7 +381,10 @@ def random_density(rng):
 
 
 def validate_density(rho):
-    """Positive semidefinite and trace one, within tolerance."""
+    """A DIM x DIM operator, positive semidefinite and of trace one, within
+    tolerance."""
+    if np.shape(rho) != (DIM, DIM):
+        raise InputError(f"density operator must be {DIM} x {DIM}")
     if not frob(dagger(rho) - rho) <= TOL_PROJ:
         raise InputError("density operator is not Hermitian")
     if not abs(np.trace(rho).real - 1) <= TOL_PROJ:
@@ -423,7 +446,8 @@ def inverseless_sample_check(trials: int, seed: int):
     three fibre-sum relations, and a generic sample with mass outside the
     00 label has a d_1 face quantifiably far from degenerate.  Each trial
     draws its Gaussian matrix, then the generic sample's ranks and Gaussian
-    matrix; the checks run on a block of trials at once.
+    matrix; the checks run on a block of trials at once, and both Gaussian
+    stacks of a block take one Haar step.
     """
     results = []
     target = degenerate_two_simplex()
@@ -432,7 +456,8 @@ def inverseless_sample_check(trials: int, seed: int):
     for rngs in _trial_blocks(seed, trials):
         draws = [(ginibre(rng, DIM), _allowed_ranks(rng), ginibre(rng, DIM)) for rng in rngs]
         z, ranks, z_generic = (np.array(a) for a in zip(*draws))
-        sample = _allowed_two_simplices(haar_from_ginibre(z), collapse_ranks)
+        u, u_generic = haar_from_ginibre(np.array([z, z_generic]))
+        sample = _allowed_two_simplices(u, collapse_ranks)
         ok, _ = in_key_example(sample)
         d1 = face(sample, 1).blocks
         fibres = np.stack([sample[(0, 0)],
@@ -441,9 +466,10 @@ def inverseless_sample_check(trials: int, seed: int):
         relation = frob(fibres - d1).max(-1)
         degenerate_input = frob(d1 - deg_edge).max(-1)
         collapse = frob(sample.blocks - target.blocks).max(-1)
-        generic = _allowed_two_simplices(haar_from_ginibre(z_generic), ranks)
+        generic = _allowed_two_simplices(u_generic, ranks)
         off_mass = sum(_traces(generic[t]) for t in _ALLOWED if t != (0, 0))
-        gen_gap = sum(_traces(face(generic, 1)[c]) for c in [(1,), (2,)])
+        generic_d1 = face(generic, 1)
+        gen_gap = sum(_traces(generic_d1[c]) for c in [(1,), (2,)])
         results += _per_trial({
             "in_key_example": ok,
             "relation_residual": relation,
@@ -463,10 +489,11 @@ def inverseless_sample_check(trials: int, seed: int):
 def phi_state(rho, edge_ops):
     """The candidate state on a 1-simplex (P0, P1, P2), given as anything
     that indexes them by 0, 1, 2: Tr(rho ((1 - P0) - P2 / 2)).  Stacked
-    operators (..., d, d) give the stack of values."""
+    operators (..., d, d) give the stack of values.  Tr(rho op) pairs op's
+    entries with those of rho^T, so each value is one dot product."""
     p0 = edge_ops[0]
-    p2 = edge_ops[2]
-    return _traces(rho @ (_eye(p0.shape[-1]) - p0 - 0.5 * p2))
+    op = _eye(p0.shape[-1]) - p0 - 0.5 * edge_ops[2]
+    return (op.reshape(*op.shape[:-2], -1) @ rho.T.reshape(-1)).real
 
 
 def _state_draws(rng):
@@ -484,18 +511,21 @@ def _state_draws(rng):
 def _random_subprojectors(p, draws):
     """For each projector P in a stack and its trial's draws, Q <= P: the
     first q columns of P's range, read off the eigh basis of P and turned by
-    the Haar unitary of the r x r Gaussian matrix.  Trials of one rank r take
-    the Haar step together."""
-    out = np.zeros_like(p)
+    the Haar unitary of the r x r Gaussian matrix.  Each r x r matrix sits in
+    the top-left corner of a DIM x DIM identity, whose QR leaves the rest of
+    the identity alone, so the whole block takes one Haar step; the range's
+    columns are moved to the front to meet it."""
     rank = np.array([d[0][0] for d in draws])
     kept = np.array([d[3] for d in draws])
+    z = np.tile(_eye(DIM), (len(draws), 1, 1))
+    for zk, (_, _, g, _) in zip(z, draws):
+        if g is not None:
+            zk[:len(g), :len(g)] = g
     vecs = np.linalg.eigh(p)[1]  # eigenvalues ascending: the last r columns span P
-    for r in sorted(set(rank.tolist()) - {0}):
-        idx = np.flatnonzero(rank == r)
-        w = vecs[idx, :, DIM - r:] @ haar_from_ginibre(np.array([draws[k][2] for k in idx]))
-        sel = w * (np.arange(r) < kept[idx, None])[:, None, :]
-        out[idx] = sel @ dagger(sel)
-    return out
+    front = (np.arange(DIM) - rank[:, None]) % DIM
+    w = np.take_along_axis(vecs, front[:, None, :], -1) @ haar_from_ginibre(z)
+    sel = w * (np.arange(DIM) < kept[:, None])[:, None, :]
+    return sel @ dagger(sel)
 
 
 def key_example_state_check(rho, trials: int, seed: int):

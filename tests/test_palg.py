@@ -381,9 +381,33 @@ def test_validate_datum_witnesses(l2, l3, q8_magma):
         assert [c.name for c in rep] == [
             "datum-cond1-a2-is-domain", "datum-cond2-split-closure",
             f"datum-cond3-unit-insertion(arity<={datum.max_arity})",
-            "datum-fully-associable", "datum-face-closure"]
-        assert [c.witness for c in rep] == witnesses
+            "datum-fully-associable", "datum-face-closure", "datum-level-lengths"]
+        assert [c.witness for c in rep] == witnesses + [None]
+        assert [c.ok for c in rep] == [w is None for w in witnesses + [None]]
+
+
+def test_validate_datum_names_a_tuple_off_its_level(l2):
+    """A stored tuple whose length is not its level fails the level-lengths
+    row, with its level; the domain, closure and face-closure rows skip it
+    and raise nothing, and full associability still reads it.  nerve names
+    the row in its InputError."""
+    full = palg.max_associativity_datum(l2.magma, 3)
+    cases = [
+        ({2: frozenset({(1,)}), 3: frozenset({(0, 1)})},
+         [(0, 0), None, None, None, None, (2, (1,))]),
+        ({**full.levels, 3: full.level(3) | {(0, 1), (1, 1, 1, 1)}},
+         [None, None, None, (1, 1, 1, 1), None, (3, (0, 1))]),
+        ({2: full.level(2) | {(2,)}, 3: full.level(3) | {(0, 0, 1, 0)}},
+         [None, None, None, None, None, (2, (2,))]),
+    ]
+    for levels, witnesses in cases:
+        rep = palg.validate_datum(l2.magma, palg.AssociativityDatum(levels))
+        assert rep[-1].name == "datum-level-lengths"
+        assert [c.witness for c in rep] == witnesses, levels
         assert [c.ok for c in rep] == [w is None for w in witnesses]
+    datum = palg.AssociativityDatum({**full.levels, 3: full.level(3) | {(0, 1)}})
+    with pytest.raises(InputError, match="datum-level-lengths witness"):
+        nv.nerve(l2.magma, datum, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,15 @@ def test_validate_density():
         q.validate_density(bad)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (q.DIM, q.DIM - 1)])
+def test_density_of_another_shape_is_an_input_error(shape):
+    rho = np.eye(*shape, dtype=complex) / min(shape)
+    for call in (lambda: q.validate_density(rho),
+                 lambda: q.key_example_state_check(rho, trials=1, seed=0)):
+        with pytest.raises(InputError, match=f"density operator must be {q.DIM} x {q.DIM}"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the block array against the per-outcome oracles
 
@@ -557,6 +566,107 @@ def test_validate_screen_matches_oracle_near_tolerance(monkeypatch):
                             ("general", "projector"), ("general", "identity"),
                             ("turned", "orthogonal"), ("turned", "identity")):
         assert messages[kind, last_word] >= 40, (kind, last_word, messages)
+
+
+def test_screen_alone_decides_sampled_data(monkeypatch):
+    """No pair of a sampled measurement, or of the witness, reaches the exact
+    fallback: the Gram screen clears them all."""
+    calls = []
+    decide = q._products_not_orthogonal
+
+    def recording(p, pairs):
+        calls.append(pairs[0].size)
+        return decide(p, pairs)
+
+    monkeypatch.setattr(q, "_products_not_orthogonal", recording)
+    argvs = [["quantum-demo", "--json", "--trials", "200", "--seed", seed] for seed in "01"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs + [["build", "key-example-witness"]]:
+            assert cli.main(argv) == 0, argv
+    assert calls == []
+
+
+def turned_toward(rng, stack, residual):
+    """The stack with, in each measurement, one nonzero block P_s moved by
+    eps (P_t X P_s + P_s X^dag P_t) toward another nonzero block P_t: the
+    first-order turn of P_s's range toward P_t's.  It is Hermitian, its Gram
+    entry with P_t stays 0, and its idempotency residual is
+    eps^2 |N^2|_F = residual[k], while |P_t P_s|_F grows as eps."""
+    out = stack.copy()
+    for k, blocks in enumerate(out):
+        s, t = rng.choice(np.flatnonzero(q._traces(blocks) > 0.5), 2, replace=False)
+        x = q.ginibre(rng, blocks.shape[-1])
+        half = blocks[t] @ x @ blocks[s]
+        n = half + q.dagger(half)
+        blocks[s] += np.sqrt(residual[k] / q.frob(n @ n)) * n
+    return out
+
+
+def test_screen_clears_only_orthogonal_pairs(monkeypatch):
+    """On valid stacks whose blocks are turned so that their projector
+    residuals lie in 1e-12..1e-8, every pair the screen clears has an exact
+    |P_s P_t|_F <= TOL_PROJ.  The turned pairs keep a Gram entry of 0 while
+    their products reach 1e-4, so only the residual slack keeps the screen
+    from clearing them; the fallback rejects many of them."""
+    rng = np.random.default_rng(97)
+    opened = []
+    decide = q._products_not_orthogonal
+
+    def recording(p, pairs):
+        opened.extend(zip(*(a.tolist() for a in pairs)))
+        return decide(p, pairs)
+
+    monkeypatch.setattr(q, "_products_not_orthogonal", recording)
+    rejects = cleared = 0
+    for case in range(60):
+        arity, k = 1 + case % 2, int(rng.integers(1, 5))
+        valid = np.array([sampled_measurement(rng, arity).blocks for _ in range(k)])
+        stack = turned_toward(rng, valid, 10 ** rng.uniform(-12, -8, k))
+        residuals = q.frob(stack @ stack - stack).max(-1)
+        assert ((5e-13 < residuals) & (residuals < 2e-8)).all()
+        opened.clear()
+        got = validate_message(arity, stack)
+        assert got == oracle_message(arity, stack), case
+        n = stack.shape[1]
+        exact = q.frob(stack[:, :, None] @ stack[:, None])
+        for j, s, t in itertools.product(range(k), range(n), range(n)):
+            if s < t and (j, s, t) not in opened:
+                assert exact[j, s, t] <= q.TOL_PROJ, (case, j, s, t)
+                cleared += 1
+        rejects += got is not None and got.endswith("not orthogonal")
+    assert rejects >= 40 and cleared >= 1000, (rejects, cleared)
+
+
+def draws_for(r, seed):
+    """A trial's draws for _random_subprojectors with rank P0 = r, the r x r
+    Gaussian matrix and the kept count drawn from seed as the oracle draws
+    them."""
+    rng = np.random.default_rng(seed)
+    ranks = np.array([r, q.DIM - r, 0])
+    if r == 0:
+        return ranks, None, None, 0
+    return ranks, None, q.ginibre(rng, r), int(rng.integers(0, r + 1))
+
+
+def test_random_subprojectors_match_per_trial_oracle():
+    """The one Haar step of a block gives each trial the subprojector that
+    the per-trial oracle draws, for every rank 0..9 of P and every kept count
+    0..r, the trials shuffled into blocks of TRIAL_BLOCK."""
+    rng = np.random.default_rng(101)
+    cases = []
+    for r in range(q.DIM + 1):
+        for kept in range(r + 1):
+            seed = next(s for s in itertools.count(1000 * r + 100 * kept)
+                        if draws_for(r, s)[3] == kept)
+            cases.append((r, oracle.haar_blocks(rng, [r, q.DIM - r])[0], seed))
+    rng.shuffle(cases)
+    for start in range(0, len(cases), q.TRIAL_BLOCK):
+        block = cases[start:start + q.TRIAL_BLOCK]
+        got = q._random_subprojectors(np.array([p for _, p, _ in block]),
+                                      [draws_for(r, s) for r, _, s in block])
+        for sub, (r, p, s) in zip(got, block, strict=True):
+            want = oracle.random_subprojector(np.random.default_rng(s), p)
+            assert q.frob(sub - want) <= 1e-12, (r, s)
 
 
 def assert_reports_close(fast, slow):
