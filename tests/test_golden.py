@@ -44,10 +44,12 @@ def _inputs():
     q8, d4 = nv.quaternion_group(), nv.dihedral_group(4)
     z2, z4 = nv.cyclic_group(2), nv.cyclic_group(4)
     l2 = palg.interval_effect_algebra(2)
-    bad_tau = cyc.effect_nerve_cyclic(
+    l2_k3 = cyc.effect_nerve_cyclic(
         l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 3), 3)).to_json_dict()
-    tau2 = bad_tau["tau"]["2"]
-    tau2[0], tau2[1] = tau2[1], tau2[0]
+    bad_tau, bad_tau3 = copy.deepcopy(l2_k3), copy.deepcopy(l2_k3)
+    for body, n in ((bad_tau, "2"), (bad_tau3, "3")):
+        tau = body["tau"][n]
+        tau[0], tau[1] = tau[1], tau[0]
     l2_nerve = cyc.effect_nerve_cyclic(
         l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 4), 4))
     # to_json_dict hands out the nerve's own tables, so each variant edits a copy
@@ -77,6 +79,8 @@ def _inputs():
             z4, 4, nv.translation_action(z4), [0, 1, 2], 4)).to_json_dict(),
         # fails the cyclic relations and ortho-1
         "bad-tau-cyclic.json": bad_tau,
+        # tau corrupted at the top level 3 only: fails tau^4 = id there
+        "bad-tau3-cyclic.json": bad_tau3,
         # the L2 effect nerve with one level-2 face moved to another edge:
         # fails the simplicial identities
         "corrupt-l2.json": corrupt,
@@ -92,6 +96,18 @@ def _inputs():
         "hollow-4.json": hollow_simplex(4, 4).to_json_dict(),
         "twin-4.json": hollow_simplex(4, 4, 2).to_json_dict(),
         "l2-perp-not-involution.json": dict(l2.to_json_dict(), orthocomplement=[2, 0, 1]),
+        # passes every effect-algebra axiom
+        "l2-ea.json": l2.to_json_dict(),
+        # bool3 read from a file, as the benchmark builds its nerve
+        "bool3.json": palg.boolean_effect_algebra(3).to_json_dict(),
+        # a weak partial monoid, not inverseless, weakly associative to arity 3
+        "s4-magma.json": nv.commuting_magma(nv.symmetric_group(4)).to_json_dict(),
+        # two-sided inverses 1 and 2, but the doubled pair (1, 1, 2, 2) is not
+        # fully associable: 2 * 2 is undefined
+        "wpm3.json": {"size": 3, "unit": 0, "products": [
+            [0, 0, 0], [0, 1, 1], [0, 2, 2], [1, 0, 1], [1, 1, 2], [1, 2, 0], [2, 0, 2], [2, 1, 0]]},
+        # the standard 2-simplex at K=4: three vertices, so not reduced, yet 2-Segal
+        "d2.json": sset.standard_simplex(2, 4).to_json_dict(),
     }
 
 Y_S4 = ",".join(map(str, range(12)))
@@ -113,21 +129,30 @@ BUILDS = {
     # p with p(0) in {0, 1}
     "cn-s4.json": ("comm-nerve", "--group", "s4.json", "--levels", "5"),
     "ly-s4.json": ("action-pg", "--group", "s4.json", "--y", Y_S4, "--levels", "4"),
+    # past the other goldens' K=4: tau from tau_1 and the spines, for a chain
+    # and for bool2, which is not one; and bool3 from a file
+    "en-l4-k5.json": ("effect-nerve", "--family", "l4", "--levels", "5"),
+    "en-bool2-k5.json": ("effect-nerve", "--family", "bool2", "--levels", "5"),
+    "en-bool3.json": ("effect-nerve", "--effect-algebra", "bool3.json", "--levels", "4"),
+    # level-7 tables of 16384 entries span several written slices, and the
+    # top degeneracies run past the decimal table
+    "cn-z4-k7.json": ("comm-nerve", "--group", "z4.json", "--levels", "7"),
 }
 # cn-q8, cn-d4-t2 and ly-s3 are checked at levels 3 and 4; cn-z4 passes
 # 2-Segal at level 4; cn-s4 is weakly 2-Segal at level 5; ly-s4, the largest
 # nerve built, fails 2-Segal and passes weak 2-Segal at level 4; hollow-4 and
-# twin-4 fail 2-coskeletality at level 4
+# twin-4 fail 2-coskeletality at level 4; d2 is 2-Segal but not reduced
 SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("cn-q8-t4.json",), ("ly-z4.json",), ("ly-s3.json", "--levels", "3"), ("s1.json",),
          ("cn-q8.json", "--levels", "4"), ("cn-d4-t2.json", "--levels", "4"),
          ("ly-s3.json", "--levels", "4"), ("cn-z4.json",), ("twin-tetra.json",),
-         ("cn-s4.json", "--levels", "5"), ("ly-s4.json",), ("hollow-4.json",), ("twin-4.json",))
+         ("cn-s4.json", "--levels", "5"), ("ly-s4.json",), ("hollow-4.json",), ("twin-4.json",),
+         ("d2.json",))
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
-MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json")
+MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json", "s4-magma.json", "wpm3.json")
 # failing batteries, the two narrowed cyclic suites (also below level 3 and
-# on sets that break the simplicial identities, one of them not spiny either)
-# and the effect-algebra axioms
+# on sets that break the simplicial identities, one of them not spiny either),
+# the effect-algebra axioms, and passing cyclic batteries at K=5 and on bool3
 CHECKS = (("cyclic", "z2-cyclic.json"), ("cyclic", "ly-z4-cyclic.json"),
           ("cyclic", "bad-tau-cyclic.json"),
           ("cyclic", "z2-cyclic.json", "--simplicial-effect"),
@@ -145,7 +170,10 @@ CHECKS = (("cyclic", "z2-cyclic.json"), ("cyclic", "ly-z4-cyclic.json"),
           ("cyclic", "corrupt-l2.json", "--simplicial-effect"),
           ("cyclic", "spine-clash-l2.json"),
           ("cyclic", "spine-clash-l2.json", "--simplicial-effect"),
-          ("effect-algebra", "bool2.json"), ("effect-algebra", "l2-perp-not-involution.json"))
+          ("effect-algebra", "bool2.json"), ("effect-algebra", "l2-perp-not-involution.json"),
+          ("cyclic", "bad-tau3-cyclic.json"), ("effect-algebra", "l2-ea.json"),
+          ("cyclic", "en-l4-k5.json", "--levels", "5"),
+          ("cyclic", "en-bool2-k5.json", "--levels", "5"), ("cyclic", "en-bool3.json"))
 
 
 def _commands():
@@ -213,6 +241,14 @@ GOLDEN = {
         (0, "5e63bfb5e42b58d01393063ac324ec53f2a027a9f4da034d08e78da9227e66bb"),
     'build action-pg --group s4.json --y 0,1,2,3,4,5,6,7,8,9,10,11 --levels 4 --out ly-s4.json':
         (0, "bfcc063412da165a3e0baafa1c4d117c8fd1f34dd1907e5ba1f49a7902ddf5b1"),
+    'build effect-nerve --family l4 --levels 5 --out en-l4-k5.json':
+        (0, "c33ce493772ebe4a00ee8461a0773dcbe165126ce563fbef54e0ba3bc65087fc"),
+    'build effect-nerve --family bool2 --levels 5 --out en-bool2-k5.json':
+        (0, "f37d871cbc7e29d9ef6652d59dd45d72c5f6f02ae5c5fe196232af4c0c984b57"),
+    'build effect-nerve --effect-algebra bool3.json --levels 4 --out en-bool3.json':
+        (0, "40631b02e2bfc0005a52227396ebb28a9b04fdca73cb208cf55026b66af54b81"),
+    'build comm-nerve --group z4.json --levels 7 --out cn-z4-k7.json':
+        (0, "61d942699ecb142e4661f2122679bd2d1866454876bd35873fd929a59f9c7294"),
     'build s1 --levels 4':
         (0, "651e4f1624471e6e5c832d81aee0284c990b9bb897a47abcc9bc10e74d665eac"),
     'check sset --in cn-q8.json --levels 3':
@@ -275,6 +311,10 @@ GOLDEN = {
         (1, "62760b1a54cd73dead14a2e9aa962ab2703b1614c737edafae5964e482f28cde"),
     'check sset --in twin-4.json --json':
         (1, "d9f099fbcd74f8d22b8dab3d293705dd59da6326a64a0d6aef5d11b5594e46fe"),
+    'check sset --in d2.json':
+        (1, "94216d9515f780ca605b1abb53ccf2b30e41d60d06c02e3126899388da97c15a"),
+    'check sset --in d2.json --json':
+        (1, "6eb69b38f16d7dd94e35986b2b7cac407cd309127335a496eecb0cda06735825"),
     'check cyclic --in en-l2.json --states --hc1':
         (0, "3117393af17d2461193a9d87e245fb74779f6206f8871355e9b52b611021ff4b"),
     'check cyclic --in en-l2.json --states --hc1 --json':
@@ -319,6 +359,14 @@ GOLDEN = {
         (1, "f8b84d45466900dd186fcc9ba02ec4e958b4ff058ff9e1015003d9931fdfc0f7"),
     'check magma --in chain-magma.json --json':
         (1, "9f24ac5f2cc48008e12157acd124d324d11e12efc0f5c3dac036aa4e58e13715"),
+    'check magma --in s4-magma.json':
+        (1, "d467c718928e9825a733b026fb085a1c7c93d568d5a392e9154bf28c924cb576"),
+    'check magma --in s4-magma.json --json':
+        (1, "fae87cab763f8e467259dfe85a248b54056282435840e47cf19fc449586bdb79"),
+    'check magma --in wpm3.json':
+        (1, "01d7bffe2401e90b028c62f5f4720bb42161f6882a9cbc34ca2df0a475421f67"),
+    'check magma --in wpm3.json --json':
+        (1, "82804ab30b276dd8c7a4a551c0990e83aeb5f1c4844e1620b817c85062b7646a"),
     'check cyclic --in z2-cyclic.json':
         (1, "41567f2792fbeb0a344412200d9669cdb4862835df2fbb67365fee9be6f6cdbb"),
     'check cyclic --in z2-cyclic.json --json':
@@ -399,6 +447,26 @@ GOLDEN = {
         (1, "a865b94a6c3d6db1bec277e81a3777f8e27f81f5212a1beb3cc30eb83ae35db4"),
     'check effect-algebra --in l2-perp-not-involution.json --json':
         (1, "8cd6c2fb2b2cacd79fa69045be4a4bfcd396f946bb8887e83be24f07c011d13d"),
+    'check cyclic --in bad-tau3-cyclic.json':
+        (1, "88b8ee474f2c8ab2ef7c6b04e6fa6a49e7073d2d93f94bbce5f3a9884b231e87"),
+    'check cyclic --in bad-tau3-cyclic.json --json':
+        (1, "a67361ff53e8bf462284a514b0d8edf87084dbe207780c0c597b03eb08bc9a47"),
+    'check effect-algebra --in l2-ea.json':
+        (0, "1aaf28274451bab1e1d2bcc35d525f74c729bbd38414cad0206c40a0864233c7"),
+    'check effect-algebra --in l2-ea.json --json':
+        (0, "c3bd6054d16f3b4a5c5035cdfcbfab36c83173aed5da39647e044d79d1b1bb99"),
+    'check cyclic --in en-l4-k5.json --levels 5':
+        (0, "27eaf08c05013b6f8a9577ea778539859842cd5b9cbb763eec0a64d65aee3911"),
+    'check cyclic --in en-l4-k5.json --levels 5 --json':
+        (0, "e55bb517f4b931b1b15333bd778469c9d59983b8dfc02088c4ab59d20fbaaa79"),
+    'check cyclic --in en-bool2-k5.json --levels 5':
+        (0, "7a3e264c390af84b51790994a48d555fa0e68ed8ca82d25614b1343396b84494"),
+    'check cyclic --in en-bool2-k5.json --levels 5 --json':
+        (0, "39e5e0ee3822c78a9d7a6137cb312e3790504cd544dc3353639a7a6b6f6cd6a8"),
+    'check cyclic --in en-bool3.json':
+        (0, "47dc3d297a0a5f050bc48c543e09f546e9bae10447a68cdbea96a67fd3bee4a6"),
+    'check cyclic --in en-bool3.json --json':
+        (0, "538eb271566bce89daa5ba60dccae74f76fac6a87492ab2f9bd2eb025fe94e1d"),
 }
 
 
