@@ -50,6 +50,8 @@ class CyclicSSet:
         base = TruncatedSSet.from_json_dict(d)
         try:
             tau = {int(n): json_ints(t) for n, t in d["tau"].items()}
+            if set(d["tau"]) != set(map(str, tau)):
+                raise InputError(f"tau keys {sorted(d['tau'])} are not each written as \"n\"")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad cyclic json: {exc}") from exc
         c = CyclicSSet(base, tau)

@@ -78,16 +78,14 @@ class TruncatedSSet:
     @staticmethod
     def from_json_dict(d) -> "TruncatedSSet":
         try:
-            K = json_int(d["truncation"])
-            counts = json_ints(d["counts"])
-            face = {}
-            for key, tab in d["faces"].items():
-                n, i = (int(t) for t in key.split(","))
-                face[(n, i)] = json_ints(tab)
-            deg = {}
-            for key, tab in d["degeneracies"].items():
-                n, i = (int(t) for t in key.split(","))
-                deg[(n, i)] = json_ints(tab)
+            K, counts = json_int(d["truncation"]), json_ints(d["counts"])
+            face, deg = {}, {}
+            for field, tables in (("faces", face), ("degeneracies", deg)):
+                for key, tab in d[field].items():
+                    n, i = (int(t) for t in key.split(","))
+                    if key != f"{n},{i}":
+                        raise InputError(f"{field} key {key!r} is not written as \"n,i\"")
+                    tables[(n, i)] = json_ints(tab)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad sset json: {exc}") from exc
         x = TruncatedSSet(K, counts, face, deg)

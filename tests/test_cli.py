@@ -259,6 +259,10 @@ REJECTED_FLAGS = {
     ("check", "effect-algebra", "--in", "perp-str.json"),
     ("check", "effect-algebra", "--in", "product-str.json"),
     ("build", "comm-nerve", "--group", "mul-row-str.json"),
+    # a table key not written exactly as "n,i" or "n", beside the one it names
+    ("check", "sset", "--in", "face-2-01.json"),
+    ("check", "sset", "--in", "face-spaced.json"),
+    ("check", "cyclic", "--in", "tau-01.json"),
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -311,7 +315,10 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
             ("face-str", dict(s1, faces=dict(s1["faces"], **{"2,1": "011"}))),
             ("perp-str", dict(l1_ea, orthocomplement="10")),
             ("product-str", dict(l1_ea, products=[[0, 0, 0], "011", [1, 0, 1]])),
-            ("mul-row-str", dict(z2_group, mul=["01", [1, 0]]))):
+            ("mul-row-str", dict(z2_group, mul=["01", [1, 0]])),
+            ("face-2-01", dict(s1, faces=dict(s1["faces"], **{"2,01": [0, 0, 0]}))),
+            ("face-spaced", dict(s1, faces=dict(s1["faces"], **{" 2 , 1 ": [0, 0, 0]}))),
+            ("tau-01", dict(l2, tau=dict(l2["tau"], **{"01": list(range(l2["counts"][1]))})))):
         (tmp_path / f"{name}.json").write_text(json.dumps(body))
     try:
         code = run(*argv)
@@ -448,12 +455,16 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     ("effect-nerve", "--family", "l2", "--levels", "4"),
     ("effect-nerve", "--effect-algebra", "bool2.json", "--levels", "3"),
     ("s1", "--levels", "2"),
+    # 16384-entry tables span several slices; the top degeneracies run past
+    # the decimal table
+    ("comm-nerve", "--group", "z4.json", "--levels", "7"),
 ])
 def test_build_writer_matches_json_dumps(argv, tmp_path, monkeypatch):
     """The direct writer prints what json.dumps(sort_keys, indent=2) prints."""
     monkeypatch.chdir(tmp_path)
     for name, body in (("q8.json", nv.quaternion_group().to_json_dict()),
                        ("s3.json", nv.symmetric_group(3).to_json_dict()),
+                       ("z4.json", nv.cyclic_group(4).to_json_dict()),
                        ("bool2.json", palg.boolean_effect_algebra(2).to_json_dict()),
                        ("s3-on-3.json", {"z_size": 3, "table": [
                            [0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]]})):

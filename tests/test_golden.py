@@ -2,12 +2,18 @@
 
 Every `build` recipe that writes a structure, then `check` and `states` on
 what was built and on a cyclic set with no states, in text and json, plus
-`check magma`, failing sset and cyclic batteries, the two narrowed cyclic
-suites and `check effect-algebra`.  Each run is recorded as its exit code and the SHA-256 of its
-stdout bytes followed by the bytes of its --out file.  Paths are relative to
-a fresh working directory, so report subjects do not depend on where the
-suite runs.  A refactor that keeps reports byte-identical must pass this test
-without touching GOLDEN.
+`check magma` (the S4 commuting magma, a weakly associative partial group to
+arity 3, and a magma with inverses that is not one), failing sset and cyclic
+batteries (tau corrupted at level 2 and at the top level 3), the two
+narrowed cyclic suites, passing cyclic batteries on effect nerves at K=5 and
+on bool3 read from a file, the standard 2-simplex, and `check effect-algebra`
+passing and failing.  The largest build, the Z4 nerve at K=7, writes tables
+across several slices.  Each run is recorded as its exit code and the
+SHA-256 of its stdout bytes followed by the bytes of its --out file.  Paths
+are relative to a fresh working directory, so report subjects do not depend
+on where the suite runs.  A refactor that keeps reports byte-identical must
+pass this test without touching GOLDEN.  A new CLI case is an entry here
+or a case in test_cli.py, not a line of CI shell.
 
 `quantum-demo` (text and json, two seeds) and `build key-example-witness`
 are pinned apart from the digests, in QUANTUM_GOLDEN and WITNESS_GOLDEN:
