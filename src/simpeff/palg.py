@@ -287,38 +287,31 @@ class AssociativityDatum:
         return AssociativityDatum(levels)
 
 
-def max_associativity_datum(m: PartialUnitalMagma, up_to: int) -> AssociativityDatum:
-    """The maximal datum A_n = F_n(m) for 2 <= n <= up_to, by enumeration.
+def _fully_associable_levels(m: PartialUnitalMagma, up_to: int):
+    """Yield F_1(m), ..., F_up_to(m), each a (k, n) int array of the fully
+    associable n-tuples in lexicographic order.
 
-    Level n candidates t + (x,) are grown from level n-1, keeping those
-    whose other outer face t[1:] + (x,) is kept too: both outer faces of a
-    fully associable tuple are fully associable.  Such a candidate is then
-    decided by its n - 1 splits alone.  Each proper interval of it lies in
-    one of those two faces, so it is fully associable, has one value, and is
-    kept with that value in the map of tuples kept so far.  Every bracketing
-    of the candidate is the product of the values of the two parts of its
-    root split, so the candidate is fully associable, the verdict of
-    is_fully_associable, iff those n - 1 products are defined and agree.
+    Level n is level n-1 extended by every x whose product with the tuple's
+    last entry is defined, kept by one fully_associable_mask batch: the
+    prefix of a fully associable tuple is fully associable, so no member of
+    F_n is missed.  Lazy, so a caller that stops early grows no further.
     """
+    level = np.arange(m.size, dtype=np.intp)[:, None]
+    yield level
+    for _ in range(2, up_to + 1):
+        rows, xs = np.nonzero(m.table[level[:, -1]] != m.size)
+        cand = np.concatenate([level[rows], xs[:, None]], axis=1)
+        level = cand[fully_associable_mask(m, cand)]
+        yield level
+
+
+def max_associativity_datum(m: PartialUnitalMagma, up_to: int) -> AssociativityDatum:
+    """The maximal datum A_n = F_n(m) for 2 <= n <= up_to, by enumeration."""
     if up_to < 2:
         raise InputError("up_to must be >= 2")
-    rows = m.rows
-    value = {(x,): x for x in m.elements()}
-    levels, prev = {}, list(value)
-    for n in range(2, up_to + 1):
-        cur = []
-        for t in prev:
-            for x, c in enumerate(rows[value[t]]):
-                if c is None:
-                    continue
-                cand = t + (x,)
-                if cand[1:] in value and all(
-                        rows[value[cand[:k]]][value[cand[k:]]] == c for k in range(1, n - 1)):
-                    value[cand] = c
-                    cur.append(cand)
-        levels[n] = frozenset(cur)
-        prev = cur
-    return AssociativityDatum(levels)
+    return AssociativityDatum({n: frozenset(map(tuple, level.tolist()))
+                               for n, level in enumerate(_fully_associable_levels(m, up_to), 1)
+                               if n > 1})
 
 
 def validate_datum(m: PartialUnitalMagma, a: AssociativityDatum):
@@ -428,9 +421,10 @@ def inverse_conditions(m: PartialUnitalMagma, up_to: int):
     """The rest of is_weakly_associative_partial_group, for a magma already
     classified as a weak partial monoid or stronger: every element has a
     two-sided inverse, and every doubled tuple is fully associable.  Returns
-    (bool, witness).  The doubled tuples of each arity n are one batch of
-    fully_associable_mask, and the witness is the least tuple of the first
-    arity n whose doubling fails.
+    (bool, witness).  The fully associable tuples are grown one arity at a
+    time, up to the first arity whose doubled tuples fail; those of each
+    arity n are one batch of fully_associable_mask, and the witness is the
+    least tuple of the first arity n whose doubling fails.
     """
     if up_to < 2:
         raise InputError("up_to must be >= 2")
@@ -440,14 +434,11 @@ def inverse_conditions(m: PartialUnitalMagma, up_to: int):
         if not two:
             return False, ("missing-inverse", x)
         inv.append(min(two))
-    datum = max_associativity_datum(m, up_to)
     inv = np.array(inv, dtype=np.intp)
-    for n in range(1, up_to + 1):
-        tuples = np.array(list(datum.level(n)) if n > 1 else m.elements(),
-                          dtype=np.intp).reshape(-1, n)
-        ok = fully_associable_mask(m, np.hstack([tuples, inv[tuples[:, ::-1]]]))
+    for tuples in _fully_associable_levels(m, up_to):
+        ok = fully_associable_mask(m, np.concatenate([tuples, inv[tuples[:, ::-1]]], axis=1))
         if not ok.all():
-            return False, ("doubled-tuple-fails", min(map(tuple, tuples[~ok].tolist())))
+            return False, ("doubled-tuple-fails", tuple(tuples[ok.argmin()].tolist()))
     return True, None
 
 

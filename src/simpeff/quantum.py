@@ -452,12 +452,13 @@ def inverseless_sample_check(trials: int, seed: int):
     results = []
     target = degenerate_two_simplex()
     deg_edge = face(target, 1).blocks
-    collapse_ranks = [DIM if t == (0, 0) else 0 for t in _ALLOWED]
     for rngs in _trial_blocks(seed, trials):
         draws = [(ginibre(rng, DIM), _allowed_ranks(rng), ginibre(rng, DIM)) for rng in rngs]
         z, ranks, z_generic = (np.array(a) for a in zip(*draws))
         u, u_generic = haar_from_ginibre(np.array([z, z_generic]))
-        sample = _allowed_two_simplices(u, collapse_ranks)
+        sample = ProjectiveMeasurement(2, np.zeros(u.shape[:-2] + (D * D, DIM, DIM), dtype=complex))
+        sample[(0, 0)] = u @ dagger(u)  # the d_1-degenerate sample: zero off outcome 00
+        sample.validate()
         ok, _ = in_key_example(sample)
         d1 = face(sample, 1).blocks
         fibres = np.stack([sample[(0, 0)],

@@ -89,3 +89,7 @@ def three_element_magmas():
         product = dict(unit)
         product.update({p: v for p, v in zip(pairs, values) if v is not None})
         yield palg.PartialUnitalMagma(3, product)
+
+
+# an order-5 loop: a Latin square with unit 0 that is not associative
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))

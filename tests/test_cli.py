@@ -19,6 +19,7 @@ from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff.report import EXIT_INTERNAL
 
+from conftest import LOOP5
 from test_golden import _inputs
 
 
@@ -209,6 +210,15 @@ REJECTED_FLAGS = {
 }
 
 
+# group files that are not groups, each with the message that rejects it
+BAD_GROUPS = {
+    # a Latin square with unit 0, not associative
+    ("build", "comm-nerve", "--group", "loop5.json"): "associativity fails at (1, 1, 2)",
+    ("build", "comm-nerve", "--group", "row-1-repeats.json"): "row 1 is not a permutation",
+    ("build", "comm-nerve", "--group", "unit-not-0.json"): "element 0 must be the unit",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("quantum-demo", "--trials", "0"),
     ("quantum-demo", "--trials", "-1"),
@@ -263,6 +273,7 @@ REJECTED_FLAGS = {
     ("check", "sset", "--in", "face-2-01.json"),
     ("check", "sset", "--in", "face-spaced.json"),
     ("check", "cyclic", "--in", "tau-01.json"),
+    *BAD_GROUPS,
 ])
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -282,6 +293,10 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "l2-ea.json").write_text(
         json.dumps(palg.interval_effect_algebra(2).to_json_dict()))
     (tmp_path / "order-0.json").write_text(json.dumps({"order": 0, "mul": []}))
+    for name, mul in (("loop5", [list(row) for row in LOOP5]),
+                      ("row-1-repeats", [[0, 1, 2], [1, 1, 0], [2, 0, 1]]),
+                      ("unit-not-0", [[1, 2, 0], [2, 0, 1], [0, 1, 2]])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"order": len(mul), "mul": mul}))
     assert run("build", "s1", "--levels", "3", "--out", "s1.json") == 0
     assert run("build", "effect-nerve", "--family", "l2", "--out", "l2.json") == 0
     l2 = json.loads((tmp_path / "l2.json").read_text())
@@ -331,6 +346,8 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert len(errors) == 1
     if argv[-2:] == ("--levels", "1") and argv[1] != "effect-algebra":
         assert "argument --levels:" in err
+    if argv in BAD_GROUPS:
+        assert errors == [f"error: {BAD_GROUPS[argv]}"]
     if argv in REJECTED_FLAGS:
         assert REJECTED_FLAGS[argv] in errors[0]
         # the usage line is the command's own, listing the flags it takes

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,7 @@ from simpeff import nerve as nv
 from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
-from conftest import nerve_of, random_magma
+from conftest import LOOP5, nerve_of, random_magma
 from palg_oracles import chain_magma
 from sset_oracles import insert_unit, point, sset_equal, tuple_face, two_triangles_shared_spine
 
@@ -39,6 +40,17 @@ def test_q8_structure():
     centralizers = [[b for b in range(8) if q8.commute(a, b)] for a in range(8)]
     assert sorted(map(len, centralizers)) == [4] * 6 + [8, 8]
     assert q8.inv(2) == 3  # i^-1 = -i
+
+
+def test_group_validate_names_the_lex_least_nonassociative_triple():
+    # the order-5 loop passes the unit and permutation-row checks; its
+    # witness is the first triple with (ab)c != a(bc) in a brute-force scan
+    mul = LOOP5
+    first = next((a, b, c) for a, b, c in itertools.product(range(5), repeat=3)
+                 if mul[mul[a][b]][c] != mul[a][mul[b][c]])
+    assert first == (1, 1, 2)
+    with pytest.raises(InputError, match=re.escape(f"associativity fails at {first}")):
+        nv.FiniteGroup(5, LOOP5).validate()
 
 
 def test_group_json_roundtrip():

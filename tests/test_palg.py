@@ -280,9 +280,10 @@ def test_max_datum_one_element(one_element_magma):
 
 
 def test_max_datum_matches_interval_dp_oracle(q8_magma):
-    # the split rule against the builder that runs the interval DP on every
-    # candidate: the size-3 census at K=5, seeded magmas of size 4 and 5 at
-    # K=4, the S4 and Q8 commuting magmas at K=5, and L4 and bool3 at K=6
+    # the batched growth against the builder that runs the one-tuple interval
+    # DP on every candidate: the size-3 census at K=5, seeded magmas of size 4
+    # and 5 at K=4, the S4 and Q8 commuting magmas at K=5, and L4 and bool3 at
+    # K=6
     rng = random.Random(31)
     cases = [(m, 5) for m in three_element_magmas()]
     cases += [(random_magma(rng, size, density=rng.choice((0.5, 0.9))), 4)
@@ -294,6 +295,43 @@ def test_max_datum_matches_interval_dp_oracle(q8_magma):
         assert palg.max_associativity_datum(m, up_to).levels == \
             max_associativity_datum(m, up_to).levels, m.product
     assert len(palg.max_associativity_datum(cases[-1][0], 6).level(6)) == 7 ** 3
+
+
+def test_fully_associable_levels_match_the_oracle_in_lexicographic_order(q8_magma):
+    """The levels grown one fully_associable_mask batch at a time are the
+    oracle's maximal datum, level by level in lexicographic order, on the
+    size-3 census at K=5 and the S4 and Q8 commuting magmas at K=5."""
+    cases = [(m, 5) for m in three_element_magmas()]
+    cases += [(nv.commuting_magma(nv.symmetric_group(4)), 5), (q8_magma, 5)]
+    for m, up_to in cases:
+        want = max_associativity_datum(m, up_to)
+        levels = list(palg._fully_associable_levels(m, up_to))
+        assert levels[0].tolist() == [[x] for x in m.elements()]
+        assert [level.shape[1] for level in levels] == list(range(1, up_to + 1))
+        for n, level in enumerate(levels[1:], 2):
+            assert list(map(tuple, level.tolist())) == sorted(want.level(n)), m.product
+
+
+def test_inverse_conditions_stops_at_the_first_failing_arity(monkeypatch):
+    """On the golden input wpm3.json the doubled pair (1, 1, 2, 2) fails, so
+    inverse_conditions grows no triple: its batches of fully_associable_mask
+    are the doubled elements, the pairs grown and the doubled pairs, of
+    widths 2, 2 and 4, and it builds no datum."""
+    m = palg.PartialUnitalMagma(3, {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 2,
+                                    (1, 2): 0, (2, 0): 2, (2, 1): 0})
+    widths, mask = [], palg.fully_associable_mask
+
+    def recording_mask(m, tuples):
+        widths.append(tuples.shape[1])
+        return mask(m, tuples)
+
+    def no_datum(m, up_to):
+        raise AssertionError("inverse_conditions built a datum")
+
+    monkeypatch.setattr(palg, "fully_associable_mask", recording_mask)
+    monkeypatch.setattr(palg, "max_associativity_datum", no_datum)
+    assert palg.inverse_conditions(m, 3) == (False, ("doubled-tuple-fails", (1, 1)))
+    assert widths == [2, 2, 4]
 
 
 def test_scans_reject_a_product_off_the_carrier():
