@@ -261,7 +261,7 @@ def _build_effect_nerve(args):
     bad = [c for c in palg.validate_effect_algebra(e) if not c.ok]
     if bad:
         raise InputError(f"input is not an effect algebra: {bad[0].name}")
-    x = nv.nerve(e.magma, palg.max_associativity_datum(e.magma, args.levels), args.levels)
+    x = nv.nerve(e.magma, args.levels)
     _write_structure(cyc.effect_nerve_cyclic(e, x), args.out)
 
 

@@ -10,8 +10,10 @@ carrier ids and level n >= 2 is sorted lexicographically, which makes nerves
 spine-canonical on the nose.  Every nerve, of a magma, a commutative nerve or
 an action partial group, is given as id columns and built from them by one
 builder, _column_nerve; each level of its labels is built from the columns
-on first read.  The nerve of a magma reads its columns off the sorted datum
-levels; the others are grown one element at a time.
+on first read.  The nerve of a magma at its maximal datum reads its columns
+off the interval DP that grows the fully associable tuples, and one at a
+datum handed in reads them off the sorted datum levels once the datum is
+validated; the others are grown one element at a time.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import palg
-from .palg import (AssociativityDatum, FiniteEffectAlgebra, PartialUnitalMagma,
-                   left_product, max_associativity_datum, multiset_multiplicable)
+from .palg import (AssociativityDatum, FiniteEffectAlgebra, PartialUnitalMagma, left_product,
+                   multiset_multiplicable)
 from .sset import (TruncatedSSet, face_pair_extend, face_pair_index, from_levels, is_reduced,
                    spiny_face_pairs)
 from .util import InputError, StructureError, json_int, json_ints
@@ -264,17 +266,25 @@ class _GrownLabels(Mapping):
         return len(self.parent)
 
 
-def nerve(m: PartialUnitalMagma, a: AssociativityDatum, K: int) -> TruncatedSSet:
+def nerve(m: PartialUnitalMagma, K: int, a: AssociativityDatum | None = None) -> TruncatedSSet:
     """Nerve of a magma with associativity data: X_n = A_n for n >= 2.
 
     Inner faces multiply an adjacent pair, outer faces drop an end,
-    degeneracies insert the unit.  The datum must be stored to arity K and
-    closed under the face formulas (automatic for maximal data).  Level n is
-    A_n in lexicographic order, and the parent of a tuple is its prefix, in
-    level n - 1 by split closure.
+    degeneracies insert the unit.  Level n is A_n in lexicographic order,
+    and the parent of a tuple is its prefix, in level n - 1 by split closure.
+    Without a datum, A is the maximal datum, and its levels and parent ids
+    are those palg's interval DP grows; it is not validated, as it is closed
+    under splits, faces and unit insertion by construction, and
+    _column_nerve raises StructureError on any level that is not closed
+    under the faces and degeneracies.  A datum a handed in, such as one
+    magma_from_sset reads back, must be stored to arity K and pass
+    validate_datum, or InputError is raised.
     """
     if K < 2:
         raise InputError("nerve needs K >= 2")
+    if a is None:
+        return _column_nerve([(parent.tolist(), level[:, -1].tolist())
+                              for parent, level in palg._fully_associable_levels(m, K)], m.rows)
     if a.max_arity < K:
         raise InputError(f"datum only reaches arity {a.max_arity} < K = {K}")
     bad = [c for c in palg.validate_datum(m, a) if not c.ok]
@@ -467,7 +477,7 @@ def effect_circle_iso(e: FiniteEffectAlgebra, K: int):
     its (theta^1..theta^n) readout, which fixes levels n >= 2 by
     face_pair_extend.  Returns (E(S^1), N(e), maps)."""
     ex = effect_functor(e, simplicial_circle(K))
-    ne = nerve(e.magma, max_associativity_datum(e.magma, K), K)
+    ne = nerve(e.magma, K)
     maps = {0: [0], 1: [t[1] for t in ex.labels[1]]}  # t[1] is the value on theta^1
     for n in range(2, K + 1):
         maps[n], _ = face_pair_extend(ex, n, maps[n - 1], face_pair_index(ne, n)[0])

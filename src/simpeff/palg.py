@@ -259,50 +259,26 @@ class AssociativityDatum:
             raise InputError("datum levels start at 2")
         return self.levels.get(n, frozenset())
 
-    def to_json_dict(self):
-        return {
-            "levels": {
-                str(n): sorted(list(t) for t in tuples)
-                for n, tuples in sorted(self.levels.items())
-            }
-        }
-
-    @staticmethod
-    def from_json_dict(d) -> "AssociativityDatum":
-        """Levels as to_json_dict writes them: each key the decimal string of
-        an n >= 2, each of its tuples of length n."""
-        try:
-            levels = {}
-            for key, tuples in d["levels"].items():
-                n = int(key)
-                if str(n) != key or n < 2:
-                    raise InputError(f"level key {key!r} is not a decimal integer >= 2")
-                level = [tuple(json_ints(t)) for t in tuples]
-                bad = next((t for t in level if len(t) != n), None)
-                if bad is not None:
-                    raise InputError(f"level {n} holds the {len(bad)}-tuple {list(bad)}")
-                levels[n] = frozenset(level)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad datum json: {exc}") from exc
-        return AssociativityDatum(levels)
-
 
 def _fully_associable_levels(m: PartialUnitalMagma, up_to: int):
-    """Yield F_1(m), ..., F_up_to(m), each a (k, n) int array of the fully
-    associable n-tuples in lexicographic order.
+    """Yield (parent, level) for F_1(m), ..., F_up_to(m): level is a (k, n)
+    int array of the fully associable n-tuples in lexicographic order, and
+    parent[i] is the row of its prefix level[i, :-1] one level down (0, the
+    empty tuple, for n = 1).
 
     Level n is level n-1 extended by every x whose product with the tuple's
     last entry is defined, kept by one fully_associable_mask batch: the
     prefix of a fully associable tuple is fully associable, so no member of
     F_n is missed.  Lazy, so a caller that stops early grows no further.
     """
-    level = np.arange(m.size, dtype=np.intp)[:, None]
-    yield level
+    parent, level = np.zeros(m.size, dtype=np.intp), np.arange(m.size, dtype=np.intp)[:, None]
+    yield parent, level
     for _ in range(2, up_to + 1):
         rows, xs = np.nonzero(m.table[level[:, -1]] != m.size)
         cand = np.concatenate([level[rows], xs[:, None]], axis=1)
-        level = cand[fully_associable_mask(m, cand)]
-        yield level
+        keep = fully_associable_mask(m, cand)
+        parent, level = rows[keep], cand[keep]
+        yield parent, level
 
 
 def max_associativity_datum(m: PartialUnitalMagma, up_to: int) -> AssociativityDatum:
@@ -310,7 +286,7 @@ def max_associativity_datum(m: PartialUnitalMagma, up_to: int) -> AssociativityD
     if up_to < 2:
         raise InputError("up_to must be >= 2")
     return AssociativityDatum({n: frozenset(map(tuple, level.tolist()))
-                               for n, level in enumerate(_fully_associable_levels(m, up_to), 1)
+                               for n, (_, level) in enumerate(_fully_associable_levels(m, up_to), 1)
                                if n > 1})
 
 
@@ -435,7 +411,7 @@ def inverse_conditions(m: PartialUnitalMagma, up_to: int):
             return False, ("missing-inverse", x)
         inv.append(min(two))
     inv = np.array(inv, dtype=np.intp)
-    for tuples in _fully_associable_levels(m, up_to):
+    for _, tuples in _fully_associable_levels(m, up_to):
         ok = fully_associable_mask(m, np.concatenate([tuples, inv[tuples[:, ::-1]]], axis=1))
         if not ok.all():
             return False, ("doubled-tuple-fails", tuple(tuples[ok.argmin()].tolist()))

@@ -39,7 +39,7 @@ def one_element_magma():
 
 def nerve_of(magma, K=4):
     """The nerve of a magma at its maximal associativity datum, truncated at K."""
-    return nv.nerve(magma, palg.max_associativity_datum(magma, K), K)
+    return nv.nerve(magma, K)
 
 
 def random_magma(rng: random.Random, size: int, density: float = 0.5) -> palg.PartialUnitalMagma:

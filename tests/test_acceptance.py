@@ -83,10 +83,10 @@ def test_criterion_3_nerve_roundtrips():
     while done < 50:
         m = random_magma(rng, rng.randrange(1, 9), density=rng.uniform(0.2, 0.8))
         datum = palg.max_associativity_datum(m, 4)
-        x = nv.nerve(m, datum, 4)
+        x = nv.nerve(m, 4)
         m2, d2 = nv.magma_from_sset(x)
         assert m2 == m and d2.levels == datum.levels
-        assert sset_equal(nv.nerve(m2, d2, 4), x)
+        assert sset_equal(nv.nerve(m2, 4, d2), x)
         ext = sset.cosk2_extend(sset.truncate(x, 2), 4)
         assert sset_equal(sset.canonicalize_spiny(ext), x)
         done += 1

@@ -131,10 +131,9 @@ def test_states_cli_l2(tmp_path, capsys):
 
 def test_states_cli_empty(tmp_path, capsys):
     from simpeff import cyclic as cyc
-    from simpeff import palg
     z2 = nv.cyclic_group(2)
     m = nv.magma_of_group(z2)
-    x = nv.nerve(m, palg.max_associativity_datum(m, 4), 4)
+    x = nv.nerve(m, 4)
     c = cyc.group_nerve_cyclic(z2, 1, x)
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(c.to_json_dict()))

@@ -5,7 +5,7 @@ import pytest
 import cyclic_oracles as oracle
 from simpeff import cyclic as cyc
 from simpeff import nerve as nv
-from simpeff import palg, sset
+from simpeff import palg, ratlp, sset, states
 from simpeff.util import InputError
 
 from conftest import nerve_of
@@ -363,6 +363,31 @@ def test_algebroid_implies_simplicial_effect():
         checks = battery(c)
         if checks["effect-algebroid"].ok:
             assert checks["simplicial-effect"].ok
+
+
+def test_w4_separates_simplicial_effects_from_effect_algebroids():
+    """W4, the paper's separating example: the size-4 weak partial monoid
+    with 1.1 = 2, 2.2 = 1 and 1.2 = 2.1 = 3, with tau_1 = [3, 2, 1, 0].  Its
+    cyclic nerve passes the orthocomplement laws and the simplicial-effect
+    suite but is not 2-Segal, at every K from 3 to 5; it has no state, by a
+    verified Farkas certificate, and HC^1 = 0."""
+    unit = {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)}
+    m = palg.PartialUnitalMagma(4, unit | {(1, 1): 2, (2, 2): 1, (1, 2): 3, (2, 1): 3})
+    m.validate()
+    assert palg.classify(m) == (palg.WEAK_PARTIAL_MONOID, (1, 1, 2))
+    assert palg.inverse_conditions(m, 3) == (False, ("missing-inverse", 1))
+    assert nv.nerve(m, 5).counts == [1, 4, 11, 24, 45, 76]
+    unfilled = ("unfilled", 3, sset.Triangulation(3, ((0, 1, 2), (0, 2, 3))), (1, 1, 2))
+    for K in (3, 4, 5):
+        c = cyc._cyclic_from_edges(nv.nerve(m, K), [3, 2, 1, 0])
+        assert all_ok(cyc.orthocomplement_laws(c))
+        failed = {ch.name: ch.witness for ch in cyc.battery(c) if not ch.ok}
+        assert failed == {"effect-algebroid/two_segal": unfilled,
+                          "effect-algebroid": "failed: ['two_segal']"}, K
+    search = states.find_state(c)
+    assert not search.feasible
+    assert ratlp.BoxLP(*states.state_system(c)).verify_farkas(search.farkas)
+    assert states.hc1(c)[0] == 0
 
 
 def test_z3_tau2_orbits():

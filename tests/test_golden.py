@@ -50,14 +50,12 @@ def _inputs():
     q8, d4 = nv.quaternion_group(), nv.dihedral_group(4)
     z2, z4 = nv.cyclic_group(2), nv.cyclic_group(4)
     l2 = palg.interval_effect_algebra(2)
-    l2_k3 = cyc.effect_nerve_cyclic(
-        l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 3), 3)).to_json_dict()
+    l2_k3 = cyc.effect_nerve_cyclic(l2, nv.nerve(l2.magma, 3)).to_json_dict()
     bad_tau, bad_tau3 = copy.deepcopy(l2_k3), copy.deepcopy(l2_k3)
     for body, n in ((bad_tau, "2"), (bad_tau3, "3")):
         tau = body["tau"][n]
         tau[0], tau[1] = tau[1], tau[0]
-    l2_nerve = cyc.effect_nerve_cyclic(
-        l2, nv.nerve(l2.magma, palg.max_associativity_datum(l2.magma, 4), 4))
+    l2_nerve = cyc.effect_nerve_cyclic(l2, nv.nerve(l2.magma, 4))
     # to_json_dict hands out the nerve's own tables, so each variant edits a copy
     corrupt = copy.deepcopy(l2_nerve.to_json_dict())
     faces = corrupt["faces"]["2,1"]
@@ -197,8 +195,9 @@ def _commands():
         yield ("check", kind, "--in", path, *flags), None
 
 
-def run_corpus(workdir):
-    """label -> (exit code, sha256 of stdout + --out bytes), run in workdir."""
+def run_corpus(workdir, keep=lambda argv: True):
+    """label -> (exit code, sha256 of stdout + --out bytes), run in workdir,
+    of the commands keep accepts."""
     here = os.getcwd()
     os.chdir(workdir)
     try:
@@ -206,7 +205,7 @@ def run_corpus(workdir):
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(body, fh)
         record = {}
-        for argv, out in _commands():
+        for argv, out in filter(lambda cmd: keep(cmd[0]), _commands()):
             variants = [argv] if argv[0] == "build" else [argv, argv + ("--json",)]
             for av in variants:
                 buf = io.StringIO()
@@ -478,6 +477,20 @@ GOLDEN = {
 
 def test_golden_corpus(tmp_path):
     assert run_corpus(tmp_path) == GOLDEN
+
+
+def test_effect_nerve_builds_neither_build_nor_validate_a_datum(tmp_path, monkeypatch):
+    """build effect-nerve reads the maximal nerve off the interval DP: with
+    max_associativity_datum and validate_datum set to raise, every
+    effect-nerve build still writes its golden bytes."""
+    def refuse(*args):
+        raise AssertionError("the maximal nerve built or validated a datum")
+
+    monkeypatch.setattr(palg, "max_associativity_datum", refuse)
+    monkeypatch.setattr(palg, "validate_datum", refuse)
+    got = run_corpus(tmp_path, lambda argv: argv[:2] == ("build", "effect-nerve"))
+    assert len(got) == 6
+    assert got == {label: GOLDEN[label] for label in got}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Every non-dunder method of a class in src/simpeff must be read as an
 attribute in src/ or tests/, and a method name that more than one class
 defines must be one of PROTOCOL, so that a dead method cannot hide behind a
 live one of the same name.  Every name a module in src/ imports must be
-used in that module.
+used in that module.  Every from_json_dict in src/ must have a caller in
+src/, since an input format is one the CLI reads.
 """
 
 import ast
@@ -180,3 +181,30 @@ def test_every_import_is_used():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused
+
+
+def _unread_readers(src):
+    """The classes of the src/ files whose from_json_dict no src/ line calls,
+    as "file:line Class"; a call reads X.from_json_dict with X the class's
+    name, bare or as an attribute of a module."""
+    called, readers = set(), []
+    for path in src:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and node.attr == "from_json_dict":
+                called.add(getattr(node.value, "attr", getattr(node.value, "id", None)))
+            elif isinstance(node, ast.ClassDef) and any(
+                    isinstance(fn, ast.FunctionDef) and fn.name == "from_json_dict"
+                    for fn in node.body):
+                readers.append((path.name, node.lineno, node.name))
+    return [f"{name}:{line} {cls}" for name, line, cls in readers if cls not in called]
+
+
+def test_every_input_format_has_a_reader_in_src(tmp_path):
+    """An input format is read by the CLI, so every from_json_dict in src/
+    has a caller there: the magma, effect-algebra, group, sset and cyclic
+    readers do, and a reader that nothing calls is reported."""
+    assert not _unread_readers(SRC)
+    dead = tmp_path / "palg.py"
+    dead.write_text("class Datum:\n    @staticmethod\n    def from_json_dict(d):\n"
+                    "        return Datum()\n")
+    assert _unread_readers(SRC + [dead]) == ["palg.py:1 Datum"]

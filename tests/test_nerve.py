@@ -9,7 +9,7 @@ from simpeff import nerve as nv
 from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
-from conftest import LOOP5, nerve_of, random_magma
+from conftest import LOOP5, nerve_of, random_magma, three_element_magmas
 from palg_oracles import chain_magma
 from sset_oracles import insert_unit, point, sset_equal, tuple_face, two_triangles_shared_spine
 
@@ -106,7 +106,7 @@ def test_chain_magma_is_segal_partial_monoid():
 def test_magma_from_sset_roundtrip_l2():
     l2 = palg.interval_effect_algebra(2)
     datum = palg.max_associativity_datum(l2.magma, 4)
-    x = nv.nerve(l2.magma, datum, 4)
+    x = nv.nerve(l2.magma, 4)
     m2, d2 = nv.magma_from_sset(x)
     assert m2 == l2.magma and d2.levels == datum.levels
 
@@ -132,10 +132,29 @@ def test_nerve_roundtrip_random():
     for _ in range(15):
         m = random_magma(rng, rng.randrange(1, 7))
         datum = palg.max_associativity_datum(m, 4)
-        x = nv.nerve(m, datum, 4)
+        x = nv.nerve(m, 4)
         m2, d2 = nv.magma_from_sset(x)
         assert m2 == m and d2.levels == datum.levels
-        assert sset_equal(nv.nerve(m2, d2, 4), x)
+        assert sset_equal(nv.nerve(m2, 4, d2), x)
+
+
+def test_maximal_nerve_is_the_nerve_of_the_validated_maximal_datum(q8_magma):
+    """nerve(m, K), read off the interval DP, equals the nerve of the datum
+    max_associativity_datum builds, which validate_datum passes, in faces,
+    degeneracies and labels: on the size-3 census, seeded size-4 magmas,
+    L_2..L_4, bool2, bool3 and the S4 and Q8 commuting magmas at K=4."""
+    rng = random.Random(36)
+    magmas = list(three_element_magmas())
+    magmas += [random_magma(rng, 4, density=rng.choice((0.5, 0.9))) for _ in range(50)]
+    magmas += [palg.interval_effect_algebra(n).magma for n in (2, 3, 4)]
+    magmas += [palg.boolean_effect_algebra(k).magma for k in (2, 3)]
+    magmas += [nv.commuting_magma(nv.symmetric_group(4)), q8_magma]
+    for m in magmas:
+        datum = palg.max_associativity_datum(m, 4)
+        assert all(c.ok for c in palg.validate_datum(m, datum)), m.product
+        got, want = nv.nerve(m, 4), nv.nerve(m, 4, datum)
+        assert sset_equal(got, want), m.product
+        assert [got.labels[n] for n in range(5)] == [want.labels[n] for n in range(5)]
 
 
 @pytest.mark.parametrize("name, y, counts", [("z4", [0, 1, 2], [1, 4, 16, 58, 196]),
@@ -147,7 +166,7 @@ def test_nerve_of_a_non_maximal_datum_rebuilds_the_action_partial_group(name, y,
     x = nv.action_partial_group(g, g.order, nv.translation_action(g), y, 4)
     m, datum = nv.magma_from_sset(x)
     assert datum != palg.max_associativity_datum(m, 4)
-    got = nv.nerve(m, datum, 4)
+    got = nv.nerve(m, 4, datum)
     assert got.counts == x.counts == counts
     assert got.face == x.face
     assert got.deg == x.deg
@@ -453,4 +472,4 @@ def test_nerve_rejects_short_datum():
     l2 = palg.interval_effect_algebra(2)
     short = palg.max_associativity_datum(l2.magma, 3)
     with pytest.raises(InputError):
-        nv.nerve(l2.magma, short, 4)
+        nv.nerve(l2.magma, 4, short)

@@ -56,7 +56,7 @@ def test_weak_partial_monoids_have_unambiguous_products(case):
 @given(magmas(max_size=4))
 def test_nerve_reconstruction_and_transport(m):
     datum = palg.max_associativity_datum(m, 3)
-    x = nv.nerve(m, datum, 3)
+    x = nv.nerve(m, 3)
     assert sset.validate(x) == []
     assert sset.is_spiny(x)[0] and sset.is_reduced(x)
     m2, d2 = nv.magma_from_sset(x)
@@ -67,7 +67,6 @@ def test_nerve_reconstruction_and_transport(m):
 @settings(max_examples=25, deadline=None)
 @given(magmas(max_size=4))
 def test_cosk2_of_nerve_is_nerve(m):
-    datum = palg.max_associativity_datum(m, 3)
-    x = nv.nerve(m, datum, 3)
+    x = nv.nerve(m, 3)
     ext = sset.cosk2_extend(sset.truncate(x, 2), 3)
     assert sset_equal(sset.canonicalize_spiny(ext), x)
