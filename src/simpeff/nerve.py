@@ -27,6 +27,7 @@ __all__ = ["FiniteGroup", "group_from_table", "cyclic_group", "quaternion_group"
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import add, not_, sub
 
 from . import palg
 from .palg import (AssociativityDatum, FiniteEffectAlgebra, PartialUnitalMagma, left_product,
@@ -193,14 +194,21 @@ def _column_nerve(columns, mul) -> TruncatedSSet:
     columns[n - 1] = (parent, last) for n = 1..K: the level-n simplex i is
     the tuple of simplex parent[i] at level n - 1 followed by the element
     last[i], and level 0 is the empty tuple; a parent of -1 is one not
-    listed.  Levels must be closed under the faces and degeneracies, or
-    StructureError is raised.  The labels are _GrownLabels, each level
-    built when first read.
+    listed.  Each level must be sorted lexicographically, as every caller's
+    is: parent ids nondecreasing, and each parent's block of children
+    strictly increasing in last.  Levels must be closed under the faces and
+    degeneracies, or StructureError is raised.  The labels are _GrownLabels,
+    each level built when first read.
 
     Writing t = p + (b,) with parent p, d_n t is p, d_{n-1} t is
-    parent(p) + (p[-1] * b,), and d_i t (i < n-1) and s_i t (i < n) are
-    d_i p + (b,) and s_i p + (b,); s_n t is t + (0,).  child[n][p * order + b]
-    is the level-n id of p + (b,), or -1.
+    parent(p) + (p[-1] * b,), and d_i t (i < n-1) is d_i p + (b,), the id
+    child[n - 1][p * order + b] (-1 if not listed); level K has no child
+    table.  Degeneracies are read off block starts: s_n t = t + (0,) is t's
+    first child, 0 being least, and s_i t = s_i p + (b,) (i < n) is
+    s_n s_i p + (t - s_{n-1} p), as on closed levels the blocks of p and
+    s_i p list the same last elements (d_i (s_i p + (b,)) is p + (b,)).
+    Each target's (parent, last) is checked, so a level not closed under
+    s_i raises StructureError, never a wrong table.
     """
     K, order = len(columns), len(mul)
     parent = [None] + [p for p, _ in columns]
@@ -210,19 +218,32 @@ def _column_nerve(columns, mul) -> TruncatedSSet:
     for n in range(1, K + 1):
         if -1 in parent[n]:
             raise StructureError(f"levels are not closed under d_{n} at level {n}")
-        table = [-1] * (counts[n - 1] * order)
-        for i, (p, b) in enumerate(zip(parent[n], last[n])):
-            table[p * order + b] = i
-        child.append(table)
+        if n < K:
+            table = [-1] * (counts[n - 1] * order)
+            for i, (p, b) in enumerate(zip(parent[n], last[n])):
+                table[p * order + b] = i
+            child.append(table)
 
-    def lift(kind, n, i, heads, tails, up):
-        """kind_i of the level-n simplices, as the ids of head + (tail,)."""
+    def lift(n, i, heads, tails, up):
+        """d_i of the level-n simplices, as the ids of head + (tail,)."""
         try:
             tab = [up[h * order + b] for h, b in zip(heads, tails)]
         except TypeError:  # a tail is an undefined product
             tab = [-1]
         if -1 in tab:
-            raise StructureError(f"levels are not closed under {kind}_{i} at level {n}")
+            raise StructureError(f"levels are not closed under d_{i} at level {n}")
+        return tab
+
+    def checked(n, i, tab, heads, tails):
+        """s_i of the level-n simplices read as tab, checked to be the ids
+        of head + (tail,)."""
+        above, ends = parent[n + 1], last[n + 1]
+        try:
+            ok = [above[j] for j in tab] == heads and [ends[j] for j in tab] == tails
+        except IndexError:  # a read past the last block
+            ok = False
+        if not ok:
+            raise StructureError(f"levels are not closed under s_{i} at level {n}")
         return tab
 
     def of_parent(index, n):
@@ -231,15 +252,19 @@ def _column_nerve(columns, mul) -> TruncatedSSet:
     face, deg = {(1, 0): [0] * counts[1], (1, 1): parent[1]}, {}
     for n in range(2, K + 1):
         for i in range(n - 1):
-            face[(n, i)] = lift("d", n, i, of_parent(face[(n - 1, i)], n), last[n], child[n - 1])
+            face[(n, i)] = lift(n, i, of_parent(face[(n - 1, i)], n), last[n], child[n - 1])
         products = [mul[a][b] for a, b in zip(of_parent(last[n - 1], n), last[n])]
-        face[(n, n - 1)] = lift("d", n, n - 1, of_parent(parent[n - 1], n), products,
-                                child[n - 1])
+        face[(n, n - 1)] = lift(n, n - 1, of_parent(parent[n - 1], n), products, child[n - 1])
         face[(n, n)] = parent[n]
     for n in range(K):
+        # the simplices ending in 0, one first child per level-n simplex if closed
+        first = list(itertools.compress(range(counts[n + 1]), map(not_, last[n + 1])))
+        checked(n, n, first, list(range(counts[n])), [0] * counts[n])
         for i in range(n):
-            deg[(n, i)] = lift("s", n, i, of_parent(deg[(n - 1, i)], n), last[n], child[n + 1])
-        deg[(n, n)] = lift("s", n, n, range(counts[n]), itertools.repeat(0), child[n + 1])
+            shift = list(map(sub, map(first.__getitem__, deg[(n - 1, i)]), deg[(n - 1, n - 1)]))
+            deg[(n, i)] = checked(n, i, list(map(add, range(counts[n]), of_parent(shift, n))),
+                                  list(of_parent(deg[(n - 1, i)], n)), last[n])
+        deg[(n, n)] = first
 
     return TruncatedSSet(K, counts, face, deg, _GrownLabels(parent, last))
 
@@ -339,7 +364,7 @@ def _grow_levels(K, elements, start, step):
     if K < 2:
         raise InputError("nerve needs K >= 2")
     columns, states, rows = [], [start], {}
-    for _ in range(K):
+    for n in range(K, 0, -1):
         parent, last, nxt = [], [], []
         for p, state in enumerate(states):
             row = rows.get(state)
@@ -348,7 +373,8 @@ def _grow_levels(K, elements, start, step):
                 row = rows[state] = ([b for b, _ in grown], [new for _, new in grown])
             parent.extend(itertools.repeat(p, len(row[0])))
             last += row[0]
-            nxt += row[1]
+            if n > 1:  # the top level's states are never read
+                nxt += row[1]
         columns.append((parent, last))
         states = nxt
     return columns

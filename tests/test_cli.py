@@ -420,11 +420,12 @@ def test_main_calls_do_not_share_state(tmp_path, monkeypatch, capsys):
 
 def test_build_action_pg_traced_memory_stays_small(tmp_path):
     """build action-pg grows its levels as id columns and never builds the
-    tuples, which it does not write, and its writer holds decimal strings for
-    the ids below level 4 and one slice of a table at a time: the traced peak
-    of L_Y(S4) at K=4 with |Y| = 12 (59616 level-4 simplices) stays within
-    7680 KB (about 13.0 MB with the tuples built, 8.8 MB with a decimal
-    string for every level-4 id too, and 6.5 MB without)."""
+    tuples, which it does not write, nor a child table for level 4, and its
+    writer holds decimal strings for the ids below level 4 and one slice of a
+    table at a time: the traced peak of L_Y(S4) at K=4 with |Y| = 12 (59616
+    level-4 simplices) stays within 5632 KB (about 13.0 MB with the tuples
+    built, 8.8 MB with a decimal string for every level-4 id too, 6.5 MB
+    with a level-4 child table, and 4.7 MB without)."""
     group = tmp_path / "s4.json"
     group.write_text(json.dumps(nv.symmetric_group(4).to_json_dict()))
     argv = ["build", "action-pg", "--group", str(group), "--y", ",".join(map(str, range(12))),
@@ -436,7 +437,7 @@ def test_build_action_pg_traced_memory_stays_small(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7680 * 1024
+    assert peak <= 5632 * 1024
 
 
 def test_closed_stdout_exits_2(z4_file):

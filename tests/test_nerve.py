@@ -358,13 +358,20 @@ def test_tuple_nerve_matches_key_based_builder(name):
     assert x.labels == want.labels
 
 
+# a level-3 tuple left out, and the degeneracy of level 2 that gives it
+LEFT_OUT_DEGENERACY = {"degeneracy": (1, 2, 0),  # s_2 (1, 2)
+                       "inner degeneracy": (0, 1, 2),  # s_0 (1, 2)
+                       "last first child": (2, 2, 0)}  # s_2 (2, 2), the last parent
+
+
 @pytest.mark.parametrize("missing, op", [("parent", "d_3"), ("inner face", "d_0"),
-                                         ("degeneracy", "s_2")])
+                                         ("degeneracy", "s_2"), ("inner degeneracy", "s_0"),
+                                         ("last first child", "s_2")])
 def test_tuple_nerve_rejects_levels_not_closed(missing, op):
-    """Z/3 nerve levels to K=3 with (1, 2) or (1, 2, 0) left out."""
+    """Z/3 nerve levels to K=3 with (1, 2) or one level-3 degeneracy left out."""
     levels = [list(itertools.product(range(3), repeat=n)) for n in range(4)]
-    if missing == "degeneracy":
-        levels[3].remove((1, 2, 0))  # s_2 (1, 2)
+    if missing in LEFT_OUT_DEGENERACY:
+        levels[3].remove(LEFT_OUT_DEGENERACY[missing])
     else:
         levels[2].remove((1, 2))  # d_3 (1, 2, c), and d_0 (a, 1, 2)
         if missing == "inner face":
