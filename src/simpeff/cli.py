@@ -262,7 +262,7 @@ def _build_effect_nerve(args):
     if bad:
         raise InputError(f"input is not an effect algebra: {bad[0].name}")
     x = nv.nerve(e.magma, args.levels)
-    _write_structure(cyc.effect_nerve_cyclic(e, x), args.out)
+    _write_structure(cyc.cyclic_from_edges(x, e.orthocomplement), args.out)
 
 
 def _build_s1(args):

@@ -2,18 +2,16 @@
 
 A cyclic structure is a per-level permutation tau_n satisfying the dualized
 cyclic-category relations; tau_1 plays the role of the orthocomplement.
-Includes the group-nerve and effect-nerve constructions, the orthocomplement
-laws, and one battery for the simplicial-effect suite and the
-effect-algebroid conditions.
+Includes the one construction of tau from tau_1 on a spiny set, the
+orthocomplement laws, and one battery for the simplicial-effect suite and
+the effect-algebroid conditions.
 """
 
 from __future__ import annotations
 
-__all__ = ["CyclicSSet", "validate_cyclic", "group_nerve_cyclic", "effect_nerve_cyclic",
-           "orthocomplement_laws", "battery"]
+__all__ = ["CyclicSSet", "validate_cyclic", "cyclic_from_edges", "orthocomplement_laws",
+           "battery"]
 
-from .palg import FiniteEffectAlgebra
-from .nerve import FiniteGroup
 from .sset import (TruncatedSSet, composite, differences, face_pair_index, is_inverseless_sset,
                    segal, subface)
 from .util import Check, InputError, first_failure, json_ints
@@ -96,9 +94,10 @@ def validate_cyclic(c: CyclicSSet):
     return checks
 
 
-def _cyclic_from_edges(x: TruncatedSSet, perp) -> CyclicSSet:
-    """The cyclic structure on a spiny set x whose tau_1 sends the edge of
-    each element a, read from the level-1 labels, to the edge of perp[a].
+def cyclic_from_edges(x: TruncatedSSet, tau1) -> CyclicSSet:
+    """The cyclic structure on a spiny set x whose tau_1 sends edge e to the
+    edge labelled tau1[e]; tau1 lists one element per edge, in id order, and
+    the elements are read from the level-1 labels.
 
     In a cyclic set d_0 tau_n = d_n and d_n tau_n = tau_{n-1} d_{n-1}, so
     tau_n s is the t with (d_n t, d_0 t) = (tau_{n-1} d_{n-1} s, d_n s), and
@@ -110,6 +109,8 @@ def _cyclic_from_edges(x: TruncatedSSet, perp) -> CyclicSSet:
     lab = x.labels.get(1)
     if lab is None:
         raise InputError("cyclic constructions need tuple labels on the nerve")
+    if len(tau1) != len(lab):
+        raise InputError(f"tau_1 has {len(tau1)} entries for {len(lab)} edges")
     elem = [v[0] if isinstance(v, tuple) else v for v in lab]
     edge = {a: e for e, a in enumerate(elem)}
 
@@ -117,10 +118,10 @@ def _cyclic_from_edges(x: TruncatedSSet, perp) -> CyclicSSet:
         if None in tau[n]:
             s = tau[n].index(None)
             sp = tuple(elem[subface(x, n, s, (i, i + 1))] for i in range(n))
-            img = (perp[elem[subface(x, n, s, (0, n))]],) + sp[:-1]
+            img = (tau1[subface(x, n, s, (0, n))],) + sp[:-1]
             raise InputError(f"cyclic image {img} of {sp} leaves level {n}")
 
-    tau = {1: [edge.get(perp[a]) for a in elem]}
+    tau = {1: [edge.get(a) for a in tau1]}
     check_images(1)
     for n in range(2, x.K + 1):
         ids, clash = face_pair_index(x, n)
@@ -131,20 +132,6 @@ def _cyclic_from_edges(x: TruncatedSSet, perp) -> CyclicSSet:
                                        x.face[(n, n)])))
         check_images(n)
     return CyclicSSet(x, tau)
-
-
-def group_nerve_cyclic(g: FiniteGroup, z: int, x: TruncatedSSet) -> CyclicSSet:
-    """tau_n(g_1..g_n) = (z * (g_1...g_n)^-1, g_1, .., g_{n-1}) on a (sub)nerve
-    of g whose level-1 labels are its elements.  z must be central."""
-    if z not in g.center():
-        raise InputError(f"element {z} is not central")
-    return _cyclic_from_edges(x, [g.mul[z][g.inv(a)] for a in range(g.order)])
-
-
-def effect_nerve_cyclic(e: FiniteEffectAlgebra, x: TruncatedSSet) -> CyclicSSet:
-    """tau_n(a_1..a_n) = ((a_1+..+a_n)-perp, a_1, .., a_{n-1}) on the nerve
-    of the effect algebra; tau_1 is the orthocomplement."""
-    return _cyclic_from_edges(x, e.orthocomplement)
 
 
 def orthocomplement_laws(c: CyclicSSet):

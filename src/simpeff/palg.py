@@ -14,10 +14,9 @@ and finite effect algebras.
 from __future__ import annotations
 
 __all__ = ["MAGMA", "WEAK_PARTIAL_MONOID", "PARTIAL_MONOID", "PartialUnitalMagma", "LEAF",
-           "bracketings", "fully_associable_mask", "is_fully_associable", "left_product",
-           "classify", "AssociativityDatum", "max_associativity_datum", "validate_datum",
-           "validate_partial_group", "inverses",
-           "is_inverseless", "is_weakly_associative_partial_group", "inverse_conditions",
+           "bracketings", "fully_associable_mask", "left_product", "classify",
+           "AssociativityDatum", "max_associativity_datum", "validate_datum",
+           "validate_partial_group", "inverses", "is_inverseless", "inverse_conditions",
            "FiniteEffectAlgebra", "multiset_multiplicable", "validate_effect_algebra",
            "interval_effect_algebra", "boolean_effect_algebra"]
 
@@ -178,12 +177,6 @@ def _id_array(m: PartialUnitalMagma, tuples, length: int) -> np.ndarray:
     except OverflowError:
         return np.array([[x if 0 <= x < m.size else -1 for x in t] for t in tuples],
                         dtype=np.intp).reshape(len(tuples), length)
-
-
-def is_fully_associable(m: PartialUnitalMagma, tup) -> bool:
-    """Full associability of one tuple: fully_associable_mask on the batch
-    of one."""
-    return bool(fully_associable_mask(m, _id_array(m, [tup], len(tup)))[0])
 
 
 def _first_unassociable(m: PartialUnitalMagma, tuples):
@@ -378,25 +371,11 @@ def is_inverseless(m: PartialUnitalMagma) -> bool:
     return all(c != 0 or pair == (0, 0) for pair, c in m.product.items())
 
 
-def is_weakly_associative_partial_group(m: PartialUnitalMagma, up_to: int):
-    """Weak partial monoid, all inverses, and doubled tuples fully associable.
-
-    Fully associable tuples are enumerated to arity up_to; their doublings
-    (g_1..g_n, g_n^-1..g_1^-1) are checked up to arity 2*up_to.  Returns
-    (bool, witness).
-    """
-    if up_to < 2:
-        raise InputError("up_to must be >= 2")
-    cls, wit = classify(m)
-    if cls == MAGMA:
-        return False, ("not-weakly-associative", wit)
-    return inverse_conditions(m, up_to)
-
-
 def inverse_conditions(m: PartialUnitalMagma, up_to: int):
-    """The rest of is_weakly_associative_partial_group, for a magma already
-    classified as a weak partial monoid or stronger: every element has a
-    two-sided inverse, and every doubled tuple is fully associable.  Returns
+    """The inverse conditions of a weakly associative partial group, for a
+    magma already classified as a weak partial monoid or stronger: every
+    element has a two-sided inverse, and every doubled tuple
+    (g_1..g_n, g_n^-1..g_1^-1) is fully associable.  Returns
     (bool, witness).  The fully associable tuples are grown one arity at a
     time, up to the first arity whose doubled tuples fail; those of each
     arity n are one batch of fully_associable_mask, and the witness is the

@@ -15,7 +15,7 @@ certificate that callers can re-verify independently.
 
 from __future__ import annotations
 
-__all__ = ["OPTIMAL", "INFEASIBLE", "rref", "rank", "nullspace", "in_span", "BoxLP"]
+__all__ = ["OPTIMAL", "INFEASIBLE", "rref", "rank", "nullspace", "BoxLP"]
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -103,12 +103,6 @@ def nullspace(rows, nvars):
             vec[p] = -mat[r][f]
         basis.append(vec)
     return basis
-
-
-def in_span(basis, vec) -> bool:
-    """Exact membership of vec in the span of basis vectors."""
-    rows = [list(b) for b in basis]
-    return rank(rows) == rank(rows + [list(vec)])
 
 
 class BoxLP:

@@ -9,8 +9,8 @@ checked up to the truncation bound and reports state that bound.
 from __future__ import annotations
 
 __all__ = ["TruncatedSSet", "from_levels", "composite", "differences", "validate", "subface",
-           "spine", "face_pair_index", "face_pair_extend", "spiny_face_pairs", "is_reduced",
-           "is_spiny", "is_inverseless_sset", "Triangulation", "triangulations", "subface_tables",
+           "face_pair_index", "face_pair_extend", "spiny_face_pairs", "is_reduced",
+           "is_inverseless_sset", "Triangulation", "triangulations", "subface_tables",
            "membrane_counts", "segal", "boundary_membranes", "is_coskeletal_2", "cosk2_extend",
            "truncate", "canonicalize_spiny", "standard_simplex", "from_nondegenerate"]
 
@@ -192,19 +192,15 @@ def subface(x: TruncatedSSet, n: int, s: int, vertices):
     return cur
 
 
-def spine(x: TruncatedSSet, n: int, s: int):
-    """The edge readout (s restricted to (i, i+1) for each i)."""
-    return tuple(subface(x, n, s, (i, i + 1)) for i in range(n))
-
-
 def face_pair_index(x: TruncatedSSet, n: int):
     """({(d_n s, d_0 s): s} over level n, clash), clash the first pair (s1, s2)
     with one face pair or None; without a clash the keys come in id order.
 
     The one index of what a spiny set fixes by its edges.  Where the
-    simplicial identities hold, spine(s) is spine(d_n s) followed by the last
-    edge of d_0 s, and spine(d_0 s) is spine(s) less its first edge.  So on a
-    set spiny below level n, clash is is_spiny's witness at level n.
+    simplicial identities hold, the spine of s is that of d_n s and the last
+    edge of d_0 s, and that of d_0 s is that of s less its first edge.  So on
+    a set spiny below level n, clash is (s1, s2), s2 the least n-simplex
+    whose spine an earlier s1 has: the spiny witness is (n, s1, s2).
     """
     pairs = list(zip(x.face[(n, n)], x.face[(n, 0)]))
     index = dict(zip(pairs, x.simplices(n)))
@@ -223,7 +219,7 @@ def face_pair_extend(x: TruncatedSSet, n: int, below, index):
 
 def spiny_face_pairs(x: TruncatedSSet):
     """{n: face_pair_index(x, n)[0]} for n = 2..K; InputError names the first
-    failed simplicial identity, or else is_spiny's collision (n, s1, s2)."""
+    failed simplicial identity, or else the first spine collision (n, s1, s2)."""
     bad = validate(x)
     if bad:
         raise InputError("simplicial identity {} fails at level {} {}, simplex {}".format(*bad[0]))
@@ -237,15 +233,6 @@ def spiny_face_pairs(x: TruncatedSSet):
 
 def is_reduced(x: TruncatedSSet) -> bool:
     return x.counts[0] == 1
-
-
-def is_spiny(x: TruncatedSSet):
-    """Injectivity of every 1-Segal map; witness is a colliding pair."""
-    for n in range(2, x.K + 1):
-        pair = first_collision(spine(x, n, s) for s in x.simplices(n))
-        if pair is not None:
-            return False, (n,) + pair
-    return True, None
 
 
 def is_inverseless_sset(x: TruncatedSSet):
@@ -414,7 +401,7 @@ def segal(x: TruncatedSSet):
 
     Each level n = 2..K builds its subface tables once.  Spiny: the spines,
     read off the tables of the edges (i, i+1), do not collide; the witness
-    is (n, s1, s2) as in is_spiny.
+    is (n, s1, s2), s2 the least n-simplex whose spine an earlier s1 has.
 
     2-Segal, from level 3: every triangulation membrane map X_n -> MS(T, x)
     is bijective.  A simplex restricts to T as the tuple of its 2-faces on
@@ -688,8 +675,8 @@ def canonicalize_spiny(x: TruncatedSSet) -> TruncatedSSet:
     Two spiny sets with the same 1-truncation are isomorphic over it iff
     their canonical forms are equal tables.  Level n is sorted by the ranks
     of (d_n s, d_0 s) in the new order of level n-1, which is spine order
-    where spiny_face_pairs holds: spine(s) is spine(d_n s) and one edge, and
-    where d_n agrees, the spines of d_0 differ in that edge alone.
+    where spiny_face_pairs holds: the spine of s is that of d_n s and one edge,
+    and where d_n agrees, the spines of d_0 differ in that edge alone.
     """
     indexes = spiny_face_pairs(x)
     levels = [list(x.simplices(0)), list(x.simplices(1))]

@@ -8,7 +8,7 @@ arithmetic is exact rational.
 
 from __future__ import annotations
 
-__all__ = ["state_system", "StateSearch", "find_state", "hc1", "shifted_states_in_hc1"]
+__all__ = ["state_system", "StateSearch", "find_state", "hc1"]
 
 from dataclasses import dataclass
 
@@ -109,17 +109,3 @@ def hc1(c: CyclicSSet, A=None):
         if not _solves(A, [0] * len(A), vec):
             raise StructureError("kernel vector fails exact re-substitution")
     return len(basis), basis
-
-
-def shifted_states_in_hc1(c: CyclicSSet) -> bool:
-    """Every polytope vertex minus a base state lies in the cocycle space.
-
-    This is the computable half of the minimality theorem; it holds exactly
-    (no tolerance) or not at all.
-    """
-    search = find_state(c)
-    if not search.feasible:
-        return True
-    _, basis = hc1(c, search.A)
-    return all(ratlp.in_span(basis, [a - b for a, b in zip(v, search.state)])
-               for v in search.vertices)

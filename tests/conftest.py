@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import palg
+from simpeff.util import InputError
 
 
 @pytest.fixture(scope="session")
@@ -93,3 +95,26 @@ def three_element_magmas():
 
 # an order-5 loop: a Latin square with unit 0 that is not associative
 LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def group_twist(g, z, x):
+    """cyclic_from_edges on a (sub)nerve x of the group g whose level-1 labels
+    are elements, with tau_1 a = z * a^-1; z must be central."""
+    if z not in g.center():
+        raise InputError(f"element {z} is not central")
+    return cyc.cyclic_from_edges(x, [g.mul[z][g.inv(a)] for a in x.labels[1]])
+
+
+# the constructions the tests build, by the name of their tuple-map oracle
+# in cyclic_oracles
+TWISTS = {"group_nerve_cyclic": group_twist,
+          "effect_nerve_cyclic": lambda e, x: cyc.cyclic_from_edges(x, e.orthocomplement)}
+
+
+def is_wapg(m, up_to):
+    """Weakly associative partial group to arity up_to, (bool, witness):
+    classify, then inverse_conditions unless m is a plain magma, as `check
+    magma` composes them."""
+    if palg.classify(m)[0] == palg.MAGMA:
+        return False, ("not-weakly-associative",)
+    return palg.inverse_conditions(m, up_to)

@@ -4,13 +4,13 @@ bracketed_product evaluates a tuple under one explicit bracketing tree.
 _interval_tables is the set-valued interval DP that keeps every value any
 defined bracketing of an interval reaches; is_multiplicable and
 is_associable read its table for the whole tuple.  The tests compare that DP
-against every tree of palg.bracketings, palg.is_fully_associable against
+against every tree of palg.bracketings, palg.fully_associable_mask against
 fully_associable, which evaluates every tree of every contiguous subtuple,
 and palg.classify against classify, which evaluates both trees of every
 triple.  max_associativity_datum is the datum builder that checks every
 candidate by the interval DP of is_fully_associable, which reads the sparse
-product table; palg.max_associativity_datum, which decides a candidate by
-its splits, is compared against it.  inverse_conditions decides each
+product table; palg.max_associativity_datum, which decides each level in
+one batch of fully_associable_mask, is compared against it.  inverse_conditions decides each
 doubled tuple on its own by that interval DP, as the batched DP of
 palg.inverse_conditions is compared against it.  leaf_count is the per-node walk
 sset.triangulations no longer needs.

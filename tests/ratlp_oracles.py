@@ -4,6 +4,7 @@ _pivot and rref are the elimination step and reduced row echelon form that
 ratlp ran over fractions.Fraction before its rows became ints with one
 positive denominator each.  rank and nullspace read this rref the way
 ratlp's do, so the tests can require exact equality of all three.
+in_span compares two ranks, for the test that shifted states lie in HC^1.
 """
 
 from fractions import Fraction
@@ -45,6 +46,12 @@ def rref(rows):
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
+
+
+def in_span(basis, vec) -> bool:
+    """Exact membership of vec in the span of basis vectors."""
+    rows = [list(b) for b in basis]
+    return rank(rows) == rank(rows + [list(vec)])
 
 
 def nullspace(rows, nvars):

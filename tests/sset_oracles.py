@@ -13,6 +13,8 @@ circle_readout are the spine walks and the label readout that the face-pair
 index replaced in sset.canonicalize_spiny, nerve.magma_from_sset and
 nerve.effect_circle_iso.  standard_simplex and from_nondegenerate sort each
 level into the order that sset's builders now list it in without a sort.
+spine and is_spiny are the per-simplex spine walk, the reference that the
+Segal pass and the face-pair index are tested against.
 tuple_face and insert_unit are the face and degeneracy rules of a nerve on
 its tuples, which nerve.nerve and quantum's face maps applied before every
 nerve was grown as id columns.  point, two_triangles_shared_spine, delta_w3,
@@ -24,7 +26,7 @@ import itertools
 from palg_oracles import leaf_count
 from simpeff import sset
 from simpeff.palg import LEAF, AssociativityDatum, PartialUnitalMagma, bracketings
-from simpeff.util import InputError, StructureError
+from simpeff.util import InputError, StructureError, first_collision
 
 SPINE = "spine"
 BOUNDARY = "boundary"
@@ -211,6 +213,22 @@ def coskeletal_2(x):
     return True, None
 
 
+def spine(x, n: int, s: int):
+    """The edge readout (s restricted to (i, i+1) for each i)."""
+    return tuple(sset.subface(x, n, s, (i, i + 1)) for i in range(n))
+
+
+def is_spiny(x):
+    """Injectivity of every 1-Segal map, one spine walk per simplex; the
+    witness is (n, s1, s2), s2 the least n-simplex whose spine an earlier
+    s1 has."""
+    for n in range(2, x.K + 1):
+        pair = first_collision(spine(x, n, s) for s in x.simplices(n))
+        if pair is not None:
+            return False, (n,) + pair
+    return True, None
+
+
 def sset_isomorphic(x, y):
     """Search for a levelwise isomorphism; returns the level maps or None.
 
@@ -219,19 +237,19 @@ def sset_isomorphic(x, y):
     """
     if x.counts != y.counts or x.K != y.K:
         return None
-    ok, _ = sset.is_spiny(y)
+    ok, _ = is_spiny(y)
     if not ok:
         raise InputError("isomorphism search requires a spiny target")
     yspine = {}
     for n in range(2, y.K + 1):
-        yspine[n] = {sset.spine(y, n, s): s for s in y.simplices(n)}
+        yspine[n] = {spine(y, n, s): s for s in y.simplices(n)}
 
     def complete(phi0, phi1):
         phi = {0: phi0, 1: phi1}
         for n in range(2, x.K + 1):
             tab = []
             for s in x.simplices(n):
-                sp = tuple(phi1[e] for e in sset.spine(x, n, s))
+                sp = tuple(phi1[e] for e in spine(x, n, s))
                 t = yspine[n].get(sp)
                 if t is None:
                     return None
@@ -286,11 +304,11 @@ def sset_isomorphic(x, y):
 
 def canonicalize_spiny(x):
     """is_spiny, then levels >= 2 sorted by spine, one simplex at a time."""
-    ok, wit = sset.is_spiny(x)
+    ok, wit = is_spiny(x)
     if not ok:
         raise InputError(f"canonicalize_spiny needs a spiny set, collision {wit}")
     # spines order level n >= 2 and leave levels 0 and 1 as they are
-    levels = [sorted(x.simplices(n), key=lambda s: sset.spine(x, n, s)) for n in range(x.K + 1)]
+    levels = [sorted(x.simplices(n), key=lambda s: spine(x, n, s)) for n in range(x.K + 1)]
     return sset.from_levels(levels, lambda n, i, s: x.face[(n, i)][s],
                             lambda n, i, s: x.deg[(n, i)][s],
                             {n: [lab[s] for s in levels[n]] for n, lab in x.labels.items()})
@@ -299,7 +317,7 @@ def canonicalize_spiny(x):
 def magma_from_sset(x):
     """is_spiny, then the magma of the 2-simplices and the datum of the
     spines, one simplex at a time."""
-    ok, wit = sset.is_spiny(x)
+    ok, wit = is_spiny(x)
     if not ok:
         raise InputError(f"input is not spiny: collision {wit}")
     if not sset.is_reduced(x):
@@ -318,7 +336,7 @@ def magma_from_sset(x):
     magma.validate()
     levels = {}
     for n in range(2, x.K + 1):
-        levels[n] = frozenset(tuple(edge2id[e] for e in sset.spine(x, n, s))
+        levels[n] = frozenset(tuple(edge2id[e] for e in spine(x, n, s))
                               for s in x.simplices(n))
     return magma, AssociativityDatum(levels)
 

@@ -15,9 +15,10 @@ from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import palg, quantum, sset, states
 
-from conftest import nerve_of, random_magma
+from conftest import group_twist, is_wapg, nerve_of, random_magma
 from quantum_exact import certify_no_filler
-from sset_oracles import membrane_set, sset_equal
+from sset_oracles import is_spiny, membrane_set, sset_equal
+from test_states import shifted_states_in_hc1
 
 
 def report(number, message):
@@ -52,12 +53,12 @@ def test_criterion_2_commutative_nerves():
     for name, g in groups.items():
         x = nv.comm_nerve(g, None, 4)
         assert sset.validate(x) == []
-        assert sset.is_spiny(x)[0], name
+        assert is_spiny(x)[0], name
         assert sset.is_reduced(x), name
         assert sset.is_coskeletal_2(x)[0], name
         _, _, (two, wit), weak, _ = sset.segal(x)
         assert weak[0], name
-        ok, _ = palg.is_weakly_associative_partial_group(nv.commuting_magma(g), 3)
+        ok, _ = is_wapg(nv.commuting_magma(g), 3)
         assert ok, name
         assert not two and wit[0] == "unfilled", name
     # the Q8 witness family contains the spine (j, i, i); oracle is plain
@@ -119,13 +120,13 @@ def test_criterion_5_simplicial_effect_suite():
     generated = []
     for n in (2, 3, 4):
         e = palg.interval_effect_algebra(n)
-        c = cyc.effect_nerve_cyclic(e, nerve_of(e.magma, 4))
+        c = cyc.cyclic_from_edges(nerve_of(e.magma, 4), e.orthocomplement)
         generated.append(c)
         checks = {ch.name: ch for ch in cyc.battery(c)}
         assert checks["simplicial-effect"].ok, f"L{n}"
         assert checks["effect-algebroid"].ok, f"L{n}"
     z2 = nv.cyclic_group(2)
-    cz = cyc.group_nerve_cyclic(z2, 1, nerve_of(nv.magma_of_group(z2), 4))
+    cz = group_twist(z2, 1, nerve_of(nv.magma_of_group(z2), 4))
     generated.append(cz)
     checks = {ch.name: ch for ch in cyc.battery(cz, algebroid=False)}
     assert not checks["simplicial-effect"].ok
@@ -139,7 +140,7 @@ def test_criterion_5_simplicial_effect_suite():
 
 def test_criterion_6_states_and_hc1():
     l2 = palg.interval_effect_algebra(2)
-    cl2 = cyc.effect_nerve_cyclic(l2, nerve_of(l2.magma, 4))
+    cl2 = cyc.cyclic_from_edges(nerve_of(l2.magma, 4), l2.orthocomplement)
     found = states.find_state(cl2)
     lab = cl2.base.labels[1]
     assert found.feasible
@@ -149,20 +150,19 @@ def test_criterion_6_states_and_hc1():
     assert states.hc1(cl2)[0] == 0
 
     z2 = nv.cyclic_group(2)
-    cz = cyc.group_nerve_cyclic(z2, 1, nerve_of(nv.magma_of_group(z2), 4))
+    cz = group_twist(z2, 1, nerve_of(nv.magma_of_group(z2), 4))
     empty = states.find_state(cz)
     assert not empty.feasible and empty.farkas is not None
 
     b2 = palg.boolean_effect_algebra(2)
-    cb = cyc.effect_nerve_cyclic(b2, nerve_of(b2.magma, 4))
+    cb = cyc.cyclic_from_edges(nerve_of(b2.magma, 4), b2.orthocomplement)
     assert states.find_state(cb).dim == 1
     assert states.hc1(cb)[0] == 1
 
-    instances = [cl2, cb,
-                 cyc.effect_nerve_cyclic(palg.interval_effect_algebra(3),
-                                         nerve_of(palg.interval_effect_algebra(3).magma, 4))]
+    l3 = palg.interval_effect_algebra(3)
+    instances = [cl2, cb, cyc.cyclic_from_edges(nerve_of(l3.magma, 4), l3.orthocomplement)]
     for c in instances:
-        assert states.shifted_states_in_hc1(c)
+        assert shifted_states_in_hc1(c)
         got = states.find_state(c)
         A, b = states.state_system(c)
         assert all(sum(a * v for a, v in zip(row, got.state)) == r for row, r in zip(A, b))

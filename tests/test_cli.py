@@ -19,7 +19,7 @@ from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff.report import EXIT_INTERNAL
 
-from conftest import LOOP5
+from conftest import LOOP5, group_twist
 from test_golden import _inputs
 
 
@@ -130,11 +130,10 @@ def test_states_cli_l2(tmp_path, capsys):
 
 
 def test_states_cli_empty(tmp_path, capsys):
-    from simpeff import cyclic as cyc
     z2 = nv.cyclic_group(2)
     m = nv.magma_of_group(z2)
     x = nv.nerve(m, 4)
-    c = cyc.group_nerve_cyclic(z2, 1, x)
+    c = group_twist(z2, 1, x)
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(c.to_json_dict()))
     assert run("states", "--cyclic", str(path)) == 0
@@ -357,10 +356,11 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
     """check sset and check cyclic --states --hc1 validate the structure, the
     cyclic relations and inverselessness once, build each level's subface
     tables at most once, count each triangulation's membranes at most once
-    and never walk spines one simplex at a time (the Segal pass decides
-    spiny).  Both sets are spiny and 2-coskeletal, so the pass stops after
-    level 3, and 2-coskeletality is decided from pairs on its subface tables
-    without listing any boundary tuple."""
+    and never restrict one simplex at a time by subface, as a spine walk
+    does (the Segal pass decides spiny).  Both sets are spiny and
+    2-coskeletal, so the pass stops after level 3, and 2-coskeletality is
+    decided from pairs on its subface tables without listing any boundary
+    tuple."""
     calls = Counter()
 
     def counting(name, fn):
@@ -371,7 +371,7 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
             return fn(*args)
         return wrapper
 
-    counted = (sset.validate, cyc.validate_cyclic, sset.is_inverseless_sset, sset.is_spiny,
+    counted = (sset.validate, cyc.validate_cyclic, sset.is_inverseless_sset, sset.subface,
                sset.subface_tables, sset.membrane_counts, sset.boundary_membranes)
     for module in [m for name, m in sys.modules.items() if name.startswith("simpeff")]:
         for attr, value in list(vars(module).items()):
@@ -393,7 +393,7 @@ def test_battery_computes_each_fact_once(z4_file, tmp_path, monkeypatch, capsys)
         assert {k: c for k, c in calls.items() if len(k) > 1} == dict.fromkeys(
             per_level | per_triangulation, 1), argv
         assert calls[("validate",)] == 1, argv
-        assert calls[("is_spiny",)] == 0, argv
+        assert calls[("subface",)] == 0, argv
     assert calls[("validate_cyclic",)] == calls[("is_inverseless_sset",)] == 1
 
 

@@ -8,7 +8,7 @@ from simpeff import nerve as nv
 from simpeff import palg, ratlp, sset, states
 from simpeff.util import InputError
 
-from conftest import nerve_of
+from conftest import TWISTS, group_twist, nerve_of
 from sset_oracles import point, sset_equal
 from test_states import product_effect_algebra
 
@@ -17,14 +17,14 @@ from test_states import product_effect_algebra
 def z2_cyclic_z1():
     z2 = nv.cyclic_group(2)
     x = nerve_of(nv.magma_of_group(z2), 4)
-    return z2, x, cyc.group_nerve_cyclic(z2, 1, x)
+    return z2, x, group_twist(z2, 1, x)
 
 
 @pytest.fixture(scope="module")
 def l2_cyclic():
     e = palg.interval_effect_algebra(2)
     x = nerve_of(e.magma, 4)
-    return e, x, cyc.effect_nerve_cyclic(e, x)
+    return e, x, cyc.cyclic_from_edges(x, e.orthocomplement)
 
 
 def all_ok(checks):
@@ -46,7 +46,7 @@ def test_z2_formulas_lock_the_relations(z2_cyclic_z1):
         for k2 in range(2):
             assert c.tau[2][lab2[(k1, k2)]] == lab2[((1 - k2 - k1) % 2, k1)]
     # and the z = 0 structure
-    c0 = cyc.group_nerve_cyclic(z2, 0, x)
+    c0 = group_twist(z2, 0, x)
     assert all_ok(cyc.validate_cyclic(c0))
     for k in range(2):
         assert c0.tau[1][lab1[k]] == lab1[(-k) % 2]
@@ -72,7 +72,7 @@ def test_point_with_identity_tau():
 def test_group_nerve_cyclic_q8():
     q8 = nv.quaternion_group()
     x = nv.comm_nerve(q8, None, 4)
-    c = cyc.group_nerve_cyclic(q8, 1, x)  # z = -1 is central
+    c = group_twist(q8, 1, x)  # z = -1 is central
     assert all_ok(cyc.validate_cyclic(c))
 
 
@@ -81,7 +81,7 @@ def test_group_nerve_cyclic_rejects_noncentral():
     x = nv.comm_nerve(s3, None, 3)
     noncentral = next(z for z in range(6) if z not in s3.center())
     with pytest.raises(InputError):
-        cyc.group_nerve_cyclic(s3, noncentral, x)
+        group_twist(s3, noncentral, x)
 
 
 def test_effect_nerve_cyclic_l2(l2_cyclic):
@@ -110,7 +110,7 @@ def test_ortho_laws_effect_nerve(l2_cyclic):
 def test_ortho_laws_z3():
     z3 = nv.cyclic_group(3)
     x = nerve_of(nv.magma_of_group(z3), 4)
-    c = cyc.group_nerve_cyclic(z3, 0, x)
+    c = group_twist(z3, 0, x)
     assert all_ok(cyc.orthocomplement_laws(c))
 
 
@@ -126,12 +126,9 @@ def test_ortho_laws_pass_on_all_generated_instances(z2_cyclic_z1):
     q8 = nv.quaternion_group()
     instances = [
         z2_cyclic_z1[2],
-        cyc.group_nerve_cyclic(q8, 1, nv.comm_nerve(q8, None, 3)),
-        cyc.effect_nerve_cyclic(palg.interval_effect_algebra(3),
-                                nerve_of(palg.interval_effect_algebra(3).magma, 3)),
-        cyc.effect_nerve_cyclic(palg.boolean_effect_algebra(2),
-                                nerve_of(palg.boolean_effect_algebra(2).magma, 3)),
-    ]
+        group_twist(q8, 1, nv.comm_nerve(q8, None, 3)),
+    ] + [cyc.cyclic_from_edges(nerve_of(e.magma, 3), e.orthocomplement)
+         for e in (palg.interval_effect_algebra(3), palg.boolean_effect_algebra(2))]
     for c in instances:
         assert all_ok(cyc.orthocomplement_laws(c))
 
@@ -162,7 +159,7 @@ def _constructions():
 
 def _cyclic_sets():
     """The cyclic sets built by the tests above and by the golden corpus."""
-    built = [getattr(cyc, name)(*args) for name, args in _constructions()]
+    built = [TWISTS[name](*args) for name, args in _constructions()]
     return built[:5] + [cyc.CyclicSSet(point(3), {n: [0] for n in (1, 2, 3)})] + built[5:]
 
 
@@ -228,7 +225,7 @@ def _tau_or_error(construct, *args):
 def _same_as_tuple_map(name, *args):
     """The construction of simpeff.cyclic and its tuple-map oracle agree on
     args; returns their common tau tables or error message."""
-    got = _tau_or_error(getattr(cyc, name), *args)
+    got = _tau_or_error(TWISTS[name], *args)
     assert got == _tau_or_error(getattr(oracle, name), *args), (name, args)
     return got
 
@@ -274,10 +271,20 @@ def test_edge_construction_reads_labels_of_level_1_only():
     labels = {n: [("junk", s) for s in x.simplices(n)] for n in range(x.K + 1)}
     labels[1] = [(v,) for v in x.labels[1]]
     relabelled = sset.TruncatedSSet(x.K, x.counts, x.face, x.deg, labels)
-    assert cyc.effect_nerve_cyclic(e, relabelled).tau == cyc.effect_nerve_cyclic(e, x).tau
+    assert (cyc.cyclic_from_edges(relabelled, e.orthocomplement).tau
+            == cyc.cyclic_from_edges(x, e.orthocomplement).tau)
     del labels[1]
     with pytest.raises(InputError, match="need tuple labels"):
-        cyc.effect_nerve_cyclic(e, relabelled)
+        cyc.cyclic_from_edges(relabelled, e.orthocomplement)
+
+
+def test_edge_construction_rejects_a_tau1_of_the_wrong_length():
+    """tau_1 lists one element per edge: on the L2 nerve, with three edges,
+    a list one short or one long is rejected, naming both lengths."""
+    x = nv.nerve(palg.interval_effect_algebra(2).magma, 3)
+    for tau1 in ([2, 1], [2, 1, 0, 5]):
+        with pytest.raises(InputError, match=f"^tau_1 has {len(tau1)} entries for 3 edges$"):
+            cyc.cyclic_from_edges(x, tau1)
 
 
 def test_edge_construction_builds_no_label_above_level_1():
@@ -286,7 +293,7 @@ def test_edge_construction_builds_no_label_above_level_1():
     s4 = nv.symmetric_group(4)
     for x in (nv.comm_nerve(s4, None, 5),
               nv.action_partial_group(s4, 24, nv.translation_action(s4), [0, 5, 7], 4)):
-        c = cyc.group_nerve_cyclic(s4, 0, x)
+        c = group_twist(s4, 0, x)
         assert len(x.labels.built) == 2
         assert all_ok(cyc.validate_cyclic(c))
 
@@ -297,7 +304,7 @@ def test_edge_construction_rejects_a_non_spiny_set():
     x = sset.from_nondegenerate(2, [("v", 0, []), ("a", 2, [("v", (0, 0))] * 3)])
     x = sset.TruncatedSSet(x.K, x.counts, x.face, x.deg, {1: [0]})
     with pytest.raises(InputError, match="^2-simplices .* share a spine"):
-        cyc.group_nerve_cyclic(nv.cyclic_group(1), 0, x)
+        group_twist(nv.cyclic_group(1), 0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,7 @@ def test_simplicial_effect_fails_z2(z2_cyclic_z1):
 def test_simplicial_effect_fails_q8_torsion():
     q8 = nv.quaternion_group()
     x = nv.comm_nerve(q8, 2, 4)
-    c = cyc.group_nerve_cyclic(q8, 1, x)
+    c = group_twist(q8, 1, x)
     checks = battery(c, algebroid=False)
     assert not checks["simplicial-effect"].ok
     assert not checks["simplicial-effect/inverseless"].ok
@@ -338,7 +345,7 @@ def test_effect_algebroid_conditions_l2(l2_cyclic):
 
 def test_effect_algebroid_conditions_z2(z2_cyclic_z1):
     z2, x, _ = z2_cyclic_z1
-    c0 = cyc.group_nerve_cyclic(z2, 0, x)
+    c0 = group_twist(z2, 0, x)
     conds = battery(c0, effect=False)
     assert not conds["effect-algebroid/Z"].ok and not conds["effect-algebroid"].ok
 
@@ -346,19 +353,15 @@ def test_effect_algebroid_conditions_z2(z2_cyclic_z1):
 def test_effect_algebroid_conditions_ly():
     z4 = nv.cyclic_group(4)
     ly = nv.action_partial_group(z4, 4, nv.translation_action(z4), [0, 1, 2], 4)
-    c = cyc.group_nerve_cyclic(z4, 0, ly)  # the one z that stays inside
+    c = group_twist(z4, 0, ly)  # the one z that stays inside
     assert all_ok(cyc.validate_cyclic(c))
     conds = battery(c, effect=False)
     assert not conds["effect-algebroid/two_segal"].ok and not conds["effect-algebroid"].ok
 
 
 def test_algebroid_implies_simplicial_effect():
-    instances = [
-        cyc.effect_nerve_cyclic(palg.interval_effect_algebra(n),
-                                nerve_of(palg.interval_effect_algebra(n).magma, 4))
-        for n in (2, 3)
-    ] + [cyc.effect_nerve_cyclic(palg.boolean_effect_algebra(2),
-                                 nerve_of(palg.boolean_effect_algebra(2).magma, 4))]
+    effects = [palg.interval_effect_algebra(n) for n in (2, 3)] + [palg.boolean_effect_algebra(2)]
+    instances = [cyc.cyclic_from_edges(nerve_of(e.magma, 4), e.orthocomplement) for e in effects]
     for c in instances:
         checks = battery(c)
         if checks["effect-algebroid"].ok:
@@ -379,7 +382,7 @@ def test_w4_separates_simplicial_effects_from_effect_algebroids():
     assert nv.nerve(m, 5).counts == [1, 4, 11, 24, 45, 76]
     unfilled = ("unfilled", 3, sset.Triangulation(3, ((0, 1, 2), (0, 2, 3))), (1, 1, 2))
     for K in (3, 4, 5):
-        c = cyc._cyclic_from_edges(nv.nerve(m, K), [3, 2, 1, 0])
+        c = cyc.cyclic_from_edges(nv.nerve(m, K), [3, 2, 1, 0])
         assert all_ok(cyc.orthocomplement_laws(c))
         failed = {ch.name: ch.witness for ch in cyc.battery(c) if not ch.ok}
         assert failed == {"effect-algebroid/two_segal": unfilled,
@@ -394,7 +397,7 @@ def test_z3_tau2_orbits():
     # central element 0: every tau_2 orbit has length 3 unless fixed
     z3 = nv.cyclic_group(3)
     x = nerve_of(nv.magma_of_group(z3), 4)
-    c = cyc.group_nerve_cyclic(z3, 0, x)
+    c = group_twist(z3, 0, x)
     t2 = c.tau[2]
     fixed = []
     for s in range(x.counts[2]):

@@ -3,7 +3,7 @@
 Every `build` recipe that writes a structure, then `check` and `states` on
 what was built and on a cyclic set with no states, in text and json, plus
 `check magma` (the S4 commuting magma, a weakly associative partial group to
-arity 3, and a magma with inverses that is not one), failing sset and cyclic
+arity 3, a magma with inverses that is not one, and a plain magma), failing sset and cyclic
 batteries (tau corrupted at level 2 and at the top level 3), the two
 narrowed cyclic suites, passing cyclic batteries on effect nerves at K=5 and
 on bool3 read from a file, the standard 2-simplex, and `check effect-algebra`
@@ -38,6 +38,7 @@ from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import quantum as q
 
+from conftest import group_twist
 from palg_oracles import chain_magma
 from sset_oracles import hollow_simplex, point, two_triangles_shared_spine
 
@@ -50,12 +51,12 @@ def _inputs():
     q8, d4 = nv.quaternion_group(), nv.dihedral_group(4)
     z2, z4 = nv.cyclic_group(2), nv.cyclic_group(4)
     l2 = palg.interval_effect_algebra(2)
-    l2_k3 = cyc.effect_nerve_cyclic(l2, nv.nerve(l2.magma, 3)).to_json_dict()
+    l2_k3 = cyc.cyclic_from_edges(nv.nerve(l2.magma, 3), l2.orthocomplement).to_json_dict()
     bad_tau, bad_tau3 = copy.deepcopy(l2_k3), copy.deepcopy(l2_k3)
     for body, n in ((bad_tau, "2"), (bad_tau3, "3")):
         tau = body["tau"][n]
         tau[0], tau[1] = tau[1], tau[0]
-    l2_nerve = cyc.effect_nerve_cyclic(l2, nv.nerve(l2.magma, 4))
+    l2_nerve = cyc.cyclic_from_edges(nv.nerve(l2.magma, 4), l2.orthocomplement)
     # to_json_dict hands out the nerve's own tables, so each variant edits a copy
     corrupt = copy.deepcopy(l2_nerve.to_json_dict())
     faces = corrupt["faces"]["2,1"]
@@ -77,9 +78,9 @@ def _inputs():
         # a cyclic set with an empty state polytope
         "pt-cyclic.json": cyc.CyclicSSet(point(3), {n: [0] for n in (1, 2, 3)}).to_json_dict(),
         # fails inverseless and (Z)
-        "z2-cyclic.json": cyc.group_nerve_cyclic(z2, 1, nv.comm_nerve(z2, None, 4)).to_json_dict(),
+        "z2-cyclic.json": group_twist(z2, 1, nv.comm_nerve(z2, None, 4)).to_json_dict(),
         # fails 2-Segal with a triangulation witness, and weak 2-Segal
-        "ly-z4-cyclic.json": cyc.group_nerve_cyclic(z4, 0, nv.action_partial_group(
+        "ly-z4-cyclic.json": group_twist(z4, 0, nv.action_partial_group(
             z4, 4, nv.translation_action(z4), [0, 1, 2], 4)).to_json_dict(),
         # fails the cyclic relations and ortho-1
         "bad-tau-cyclic.json": bad_tau,
@@ -110,6 +111,10 @@ def _inputs():
         # fully associable: 2 * 2 is undefined
         "wpm3.json": {"size": 3, "unit": 0, "products": [
             [0, 0, 0], [0, 1, 1], [0, 2, 2], [1, 0, 1], [1, 1, 2], [1, 2, 0], [2, 0, 2], [2, 1, 0]]},
+        # a plain magma: (1 * 1) * 1 = 1 but 1 * (1 * 1) = 0, so classify
+        # stops at the witness (1, 1, 1) and no inverse condition is asked
+        "magma3.json": {"size": 3, "unit": 0, "products": [
+            [0, 0, 0], [0, 1, 1], [0, 2, 2], [1, 0, 1], [1, 1, 2], [1, 2, 0], [2, 0, 2], [2, 1, 1]]},
         # the standard 2-simplex at K=4: three vertices, so not reduced, yet 2-Segal
         "d2.json": sset.standard_simplex(2, 4).to_json_dict(),
     }
@@ -153,7 +158,8 @@ SSETS = (("cn-q8.json", "--levels", "3"), ("cn-d4-t2.json", "--levels", "3"),
          ("cn-s4.json", "--levels", "5"), ("ly-s4.json",), ("hollow-4.json",), ("twin-4.json",),
          ("d2.json",))
 CYCLICS = ("en-l2.json", "en-bool2.json", "en-l4.json", "pt-cyclic.json")
-MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json", "s4-magma.json", "wpm3.json")
+MAGMAS = ("q8-magma.json", "d4-t2-magma.json", "chain-magma.json", "s4-magma.json", "wpm3.json",
+          "magma3.json")
 # failing batteries, the two narrowed cyclic suites (also below level 3 and
 # on sets that break the simplicial identities, one of them not spiny either),
 # the effect-algebra axioms, and passing cyclic batteries at K=5 and on bool3
@@ -372,6 +378,10 @@ GOLDEN = {
         (1, "01d7bffe2401e90b028c62f5f4720bb42161f6882a9cbc34ca2df0a475421f67"),
     'check magma --in wpm3.json --json':
         (1, "82804ab30b276dd8c7a4a551c0990e83aeb5f1c4844e1620b817c85062b7646a"),
+    'check magma --in magma3.json':
+        (1, "bbea1e1489f1935ee245960ff51d19040b2480532862cce3c80744a6902360f9"),
+    'check magma --in magma3.json --json':
+        (1, "2576170b7ddffd13fa419768db5f47ef1557268176d485f55693bd7408db5b65"),
     'check cyclic --in z2-cyclic.json':
         (1, "41567f2792fbeb0a344412200d9669cdb4862835df2fbb67365fee9be6f6cdbb"),
     'check cyclic --in z2-cyclic.json --json':

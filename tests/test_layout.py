@@ -103,6 +103,21 @@ def _uses(path, module=None):
     return out
 
 
+def _package_imports(path):
+    """The simpeff modules a src/ file imports from the package."""
+    out = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom) and (mod := _package_module(node)) is not None:
+            out.update([mod] if mod else (alias.name for alias in node.names))
+    return out
+
+
+def test_cyclic_imports_only_sset_and_util():
+    """The cyclic construction reads tau_1 as a list of edge labels, so cyclic
+    needs neither the algebras of palg nor the nerves of nerve."""
+    assert _package_imports(ROOT / "src" / "simpeff" / "cyclic.py") == {"sset", "util"}
+
+
 def _unused_definitions(src, tests):
     """The module-level functions and classes of the src/ files that nothing
     uses by the rules in the module docstring, as "file:line name"."""

@@ -11,7 +11,8 @@ from simpeff.util import InputError, StructureError
 
 from conftest import LOOP5, nerve_of, random_magma, three_element_magmas
 from palg_oracles import chain_magma
-from sset_oracles import insert_unit, point, sset_equal, tuple_face, two_triangles_shared_spine
+from sset_oracles import (insert_unit, is_spiny, point, sset_equal, tuple_face,
+                          two_triangles_shared_spine)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def test_nerve_spiny_reduced():
         m = random_magma(rng, rng.randrange(1, 6))
         x = nerve_of(m, 3)
         assert sset.validate(x) == []
-        assert sset.is_spiny(x)[0] and sset.is_reduced(x)
+        assert is_spiny(x)[0] and sset.is_reduced(x)
 
 
 def test_chain_magma_is_segal_partial_monoid():
@@ -201,7 +202,7 @@ def test_comm_nerve_battery():
     for g in (nv.symmetric_group(3), nv.dihedral_group(4)):
         x = nv.comm_nerve(g, None, 4)
         assert sset.validate(x) == []
-        assert sset.is_spiny(x)[0]
+        assert is_spiny(x)[0]
         assert sset.is_reduced(x)
         assert sset.is_coskeletal_2(x)[0]
         assert sset.segal(x)[3][0]
@@ -263,7 +264,7 @@ def test_action_partial_group_ly():
     pairs = set(ly.labels[2])
     assert {(1, 1), (2, 1), (1, 2)} <= pairs
     assert (1, 1, 1) not in set(ly.labels[3])
-    assert sset.is_spiny(ly)[0] and sset.is_reduced(ly)
+    assert is_spiny(ly)[0] and sset.is_reduced(ly)
     assert sset.validate(ly) == []
 
 

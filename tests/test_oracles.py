@@ -195,7 +195,7 @@ def test_box_lp_matches_from_scratch_solver():
     for e in (palg.interval_effect_algebra(2), palg.interval_effect_algebra(3),
               palg.boolean_effect_algebra(2)):
         x = nv.nerve(e.magma, 2)
-        A, b = states.state_system(cyc.effect_nerve_cyclic(e, x))
+        A, b = states.state_system(cyc.cyclic_from_edges(x, e.orthocomplement))
         n = len(A[0])
         cases.append((A, b, [[Fraction(int(k == j)) for k in range(n)] for j in range(n)]))
     infeasible = 0

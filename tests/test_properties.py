@@ -7,7 +7,7 @@ from simpeff import nerve as nv
 from simpeff import palg, sset
 
 from palg_oracles import bracketed_product, is_associable, is_multiplicable
-from sset_oracles import sset_equal
+from sset_oracles import is_spiny, sset_equal
 
 
 @st.composite
@@ -58,7 +58,7 @@ def test_nerve_reconstruction_and_transport(m):
     datum = palg.max_associativity_datum(m, 3)
     x = nv.nerve(m, 3)
     assert sset.validate(x) == []
-    assert sset.is_spiny(x)[0] and sset.is_reduced(x)
+    assert is_spiny(x)[0] and sset.is_reduced(x)
     m2, d2 = nv.magma_from_sset(x)
     assert m2 == m and d2.levels == datum.levels
     assert sset.is_inverseless_sset(x)[0] == palg.is_inverseless(m)

@@ -8,12 +8,11 @@ import pytest
 
 import cyclic_oracles
 import sset_oracles
-from simpeff import cyclic as cyc
 from simpeff import nerve as nv
 from simpeff import palg, sset
 from simpeff.util import InputError, StructureError
 
-from conftest import nerve_of, random_magma, three_element_magmas
+from conftest import TWISTS, is_wapg, nerve_of, random_magma, three_element_magmas
 from palg_oracles import horizontal_sum
 from sset_oracles import (BOUNDARY, SPINE, coskeletal_2, delta_w3, hollow_simplex,
                           hollow_simplices, membrane_set, point, sset_equal, sset_isomorphic,
@@ -194,9 +193,9 @@ def test_from_nondegenerate_keeps_the_sorted_order(name, monkeypatch):
 
 
 def test_spiny(q8_nerve, z2_nerve):
-    assert sset.is_spiny(q8_nerve)[0]
-    assert sset.is_spiny(z2_nerve)[0]
-    ok, wit = sset.is_spiny(two_triangles_shared_spine())
+    assert sset_oracles.is_spiny(q8_nerve)[0]
+    assert sset_oracles.is_spiny(z2_nerve)[0]
+    ok, wit = sset_oracles.is_spiny(two_triangles_shared_spine())
     assert not ok and wit[0] == 2
 
 
@@ -460,7 +459,7 @@ def test_segal_counting_matches_enumeration():
     for name, x in _oracle_instances():
         assert sset.validate(x) == [], name
         bad, spiny, two, weak, cosk = sset.segal(x)
-        assert bad == [] and spiny == sset.is_spiny(x), name
+        assert bad == [] and spiny == sset_oracles.is_spiny(x), name
         assert cosk == sset.is_coskeletal_2(x), name
         assert two == oracle_two_segal(x), name
         assert weak == oracle_weakly_two_segal(x), name
@@ -495,14 +494,14 @@ def test_hierarchy_census_three_elements():
     for m in three_element_magmas():
         x = nerve_of(m, 4)
         _, spiny, two, (weak, _), (cosk, _) = sset.segal(x)
-        assert spiny == sset.is_spiny(x), m.product
+        assert spiny == sset_oracles.is_spiny(x), m.product
         tally[(palg.classify(m)[0], weak, two[0], cosk)] += 1
         inverseless = sset.is_inverseless_sset(x)[0]
         assert inverseless == palg.is_inverseless(m), m.product
         assert two == oracle_two_segal(x), m.product
         effect = spiny[0] and inverseless and weak
         extremes[(palg.classify(m)[0], effect,
-                  palg.is_weakly_associative_partial_group(m, 3)[0])] += 1
+                  is_wapg(m, 3)[0])] += 1
     assert tally == {(palg.MAGMA, False, False, True): 160,
                      (palg.WEAK_PARTIAL_MONOID, True, False, True): 71,
                      (palg.PARTIAL_MONOID, True, True, True): 25}
@@ -537,7 +536,7 @@ def test_segal_stops_at_level_3_only_where_oracles_agree_above_it():
                 hollow_simplex(4, 5)]
     for x, stops in [(x, True) for x in gated] + [(x, False) for x in fallback]:
         _, spiny, two, weak, cosk = sset.segal(x)
-        assert spiny == sset.is_spiny(x) and spiny[0], x.counts
+        assert spiny == sset_oracles.is_spiny(x) and spiny[0], x.counts
         assert cosk == sset.is_coskeletal_2(x) and cosk[0] == stops, x.counts
         assert two == oracle_two_segal(x), x.counts
         assert weak == oracle_weakly_two_segal(x), x.counts
@@ -608,7 +607,7 @@ def test_segal_checks_need_simplicial_identities():
     assert sset.validate(x)
     bad, spiny, two, weak, cosk = sset.segal(x)
     assert bad == sset.validate(x)
-    assert spiny == sset.is_spiny(x)
+    assert spiny == sset_oracles.is_spiny(x)
     assert two == weak == cosk == (False, "simplicial identities fail")
     with pytest.raises(StructureError):
         sset.is_coskeletal_2(x)
@@ -713,7 +712,7 @@ def test_spiny_weakly_two_segal_implies_coskeletal(q8_nerve):
     for x in (q8_nerve,
               nerve_of(palg.interval_effect_algebra(2).magma, 4),
               nv.comm_nerve(nv.dihedral_group(4), None, 4)):
-        assert sset.is_spiny(x)[0]
+        assert sset_oracles.is_spiny(x)[0]
         assert sset.segal(x)[3][0]
         assert sset.is_coskeletal_2(x)[0]
 
@@ -815,12 +814,12 @@ def _same_as_spine_walks(x):
 
 def _same_tau(name, *args):
     """The cyclic construction name gives the tuple-map oracle's tau or message."""
-    def run(module):
+    def run(construct):
         try:
-            return getattr(module, name)(*args).tau
+            return construct(*args).tau
         except InputError as exc:
             return str(exc)
-    assert run(cyc) == run(cyclic_oracles), (name, args[-1].counts)
+    assert run(TWISTS[name]) == run(getattr(cyclic_oracles, name)), (name, args[-1].counts)
 
 
 def test_face_pair_constructions_match_the_spine_walks():
@@ -899,7 +898,7 @@ def test_face_pair_constructions_need_the_simplicial_identities():
                 build(y)
             assert str(err.value) == want
     for x in (two_triangles_shared_spine(), sset.cosk2_extend(two_triangles_shared_spine(2), 3)):
-        assert sset.is_spiny(x) == (False, (2, 11, 12))
+        assert sset_oracles.is_spiny(x) == (False, (2, 11, 12))
         for build in (sset.canonicalize_spiny, nv.magma_from_sset):
             with pytest.raises(InputError, match=re.escape("collision (2, 11, 12)")):
                 build(x)
